@@ -2,9 +2,10 @@
 
 Exit-code contract: 0 = property holds / construction succeeded, 1 =
 property refuted (with a witness where applicable), 2 = input or validation
-error.  The split lets shell pipelines branch on mathematics versus
-plumbing.  ``--json`` emits a machine-readable report; ``SEMIPHI_TOL`` sets
-the default tolerance.
+error, 3 = an internal self-check failed (a defect, not a verdict).  The
+split lets shell pipelines branch on mathematics versus plumbing.
+``--json`` emits a machine-readable report; ``SEMIPHI_TOL`` sets the default
+tolerance.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .cpmaps import (
 from .extension import (
     ExtensionInputError,
     PreconditionError,
+    SelfCheckError,
     canonical_compacts_extension,
     compare_extensions,
     extend_semi_phi,
@@ -49,6 +51,7 @@ from .serialization import SchemaError
 EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 
 def _default_tol() -> float:
@@ -425,6 +428,9 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except SelfCheckError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     _print_report(report, args.json)
     return code
 

@@ -26,6 +26,7 @@ from .numerics import (
     PsdReport,
     ShapeError,
     ToleranceProfile,
+    adjoint_products,
     as_matrix,
     dagger,
     is_psd,
@@ -107,6 +108,26 @@ class CPMap:
         if arr.shape != (q, q):
             raise ShapeError(f"expected a {q}x{q} matrix")
         return np.einsum("abij,ij->ab", self._ambient_tensor, arr)
+
+    def apply_pairs(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """The pinch-extended map on every inner product ``xs[i]* ys[j]``.
+
+        ``xs`` and ``ys`` are ``(d_x, p, q)`` and ``(d_y, p, q)`` stacks of
+        module elements, such as a module basis; the result is the
+        ``(d_x, d_y, m, m)`` array of ``phi~(<x_i, y_j>)``.  All
+        ``d_x * d_y`` inner products come from one call to
+        :func:`~semiphi.numerics.adjoint_products` and are mapped by one
+        matmul against the ``(m^2, q^2)`` matrix of the map, in place of
+        ``d_x * d_y`` calls to :meth:`apply_ambient`.
+        """
+        q, m = self.domain.ambient_dim, self.target_dim
+        if xs.shape[1:] != ys.shape[1:] or xs.shape[2:] != (q,):
+            raise ShapeError(
+                f"expected two stacks of p x {q} matrices, got {xs.shape} and {ys.shape}"
+            )
+        products = adjoint_products(xs, ys).reshape(len(xs) * len(ys), q * q)
+        values = products @ self._ambient_tensor.reshape(m * m, q * q).T
+        return values.reshape(len(xs), len(ys), m, m)
 
     def apply(self, a, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
         """Apply to an algebra element; rejects matrices outside the algebra."""

@@ -27,6 +27,7 @@ from .numerics import (
     DEFAULT_TOL,
     ShapeError,
     ToleranceProfile,
+    adjoint_products,
     as_matrix,
     column_span_onb,
     dagger,
@@ -38,6 +39,7 @@ from .numerics import (
 __all__ = [
     "PreconditionError",
     "ExtensionInputError",
+    "SelfCheckError",
     "ModuleMap",
     "GramPair",
     "PhiMapReport",
@@ -67,6 +69,14 @@ class PreconditionError(ValueError):
 
 class ExtensionInputError(ValueError):
     """The extension engine received inputs violating its hypotheses."""
+
+
+class SelfCheckError(RuntimeError):
+    """A construction failed the re-check of its own certificate.
+
+    This signals a defect in the toolkit or a numerically hopeless input,
+    never a refutation of the property being decided.
+    """
 
 
 @dataclass(eq=False)
@@ -140,19 +150,16 @@ def is_phi_map(phi_map: ModuleMap, phi: CPMap, tol: ToleranceProfile = DEFAULT_T
     Sesquilinearity extends the basis check to arbitrary elements.
     """
     _check_compatible(phi_map, phi)
-    worst, worst_pair = 0.0, None
-    ok = True
-    basis = phi_map.domain.basis
-    for i in range(len(basis)):
-        for j in range(len(basis)):
-            lhs = dagger(phi_map.values[i]) @ phi_map.values[j]
-            rhs = phi.apply_ambient(inner_product_matrix(basis[i], basis[j]))
-            defect = float(np.linalg.norm(lhs - rhs))
-            scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs))
-            if defect > worst:
-                worst, worst_pair = defect, (i, j)
-            if defect > tol.threshold(scale):
-                ok = False
+    values, stack = phi_map._value_stack, phi_map.domain._basis_stack
+    lhs = adjoint_products(values, values)
+    rhs = phi.apply_pairs(stack, stack)
+    scale = np.maximum(np.linalg.norm(lhs, axis=(-2, -1)), np.linalg.norm(rhs, axis=(-2, -1)))
+    rhs -= lhs  # in place: one (d, d, m, m) temporary fewer at the memory peak
+    defect = np.linalg.norm(rhs, axis=(-2, -1))
+    ok = not np.any(defect > tol.threshold(scale))
+    worst = float(defect.max(initial=0.0))
+    # argmax is the first maximum in row-major order; no pair when all vanish.
+    worst_pair = divmod(int(defect.argmax()), len(defect)) if worst > 0.0 else None
     return PhiMapReport(ok, worst, worst_pair)
 
 
@@ -191,7 +198,7 @@ def ksgns(phi: CPMap, e: ConcreteModule, tol: ToleranceProfile = DEFAULT_TOL) ->
     result = ModuleMap(e, m, q_onb.shape[1], values)
     report = is_phi_map(result, phi, ToleranceProfile(tol.abs_tol * 1e3 + 1e-8, tol.rel_tol * 1e3 + 1e-8))
     if not report.ok:
-        raise RuntimeError(
+        raise SelfCheckError(
             f"universal map failed its compatibility self-check (defect {report.worst_defect:.3e})"
         )
     return KsgnsResult(result, q_onb, dil)
@@ -209,14 +216,9 @@ class GramPair:
 
 def gram_pair(phi_map: ModuleMap, phi: CPMap) -> GramPair:
     _check_compatible(phi_map, phi)
-    basis = phi_map.domain.basis
-    d, m = len(basis), phi.target_dim
-    g_phi = np.zeros((d * m, d * m), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            g_phi[i * m : (i + 1) * m, j * m : (j + 1) * m] = phi.apply_ambient(
-                inner_product_matrix(basis[i], basis[j])
-            )
+    stack = phi_map.domain._basis_stack
+    d, m = len(stack), phi.target_dim
+    g_phi = phi.apply_pairs(stack, stack).transpose(0, 2, 1, 3).reshape(d * m, d * m)
     cols = phi_map.stacked_columns()
     g_map = dagger(cols) @ cols
     return GramPair(g_phi, g_map)
@@ -297,7 +299,7 @@ def semiphi_witness(
             rhs += np.vdot(vectors[k], block @ vectors[kp]).real
     witness = SemiPhiWitness(vectors, lhs, rhs)
     if witness.gap <= 0.0:
-        raise RuntimeError("witness failed independent re-evaluation")
+        raise SelfCheckError("witness failed independent re-evaluation")
     return witness
 
 
@@ -313,6 +315,13 @@ class ObstructionReport:
         return self.vanishes
 
 
+def _max_operator_norm(blocks: np.ndarray, floor: float) -> float:
+    """Largest spectral norm in a stack of matrices, and at least ``floor``."""
+    if blocks.size == 0:
+        return floor
+    return max(floor, float(np.linalg.norm(blocks, 2, axis=(-2, -1)).max()))
+
+
 def phi_extension_obstruction(
     phi: CPMap,
     f: ConcreteModule,
@@ -325,16 +334,9 @@ def phi_extension_obstruction(
     if not is_submodule(f, e, tol):
         raise PreconditionError("obstruction requires f to be a submodule of e")
     f_perp = orthogonal_complement(f, e, tol)
-    worst = 0.0
-    scale = 1.0
-    for x in e.basis:
-        for y in e.basis:
-            scale = max(scale, operator_norm(phi.apply_ambient(inner_product_matrix(x, y))))
-    for z in f_perp.basis:
-        for x in e.basis:
-            worst = max(
-                worst, operator_norm(phi.apply_ambient(inner_product_matrix(z, x)))
-            )
+    e_stack = e._basis_stack
+    scale = _max_operator_norm(phi.apply_pairs(e_stack, e_stack), 1.0)
+    worst = _max_operator_norm(phi.apply_pairs(f_perp._basis_stack, e_stack), 0.0)
     return ObstructionReport(worst <= tol.threshold(scale), worst, f_perp)
 
 
@@ -449,18 +451,16 @@ def extend_semi_phi(
         for z in f_perp.basis:
             part_i = max(part_i, float(np.linalg.norm(phi_prime.apply(z, tol))))
         report["complement_killed_defect"] = part_i
-        part_ii = 0.0
-        y_basis = list(f.basis) + list(f_perp.basis)
-        y_values = [phi_prime.apply(y, tol) for y in y_basis]
-        for x, vx in zip(e.basis, phi_prime.values):
-            for y, vy in zip(y_basis, y_values):
-                lhs = dagger(vx) @ vy
-                rhs = phi.apply_ambient(inner_product_matrix(x, y))
-                part_ii = max(part_ii, float(np.linalg.norm(lhs - rhs)))
-                lhs_adj = dagger(vy) @ vx
-                rhs_adj = phi.apply_ambient(inner_product_matrix(y, x))
-                part_ii = max(part_ii, float(np.linalg.norm(lhs_adj - rhs_adj)))
-        report["exact_on_complemented_defect"] = part_ii
+        y_stack = np.concatenate([f._basis_stack, f_perp._basis_stack])
+        y_values = np.array([phi_prime.apply(y, tol) for y in y_stack]).reshape(len(y_stack), k, m)
+        x_stack, x_values = e._basis_stack, phi_prime._value_stack
+        defects = [
+            adjoint_products(x_values, y_values) - phi.apply_pairs(x_stack, y_stack),
+            adjoint_products(y_values, x_values) - phi.apply_pairs(y_stack, x_stack),
+        ]
+        report["exact_on_complemented_defect"] = max(
+            float(np.linalg.norm(dd, axis=(-2, -1)).max(initial=0.0)) for dd in defects
+        )
 
     return ExtensionResult(
         phi_prime=phi_prime,
@@ -550,11 +550,11 @@ def canonical_compacts_extension(
     extension = ModuleMap(e, phi_map.h1_dim, phi_map.h2_dim, tuple(values))
     certify = is_phi_map(extension, phi, tol)
     if not certify.ok:
-        raise RuntimeError(
+        raise SelfCheckError(
             f"extension-by-zero failed its compatibility certificate (defect {certify.worst_defect:.3e})"
         )
     engine = extend_semi_phi(phi_map, e, phi, tol)
     for ve, vp in zip(extension.values, engine.phi_prime.values):
         if np.linalg.norm(ve - vp) > 1e3 * tol.threshold(max(np.linalg.norm(ve), 1.0)):
-            raise RuntimeError("extension-by-zero disagrees with the engine output")
+            raise SelfCheckError("extension-by-zero disagrees with the engine output")
     return extension

@@ -14,11 +14,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import AlgebraElement, BlockAlgebra, contains, off_block_mass, pinch
+from .algebra import AlgebraElement, BlockAlgebra, off_block_mass, pinch
 from .numerics import (
     DEFAULT_TOL,
     ShapeError,
     ToleranceProfile,
+    adjoint_products,
     as_matrix,
     column_span_onb,
     dagger,
@@ -77,11 +78,16 @@ class ConcreteModule:
         return len(self.basis)
 
     @cached_property
-    def _basis_columns(self) -> np.ndarray:
-        q = self.algebra.ambient_dim
+    def _basis_stack(self) -> np.ndarray:
+        """The basis as one ``(dim, p, q)`` array, the input of the batched
+        pair kernels."""
         if not self.basis:
-            return np.zeros((self.row_dim * q, 0), dtype=complex)
-        return np.column_stack([b.reshape(-1) for b in self.basis])
+            return np.zeros((0, self.row_dim, self.algebra.ambient_dim), dtype=complex)
+        return np.stack(self.basis)
+
+    @cached_property
+    def _basis_columns(self) -> np.ndarray:
+        return self._basis_stack.reshape(self.dim, self.row_dim * self.algebra.ambient_dim).T
 
     @cached_property
     def _basis_pinv(self) -> np.ndarray:
@@ -95,11 +101,17 @@ class ConcreteModule:
         if arr.shape != (self.row_dim, self.algebra.ambient_dim):
             raise ShapeError(f"expected shape {(self.row_dim, self.algebra.ambient_dim)}")
         vec = arr.reshape(-1)
-        coeffs = self._basis_pinv @ vec
-        residual = float(np.linalg.norm(self._basis_columns @ coeffs - vec))
+        coeffs, residual = self._project(vec)
         if residual > tol.threshold(np.linalg.norm(vec)):
             raise MembershipError(f"matrix outside the module span (residual {residual:.3e})")
         return coeffs
+
+    def _project(self, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Coefficients over the basis of the row-major flattened matrices
+        ``vecs`` (shape ``(..., p*q)``), and the distance of each from the span."""
+        coeffs = vecs @ self._basis_pinv.T
+        residual = np.linalg.norm(coeffs @ self._basis_columns.T - vecs, axis=-1)
+        return coeffs, residual
 
     def contains_matrix(self, m, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
         try:
@@ -167,20 +179,26 @@ def validate_module(module: ConcreteModule, tol: ToleranceProfile = DEFAULT_TOL)
     independent.
     """
     violations: list[str] = []
-    basis = module.basis
-    for i, x in enumerate(basis):
-        for j, y in enumerate(basis):
-            raw = inner_product_matrix(x, y)
-            if not contains(module.algebra, raw, tol):
-                violations.append(f"inner product of basis ({i},{j}) escapes the algebra")
-    units = module.algebra.matrix_units()
-    for i, x in enumerate(basis):
-        for (r, c), unit in zip(module.algebra.unit_index_pairs(), units):
-            if not module.contains_matrix(x @ unit, tol):
-                violations.append(
-                    f"right action of unit ({r},{c}) on basis {i} leaves the span"
-                )
-                break
+    algebra, d = module.algebra, module.dim
+    q = algebra.ambient_dim
+    stack = module._basis_stack
+    products = adjoint_products(stack, stack)
+    off_block = np.linalg.norm(products[:, :, ~algebra._mask], axis=-1)
+    scale = np.linalg.norm(products.reshape(d, d, q * q), axis=-1)
+    for i, j in np.argwhere(off_block > tol.threshold(scale)):
+        violations.append(f"inner product of basis ({i},{j}) escapes the algebra")
+    # x_i E_u for every basis element and matrix unit, tested against the
+    # span in one residual; only the first failing unit is reported.
+    units = np.stack(algebra.matrix_units())
+    moved = (stack[:, None] @ units).reshape(d, len(units), module.row_dim * q)
+    _, residual = module._project(moved)
+    outside = residual > tol.threshold(np.linalg.norm(moved, axis=-1))
+    pairs = algebra.unit_index_pairs()
+    for i in range(d):
+        hits = np.flatnonzero(outside[i])
+        if hits.size:
+            r, c = pairs[hits[0]]
+            violations.append(f"right action of unit ({r},{c}) on basis {i} leaves the span")
     if module.dim:
         onb = column_span_onb(module._basis_columns, tol)
         if onb.shape[1] != module.dim:
@@ -217,14 +235,12 @@ def orthogonal_complement(
         raise ValueError("f must be a submodule of e")
     if e.dim == 0:
         return ConcreteModule(e.algebra, e.row_dim, ())
-    rows = []
-    for fj in f.basis:
-        fj_dag = dagger(fj)
-        block = np.column_stack([(fj_dag @ b).reshape(-1) for b in e.basis])
-        rows.append(block)
-    if not rows:
+    if f.dim == 0:
         return e
-    constraint = np.vstack(rows)
+    # Row block j holds the flattened f_j* e_k in column k.
+    q = e.algebra.ambient_dim
+    products = adjoint_products(f._basis_stack, e._basis_stack)
+    constraint = products.transpose(0, 2, 3, 1).reshape(f.dim * q * q, e.dim)
     coeff_onb = nullspace_onb(constraint, tol)
     basis = tuple(e.from_coefficients(coeff_onb[:, k]) for k in range(coeff_onb.shape[1]))
     return ConcreteModule(e.algebra, e.row_dim, basis)
@@ -234,10 +250,9 @@ def is_full(e: ConcreteModule, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
     """True iff the inner products of basis pairs span the whole algebra."""
     if e.dim == 0:
         return False
-    products = [
-        inner_product_matrix(x, y).reshape(-1) for x in e.basis for y in e.basis
-    ]
-    onb = column_span_onb(products, tol)
+    q = e.algebra.ambient_dim
+    products = adjoint_products(e._basis_stack, e._basis_stack).reshape(e.dim**2, q * q)
+    onb = column_span_onb(products.T, tol)
     return onb.shape[1] == e.algebra.dimension
 
 
@@ -350,10 +365,8 @@ def is_contained_pair(
     e_in_f = embed_module(e, embedding)
     if not all(f.contains_matrix(b, tol) for b in e_in_f.basis):
         return False
-    for x, xh in zip(e.basis, e_in_f.basis):
-        for y, yh in zip(e.basis, e_in_f.basis):
-            small = embedding.embed(inner_product_matrix(x, y))
-            big = inner_product_matrix(xh, yh)
-            if np.linalg.norm(small - big) > tol.threshold(np.linalg.norm(small)):
-                return False
-    return True
+    j = embedding.column_map()
+    small = j @ adjoint_products(e._basis_stack, e._basis_stack) @ j.T
+    big = adjoint_products(e_in_f._basis_stack, e_in_f._basis_stack)
+    defect = np.linalg.norm(small - big, axis=(-2, -1))
+    return not np.any(defect > tol.threshold(np.linalg.norm(small, axis=(-2, -1))))

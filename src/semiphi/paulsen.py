@@ -21,6 +21,7 @@ from .cpmaps import CPMap
 from .extension import (
     ModuleMap,
     PreconditionError,
+    SelfCheckError,
     SemiPhiReport,
     extend_semi_phi,
     is_completely_semi_phi,
@@ -270,7 +271,7 @@ def is_cp_system_map(
                 image = sm.apply_n(level, sample, tol)
                 psd = is_psd(image, scale_tol)
                 if not psd.ok:
-                    raise RuntimeError(
+                    raise SelfCheckError(
                         "positive verdict refuted by PSD sampling "
                         f"(level {level}, lambda_min {psd.lambda_min:.3e})"
                     )
@@ -464,5 +465,5 @@ def injectivity_demo(
             restriction, float(np.linalg.norm(result.phi_prime.apply(b, tol) - orig))
         )
     if restriction > 1e3 * tol.threshold(1.0):
-        raise RuntimeError("extension failed to restrict to the input morphism")
+        raise SelfCheckError("extension failed to restrict to the input morphism")
     return result.phi_prime, psi

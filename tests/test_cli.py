@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
+import semiphi.extension as ext
 import semiphi.serialization as ser
 from semiphi import BlockAlgebra, transpose_map
-from semiphi.cli import main
+from semiphi.cli import EXIT_INTERNAL, main
 from semiphi.fixtures import example_2_1, scalar_fixture
 
 
@@ -117,3 +118,13 @@ def test_tol_env_var(tmp_path, monkeypatch, ex21_file):
     assert main(["extend", ex21_file]) == 0
     monkeypatch.setenv("SEMIPHI_TOL", "not-a-number")
     assert main(["extend", ex21_file]) == 2
+
+
+def test_self_check_failure_is_internal_error(ex21_file, monkeypatch, capsys):
+    # A universal map that fails its own compatibility re-check is a defect
+    # in the toolkit: it must not read as "refuted" (1) or "bad input" (2).
+    monkeypatch.setattr(ext, "is_phi_map", lambda *args: ext.PhiMapReport(False, 1.0, (0, 0)))
+    assert main(["extend", ex21_file, "--json"]) == EXIT_INTERNAL == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal error: universal map failed" in captured.err

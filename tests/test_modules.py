@@ -53,6 +53,32 @@ class TestValidation:
         report = validate_module(ConcreteModule(algebra, 1, (b, 2 * b)))
         assert any("dependent" in v for v in report.violations)
 
+    def test_violation_list_for_all_three_axioms(self):
+        # Over C (+) M_2: x0 is a valid block-0 column, x1 has both block-1
+        # columns filled in different rows, x2 = x0 + x1 straddles the blocks.
+        algebra = BlockAlgebra((1, 2))
+        x0 = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        x1 = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        report = validate_module(ConcreteModule(algebra, 2, (x0, x1, x0 + x1)))
+        assert not report.ok
+        assert report.violations == (
+            "inner product of basis (0,1) escapes the algebra",
+            "inner product of basis (0,2) escapes the algebra",
+            "inner product of basis (1,0) escapes the algebra",
+            "inner product of basis (1,2) escapes the algebra",
+            "inner product of basis (2,0) escapes the algebra",
+            "inner product of basis (2,1) escapes the algebra",
+            "inner product of basis (2,2) escapes the algebra",
+            # Units (1,1), (1,2) and (2,1) all move x1 and x2 out of the
+            # span; only the first in unit order is reported.
+            "right action of unit (1,1) on basis 1 leaves the span",
+            "right action of unit (1,1) on basis 2 leaves the span",
+            "basis is linearly dependent (rank 2 of 3)",
+        )
+
+    def test_zero_module_is_valid(self):
+        assert validate_module(ConcreteModule(BlockAlgebra((1, 2)), 2, ())).ok
+
 
 class TestInnerProduct:
     def test_stacked_pair_formula(self, rng):

@@ -179,6 +179,76 @@ class TestNullspace:
         assert abs(n[0, 0] + n[1, 0]) < 1e-12
 
 
+def assert_nullspace_onb(m, rank):
+    n = nullspace_onb(m)
+    cols = m.shape[1]
+    assert n.shape == (cols, cols - rank)
+    assert np.linalg.norm(m @ n) <= 1e-9 * max(1.0, np.linalg.norm(m))
+    np.testing.assert_allclose(n.conj().T @ n, np.eye(n.shape[1]), atol=1e-12)
+
+
+def random_complex(shape, rng):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+SHAPES = {
+    "tall": lambda small, extra: (small + extra, small),
+    "wide": lambda small, extra: (small, small + extra),
+    "square": lambda small, extra: (small, small),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SHAPES))
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=20, deadline=None)
+def test_nullspace_of_full_rank_input(kind, small, extra, seed):
+    rows, cols = SHAPES[kind](small, extra)
+    m = random_complex((rows, cols), np.random.default_rng(seed))
+    assert_nullspace_onb(m, min(rows, cols))
+
+
+@pytest.mark.parametrize("kind", sorted(SHAPES))
+@given(
+    st.integers(min_value=2, max_value=6),
+    st.integers(min_value=1, max_value=40),
+    st.data(),
+)
+@settings(max_examples=20, deadline=None)
+def test_nullspace_of_rank_deficient_input(kind, small, extra, data):
+    rows, cols = SHAPES[kind](small, extra)
+    rank = data.draw(st.integers(min_value=1, max_value=min(rows, cols) - 1))
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    m = random_complex((rows, rank), rng) @ random_complex((rank, cols), rng)
+    assert_nullspace_onb(m, rank)
+
+
+@given(st.integers(min_value=0, max_value=40), st.integers(min_value=1, max_value=6))
+@settings(max_examples=20, deadline=None)
+def test_nullspace_of_zero_input(rows, cols):
+    assert_nullspace_onb(np.zeros((rows, cols)), 0)
+
+
+@given(
+    st.lists(
+        st.floats(min_value=-1e12, max_value=1e12, allow_nan=False),
+        min_size=1,
+        max_size=12,
+    ),
+    st.floats(min_value=0.0, max_value=1e-3),
+    st.floats(min_value=0.0, max_value=1e-3),
+)
+@settings(max_examples=30, deadline=None)
+def test_array_threshold_agrees_with_scalar(scales, abs_tol, rel_tol):
+    tol = ToleranceProfile(abs_tol, rel_tol)
+    batched = tol.threshold(np.array(scales).reshape(len(scales), 1))
+    assert batched.shape == (len(scales), 1)
+    assert batched.ravel().tolist() == [tol.threshold(s) for s in scales]
+
+
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_gram_matrices_are_psd(n, seed):

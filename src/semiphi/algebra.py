@@ -71,9 +71,6 @@ class BlockAlgebra:
             mask[sl, sl] = True
         return mask
 
-    def block_mask(self) -> np.ndarray:
-        return self._mask.copy()
-
     def unit_index_pairs(self) -> list[tuple[int, int]]:
         """Global (row, col) positions of the matrix units, block-major then
         row-major within each block.  This enumeration is the wire order for

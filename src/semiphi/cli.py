@@ -28,13 +28,13 @@ from .extension import (
     ExtensionInputError,
     PreconditionError,
     SelfCheckError,
+    _witness_from_report,
     canonical_compacts_extension,
     compare_extensions,
     extend_semi_phi,
     is_completely_semi_phi,
     is_phi_map,
     phi_extension_obstruction,
-    semiphi_witness,
 )
 from .fixtures import compacts_fixture, example_2_1
 from .modules import BlockEmbedding, MembershipError, ModuleIntegrityError
@@ -160,7 +160,7 @@ def cmd_witness(args, doc, tol, started):
             started,
         )
         return EXIT_OK, report
-    witness = semiphi_witness(phi_map, phi, tol)
+    witness = _witness_from_report(phi_map, phi, verdict)
     report = _report(
         {"completely_semi_phi": False, "witness_exists": True},
         {"gap": witness.gap, "lhs": witness.lhs, "rhs": witness.rhs},

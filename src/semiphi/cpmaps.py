@@ -217,6 +217,12 @@ def compose(outer: CPMap, inner: CPMap) -> CPMap:
 def choi(phi: CPMap, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     """Choi matrix ``sum_ij E_ij (x) phi~(E_ij)`` of the pinch-extended map."""
     phi.check_hermiticity(tol)
+    return _choi_matrix(phi)
+
+
+def _choi_matrix(phi: CPMap) -> np.ndarray:
+    """The Choi matrix assembled from the stored values, without the
+    hermiticity check of :func:`choi`."""
     q, m = phi.domain.ambient_dim, phi.target_dim
     j = np.zeros((q * m, q * m), dtype=complex)
     for (r, c), t in phi._unit_index.items():

@@ -16,10 +16,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .cpmaps import CPMap, StinespringDilation, stinespring
+from .cpmaps import CPMap, StinespringDilation, _choi_matrix, stinespring
 from .modules import (
     ConcreteModule,
-    inner_product_matrix,
     is_submodule,
     orthogonal_complement,
 )
@@ -226,9 +225,17 @@ def gram_pair(phi_map: ModuleMap, phi: CPMap) -> GramPair:
 
 @dataclass(frozen=True)
 class SemiPhiReport:
+    """Verdict of the semi criterion.
+
+    ``margin`` is the smallest eigenvalue of the Gram gap and ``witness`` a
+    unit eigenvector for it (empty when the gap is 0x0), from which a
+    refutation certificate is built.
+    """
+
     ok: bool
     gram: GramPair
     margin: float
+    witness: np.ndarray
 
     def __bool__(self) -> bool:
         return self.ok
@@ -247,11 +254,11 @@ def is_completely_semi_phi(
     pair = gram_pair(phi_map, phi)
     n = pair.g_phi.shape[0]
     if n == 0:
-        return SemiPhiReport(True, pair, 0.0)
+        return SemiPhiReport(True, pair, 0.0, np.zeros(0, dtype=complex))
     diff = pair.g_phi - pair.g_map
     diff = (diff + dagger(diff)) / 2.0
     report = is_psd(diff, tol)
-    return SemiPhiReport(report.ok, pair, report.lambda_min)
+    return SemiPhiReport(report.ok, pair, report.lambda_min, report.witness)
 
 
 @dataclass(frozen=True)
@@ -279,28 +286,38 @@ def semiphi_witness(
     report = is_completely_semi_phi(phi_map, phi, tol)
     if report.ok:
         raise PreconditionError("witness requested for a satisfying pair")
-    diff = report.gram.g_phi - report.gram.g_map
-    diff = (diff + dagger(diff)) / 2.0
-    psd = is_psd(diff, tol)
-    w = psd.witness
+    return _witness_from_report(phi_map, phi, report)
+
+
+def _witness_from_report(
+    phi_map: ModuleMap, phi: CPMap, report: SemiPhiReport
+) -> SemiPhiWitness:
+    """The certificate for a refuted criterion, from the eigenvector the
+    decision already computed, with both sides re-evaluated independently of
+    the Gram matrices."""
     d, m = phi_map.domain.dim, phi_map.h1_dim
-    vectors = tuple(w[k * m : (k + 1) * m] for k in range(d))
-    # Independent re-evaluation straight from the stored values and fresh
-    # inner products, not from the Gram matrices.
-    total = np.zeros(phi_map.h2_dim, dtype=complex)
-    for vec, val in zip(vectors, phi_map.values):
-        total += val @ vec
+    vecs = report.witness.reshape(d, m)
+    vectors = tuple(vecs)
+    total = np.einsum("kam,km->a", phi_map._value_stack, vecs)
     lhs = float(np.vdot(total, total).real)
-    rhs = 0.0
-    basis = phi_map.domain.basis
-    for k in range(d):
-        for kp in range(d):
-            block = phi.apply_ambient(inner_product_matrix(basis[k], basis[kp]))
-            rhs += np.vdot(vectors[k], block @ vectors[kp]).real
+    rhs = _witness_rhs(phi, phi_map.domain._basis_stack, vecs)
     witness = SemiPhiWitness(vectors, lhs, rhs)
     if witness.gap <= 0.0:
         raise SelfCheckError("witness failed independent re-evaluation")
     return witness
+
+
+def _witness_rhs(phi: CPMap, basis: np.ndarray, vecs: np.ndarray) -> float:
+    """``sum_kk' <v_k, phi~(x_k* x_k') v_k'>`` for a ``(d, p, q)`` basis stack
+    and ``(d, m)`` vectors, straight from the Choi matrix ``C``.
+
+    With ``y[r, i, a] = sum_k x_k[r, i] v_k[a]`` the sum is
+    ``sum_r y_r* C y_r``: O(d) work on the stored values, sharing nothing
+    with the pair kernels that build the Gram matrices.
+    """
+    p, q = basis.shape[1:]
+    y = np.einsum("kri,ka->ria", basis, vecs).reshape(p, q * phi.target_dim)
+    return float(np.vdot(y, y @ _choi_matrix(phi).T).real)
 
 
 @dataclass(frozen=True)

@@ -135,6 +135,13 @@ def is_psd(m: MatrixLike, tol: ToleranceProfile = DEFAULT_TOL) -> PsdReport:
 
     The input must be hermitian within tolerance; it is symmetrized before
     the eigenvalue test.  True iff ``lambda_min >= -(abs_tol + rel_tol*|M|)``.
+
+    ``|M|`` is the spectral norm of the symmetrized matrix, read off the
+    eigenvalues already computed as ``max(|lambda_min|, |lambda_max|)``
+    rather than from a separate SVD.  For hermitian input it is the spectral
+    norm of the input up to rounding; otherwise the two differ by at most
+    half the spectral norm of the hermitian defect ``M - M*``, which the
+    hermiticity check has already bounded by the tolerance.
     """
     arr = as_matrix(m)
     if arr.shape[0] != arr.shape[1]:
@@ -145,7 +152,7 @@ def is_psd(m: MatrixLike, tol: ToleranceProfile = DEFAULT_TOL) -> PsdReport:
     herm = (arr + dagger(arr)) / 2.0
     eigvals, eigvecs = np.linalg.eigh(herm)
     lam = float(eigvals[0])
-    scale = float(np.linalg.norm(arr, 2))
+    scale = max(abs(lam), abs(float(eigvals[-1])))
     return PsdReport(lam >= -tol.threshold(scale), lam, eigvecs[:, 0])
 
 

@@ -13,10 +13,12 @@ problem) is out of scope.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
-from .algebra import BlockAlgebra, contains, off_block_mass, pinch
+from .algebra import BlockAlgebra, contains, pinch
 from .cpmaps import CPMap
 from .extension import (
     ModuleMap,
@@ -29,6 +31,7 @@ from .extension import (
 from .modules import (
     BlockEmbedding,
     ConcreteModule,
+    MembershipError,
     embed_module,
     is_contained_pair,
     is_submodule,
@@ -81,6 +84,12 @@ class PaulsenSystem:
     def identity(self) -> np.ndarray:
         return np.eye(self.ambient_dim, dtype=complex)
 
+    @cached_property
+    def _basis_stack(self) -> np.ndarray:
+        """The basis as one ``(dimension, d, d)`` array, ``d`` the ambient
+        dimension."""
+        return np.stack(self.basis)
+
 
 def build_system(e: ConcreteModule) -> PaulsenSystem:
     """Assemble the system basis: scalar block, module corner, adjoint corner,
@@ -119,20 +128,71 @@ def decompose_system_element(
     p, q = system.corner_layout
     if arr.shape != (p + q, p + q):
         raise ShapeError(f"expected a {p + q}x{p + q} matrix")
-    scale = max(float(np.linalg.norm(arr)), 1.0)
-    top = arr[:p, :p]
-    lam = complex(np.trace(top) / p) if p else 0.0
-    if np.linalg.norm(top - lam * np.eye(p)) > tol.threshold(scale):
-        raise SystemDecompositionError("top-left block is not a scalar multiple of I")
-    corner = arr[:p, p:]
-    adj = dagger(arr[p:, :p])
-    for part, name in ((corner, "corner"), (adj, "adjoint corner")):
-        if not system.module.contains_matrix(part, ToleranceProfile(tol.abs_tol + tol.rel_tol * scale, tol.rel_tol)):
-            raise SystemDecompositionError(f"{name} escapes the module span")
-    diag = arr[p:, p:]
-    if off_block_mass(system.algebra, diag) > tol.threshold(scale):
-        raise SystemDecompositionError("diagonal block escapes the algebra")
-    return lam, corner, adj, pinch(system.algebra, diag).value
+    split = _split_blocks(system, arr[None], tol)
+    _raise_first(split.failures)
+    lam = complex(split.lam[0]) if p else 0.0
+    return lam, split.corners[0], split.corners[1], split.diag[0]
+
+
+# A batched check: one flag per block, and the exception for a block index.
+_Check = tuple[np.ndarray, Callable[[int], Exception]]
+
+
+@dataclass(frozen=True)
+class _Split:
+    """Decomposition of N stacked system blocks, see :func:`_split_blocks`."""
+
+    lam: np.ndarray  # (N,) scalars of the top-left blocks
+    corners: np.ndarray  # (2N, p, q): the N corners, then the N adjoint corners
+    coeffs: np.ndarray  # (2N, dim E) their coefficients over the module basis
+    residual: np.ndarray  # (2N,) their distances from the module span
+    diag: np.ndarray  # (N, q, q) pinched diagonal blocks
+    failures: list[_Check]
+
+
+def _split_blocks(system: PaulsenSystem, blocks: np.ndarray, tol: ToleranceProfile) -> _Split:
+    """Decompose a ``(N, p+q, p+q)`` stack of system blocks at once.
+
+    All corners and adjoint corners are projected onto the module span by one
+    :meth:`ConcreteModule._project`.  Nothing is raised here: ``failures``
+    holds the four membership tests of :func:`decompose_system_element`, in
+    its order, for :func:`_raise_first`.
+    """
+    p, q = system.corner_layout
+    n_blocks = len(blocks)
+    scale = np.maximum(np.linalg.norm(blocks, axis=(-2, -1)), 1.0)
+    top = blocks[:, :p, :p]
+    lam = np.trace(top, axis1=-2, axis2=-1) / p if p else np.zeros(n_blocks, dtype=complex)
+    top_defect = np.linalg.norm(top - lam[:, None, None] * np.eye(p), axis=(-2, -1))
+    corners = np.concatenate([blocks[:, :p, p:], np.conj(blocks[:, p:, :p]).transpose(0, 2, 1)])
+    vecs = corners.reshape(2 * n_blocks, p * q)
+    coeffs, residual = system.module._project(vecs)
+    # The span test of a corner is loosened by the scale of its whole block.
+    loose_tol = tol.threshold(np.concatenate([scale, scale]))
+    loose = residual > loose_tol + tol.rel_tol * np.linalg.norm(vecs, axis=-1)
+    diag = blocks[:, p:, p:]
+    mask = system.algebra._mask
+    off_block = np.linalg.norm(diag[:, ~mask], axis=-1)
+
+    def fail(message: str) -> Callable[[int], Exception]:
+        return lambda i: SystemDecompositionError(message)
+
+    failures: list[_Check] = [
+        (top_defect > tol.threshold(scale), fail("top-left block is not a scalar multiple of I")),
+        (loose[:n_blocks], fail("corner escapes the module span")),
+        (loose[n_blocks:], fail("adjoint corner escapes the module span")),
+        (off_block > tol.threshold(scale), fail("diagonal block escapes the algebra")),
+    ]
+    return _Split(lam, corners, coeffs, residual, np.where(mask, diag, 0.0), failures)
+
+
+def _raise_first(failures: list[_Check]) -> None:
+    """Raise for the first failing block in stack order, and within that
+    block for the first failing check in list order."""
+    hits = np.argwhere(np.stack([flags for flags, _ in failures], axis=1))
+    if len(hits):
+        block, check = hits[0]
+        raise failures[check][1](int(block))
 
 
 @dataclass(eq=False)
@@ -147,30 +207,61 @@ class SystemMap:
     unital: bool
 
     def apply(self, x, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-        lam, corner, adj, diag = decompose_system_element(self.domain, x, tol)
-        p_out, q_out = self.codomain.corner_layout
-        out = np.zeros((p_out + q_out, p_out + q_out), dtype=complex)
-        out[:p_out, :p_out] = lam * np.eye(p_out)
-        out[:p_out, p_out:] = self.module_map.apply(corner, tol)
-        out[p_out:, :p_out] = dagger(self.module_map.apply(adj, tol))
-        out[p_out:, p_out:] = self.cp_map.apply_ambient(diag)
-        return out
+        return self.apply_n(1, x, tol)
 
     def apply_n(self, n: int, x, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-        """Amplification: apply entrywise to an n x n matrix of system blocks."""
+        """Amplification: apply entrywise to an n x n matrix of system blocks.
+
+        All ``n^2`` blocks are decomposed together (one projection of every
+        corner and adjoint corner onto the module span), their corners mapped
+        through the module map's value stack and their pinched diagonals
+        through one matmul against the CP map's ambient tensor.  A block is
+        accepted exactly when the one-block path :meth:`apply` accepts it:
+        the decomposition tests of :func:`decompose_system_element`, then the
+        module map's own span test of the corner and of the adjoint corner at
+        ``tol`` (stricter than the decomposition's).  If any block fails, the
+        first failing one in row-major block order raises the exception of
+        its first failing test.
+        """
         arr = as_matrix(x)
         din = self.domain.ambient_dim
         dout = self.codomain.ambient_dim
         if arr.shape != (n * din, n * din):
             raise ShapeError(f"expected a {n * din}x{n * din} matrix")
-        out = np.zeros((n * dout, n * dout), dtype=complex)
-        for u in range(n):
-            for v in range(n):
-                block = arr[u * din : (u + 1) * din, v * din : (v + 1) * din]
-                out[u * dout : (u + 1) * dout, v * dout : (v + 1) * dout] = self.apply(
-                    block, tol
-                )
-        return out
+        blocks = arr.reshape(n, din, n, din).transpose(0, 2, 1, 3).reshape(n * n, din, din)
+        split = _split_blocks(self.domain, blocks, tol)
+        module = self.module_map.domain
+        if module is self.domain.module:
+            coeffs, residual = split.coeffs, split.residual
+        else:
+            if split.corners.shape[1:] != (module.row_dim, module.algebra.ambient_dim):
+                raise ShapeError(f"expected shape {(module.row_dim, module.algebra.ambient_dim)}")
+            coeffs, residual = module._project(split.corners.reshape(len(split.corners), -1))
+        outside = residual > tol.threshold(np.linalg.norm(split.corners, axis=(-2, -1)))
+
+        def membership(offset: int) -> Callable[[int], Exception]:
+            return lambda i: MembershipError(
+                f"matrix outside the module span (residual {residual[offset + i]:.3e})"
+            )
+
+        n_blocks = n * n
+        _raise_first(
+            split.failures
+            + [(outside[:n_blocks], membership(0)), (outside[n_blocks:], membership(n_blocks))]
+        )
+        k, m = self.module_map.h2_dim, self.module_map.h1_dim
+        values = self.module_map._value_stack.reshape(module.dim, k * m)
+        images = (coeffs @ values).reshape(2, n_blocks, k, m)
+        q, m_out = self.cp_map.domain.ambient_dim, self.cp_map.target_dim
+        tensor = self.cp_map._ambient_tensor.reshape(m_out * m_out, q * q)
+        diag = (split.diag.reshape(n_blocks, q * q) @ tensor.T).reshape(n_blocks, m_out, m_out)
+        p_out = self.codomain.corner_layout[0]
+        out = np.zeros((n_blocks, dout, dout), dtype=complex)
+        out[:, :p_out, :p_out] = split.lam[:, None, None] * np.eye(p_out)
+        out[:, :p_out, p_out:] = images[0]
+        out[:, p_out:, :p_out] = np.conj(images[1]).transpose(0, 2, 1)
+        out[:, p_out:, p_out:] = diag
+        return out.reshape(n, n, dout, dout).transpose(0, 2, 1, 3).reshape(n * dout, n * dout)
 
     def compose(self, inner: "SystemMap", tol: ToleranceProfile = DEFAULT_TOL) -> "SystemMap":
         """Composite of two corner-structured maps, again corner-structured."""
@@ -237,12 +328,22 @@ def random_psd_system_element(
     system: PaulsenSystem, n: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Random PSD element of the n-th matrix level of the system, shifted to
-    have smallest eigenvalue exactly zero."""
-    d = system.ambient_dim
-    x = np.zeros((n * d, n * d), dtype=complex)
-    for b in system.basis:
-        coeff = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        x += np.kron(coeff, b)
+    have smallest eigenvalue exactly zero.
+
+    The element is ``sum_b kron(C_b, basis[b])`` with complex coefficient
+    matrices ``C_b = R_b + i I_b``, symmetrized and shifted.  Draw order (a
+    compatibility contract: ``semiphi paulsen --seed`` reproduces its
+    samples through it): one ``rng.standard_normal((B, 2, n, n))`` call,
+    ``B`` the system dimension, with ``[b, 0]`` the real part ``R_b`` and
+    ``[b, 1]`` the imaginary part ``I_b`` of the b-th basis element's
+    coefficients.  This consumes the generator exactly as drawing
+    ``R_0, I_0, R_1, I_1, ...`` as separate ``(n, n)`` arrays would.
+    """
+    d, dim = system.ambient_dim, system.dimension
+    draws = rng.standard_normal((dim, 2, n, n))
+    coeffs = (draws[:, 0] + 1j * draws[:, 1]).reshape(dim, n * n)
+    x = coeffs.T @ system._basis_stack.reshape(dim, d * d)
+    x = x.reshape(n, n, d, d).transpose(0, 2, 1, 3).reshape(n * d, n * d)
     herm = (x + dagger(x)) / 2.0
     lam_min = float(np.linalg.eigvalsh(herm)[0])
     return herm - lam_min * np.eye(n * d)

@@ -5,7 +5,7 @@ import pytest
 
 import semiphi.extension as ext
 import semiphi.serialization as ser
-from semiphi import BlockAlgebra, transpose_map
+from semiphi import BlockAlgebra, ModuleMap, transpose_map
 from semiphi.cli import EXIT_INTERNAL, main
 from semiphi.fixtures import example_2_1, scalar_fixture
 
@@ -128,3 +128,26 @@ def test_self_check_failure_is_internal_error(ex21_file, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "internal error: universal map failed" in captured.err
+
+
+def test_witness_command_decides_once(tmp_path, monkeypatch, capsys):
+    fx = example_2_1(2)
+    bad = ModuleMap(fx.f, 2, 2, tuple(3.0 * v for v in fx.phi_map.values))
+    path = write_problem(
+        tmp_path / "refuted.json",
+        {"phi": ser.cp_map_to_json(fx.phi), "Phi": ser.module_map_to_json(bad)},
+    )
+    counts = {"gram_pair": 0, "is_psd": 0}
+    for name in counts:
+        original = getattr(ext, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(ext, name, counted)
+    assert main(["witness", path, "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdicts"]["witness_exists"] is True
+    assert report["margins"]["gap"] > 0.0
+    assert counts == {"gram_pair": 1, "is_psd": 1}

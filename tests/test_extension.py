@@ -1,6 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
+import semiphi.extension as ext
+import semiphi.numerics as numerics
 from semiphi import (
     BlockAlgebra,
     ConcreteModule,
@@ -10,6 +14,7 @@ from semiphi import (
     canonical_compacts_extension,
     compare_extensions,
     extend_semi_phi,
+    from_kraus,
     identity_cp_map,
     is_completely_semi_phi,
     is_nondegenerate,
@@ -22,12 +27,27 @@ from semiphi import (
 from semiphi.fixtures import (
     compacts_fixture,
     example_2_1,
+    random_cp_map,
+    random_orthogonal_module_pair,
     random_semi_phi_fixture,
     random_vanishing_obstruction_fixture,
     random_violating_module_map,
     scalar_fixture,
 )
+from semiphi.modules import inner_product_matrix
 from conftest import full_rectangular_module
+
+
+def reference_witness_sides(phi_map, phi, vectors):
+    """``|sum_k Phi(x_k) v_k|^2`` and ``sum_kk' <v_k, phi(<x_k, x_k'>) v_k'>``,
+    one basis pair at a time."""
+    total = sum((val @ vec for val, vec in zip(phi_map.values, vectors)), np.zeros(phi_map.h2_dim))
+    basis = phi_map.domain.basis
+    rhs = 0.0
+    for k, kp in itertools.product(range(len(basis)), repeat=2):
+        block = phi.apply_ambient(inner_product_matrix(basis[k], basis[kp]))
+        rhs += np.vdot(vectors[k], block @ vectors[kp]).real
+    return float(np.vdot(total, total).real), rhs
 
 
 class TestPhiMapPredicate:
@@ -138,6 +158,78 @@ class TestWitness:
             assert w.gap > 0.0
             produced += 1
         assert produced >= 10
+
+
+class TestWitnessReevaluation:
+    """The certificate's independent re-evaluation through the Choi matrix,
+    against the per-pair loop it replaced."""
+
+    def assert_rhs_matches(self, phi_map, phi, rng):
+        d, m = phi_map.domain.dim, phi.target_dim
+        vecs = rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m))
+        _, want = reference_witness_sides(phi_map, phi, vecs)
+        got = ext._witness_rhs(phi, phi_map.domain._basis_stack, vecs)
+        assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
+
+    def test_random_fixtures(self, rng):
+        for _ in range(20):
+            fx = random_semi_phi_fixture(rng)
+            self.assert_rhs_matches(fx.phi_map, fx.phi, rng)
+            # The ambient module too: only the domain basis enters the rhs.
+            self.assert_rhs_matches(zero_module_map(fx.e, fx.phi.target_dim, 1), fx.phi, rng)
+
+    def test_zero_submodule_and_zero_cp_map(self, rng):
+        algebra = BlockAlgebra((1, 2))
+        e, _ = random_orthogonal_module_pair(algebra, rng, max_dim=4)
+        empty = ConcreteModule(algebra, e.row_dim, ())
+        zero_phi = from_kraus(algebra, [], target_dim=2)
+        for module, phi in (
+            (empty, random_cp_map(algebra, 2, 2, rng)),
+            (empty, zero_phi),
+            (e, zero_phi),
+        ):
+            self.assert_rhs_matches(zero_module_map(module, 2, 3), phi, rng)
+        vecs = rng.standard_normal((e.dim, 2)) + 0j
+        assert ext._witness_rhs(zero_phi, e._basis_stack, vecs) == 0.0
+
+    def test_witness_sides_match_reference(self, rng):
+        checked = 0
+        for _ in range(30):
+            fx = random_semi_phi_fixture(rng)
+            bad = random_violating_module_map(fx, rng)
+            if is_completely_semi_phi(bad, fx.phi).ok:
+                continue
+            w = semiphi_witness(bad, fx.phi)
+            lhs, rhs = reference_witness_sides(bad, fx.phi, w.vectors)
+            assert w.lhs == pytest.approx(lhs, rel=1e-10, abs=1e-12)
+            assert w.rhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
+            checked += 1
+        assert checked >= 10
+
+    def test_one_decision_and_no_pair_kernel(self, monkeypatch):
+        pm, phi = scalar_fixture(2.0)
+        calls = []
+        original = ext.is_psd
+        monkeypatch.setattr(ext, "is_psd", lambda *a, **k: calls.append(1) or original(*a, **k))
+        report = is_completely_semi_phi(pm, phi)
+        assert not report.ok and len(calls) == 1
+        calls.clear()
+        assert semiphi_witness(pm, phi).gap == pytest.approx(3.0)
+        assert len(calls) == 1
+
+        # Re-evaluation from the report shares no kernel with the Gram matrices.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the witness re-evaluation used a pair kernel")
+
+        for module, name in (
+            (ext, "adjoint_products"),
+            (ext, "gram_pair"),
+            (numerics, "adjoint_products"),
+            (ext.CPMap, "apply_pairs"),
+        ):
+            monkeypatch.setattr(module, name, forbidden)
+        w = ext._witness_from_report(pm, phi, report)
+        assert (w.lhs, w.rhs) == pytest.approx((4.0, 1.0))
 
 
 class TestObstruction:

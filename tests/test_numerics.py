@@ -266,3 +266,17 @@ def test_operator_norm_of_scaled_identity(s):
 def test_tolerance_profile_rejects_negative():
     with pytest.raises(ValueError):
         ToleranceProfile(abs_tol=-1.0)
+
+
+@given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_psd_threshold_scale_is_the_spectral_norm(n, seed):
+    # is_psd takes its threshold scale from the eigenvalues it computes;
+    # a relative tolerance just above or just below |lambda_min| / |M|_2
+    # separates the verdicts only if that scale is np.linalg.norm(M, 2).
+    herm = random_hermitian(n, np.random.default_rng(seed))
+    if np.linalg.eigvalsh(herm)[0] >= 0.0:
+        herm = -herm
+    ratio = -float(np.linalg.eigvalsh(herm)[0]) / float(np.linalg.norm(herm, 2))
+    assert is_psd(herm, ToleranceProfile(0.0, ratio * (1.0 + 1e-9))).ok
+    assert not is_psd(herm, ToleranceProfile(0.0, ratio * (1.0 - 1e-9))).ok

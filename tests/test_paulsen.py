@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -20,8 +22,11 @@ from semiphi import (
 from semiphi.fixtures import (
     example_2_1,
     random_containment_fixture,
+    random_semi_phi_fixture,
     scalar_fixture,
 )
+from semiphi.modules import MembershipError
+from semiphi.paulsen import random_psd_system_element
 from conftest import full_rectangular_module
 
 
@@ -244,3 +249,166 @@ class TestInjectivityDemo:
                 injectivity_demo(fx.g, fx.f, fx.embedding, bad, fx.phi)
             return
         pytest.fail("no usable violating draw in 20 attempts")
+
+
+# Reference loops for the batched sampling layer: one np.kron per system basis
+# element, and one decomposition and one module-map / CP-map call per block.
+
+
+def reference_psd_sample(system, n, rng):
+    d = system.ambient_dim
+    x = np.zeros((n * d, n * d), dtype=complex)
+    for b in system.basis:
+        coeff = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        x += np.kron(coeff, b)
+    herm = (x + x.conj().T) / 2.0
+    return herm - np.linalg.eigvalsh(herm)[0] * np.eye(n * d)
+
+
+def reference_apply_n(sm, n, x):
+    p, q = sm.domain.corner_layout
+    din, dout = p + q, sm.codomain.ambient_dim
+    p_out = sm.codomain.corner_layout[0]
+    mask = sm.domain.algebra._mask
+    out = np.zeros((n * dout, n * dout), dtype=complex)
+    for u, v in itertools.product(range(n), repeat=2):
+        blk = x[u * din : (u + 1) * din, v * din : (v + 1) * din]
+        img = np.zeros((dout, dout), dtype=complex)
+        img[:p_out, :p_out] = np.trace(blk[:p, :p]) / p * np.eye(p_out)
+        img[:p_out, p_out:] = sm.module_map.apply(blk[:p, p:])
+        img[p_out:, :p_out] = sm.module_map.apply(blk[p:, :p].conj().T).conj().T
+        img[p_out:, p_out:] = sm.cp_map.apply_ambient(np.where(mask, blk[p:, p:], 0.0))
+        out[u * dout : (u + 1) * dout, v * dout : (v + 1) * dout] = img
+    return out
+
+
+def random_system_element(system, n, rng):
+    """A general (not hermitian) element of the n-th level of the system."""
+    x = 0.0
+    for b in system.basis:
+        x = x + np.kron(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), b)
+    return x
+
+
+def random_system_maps(rng, count):
+    """Block maps of random semi fixtures into the full k x m module."""
+    for _ in range(count):
+        fx = random_semi_phi_fixture(rng)
+        codomain = full_rectangular_module(fx.phi_map.h2_dim, fx.phi.target_dim)
+        yield block_map(fx.phi_map, fx.phi, codomain)
+
+
+def two_block_system_map():
+    """Identity block map on the module span{E_00, E_11} of 2 x 2 matrices
+    over BlockAlgebra((1, 1)); its system blocks are 4 x 4 with layout (2, 2)."""
+    algebra = BlockAlgebra((1, 1))
+    basis = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
+    module = ConcreteModule(algebra, 2, basis)
+    return block_map(ModuleMap(module, 2, 2, basis), identity_cp_map(algebra), module)
+
+
+def system_block(*entries):
+    blk = np.zeros((4, 4), dtype=complex)
+    for (r, c), value in entries:
+        blk[r, c] = value
+    return blk
+
+
+# One offending block per failure of the decomposition, plus a corner whose
+# escape (1e-7) passes the decomposition's span test, loosened by the block's
+# scale (about 1.4e3), but not the module map's own test at the default
+# tolerance.
+FAILING_BLOCKS = {
+    "top_left": (
+        system_block(((0, 0), 1.0)),
+        SystemDecompositionError,
+        "top-left block is not a scalar multiple of I",
+    ),
+    "corner": (
+        system_block(((1, 2), 1.0)),
+        SystemDecompositionError,
+        "corner escapes the module span",
+    ),
+    "adjoint_corner": (
+        system_block(((2, 1), 1.0)),
+        SystemDecompositionError,
+        "adjoint corner escapes the module span",
+    ),
+    "diagonal": (
+        system_block(((2, 3), 1.0)),
+        SystemDecompositionError,
+        "diagonal block escapes the algebra",
+    ),
+    "module_map": (
+        system_block(((0, 0), 1e3), ((1, 1), 1e3), ((1, 2), 1e-7)),
+        MembershipError,
+        "matrix outside the module span (residual 1.000e-07)",
+    ),
+}
+
+
+def assemble(blocks):
+    return np.block([list(row) for row in blocks])
+
+
+class TestBatchedSampling:
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_psd_sample_matches_kron_loop(self, level):
+        rng = np.random.default_rng(2024)
+        systems = [two_block_system_map().domain] + [sm.domain for sm in random_system_maps(rng, 4)]
+        for k, system in enumerate(systems):
+            fast, slow = np.random.default_rng([level, k]), np.random.default_rng([level, k])
+            got = random_psd_system_element(system, level, fast)
+            want = reference_psd_sample(system, level, slow)
+            assert np.abs(got - want).max() <= 1e-12
+            assert fast.bit_generator.state == slow.bit_generator.state
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_apply_n_matches_per_block_loop(self, n):
+        rng = np.random.default_rng(99)
+        maps = [two_block_system_map()] + list(random_system_maps(rng, 6))
+        for sm in maps:
+            x = random_system_element(sm.domain, n, rng)
+            want = reference_apply_n(sm, n, x)
+            got = sm.apply_n(n, x)
+            assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+            if n == 1:
+                assert np.abs(sm.apply(x) - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+    @pytest.mark.parametrize("kind", sorted(FAILING_BLOCKS))
+    def test_single_block_failure(self, kind):
+        sm = two_block_system_map()
+        blk, exc, message = FAILING_BLOCKS[kind]
+        for run in (sm.apply, lambda x: sm.apply_n(1, x)):
+            with pytest.raises(exc) as info:
+                run(blk)
+            assert str(info.value) == message
+        if exc is SystemDecompositionError:
+            with pytest.raises(exc, match=f"^{message}$"):
+                decompose_system_element(sm.domain, blk)
+        else:
+            decompose_system_element(sm.domain, blk)  # only the module map refuses it
+
+    @pytest.mark.parametrize("kind", sorted(FAILING_BLOCKS))
+    def test_first_failing_block_in_row_major_order_raises(self, kind):
+        # Every other kind of failure sits in a later block; the first block
+        # is valid.
+        sm = two_block_system_map()
+        blk, exc, message = FAILING_BLOCKS[kind]
+        later = [FAILING_BLOCKS[other][0] for other in sorted(FAILING_BLOCKS) if other != kind]
+        x = assemble([[np.zeros((4, 4)), blk, later[0]], later[1:4], [np.zeros((4, 4))] * 3])
+        with pytest.raises(exc) as info:
+            sm.apply_n(3, x)
+        assert str(info.value) == message
+
+    def test_first_failing_check_within_a_block(self):
+        sm = two_block_system_map()
+        # Escaping corner, adjoint corner and diagonal with a non-scalar
+        # top-left: the top-left test comes first.
+        blk = system_block(((0, 0), 1.0), ((1, 2), 1.0), ((2, 1), 1.0), ((2, 3), 1.0))
+        with pytest.raises(SystemDecompositionError, match="^top-left block"):
+            sm.apply_n(2, assemble([[np.eye(4), blk], [blk, blk]]))
+        # The decomposition's diagonal test precedes the module map's test.
+        blk = FAILING_BLOCKS["module_map"][0] + system_block(((2, 3), 1.0))
+        with pytest.raises(SystemDecompositionError, match="^diagonal block"):
+            sm.apply_n(1, blk)

@@ -317,9 +317,9 @@ def _demo_example_3_9(n: int, tol, rng) -> tuple[bool, dict, dict]:
     phi_map = ModuleMap(g_mod, 1, n, tuple(c @ v for v in universal.values))
     embedding = BlockEmbedding.identity(algebra)
     psi_map, psi = injectivity_demo(g_mod, f_mod, embedding, phi_map, phi, tol)
-    restriction = 0.0
-    for b, orig in zip(g_mod.basis, phi_map.values):
-        restriction = max(restriction, float(np.linalg.norm(psi_map.apply(b, tol) - orig)))
+    restricted = psi_map.apply(g_mod._basis_stack, tol)
+    defects = np.linalg.norm(restricted - phi_map._value_stack, axis=(-2, -1))
+    restriction = float(defects.max(initial=0.0))
     verdicts = {"extension_exists": True, "restriction_agrees": restriction <= 1e-8}
     margins = {"restriction_defect": restriction}
     return verdicts["restriction_agrees"], verdicts, margins

@@ -40,7 +40,6 @@ __all__ = [
     "identity_cp_map",
     "trace_cp_map",
     "transpose_map",
-    "pinch_cp_map",
     "compose",
     "choi",
     "is_completely_positive",
@@ -175,7 +174,11 @@ def from_kraus(algebra: BlockAlgebra, kraus_ops, target_dim: int | None = None) 
 
 
 def identity_cp_map(algebra: BlockAlgebra) -> CPMap:
-    """The inclusion of the algebra into ``M_q``."""
+    """The inclusion of the algebra into ``M_q``.
+
+    Its pinch extension is the conditional expectation of ``M_q`` onto the
+    block algebra.
+    """
     q = algebra.ambient_dim
     return CPMap(algebra, q, tuple(algebra.matrix_units()))
 
@@ -192,16 +195,6 @@ def transpose_map(algebra: BlockAlgebra) -> CPMap:
     q = algebra.ambient_dim
     values = tuple(u.T.copy() for u in algebra.matrix_units())
     return CPMap(algebra, q, values)
-
-
-def pinch_cp_map(sub: BlockAlgebra) -> CPMap:
-    """Pinching onto ``sub`` viewed as a CP map from ``sub`` into ``M_q``.
-
-    Its pinch extension is the conditional expectation of ``M_q`` onto the
-    block algebra.
-    """
-    q = sub.ambient_dim
-    return CPMap(sub, q, tuple(sub.matrix_units()))
 
 
 def compose(outer: CPMap, inner: CPMap) -> CPMap:

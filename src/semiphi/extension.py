@@ -17,11 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .cpmaps import CPMap, StinespringDilation, _choi_matrix, stinespring
-from .modules import (
-    ConcreteModule,
-    is_submodule,
-    orthogonal_complement,
-)
+from .modules import ConcreteModule, _complement, is_submodule
 from .numerics import (
     DEFAULT_TOL,
     ShapeError,
@@ -107,10 +103,10 @@ class ModuleMap:
         return np.stack(self.values)
 
     def apply(self, x, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
+        """Image of one ``p x q`` domain element (a ``k x m`` matrix) or of
+        each element of an ``(n, p, q)`` stack (an ``(n, k, m)`` stack)."""
         coeffs = self.domain.coefficients(x, tol)
-        if self.domain.dim == 0:
-            return np.zeros((self.h2_dim, self.h1_dim), dtype=complex)
-        return np.einsum("i,ikm->km", coeffs, self._value_stack)
+        return np.tensordot(coeffs, self._value_stack, axes=1)
 
     def stacked_columns(self) -> np.ndarray:
         """The ``k x (dim * m)`` matrix of columns ``Phi(x_i) e_l`` (l fast)."""
@@ -332,6 +328,11 @@ class ObstructionReport:
         return self.vanishes
 
 
+def _largest_norm(stack: np.ndarray) -> float:
+    """Largest Frobenius norm in a stack of matrices, 0 for an empty stack."""
+    return float(np.linalg.norm(stack, axis=(-2, -1)).max(initial=0.0))
+
+
 def _max_operator_norm(blocks: np.ndarray, floor: float) -> float:
     """Largest spectral norm in a stack of matrices, and at least ``floor``."""
     if blocks.size == 0:
@@ -350,7 +351,7 @@ def phi_extension_obstruction(
     complement against the ambient module."""
     if not is_submodule(f, e, tol):
         raise PreconditionError("obstruction requires f to be a submodule of e")
-    f_perp = orthogonal_complement(f, e, tol)
+    f_perp = _complement(f, e, tol)
     e_stack = e._basis_stack
     scale = _max_operator_norm(phi.apply_pairs(e_stack, e_stack), 1.0)
     worst = _max_operator_norm(phi.apply_pairs(f_perp._basis_stack, e_stack), 0.0)
@@ -394,8 +395,11 @@ def extend_semi_phi(
     """
     f = phi_map.domain
     _check_compatible(phi_map, phi)
-    if not is_submodule(f, e, tol):
-        raise ExtensionInputError("the map's domain must be a submodule of e")
+    # The obstruction runs first: its submodule check is the engine's only one.
+    try:
+        obstruction = phi_extension_obstruction(phi, f, e, tol)
+    except PreconditionError:
+        raise ExtensionInputError("the map's domain must be a submodule of e") from None
     semi = is_completely_semi_phi(phi_map, phi, tol)
     if not semi.ok:
         raise ExtensionInputError(
@@ -406,20 +410,11 @@ def extend_semi_phi(
     universal = kres.map
     d_h = universal.h2_dim
 
-    # Values of the universal map on the submodule basis, via coefficients.
-    f_in_e = [e.coefficients(b, tol) for b in f.basis]
-    univ_on_f = [
-        np.einsum("i,ikm->km", c, universal._value_stack)
-        if universal.domain.dim
-        else np.zeros((d_h, m), dtype=complex)
-        for c in f_in_e
-    ]
-    a_cols = (
-        np.hstack(univ_on_f) if univ_on_f else np.zeros((d_h, 0), dtype=complex)
-    )
-    b_cols = (
-        np.hstack(phi_map.values) if phi_map.values else np.zeros((k, 0), dtype=complex)
-    )
+    # Values of the universal map on the submodule basis, via coefficients,
+    # as the columns U(f_i) e_l (l fast) next to the columns Phi(f_i) e_l.
+    univ_on_f = universal.apply(f._basis_stack, tol)
+    a_cols = univ_on_f.transpose(1, 0, 2).reshape(d_h, f.dim * m)
+    b_cols = phi_map.stacked_columns()
     s0, residual = least_squares_operator(a_cols, b_cols, tol)
     b_scale = float(np.linalg.norm(b_cols)) if b_cols.size else 0.0
     # Loosened bound: the exact-arithmetic residual is 0 under the semi
@@ -447,37 +442,28 @@ def extend_semi_phi(
         "least_squares_residual": residual,
     }
     # Restriction certificate, re-derived through coefficients on e.
-    restriction_defect = 0.0
-    for b, orig in zip(f.basis, phi_map.values):
-        restriction_defect = max(
-            restriction_defect, float(np.linalg.norm(phi_prime.apply(b, tol) - orig))
-        )
-    report["restriction_defect"] = restriction_defect
+    prime_on_f = phi_prime.apply(f._basis_stack, tol)
+    report["restriction_defect"] = _largest_norm(prime_on_f - phi_map._value_stack)
     semi_prime = is_completely_semi_phi(phi_prime, phi, tol)
     report["extension_semi_ok"] = semi_prime.ok
     report["extension_semi_margin"] = semi_prime.margin
 
     input_phi_report = is_phi_map(phi_map, phi, tol)
-    obstruction = phi_extension_obstruction(phi, f, e, tol)
     report["input_is_phi_map"] = input_phi_report.ok
     report["obstruction_vanishes"] = obstruction.vanishes
     report["obstruction_norm"] = obstruction.norm
     if input_phi_report.ok and obstruction.vanishes:
         f_perp = obstruction.complement
-        part_i = 0.0
-        for z in f_perp.basis:
-            part_i = max(part_i, float(np.linalg.norm(phi_prime.apply(z, tol))))
-        report["complement_killed_defect"] = part_i
+        prime_on_perp = phi_prime.apply(f_perp._basis_stack, tol)
+        report["complement_killed_defect"] = _largest_norm(prime_on_perp)
         y_stack = np.concatenate([f._basis_stack, f_perp._basis_stack])
-        y_values = np.array([phi_prime.apply(y, tol) for y in y_stack]).reshape(len(y_stack), k, m)
+        y_values = np.concatenate([prime_on_f, prime_on_perp])
         x_stack, x_values = e._basis_stack, phi_prime._value_stack
         defects = [
             adjoint_products(x_values, y_values) - phi.apply_pairs(x_stack, y_stack),
             adjoint_products(y_values, x_values) - phi.apply_pairs(y_stack, x_stack),
         ]
-        report["exact_on_complemented_defect"] = max(
-            float(np.linalg.norm(dd, axis=(-2, -1)).max(initial=0.0)) for dd in defects
-        )
+        report["exact_on_complemented_defect"] = max(_largest_norm(dd) for dd in defects)
 
     return ExtensionResult(
         phi_prime=phi_prime,
@@ -508,20 +494,21 @@ def compare_extensions(
     e = result.phi_prime.domain
     if gamma.domain is not e and gamma.domain.basis != e.basis:
         raise PreconditionError("gamma must be defined on the same ambient module")
-    for b, orig in zip(f.basis, result.original.values):
-        if np.linalg.norm(gamma.apply(b, tol) - orig) > tol.threshold(
-            max(np.linalg.norm(orig), 1.0)
-        ):
-            raise PreconditionError("gamma does not restrict to the original map")
+    if _any_apart(gamma.apply(f._basis_stack, tol), result.original._value_stack, tol):
+        raise PreconditionError("gamma does not restrict to the original map")
     if not is_nondegenerate(result.original, tol):
         raise PreconditionError("original map is not non-degenerate")
     if not is_phi_map(gamma, phi, tol).ok:
         raise PreconditionError("gamma is not an exactly compatible map")
-    for vg, vp in zip(gamma.values, result.phi_prime.values):
-        scale = max(np.linalg.norm(vp), 1.0)
-        if np.linalg.norm(vg - vp) > tol.threshold(scale):
-            return False
-    return True
+    return not _any_apart(gamma._value_stack, result.phi_prime._value_stack, tol)
+
+
+def _any_apart(values: np.ndarray, reference: np.ndarray, tol: ToleranceProfile) -> bool:
+    """True iff some matrix of the stack ``values`` is farther from its
+    counterpart in ``reference`` than the threshold at ``max(|ref|, 1)``."""
+    defect = np.linalg.norm(values - reference, axis=(-2, -1))
+    scale = np.maximum(np.linalg.norm(reference, axis=(-2, -1)), 1.0)
+    return bool(np.any(defect > tol.threshold(scale)))
 
 
 def canonical_compacts_extension(
@@ -547,23 +534,17 @@ def canonical_compacts_extension(
     if not is_phi_map(phi_map, phi, tol).ok:
         raise PreconditionError("input is not an exactly compatible map on its domain")
     f_perp = obstruction.complement
-    combined = list(f.basis) + list(f_perp.basis)
-    if combined:
-        stacked = np.column_stack([b.reshape(-1) for b in combined])
-    else:
-        stacked = np.zeros((e.row_dim * e.algebra.ambient_dim, 0), dtype=complex)
-    values = []
-    for x in e.basis:
-        vec = x.reshape(-1)
-        # Solve x = sum_j c_j (f-basis, f_perp-basis)_j and keep the f part.
-        sol, _, _, _ = np.linalg.lstsq(stacked, vec, rcond=None)
-        defect = float(np.linalg.norm(stacked @ sol - vec)) if stacked.size else float(np.linalg.norm(vec))
-        if defect > tol.threshold(max(np.linalg.norm(vec), 1.0)):
-            raise PreconditionError("module does not decompose as f + f_perp")
-        acc = np.zeros((phi_map.h2_dim, phi_map.h1_dim), dtype=complex)
-        for j in range(f.dim):
-            acc += sol[j] * phi_map.values[j]
-        values.append(acc)
+    combined = np.concatenate([f._basis_stack, f_perp._basis_stack])
+    stacked = combined.reshape(len(combined), e.row_dim * e.algebra.ambient_dim).T
+    # Solve x = sum_j c_j (f-basis, f_perp-basis)_j for every basis element x
+    # of e at once (one lstsq, independent of the span projection), keep the
+    # f part.
+    targets = e._basis_columns
+    sol = np.linalg.lstsq(stacked, targets, rcond=None)[0]
+    defect = np.linalg.norm(stacked @ sol - targets, axis=0)
+    if np.any(defect > tol.threshold(np.maximum(np.linalg.norm(targets, axis=0), 1.0))):
+        raise PreconditionError("module does not decompose as f + f_perp")
+    values = np.tensordot(sol[: f.dim].T, phi_map._value_stack, axes=1)
     extension = ModuleMap(e, phi_map.h1_dim, phi_map.h2_dim, tuple(values))
     certify = is_phi_map(extension, phi, tol)
     if not certify.ok:

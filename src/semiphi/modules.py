@@ -96,14 +96,28 @@ class ConcreteModule:
         return np.linalg.pinv(self._basis_columns)
 
     def coefficients(self, m, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-        """Coefficients of ``m`` over the basis; raises if ``m`` escapes the span."""
-        arr = as_matrix(m)
-        if arr.shape != (self.row_dim, self.algebra.ambient_dim):
-            raise ShapeError(f"expected shape {(self.row_dim, self.algebra.ambient_dim)}")
-        vec = arr.reshape(-1)
-        coeffs, residual = self._project(vec)
-        if residual > tol.threshold(np.linalg.norm(vec)):
-            raise MembershipError(f"matrix outside the module span (residual {residual:.3e})")
+        """Coefficients over the basis of one ``p x q`` matrix (shape
+        ``(dim,)``) or of each matrix of an ``(n, p, q)`` stack (shape
+        ``(n, dim)``), from one projection onto the span.
+
+        Raises :class:`MembershipError` for the first matrix, in stack order,
+        that escapes the span.
+        """
+        arr = np.asarray(m, dtype=complex)
+        if arr.ndim != 3:
+            arr = as_matrix(arr)
+        elif not np.all(np.isfinite(arr)):
+            raise ValueError("matrix entries must be finite")
+        p, q = self.row_dim, self.algebra.ambient_dim
+        if arr.shape[-2:] != (p, q):
+            raise ShapeError(f"expected shape {(p, q)}")
+        vecs = arr.reshape(*arr.shape[:-2], p * q)
+        coeffs, residual = self._project(vecs)
+        outside = np.flatnonzero(residual > tol.threshold(np.linalg.norm(vecs, axis=-1)))
+        if outside.size:
+            raise MembershipError(
+                f"matrix outside the module span (residual {residual.flat[outside[0]]:.3e})"
+            )
         return coeffs
 
     def _project(self, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -114,6 +128,8 @@ class ConcreteModule:
         return coeffs, residual
 
     def contains_matrix(self, m, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
+        """True iff the ``p x q`` matrix, or every matrix of the
+        ``(n, p, q)`` stack, lies in the span."""
         try:
             self.coefficients(m, tol)
         except MembershipError:
@@ -220,7 +236,7 @@ def is_submodule(f: ConcreteModule, e: ConcreteModule, tol: ToleranceProfile = D
     _same_footprint(f, e)
     if not validate_module(f, tol).ok:
         return False
-    return all(e.contains_matrix(b, tol) for b in f.basis)
+    return e.contains_matrix(f._basis_stack, tol)
 
 
 def orthogonal_complement(
@@ -233,6 +249,12 @@ def orthogonal_complement(
     """
     if not is_submodule(f, e, tol):
         raise ValueError("f must be a submodule of e")
+    return _complement(f, e, tol)
+
+
+def _complement(f: ConcreteModule, e: ConcreteModule, tol: ToleranceProfile) -> ConcreteModule:
+    """The body of :func:`orthogonal_complement`, for callers that have
+    already checked that f is a submodule of e."""
     if e.dim == 0:
         return ConcreteModule(e.algebra, e.row_dim, ())
     if f.dim == 0:
@@ -242,8 +264,8 @@ def orthogonal_complement(
     products = adjoint_products(f._basis_stack, e._basis_stack)
     constraint = products.transpose(0, 2, 3, 1).reshape(f.dim * q * q, e.dim)
     coeff_onb = nullspace_onb(constraint, tol)
-    basis = tuple(e.from_coefficients(coeff_onb[:, k]) for k in range(coeff_onb.shape[1]))
-    return ConcreteModule(e.algebra, e.row_dim, basis)
+    basis = (e._basis_columns @ coeff_onb).T.reshape(-1, e.row_dim, q)
+    return ConcreteModule(e.algebra, e.row_dim, tuple(basis))
 
 
 def is_full(e: ConcreteModule, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
@@ -363,7 +385,7 @@ def is_contained_pair(
     if e.row_dim != f.row_dim:
         raise ShapeError("row dimensions differ; no containment declared for that")
     e_in_f = embed_module(e, embedding)
-    if not all(f.contains_matrix(b, tol) for b in e_in_f.basis):
+    if not f.contains_matrix(e_in_f._basis_stack, tol):
         return False
     j = embedding.column_map()
     small = j @ adjoint_products(e._basis_stack, e._basis_stack) @ j.T

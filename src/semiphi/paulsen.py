@@ -267,9 +267,7 @@ class SystemMap:
         """Composite of two corner-structured maps, again corner-structured."""
         if inner.codomain.corner_layout != self.domain.corner_layout:
             raise ShapeError("layouts do not compose")
-        values = tuple(
-            self.module_map.apply(v, tol) for v in inner.module_map.values
-        )
+        values = tuple(self.module_map.apply(inner.module_map._value_stack, tol))
         composed_module = ModuleMap(
             inner.module_map.domain,
             self.module_map.h1_dim,
@@ -308,9 +306,8 @@ def block_map(
         )
     if phi.target_dim != q_out:
         raise ShapeError("CP target dimension must match the codomain algebra ambient")
-    for v in phi_map.values:
-        if not codomain_module.contains_matrix(v, tol):
-            raise ValueError("module-map range escapes the declared codomain module")
+    if not codomain_module.contains_matrix(phi_map._value_stack, tol):
+        raise ValueError("module-map range escapes the declared codomain module")
     for v in phi.values:
         if not contains(codomain_module.algebra, v, tol):
             raise ValueError("CP-map range escapes the declared codomain algebra")
@@ -560,11 +557,7 @@ def injectivity_demo(
         raise PreconditionError("embedded module is not a submodule of the container")
     lifted = ModuleMap(g_in_f, phi_map.h1_dim, phi_map.h2_dim, phi_map.values)
     result = extend_semi_phi(lifted, f, psi, tol)
-    restriction = 0.0
-    for b, orig in zip(g_in_f.basis, phi_map.values):
-        restriction = max(
-            restriction, float(np.linalg.norm(result.phi_prime.apply(b, tol) - orig))
-        )
-    if restriction > 1e3 * tol.threshold(1.0):
+    # The engine's restriction defect is over g_in_f's basis and these values.
+    if result.report["restriction_defect"] > 1e3 * tol.threshold(1.0):
         raise SelfCheckError("extension failed to restrict to the input morphism")
     return result.phi_prime, psi

@@ -10,7 +10,6 @@ from semiphi import (
     identity_cp_map,
     is_completely_positive,
     kraus,
-    pinch_cp_map,
     stinespring,
     trace_cp_map,
     transpose_map,
@@ -34,7 +33,7 @@ class TestChoi:
         assert np.allclose(choi(trace_cp_map(M2)), np.eye(2))
 
     def test_pinch_map(self):
-        j = choi(pinch_cp_map(BlockAlgebra((1, 1))))
+        j = choi(identity_cp_map(BlockAlgebra((1, 1))))
         assert np.allclose(np.diag(j), [1.0, 0.0, 0.0, 1.0])
         assert np.count_nonzero(j) == 2
 
@@ -110,7 +109,7 @@ class TestStinespring:
         assert np.vdot(dil.V, dil.V).real == pytest.approx(2.0)
 
     def test_pinch(self):
-        ph = pinch_cp_map(BlockAlgebra((1, 1)))
+        ph = identity_cp_map(BlockAlgebra((1, 1)))
         dil = stinespring(ph)
         assert dil.rank == 2
         assert dil.reconstruction_defect(ph) < 1e-12
@@ -163,7 +162,7 @@ class TestCompose:
     def test_pinch_then_trace(self):
         sub = BlockAlgebra((1, 1))
         tr = trace_cp_map(BlockAlgebra((2,)))
-        comp = compose(tr, pinch_cp_map(sub))
+        comp = compose(tr, identity_cp_map(sub))
         assert comp.apply(np.diag([3.0, 4.0]))[0, 0] == pytest.approx(7.0)
 
     def test_dimension_guard(self):

@@ -26,6 +26,7 @@ from .numerics import (
     PsdReport,
     ShapeError,
     ToleranceProfile,
+    _psd_eigh,
     adjoint_products,
     as_matrix,
     dagger,
@@ -78,27 +79,51 @@ class CPMap:
         self.values = tuple(fixed)
 
     @cached_property
-    def _unit_index(self) -> dict[tuple[int, int], int]:
-        return {pair: t for t, pair in enumerate(self.domain.unit_index_pairs())}
+    def _value_stack(self) -> np.ndarray:
+        """The values as one ``(T, m, m)`` array, in matrix-unit order."""
+        return np.stack(self.values)
+
+    @cached_property
+    def _unit_positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row and column index arrays of the matrix units, in value order."""
+        rows, cols = np.array(self.domain.unit_index_pairs()).T
+        return rows, cols
+
+    @cached_property
+    def _adjoint_index(self) -> np.ndarray:
+        """For each unit ``E_ij`` the value index of ``E_ji``."""
+        rows, cols = self._unit_positions
+        q = self.domain.ambient_dim
+        index_at = np.empty(q * q, dtype=np.intp)
+        index_at[rows * q + cols] = np.arange(len(rows))
+        return index_at[cols * q + rows]
 
     @cached_property
     def _ambient_tensor(self) -> np.ndarray:
         """(m, m, q, q) tensor of the pinch-extended map on the matrix units."""
-        q = self.domain.ambient_dim
-        w = np.zeros((self.target_dim, self.target_dim, q, q), dtype=complex)
-        for (i, j), t in self._unit_index.items():
-            w[:, :, i, j] = self.values[t]
+        q, m = self.domain.ambient_dim, self.target_dim
+        w = np.zeros((m, m, q, q), dtype=complex)
+        rows, cols = self._unit_positions
+        w[:, :, rows, cols] = self._value_stack.transpose(1, 2, 0)
         return w
 
     def check_hermiticity(self, tol: ToleranceProfile = DEFAULT_TOL) -> None:
-        """Verify the value on ``E_ji`` is the adjoint of the value on ``E_ij``."""
-        for (i, j), t in self._unit_index.items():
-            s = self._unit_index[(j, i)]
-            a, b = self.values[t], dagger(self.values[s])
-            if np.linalg.norm(a - b) > tol.threshold(max(np.linalg.norm(a), np.linalg.norm(b))):
-                raise HermiticityError(
-                    f"values on units ({i},{j}) and ({j},{i}) are not adjoint-consistent"
-                )
+        """Verify the value on ``E_ji`` is the adjoint of the value on ``E_ij``.
+
+        All unit pairs are compared in one pass over the value stack, each at
+        the threshold of the larger of its two norms; the error names the
+        first offending unit in value order.
+        """
+        values, adjoint = self._value_stack, self._adjoint_index
+        adjoints = values[adjoint].conj().transpose(0, 2, 1)
+        defect = np.linalg.norm(values - adjoints, axis=(-2, -1))
+        norms = np.linalg.norm(values, axis=(-2, -1))
+        bad = np.flatnonzero(defect > tol.threshold(np.maximum(norms, norms[adjoint])))
+        if bad.size:
+            i, j = self.domain.unit_index_pairs()[bad[0]]
+            raise HermiticityError(
+                f"values on units ({i},{j}) and ({j},{i}) are not adjoint-consistent"
+            )
 
     def apply_ambient(self, m) -> np.ndarray:
         """Apply the pinch-extended map to any ``q x q`` matrix."""
@@ -208,7 +233,11 @@ def compose(outer: CPMap, inner: CPMap) -> CPMap:
 
 
 def choi(phi: CPMap, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    """Choi matrix ``sum_ij E_ij (x) phi~(E_ij)`` of the pinch-extended map."""
+    """Choi matrix ``sum_ij E_ij (x) phi~(E_ij)`` of the pinch-extended map.
+
+    Runs the map's hermiticity check once (one pass over all unit pairs) and
+    assembles the matrix with one scatter of the value stack.
+    """
     phi.check_hermiticity(tol)
     return _choi_matrix(phi)
 
@@ -217,10 +246,10 @@ def _choi_matrix(phi: CPMap) -> np.ndarray:
     """The Choi matrix assembled from the stored values, without the
     hermiticity check of :func:`choi`."""
     q, m = phi.domain.ambient_dim, phi.target_dim
-    j = np.zeros((q * m, q * m), dtype=complex)
-    for (r, c), t in phi._unit_index.items():
-        j[r * m : (r + 1) * m, c * m : (c + 1) * m] = phi.values[t]
-    return j
+    blocks = np.zeros((q, q, m, m), dtype=complex)
+    rows, cols = phi._unit_positions
+    blocks[rows, cols] = phi._value_stack
+    return blocks.transpose(0, 2, 1, 3).reshape(q * m, q * m)
 
 
 def is_completely_positive(phi: CPMap, tol: ToleranceProfile = DEFAULT_TOL) -> PsdReport:
@@ -231,30 +260,26 @@ def is_completely_positive(phi: CPMap, tol: ToleranceProfile = DEFAULT_TOL) -> P
 def kraus(phi: CPMap, tol: ToleranceProfile = DEFAULT_TOL) -> list[np.ndarray]:
     """Kraus operators of the pinch-extended map, from Choi eigenvectors.
 
+    One call makes one :func:`choi` (so one hermiticity check) and one
+    eigendecomposition of the symmetrized Choi matrix, from which both the
+    CP verdict of :func:`is_completely_positive` and the operators are read.
     Eigenvalue cutoff is relative to the largest eigenvalue; the returned
     operators are canonical only up to unitary mixing, so compare Kraus sets
     via the reconstruction identity, never entrywise.
     """
-    report = is_completely_positive(phi, tol)
+    report, eigvals, eigvecs = _psd_eigh(choi(phi, tol), tol)
     if not report.ok:
         raise NotCompletelyPositiveError(
             f"map is not completely positive (Choi lambda_min = {report.lambda_min:.3e})"
         )
-    j = choi(phi, tol)
-    q, m = phi.domain.ambient_dim, phi.target_dim
-    eigvals, eigvecs = np.linalg.eigh((j + dagger(j)) / 2.0)
     if eigvals.size == 0:
         return []
-    lam_max = float(eigvals[-1])
-    if lam_max <= 0.0:
-        return []
-    cutoff = tol.threshold(lam_max)
-    ops = []
-    for lam, vec in zip(eigvals[::-1], eigvecs.T[::-1]):
-        if lam <= cutoff:
-            break
-        ops.append(np.sqrt(lam) * vec.reshape(q, m).T)
-    return ops
+    q, m = phi.domain.ambient_dim, phi.target_dim
+    # Eigenvalues ascend, so the kept ones are the top `rank`, taken largest first.
+    rank = int(np.count_nonzero(eigvals > tol.threshold(float(eigvals[-1]))))
+    lams, vecs = eigvals[::-1][:rank], eigvecs[:, ::-1][:, :rank]
+    ops = np.sqrt(lams)[:, None, None] * vecs.T.reshape(rank, q, m).transpose(0, 2, 1)
+    return list(ops)
 
 
 @dataclass(eq=False)

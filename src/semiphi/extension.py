@@ -179,17 +179,22 @@ def ksgns(phi: CPMap, e: ConcreteModule, tol: ToleranceProfile = DEFAULT_TOL) ->
     With ``V`` from the Stinespring dilation and ``r`` its rank, the carrier
     space is ``span{(x (x) I_r) V h}`` inside ``C^p (x) C^r``; ``Q`` is an
     orthonormal basis of it and the map sends ``x -> Q* (x (x) I_r) V``.
+
+    One call makes one Stinespring dilation (so one Choi check and one
+    eigendecomposition).  Since ``(x (x) I_r) V`` is ``x @ V`` with ``V``
+    read as a ``q x (r m)`` matrix, the carrier columns of every basis
+    element come from one matmul against the basis stack, and the values
+    from one batched product with ``Q*``.
     """
     if e.algebra.blocks != phi.domain.blocks:
         raise ShapeError("module and CP map live over different algebras")
     dil = stinespring(phi, tol)
-    r, m, p = dil.rank, phi.target_dim, e.row_dim
-    cols = [np.kron(b, np.eye(r, dtype=complex)) @ dil.V for b in e.basis]
-    stacked = (
-        np.hstack(cols) if cols and r > 0 else np.zeros((p * r, 0), dtype=complex)
-    )
+    r, m, p, q = dil.rank, phi.target_dim, e.row_dim, phi.domain.ambient_dim
+    # cols[i] = (x_i (x) I_r) V, a (p r) x m matrix.
+    cols = (e._basis_stack @ dil.V.reshape(q, r * m)).reshape(e.dim, p * r, m)
+    stacked = cols.transpose(1, 0, 2).reshape(p * r, e.dim * m)
     q_onb = column_span_onb(stacked, tol, height=p * r)
-    values = tuple(dagger(q_onb) @ c for c in cols)
+    values = tuple(dagger(q_onb) @ cols)
     result = ModuleMap(e, m, q_onb.shape[1], values)
     report = is_phi_map(result, phi, ToleranceProfile(tol.abs_tol * 1e3 + 1e-8, tol.rel_tol * 1e3 + 1e-8))
     if not report.ok:
@@ -393,13 +398,26 @@ def extend_semi_phi(
     the extension kills the orthogonal complement and is exactly compatible
     against the complemented submodule (the report records both checks).
     """
-    f = phi_map.domain
     _check_compatible(phi_map, phi)
     # The obstruction runs first: its submodule check is the engine's only one.
     try:
-        obstruction = phi_extension_obstruction(phi, f, e, tol)
+        obstruction = phi_extension_obstruction(phi, phi_map.domain, e, tol)
     except PreconditionError:
         raise ExtensionInputError("the map's domain must be a submodule of e") from None
+    return _extend(phi_map, e, phi, obstruction, tol)
+
+
+def _extend(
+    phi_map: ModuleMap,
+    e: ConcreteModule,
+    phi: CPMap,
+    obstruction: ObstructionReport,
+    tol: ToleranceProfile,
+) -> ExtensionResult:
+    """The body of :func:`extend_semi_phi` for a compatible pair whose
+    obstruction (and with it the check that the domain is a submodule of
+    ``e``) has already been computed."""
+    f = phi_map.domain
     semi = is_completely_semi_phi(phi_map, phi, tol)
     if not semi.ok:
         raise ExtensionInputError(
@@ -551,7 +569,7 @@ def canonical_compacts_extension(
         raise SelfCheckError(
             f"extension-by-zero failed its compatibility certificate (defect {certify.worst_defect:.3e})"
         )
-    engine = extend_semi_phi(phi_map, e, phi, tol)
+    engine = _extend(phi_map, e, phi, obstruction, tol)
     for ve, vp in zip(extension.values, engine.phi_prime.values):
         if np.linalg.norm(ve - vp) > 1e3 * tol.threshold(max(np.linalg.norm(ve), 1.0)):
             raise SelfCheckError("extension-by-zero disagrees with the engine output")

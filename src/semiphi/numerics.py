@@ -146,14 +146,28 @@ def is_psd(m: MatrixLike, tol: ToleranceProfile = DEFAULT_TOL) -> PsdReport:
     arr = as_matrix(m)
     if arr.shape[0] != arr.shape[1]:
         raise ShapeError(f"is_psd needs a square matrix, got {arr.shape}")
+    return _psd_eigh(arr, tol)[0]
+
+
+def _psd_eigh(
+    arr: np.ndarray, tol: ToleranceProfile
+) -> tuple[PsdReport, np.ndarray, np.ndarray]:
+    """The decision of :func:`is_psd` on a square complex array, together with
+    the eigendecomposition it is read from: ascending eigenvalues and the
+    matching unit eigenvectors (columns) of the symmetrized matrix.
+
+    Callers that need the spectrum as well as the verdict (Kraus operators
+    from a Choi matrix) take both from this one ``eigh``.
+    """
     if arr.shape[0] == 0:
-        return PsdReport(True, 0.0, np.zeros(0, dtype=complex))
+        report = PsdReport(True, 0.0, np.zeros(0, dtype=complex))
+        return report, np.zeros(0), np.zeros((0, 0), dtype=complex)
     _check_hermitian(arr, tol)
     herm = (arr + dagger(arr)) / 2.0
     eigvals, eigvecs = np.linalg.eigh(herm)
     lam = float(eigvals[0])
     scale = max(abs(lam), abs(float(eigvals[-1])))
-    return PsdReport(lam >= -tol.threshold(scale), lam, eigvecs[:, 0])
+    return PsdReport(lam >= -tol.threshold(scale), lam, eigvecs[:, 0]), eigvals, eigvecs
 
 
 def loewner_leq(a: MatrixLike, b: MatrixLike, tol: ToleranceProfile = DEFAULT_TOL) -> bool:

@@ -13,22 +13,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import (
-    DEFAULT_TOL,
-    PsdReport,
-    ShapeError,
-    ToleranceProfile,
-    as_matrix,
-    is_psd,
-)
+from .numerics import DEFAULT_TOL, ShapeError, ToleranceProfile, as_matrix
 
 __all__ = [
     "BlockAlgebra",
-    "AlgebraElement",
     "contains",
     "off_block_mass",
     "pinch",
-    "is_positive_element",
 ]
 
 
@@ -91,21 +82,6 @@ class BlockAlgebra:
         return [self.matrix_unit(i, j) for i, j in self.unit_index_pairs()]
 
 
-@dataclass(frozen=True)
-class AlgebraElement:
-    """A ``q x q`` matrix supported on the diagonal blocks of its parent."""
-
-    parent: BlockAlgebra
-    value: np.ndarray
-
-    def __post_init__(self) -> None:
-        value = as_matrix(self.value)
-        q = self.parent.ambient_dim
-        if value.shape != (q, q):
-            raise ShapeError(f"element must be {q}x{q}, got {value.shape}")
-        object.__setattr__(self, "value", value)
-
-
 def _check_shape(algebra: BlockAlgebra, m: np.ndarray) -> None:
     q = algebra.ambient_dim
     if m.shape != (q, q):
@@ -127,15 +103,11 @@ def contains(algebra: BlockAlgebra, m, tol: ToleranceProfile = DEFAULT_TOL) -> b
     return off_block_mass(algebra, arr) <= tol.threshold(scale)
 
 
-def pinch(algebra: BlockAlgebra, m) -> AlgebraElement:
+def pinch(algebra: BlockAlgebra, m) -> np.ndarray:
     """Conditional expectation onto the algebra: zero the off-block entries.
 
     Idempotent, unital, and (completely) positive.
     """
     arr = as_matrix(m)
     _check_shape(algebra, arr)
-    return AlgebraElement(algebra, np.where(algebra._mask, arr, 0.0))
-
-
-def is_positive_element(a: AlgebraElement, tol: ToleranceProfile = DEFAULT_TOL) -> PsdReport:
-    return is_psd(a.value, tol)
+    return np.where(algebra._mask, arr, 0.0)

@@ -28,8 +28,8 @@ from .extension import (
     ExtensionInputError,
     PreconditionError,
     SelfCheckError,
+    _canonical_compacts,
     _witness_from_report,
-    canonical_compacts_extension,
     compare_extensions,
     extend_semi_phi,
     is_completely_semi_phi,
@@ -37,7 +37,7 @@ from .extension import (
     phi_extension_obstruction,
 )
 from .fixtures import compacts_fixture, example_2_1
-from .modules import BlockEmbedding, MembershipError, ModuleIntegrityError
+from .modules import BlockEmbedding, MembershipError
 from .numerics import HermiticityError, ShapeError, ToleranceProfile
 from .paulsen import (
     block_map,
@@ -247,9 +247,8 @@ def cmd_paulsen(args, doc, tol, started):
 def _demo_example_2_1(n: int, tol, rng) -> tuple[bool, dict, dict]:
     fx = example_2_1(n)
     verdicts, margins = {}, {}
-    on_f = is_phi_map(fx.phi_map, fx.phi, tol)
-    verdicts["phi_map_on_submodule"] = on_f.ok
     result = extend_semi_phi(fx.phi_map, fx.e, fx.phi, tol)
+    verdicts["phi_map_on_submodule"] = result.report["input_is_phi_map"]
     verdicts["extension_semi_ok"] = result.report["extension_semi_ok"]
     margins["restriction_defect"] = result.report["restriction_defect"]
     # The extension must coincide with extension-by-zero on the whole module.
@@ -262,9 +261,8 @@ def _demo_example_2_1(n: int, tol, rng) -> tuple[bool, dict, dict]:
     on_e = is_phi_map(result.phi_prime, fx.phi, tol)
     verdicts["extension_not_phi_map_on_e"] = not on_e.ok
     margins["phi_map_defect_on_e"] = on_e.worst_defect
-    obs = phi_extension_obstruction(fx.phi, fx.f, fx.e, tol)
-    verdicts["obstruction_nonzero"] = not obs.vanishes
-    margins["obstruction_norm"] = obs.norm
+    verdicts["obstruction_nonzero"] = not result.report["obstruction_vanishes"]
+    margins["obstruction_norm"] = result.report["obstruction_norm"]
     gamma = result.phi_prime
     try:
         compare_extensions(gamma, result, fx.phi, fx.f, tol)
@@ -328,9 +326,8 @@ def _demo_example_3_9(n: int, tol, rng) -> tuple[bool, dict, dict]:
 def _demo_compacts_2_6(n: int, tol, rng) -> tuple[bool, dict, dict]:
     fx = compacts_fixture(n)
     verdicts, margins = {}, {}
-    canonical = canonical_compacts_extension(fx.phi_map, fx.e, fx.phi, tol)
+    canonical, result = _canonical_compacts(fx.phi_map, fx.e, fx.phi, tol)
     verdicts["zero_padding_is_phi_map"] = is_phi_map(canonical, fx.phi, tol).ok
-    result = extend_semi_phi(fx.phi_map, fx.e, fx.phi, tol)
     defect = max(
         (
             float(np.linalg.norm(a - b))
@@ -420,7 +417,6 @@ def main(argv: list[str] | None = None) -> int:
         ShapeError,
         HermiticityError,
         MembershipError,
-        ModuleIntegrityError,
         NotCompletelyPositiveError,
         ExtensionInputError,
         PreconditionError,

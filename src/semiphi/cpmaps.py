@@ -19,13 +19,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import BlockAlgebra, AlgebraElement, contains, pinch
+from .algebra import BlockAlgebra, contains
 from .numerics import (
     DEFAULT_TOL,
     HermiticityError,
     PsdReport,
     ShapeError,
     ToleranceProfile,
+    _matrix_stack,
     _psd_eigh,
     adjoint_products,
     as_matrix,
@@ -70,18 +71,9 @@ class CPMap:
                 f"need {self.domain.dimension} values (one per matrix unit), "
                 f"got {len(self.values)}"
             )
-        fixed = []
-        for v in self.values:
-            mat = as_matrix(v)
-            if mat.shape != (m, m):
-                raise ShapeError(f"values must be {m}x{m}, got {mat.shape}")
-            fixed.append(mat)
-        self.values = tuple(fixed)
-
-    @cached_property
-    def _value_stack(self) -> np.ndarray:
-        """The values as one ``(T, m, m)`` array, in matrix-unit order."""
-        return np.stack(self.values)
+        # The values as one ``(T, m, m)`` array, in matrix-unit order.
+        self._value_stack = _matrix_stack(self.values, (m, m), "values")
+        self.values = tuple(self._value_stack)
 
     @cached_property
     def _unit_positions(self) -> tuple[np.ndarray, np.ndarray]:
@@ -155,7 +147,7 @@ class CPMap:
 
     def apply(self, a, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
         """Apply to an algebra element; rejects matrices outside the algebra."""
-        arr = a.value if isinstance(a, AlgebraElement) else as_matrix(a)
+        arr = as_matrix(a)
         if not contains(self.domain, arr, tol):
             raise ValueError("matrix is not in the domain algebra")
         return self.apply_ambient(arr)

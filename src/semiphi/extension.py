@@ -12,7 +12,6 @@ re-verified on the result rather than inherited from the construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -22,8 +21,8 @@ from .numerics import (
     DEFAULT_TOL,
     ShapeError,
     ToleranceProfile,
+    _matrix_stack,
     adjoint_products,
-    as_matrix,
     column_span_onb,
     dagger,
     is_psd,
@@ -88,19 +87,9 @@ class ModuleMap:
             raise ShapeError(
                 f"need {self.domain.dim} values (one per basis element), got {len(self.values)}"
             )
-        fixed = []
-        for v in self.values:
-            mat = as_matrix(v)
-            if mat.shape != (self.h2_dim, self.h1_dim):
-                raise ShapeError(f"values must be {self.h2_dim}x{self.h1_dim}, got {mat.shape}")
-            fixed.append(mat)
-        self.values = tuple(fixed)
-
-    @cached_property
-    def _value_stack(self) -> np.ndarray:
-        if not self.values:
-            return np.zeros((0, self.h2_dim, self.h1_dim), dtype=complex)
-        return np.stack(self.values)
+        # The values as one ``(dim, k, m)`` array, in basis order.
+        self._value_stack = _matrix_stack(self.values, (self.h2_dim, self.h1_dim), "values")
+        self.values = tuple(self._value_stack)
 
     def apply(self, x, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
         """Image of one ``p x q`` domain element (a ``k x m`` matrix) or of
@@ -110,9 +99,8 @@ class ModuleMap:
 
     def stacked_columns(self) -> np.ndarray:
         """The ``k x (dim * m)`` matrix of columns ``Phi(x_i) e_l`` (l fast)."""
-        if not self.values:
-            return np.zeros((self.h2_dim, 0), dtype=complex)
-        return np.hstack(self.values)
+        d, k, m = self._value_stack.shape
+        return self._value_stack.transpose(1, 0, 2).reshape(k, d * m)
 
 
 def zero_module_map(domain: ConcreteModule, h1_dim: int, h2_dim: int) -> ModuleMap:
@@ -142,14 +130,26 @@ def _check_compatible(phi_map: ModuleMap, phi: CPMap) -> None:
 def is_phi_map(phi_map: ModuleMap, phi: CPMap, tol: ToleranceProfile = DEFAULT_TOL) -> PhiMapReport:
     """Check ``Phi(x)* Phi(y) = phi(<x, y>)`` on all basis pairs.
 
-    Sesquilinearity extends the basis check to arbitrary elements.
+    Sesquilinearity extends the basis check to arbitrary elements.  Both
+    sides are the ``m x m`` blocks of the :func:`gram_pair` that the semi
+    criterion compares.
     """
-    _check_compatible(phi_map, phi)
-    values, stack = phi_map._value_stack, phi_map.domain._basis_stack
-    lhs = adjoint_products(values, values)
-    rhs = phi.apply_pairs(stack, stack)
+    return _block_defect(phi_map, gram_pair(phi_map, phi), tol)
+
+
+def _block_defect(phi_map: ModuleMap, pair: GramPair, tol: ToleranceProfile) -> PhiMapReport:
+    """The exact check read off the Gram pair of ``phi_map``: block ``(i, j)``
+    of ``g_map`` is ``Phi(x_i)* Phi(x_j)`` and of ``g_phi`` is
+    ``phi(<x_i, x_j>)``, each pair compared at the scale of the larger."""
+    d, m = phi_map.domain.dim, phi_map.h1_dim
+    lhs = pair.g_map.reshape(d, m, d, m).transpose(0, 2, 1, 3)
+    # A contiguous (d, d, m, m) copy: the in-place subtraction stays off the
+    # shared pair, and each block norm sums its m*m entries as one run.  That
+    # fixed order decides, by rounding, which of the (i, j) and (j, i)
+    # blocks, equal in exact arithmetic, is reported as ``worst_pair``.
+    rhs = np.ascontiguousarray(pair.g_phi.reshape(d, m, d, m).transpose(0, 2, 1, 3))
     scale = np.maximum(np.linalg.norm(lhs, axis=(-2, -1)), np.linalg.norm(rhs, axis=(-2, -1)))
-    rhs -= lhs  # in place: one (d, d, m, m) temporary fewer at the memory peak
+    rhs -= lhs
     defect = np.linalg.norm(rhs, axis=(-2, -1))
     ok = not np.any(defect > tol.threshold(scale))
     worst = float(defect.max(initial=0.0))
@@ -466,11 +466,12 @@ def _extend(
     report["extension_semi_ok"] = semi_prime.ok
     report["extension_semi_margin"] = semi_prime.margin
 
-    input_phi_report = is_phi_map(phi_map, phi, tol)
-    report["input_is_phi_map"] = input_phi_report.ok
+    # The exact check on the input reads the Gram pair of the semi check.
+    input_is_phi_map = _block_defect(phi_map, semi.gram, tol).ok
+    report["input_is_phi_map"] = input_is_phi_map
     report["obstruction_vanishes"] = obstruction.vanishes
     report["obstruction_norm"] = obstruction.norm
-    if input_phi_report.ok and obstruction.vanishes:
+    if input_is_phi_map and obstruction.vanishes:
         f_perp = obstruction.complement
         prime_on_perp = phi_prime.apply(f_perp._basis_stack, tol)
         report["complement_killed_defect"] = _largest_norm(prime_on_perp)
@@ -509,8 +510,7 @@ def compare_extensions(
     Unverified preconditions raise :class:`PreconditionError` rather than
     returning False.
     """
-    e = result.phi_prime.domain
-    if gamma.domain is not e and gamma.domain.basis != e.basis:
+    if not np.array_equal(gamma.domain._basis_stack, result.phi_prime.domain._basis_stack):
         raise PreconditionError("gamma must be defined on the same ambient module")
     if _any_apart(gamma.apply(f._basis_stack, tol), result.original._value_stack, tol):
         raise PreconditionError("gamma does not restrict to the original map")
@@ -542,6 +542,17 @@ def canonical_compacts_extension(
     exactly compatible on the whole module and to coincide with the engine's
     extension.
     """
+    return _canonical_compacts(phi_map, e, phi, tol)[0]
+
+
+def _canonical_compacts(
+    phi_map: ModuleMap,
+    e: ConcreteModule,
+    phi: CPMap,
+    tol: ToleranceProfile,
+) -> tuple[ModuleMap, ExtensionResult]:
+    """The body of :func:`canonical_compacts_extension`, which also returns
+    the engine result the extension was certified against."""
     f = phi_map.domain
     obstruction = phi_extension_obstruction(phi, f, e, tol)
     if not obstruction.vanishes:
@@ -573,4 +584,4 @@ def canonical_compacts_extension(
     for ve, vp in zip(extension.values, engine.phi_prime.values):
         if np.linalg.norm(ve - vp) > 1e3 * tol.threshold(max(np.linalg.norm(ve), 1.0)):
             raise SelfCheckError("extension-by-zero disagrees with the engine output")
-    return extension
+    return extension, engine

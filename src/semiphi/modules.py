@@ -14,11 +14,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import AlgebraElement, BlockAlgebra, off_block_mass, pinch
+from .algebra import BlockAlgebra
 from .numerics import (
     DEFAULT_TOL,
     ShapeError,
     ToleranceProfile,
+    _matrix_stack,
     adjoint_products,
     as_matrix,
     column_span_onb,
@@ -28,12 +29,9 @@ from .numerics import (
 
 __all__ = [
     "MembershipError",
-    "ModuleIntegrityError",
     "ConcreteModule",
-    "ModuleElement",
     "ModuleValidation",
     "validate_module",
-    "inner_product",
     "inner_product_matrix",
     "is_submodule",
     "orthogonal_complement",
@@ -49,10 +47,6 @@ class MembershipError(ValueError):
     """A matrix is not in the span of a module's basis."""
 
 
-class ModuleIntegrityError(ValueError):
-    """An inner product escaped the coefficient algebra."""
-
-
 @dataclass(eq=False)
 class ConcreteModule:
     """Subspace of ``p x q`` matrices acting as a right Hilbert module."""
@@ -62,28 +56,16 @@ class ConcreteModule:
     basis: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        q = self.algebra.ambient_dim
-        fixed = []
-        for b in self.basis:
-            mat = as_matrix(b)
-            if mat.shape != (self.row_dim, q):
-                raise ShapeError(
-                    f"basis element must be {self.row_dim}x{q}, got {mat.shape}"
-                )
-            fixed.append(mat)
-        self.basis = tuple(fixed)
+        # The basis as one ``(dim, p, q)`` array, the input of the batched
+        # pair kernels.
+        self._basis_stack = _matrix_stack(
+            self.basis, (self.row_dim, self.algebra.ambient_dim), "basis element"
+        )
+        self.basis = tuple(self._basis_stack)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    @cached_property
-    def _basis_stack(self) -> np.ndarray:
-        """The basis as one ``(dim, p, q)`` array, the input of the batched
-        pair kernels."""
-        if not self.basis:
-            return np.zeros((0, self.row_dim, self.algebra.ambient_dim), dtype=complex)
-        return np.stack(self.basis)
 
     @cached_property
     def _basis_columns(self) -> np.ndarray:
@@ -136,10 +118,6 @@ class ConcreteModule:
             return False
         return True
 
-    def element(self, m, tol: ToleranceProfile = DEFAULT_TOL) -> "ModuleElement":
-        self.coefficients(m, tol)
-        return ModuleElement(self, as_matrix(m))
-
     def from_coefficients(self, coeffs) -> np.ndarray:
         coeffs = np.asarray(coeffs, dtype=complex).reshape(-1)
         if coeffs.shape[0] != self.dim:
@@ -148,12 +126,6 @@ class ConcreteModule:
         if self.dim == 0:
             return np.zeros((self.row_dim, q), dtype=complex)
         return (self._basis_columns @ coeffs).reshape(self.row_dim, q)
-
-
-@dataclass(frozen=True)
-class ModuleElement:
-    parent: ConcreteModule
-    value: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -168,23 +140,6 @@ def inner_product_matrix(x, y) -> np.ndarray:
     if xm.shape != ym.shape:
         raise ShapeError("inner product needs equal shapes")
     return dagger(xm) @ ym
-
-
-def inner_product(x: ModuleElement, y: ModuleElement, tol: ToleranceProfile = DEFAULT_TOL) -> AlgebraElement:
-    """Inner product of two elements of the same module, as an algebra element.
-
-    Raises :class:`ModuleIntegrityError` if the product escapes the algebra.
-    """
-    if x.parent is not y.parent:
-        raise ValueError("elements must share a parent module")
-    raw = inner_product_matrix(x.value, y.value)
-    algebra = x.parent.algebra
-    residual = off_block_mass(algebra, raw)
-    if residual > tol.threshold(np.linalg.norm(raw)):
-        raise ModuleIntegrityError(
-            f"inner product escapes the algebra (off-block mass {residual:.3e})"
-        )
-    return pinch(algebra, raw)
 
 
 def validate_module(module: ConcreteModule, tol: ToleranceProfile = DEFAULT_TOL) -> ModuleValidation:
@@ -342,11 +297,9 @@ class BlockEmbedding:
     def column_map(self) -> np.ndarray:
         """Selection matrix J (q_target x q_source) with J[iota(c), c] = 1."""
         j = np.zeros((self.target.ambient_dim, self.source.ambient_dim))
-        col = 0
         for sl, off in zip(self.source.block_slices(), self.block_offsets):
             for k in range(sl.stop - sl.start):
                 j[off + k, sl.start + k] = 1.0
-            col += sl.stop - sl.start
         return j
 
     def embed(self, m) -> np.ndarray:

@@ -77,6 +77,34 @@ def as_matrix(m: MatrixLike) -> np.ndarray:
     return arr
 
 
+def _matrix_stack(values, shape: tuple[int, int], what: str) -> np.ndarray:
+    """The ``(n, a, b)`` complex stack of a sequence of ``n`` matrices of
+    ``shape`` ``(a, b)``, from one conversion, one shape check and one
+    finiteness check.
+
+    Only input that fails takes the per-matrix :func:`as_matrix` loop, so the
+    error is raised for the first bad matrix in order, with the text a
+    one-at-a-time check gives (``"<what> must be axb, got <shape>"`` for a
+    2-d matrix of the wrong shape).
+    """
+    n = len(values)
+    if n == 0:
+        return np.zeros((0, *shape), dtype=complex)
+    try:
+        stack = np.asarray(values, dtype=complex)
+    except (TypeError, ValueError):  # ragged or not numeric
+        stack = None
+    if stack is not None and stack.shape == (n, *shape) and np.isfinite(stack).all():
+        return stack
+    mats = []
+    for v in values:
+        mat = as_matrix(v)
+        if mat.shape != shape:
+            raise ShapeError(f"{what} must be {shape[0]}x{shape[1]}, got {mat.shape}")
+        mats.append(mat)
+    return np.stack(mats)
+
+
 def dagger(m: MatrixLike) -> np.ndarray:
     return np.asarray(m, dtype=complex).conj().T
 

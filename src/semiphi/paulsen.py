@@ -537,7 +537,7 @@ def injectivity_demo(
     """
     if not is_contained_pair(g, f, embedding, tol):
         raise PreconditionError("the declared containment does not hold")
-    if phi_map.domain is not g and phi_map.domain.basis != g.basis:
+    if not np.array_equal(phi_map.domain._basis_stack, g._basis_stack):
         raise PreconditionError("the module map must be defined on the contained module")
     semi = is_completely_semi_phi(phi_map, phi, tol)
     if not semi.ok:
@@ -545,9 +545,7 @@ def injectivity_demo(
 
     big_algebra = f.algebra
     psi_values = tuple(
-        phi.apply_ambient(
-            pinch(phi.domain, embedding.compress(u)).value
-        )
+        phi.apply_ambient(pinch(phi.domain, embedding.compress(u)))
         for u in big_algebra.matrix_units()
     )
     psi = CPMap(big_algebra, phi.target_dim, psi_values)

@@ -3,11 +3,12 @@ import json
 import numpy as np
 import pytest
 
+import semiphi.cli as cli
 import semiphi.extension as ext
 import semiphi.serialization as ser
-from semiphi import BlockAlgebra, ModuleMap, transpose_map
+from semiphi import BlockAlgebra, ModuleMap, canonical_compacts_extension, transpose_map
 from semiphi.cli import EXIT_INTERNAL, main
-from semiphi.fixtures import example_2_1, scalar_fixture
+from semiphi.fixtures import compacts_fixture, example_2_1, scalar_fixture
 
 
 def write_problem(path, payload):
@@ -37,6 +38,24 @@ def test_extend_scalar_model(ex21_file, capsys):
     # First basis direction maps to 1, the complement direction to 0.
     assert values[0][0][0] == pytest.approx([1.0, 0.0])
     assert np.allclose(values[1], 0.0)
+
+
+def test_compare_on_a_parsed_file(tmp_path, capsys):
+    # Gamma's domain and E are parsed into two equal modules.
+    fx = compacts_fixture(2)
+    gamma = canonical_compacts_extension(fx.phi_map, fx.e, fx.phi)
+    path = write_problem(
+        tmp_path / "compare.json",
+        {
+            "phi": ser.cp_map_to_json(fx.phi),
+            "Phi": ser.module_map_to_json(fx.phi_map),
+            "E": ser.module_to_json(fx.e),
+            "Gamma": ser.module_map_to_json(gamma),
+        },
+    )
+    assert main(["compare", path, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdicts"]["unique_extension_matches"] is True
 
 
 def test_obstruction_refuted(ex21_file, capsys):
@@ -96,6 +115,26 @@ def test_stinespring_command(tmp_path, capsys):
 def test_demos_all_pass(capsys):
     for name in ("example-2-1", "example-3-4", "example-3-9", "compacts-2-6"):
         assert main(["demo", name, "--n", "2", "--seed", "7"]) == 0, name
+    capsys.readouterr()
+
+
+def test_demos_reuse_engine_stages(monkeypatch, capsys):
+    counts = {"_extend": 0, "phi_extension_obstruction": 0}
+    for name in counts:
+        original = getattr(ext, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (ext, cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    assert main(["demo", "compacts-2-6", "--n", "2"]) == 0
+    assert counts == {"_extend": 1, "phi_extension_obstruction": 1}
+    counts.update(_extend=0, phi_extension_obstruction=0)
+    assert main(["demo", "example-2-1", "--n", "2"]) == 0
+    assert counts == {"_extend": 1, "phi_extension_obstruction": 1}
     capsys.readouterr()
 
 

@@ -220,8 +220,9 @@ class TestOnePassCounts:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_one_obstruction_and_validation_per_canonical_extension(self, n, monkeypatch):
         fx = compacts_fixture(n)
-        calls = {"obstruction": 0, "validate": 0}
+        calls = {"obstruction": 0, "validate": 0, "input_phi_check": 0}
         obstruction, validate = ext.phi_extension_obstruction, modules.validate_module
+        phi_check = ext.is_phi_map
 
         def counted_obstruction(*args, **kwargs):
             calls["obstruction"] += 1
@@ -231,10 +232,15 @@ class TestOnePassCounts:
             calls["validate"] += 1
             return validate(*args, **kwargs)
 
+        def counted_phi_check(phi_map, *args, **kwargs):
+            calls["input_phi_check"] += phi_map is fx.phi_map
+            return phi_check(phi_map, *args, **kwargs)
+
         monkeypatch.setattr(ext, "phi_extension_obstruction", counted_obstruction)
         monkeypatch.setattr(modules, "validate_module", counted_validate)
+        monkeypatch.setattr(ext, "is_phi_map", counted_phi_check)
         canonical_compacts_extension(fx.phi_map, fx.e, fx.phi)
-        assert calls == {"obstruction": 1, "validate": 1}
+        assert calls == {"obstruction": 1, "validate": 1, "input_phi_check": 1}
 
 
 def assert_ksgns_matches_kron_loop(phi, e):

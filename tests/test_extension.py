@@ -8,6 +8,7 @@ import semiphi.numerics as numerics
 from semiphi import (
     BlockAlgebra,
     ConcreteModule,
+    CPMap,
     ExtensionInputError,
     ModuleMap,
     PreconditionError,
@@ -303,6 +304,42 @@ class TestExtensionEngine:
             assert res.report["exact_on_complemented_defect"] < 1e-8
 
 
+def counted(monkeypatch, owner, name, select=lambda *args: True):
+    """Patch ``owner.name`` to record each call whose arguments pass ``select``."""
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        if select(*args):
+            calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+class TestStagesRunOnce:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rng: example_2_1(2),
+            lambda rng: compacts_fixture(2),
+            random_vanishing_obstruction_fixture,
+            random_semi_phi_fixture,
+        ],
+        ids=["example_2_1", "compacts", "vanishing_obstruction", "semi"],
+    )
+    def test_engine_checks_its_input_once(self, make, monkeypatch, rng):
+        fx = make(rng)
+        f_stack = fx.phi_map.domain._basis_stack
+        phi_checks = counted(monkeypatch, ext, "is_phi_map")
+        f_pairs = counted(monkeypatch, CPMap, "apply_pairs", lambda _, xs, ys: xs is f_stack and ys is f_stack)
+        res = extend_semi_phi(fx.phi_map, fx.e, fx.phi)
+        # The one is_phi_map is the universal map's self-check on e.
+        assert [args[0] for args in phi_checks] == [res.ksgns_map]
+        assert len(f_pairs) == 1
+
+
 class TestUniqueness:
     def test_engine_output_agrees_with_itself(self):
         fx = compacts_fixture(2)
@@ -323,6 +360,27 @@ class TestUniqueness:
         bent = ModuleMap(fx.e, 1, 1, tuple(bent_values))
         with pytest.raises(PreconditionError):
             compare_extensions(bent, res, fx.phi, fx.f)
+
+    def test_equal_module_given_as_another_object(self):
+        # As when Gamma's domain and E are parsed separately from one file.
+        fx = compacts_fixture(2)
+        res = extend_semi_phi(fx.phi_map, fx.e, fx.phi)
+        copy = ConcreteModule(fx.e.algebra, fx.e.row_dim, tuple(b.copy() for b in fx.e.basis))
+        gamma = ModuleMap(copy, 2, res.phi_prime.h2_dim, res.phi_prime.values)
+        assert compare_extensions(gamma, res, fx.phi, fx.f)
+
+    def test_different_basis_refused(self):
+        fx = compacts_fixture(2)
+        res = extend_semi_phi(fx.phi_map, fx.e, fx.phi)
+        k = res.phi_prime.h2_dim
+        # The same span in another basis order, and a basis of another size.
+        reordered = ConcreteModule(fx.e.algebra, fx.e.row_dim, fx.e.basis[::-1])
+        for gamma in (
+            ModuleMap(reordered, 2, k, res.phi_prime.values[::-1]),
+            ModuleMap(fx.f, 2, k, tuple(res.phi_prime.apply(fx.f._basis_stack))),
+        ):
+            with pytest.raises(PreconditionError, match="same ambient module"):
+                compare_extensions(gamma, res, fx.phi, fx.f)
 
     def test_wrong_restriction_refused(self):
         fx = compacts_fixture(1)

@@ -30,6 +30,7 @@ from semiphi.fixtures import (
     random_orthogonal_module_pair,
     random_semi_phi_fixture,
     random_vanishing_obstruction_fixture,
+    random_violating_module_map,
 )
 from semiphi.modules import inner_product_matrix
 from semiphi.numerics import DEFAULT_TOL
@@ -126,7 +127,8 @@ def random_fixture(seed):
 def test_random_fixtures_match_reference_loops(seed):
     fx = random_fixture(seed)
     universal = ksgns(fx.phi, fx.e).map
-    for phi_map in (fx.phi_map, universal):
+    violating = random_violating_module_map(fx, np.random.default_rng(seed))
+    for phi_map in (fx.phi_map, universal, violating):
         assert_phi_map_matches(phi_map, fx.phi)
         assert_gram_matches(phi_map, fx.phi)
     assert_obstruction_matches(fx.phi, fx.f, fx.e)
@@ -149,9 +151,14 @@ def test_exact_arithmetic_worst_pair_is_first_row_major_maximum():
     for n in (1, 2, 3):
         fx = example_2_1(n)
         res = extend_semi_phi(fx.phi_map, fx.e, fx.phi)
-        ok, worst, worst_pair, _ = reference_is_phi_map(res.phi_prime, fx.phi)
-        report = is_phi_map(res.phi_prime, fx.phi)
-        assert (report.ok, report.worst_defect, report.worst_pair) == (ok, worst, worst_pair)
+        # Doubling Phi on the last basis element of f makes its diagonal
+        # block the unique worst pair.
+        doubled = ModuleMap(fx.f, n, n, fx.phi_map.values[:-1] + (2.0 * fx.phi_map.values[-1],))
+        for phi_map in (res.phi_prime, doubled):
+            ok, worst, worst_pair, _ = reference_is_phi_map(phi_map, fx.phi)
+            report = is_phi_map(phi_map, fx.phi)
+            assert (report.ok, report.worst_defect, report.worst_pair) == (ok, worst, worst_pair)
+        assert worst_pair == (fx.f.dim - 1, fx.f.dim - 1) and worst == 3.0
         assert_obstruction_matches(fx.phi, fx.f, fx.e)
 
 
@@ -167,6 +174,7 @@ def test_zero_submodule_and_zero_cp_map(seed):
         (zero_module_map(empty, m, 2), random_cp_map(algebra, m, 2, rng)),
         (zero_module_map(empty, m, 2), zero_phi),
         (zero_module_map(f, m, 3), zero_phi),
+        (zero_module_map(f, m, 3), random_cp_map(algebra, m, 2, rng)),
     ]
     for phi_map, phi in cases:
         assert_phi_map_matches(phi_map, phi)

@@ -232,6 +232,22 @@ class TestInjectivityDemo:
         with pytest.raises((PreconditionError, Exception)):
             injectivity_demo(fx.g, stranger, fx.embedding, fx.phi_map, fx.phi)
 
+    def test_map_on_an_equal_copy_of_the_module(self, rng):
+        fx = random_containment_fixture(rng, 2)
+        while fx.g.dim < 2:
+            fx = random_containment_fixture(rng, 2)
+        g_copy = ConcreteModule(fx.g.algebra, fx.g.row_dim, tuple(b.copy() for b in fx.g.basis))
+        h1, h2 = fx.phi_map.h1_dim, fx.phi_map.h2_dim
+        on_copy = ModuleMap(g_copy, h1, h2, fx.phi_map.values)
+        psi_map, _ = injectivity_demo(fx.g, fx.f, fx.embedding, on_copy, fx.phi)
+        reference, _ = injectivity_demo(fx.g, fx.f, fx.embedding, fx.phi_map, fx.phi)
+        assert np.array_equal(psi_map._value_stack, reference._value_stack)
+        reordered = ConcreteModule(fx.g.algebra, fx.g.row_dim, fx.g.basis[::-1])
+        with pytest.raises(PreconditionError, match="contained module"):
+            injectivity_demo(
+                fx.g, fx.f, fx.embedding, ModuleMap(reordered, h1, h2, fx.phi_map.values[::-1]), fx.phi
+            )
+
     def test_rejects_non_morphism(self, rng):
         from semiphi import is_completely_semi_phi
 

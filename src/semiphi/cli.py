@@ -28,7 +28,9 @@ from .extension import (
     ExtensionInputError,
     PreconditionError,
     SelfCheckError,
+    _block_defect,
     _canonical_compacts,
+    _paired,
     _witness_from_report,
     compare_extensions,
     extend_semi_phi,
@@ -244,6 +246,11 @@ def cmd_paulsen(args, doc, tol, started):
     return (EXIT_OK if verdict.ok else EXIT_REFUTED), report
 
 
+def _largest_distance(xs, ys) -> float:
+    """Largest Frobenius norm of ``x - y`` over paired matrices, 0 for none."""
+    return max((float(np.linalg.norm(x - y)) for x, y in zip(xs, ys)), default=0.0)
+
+
 def _demo_example_2_1(n: int, tol, rng) -> tuple[bool, dict, dict]:
     fx = example_2_1(n)
     verdicts, margins = {}, {}
@@ -252,13 +259,10 @@ def _demo_example_2_1(n: int, tol, rng) -> tuple[bool, dict, dict]:
     verdicts["extension_semi_ok"] = result.report["extension_semi_ok"]
     margins["restriction_defect"] = result.report["restriction_defect"]
     # The extension must coincide with extension-by-zero on the whole module.
-    defect = 0.0
-    for b, v in zip(fx.e.basis, result.phi_prime.values):
-        top = b[:n, :]
-        defect = max(defect, float(np.linalg.norm(v - top)))
+    defect = _largest_distance(result.phi_prime.values, fx.e._basis_stack[:, :n])
     verdicts["extension_is_zero_padding"] = defect <= 1e-8
     margins["zero_padding_defect"] = defect
-    on_e = is_phi_map(result.phi_prime, fx.phi, tol)
+    on_e = _block_defect(result.phi_prime, result.gram, tol)
     verdicts["extension_not_phi_map_on_e"] = not on_e.ok
     margins["phi_map_defect_on_e"] = on_e.worst_defect
     verdicts["obstruction_nonzero"] = not result.report["obstruction_vanishes"]
@@ -269,18 +273,7 @@ def _demo_example_2_1(n: int, tol, rng) -> tuple[bool, dict, dict]:
         verdicts["uniqueness_precondition_refused"] = False
     except PreconditionError:
         verdicts["uniqueness_precondition_refused"] = True
-    ok = all(
-        verdicts[k]
-        for k in (
-            "phi_map_on_submodule",
-            "extension_semi_ok",
-            "extension_is_zero_padding",
-            "extension_not_phi_map_on_e",
-            "obstruction_nonzero",
-            "uniqueness_precondition_refused",
-        )
-    )
-    return ok, verdicts, margins
+    return all(verdicts.values()), verdicts, margins
 
 
 def _demo_example_3_4(n: int, tol, rng) -> tuple[bool, dict, dict]:
@@ -327,18 +320,12 @@ def _demo_compacts_2_6(n: int, tol, rng) -> tuple[bool, dict, dict]:
     fx = compacts_fixture(n)
     verdicts, margins = {}, {}
     canonical, result = _canonical_compacts(fx.phi_map, fx.e, fx.phi, tol)
-    verdicts["zero_padding_is_phi_map"] = is_phi_map(canonical, fx.phi, tol).ok
-    defect = max(
-        (
-            float(np.linalg.norm(a - b))
-            for a, b in zip(canonical.values, result.phi_prime.values)
-        ),
-        default=0.0,
-    )
+    pair = _paired(result.gram.g_phi, canonical)
+    verdicts["zero_padding_is_phi_map"] = _block_defect(canonical, pair, tol).ok
+    defect = _largest_distance(canonical.values, result.phi_prime.values)
     verdicts["matches_engine_output"] = defect <= 1e-8
     margins["engine_agreement_defect"] = defect
-    ok = verdicts["zero_padding_is_phi_map"] and verdicts["matches_engine_output"]
-    return ok, verdicts, margins
+    return all(verdicts.values()), verdicts, margins
 
 
 DEMOS = {

@@ -284,17 +284,15 @@ class StinespringDilation:
     rank: int
     V: np.ndarray
 
-    def represent(self, m) -> np.ndarray:
-        """The representation ``a -> a (x) I_r`` applied to an ambient matrix."""
-        return np.kron(as_matrix(m), np.eye(self.rank, dtype=complex))
-
     def reconstruction_defect(self, phi: CPMap) -> float:
-        """Max over matrix units of ``|phi(u) - V*(u (x) I_r)V|``."""
-        worst = 0.0
-        for unit, value in zip(phi.domain.matrix_units(), phi.values):
-            recon = dagger(self.V) @ self.represent(unit) @ self.V
-            worst = max(worst, float(np.linalg.norm(recon - value, 2)))
-        return worst
+        """Max over matrix units of ``|phi(u) - V*(u (x) I_r)V|``, all from
+        one product of the ``r x m`` row blocks: ``V*(E_ij (x) I_r)V = V_i* V_j``."""
+        q, m = phi.domain.ambient_dim, self.target_dim
+        blocks = self.V.reshape(q, self.rank, m)
+        rows, cols = phi._unit_positions
+        recon = adjoint_products(blocks, blocks)[rows, cols]
+        defects = np.linalg.norm(recon - phi._value_stack, 2, axis=(-2, -1))
+        return float(defects.max(initial=0.0))
 
 
 def stinespring(phi: CPMap, tol: ToleranceProfile = DEFAULT_TOL) -> StinespringDilation:

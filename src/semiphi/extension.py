@@ -143,11 +143,11 @@ def _block_defect(phi_map: ModuleMap, pair: GramPair, tol: ToleranceProfile) -> 
     ``phi(<x_i, x_j>)``, each pair compared at the scale of the larger."""
     d, m = phi_map.domain.dim, phi_map.h1_dim
     lhs = pair.g_map.reshape(d, m, d, m).transpose(0, 2, 1, 3)
-    # A contiguous (d, d, m, m) copy: the in-place subtraction stays off the
-    # shared pair, and each block norm sums its m*m entries as one run.  That
-    # fixed order decides, by rounding, which of the (i, j) and (j, i)
-    # blocks, equal in exact arithmetic, is reported as ``worst_pair``.
-    rhs = np.ascontiguousarray(pair.g_phi.reshape(d, m, d, m).transpose(0, 2, 1, 3))
+    # A C-ordered (d, d, m, m) copy, even of a contiguous transpose: the
+    # in-place subtraction stays off the shared pair, and each block norm sums
+    # its m*m entries as one run, whose fixed order decides by rounding which
+    # of the (i, j) and (j, i) blocks, equal in exact arithmetic, is worst_pair.
+    rhs = pair.g_phi.reshape(d, m, d, m).transpose(0, 2, 1, 3).copy()
     scale = np.maximum(np.linalg.norm(lhs, axis=(-2, -1)), np.linalg.norm(rhs, axis=(-2, -1)))
     rhs -= lhs
     defect = np.linalg.norm(rhs, axis=(-2, -1))
@@ -166,11 +166,13 @@ def is_nondegenerate(phi_map: ModuleMap, tol: ToleranceProfile = DEFAULT_TOL) ->
 
 @dataclass(eq=False)
 class KsgnsResult:
-    """Universal map through which semi-compatible maps factor by contraction."""
+    """Universal map through which semi-compatible maps factor by contraction.
+    Its self-check reads ``gram``, the Gram pair of the map on ``e``."""
 
     map: ModuleMap
     onb: np.ndarray
     dilation: StinespringDilation
+    gram: GramPair
 
 
 def ksgns(phi: CPMap, e: ConcreteModule, tol: ToleranceProfile = DEFAULT_TOL) -> KsgnsResult:
@@ -196,12 +198,13 @@ def ksgns(phi: CPMap, e: ConcreteModule, tol: ToleranceProfile = DEFAULT_TOL) ->
     q_onb = column_span_onb(stacked, tol, height=p * r)
     values = tuple(dagger(q_onb) @ cols)
     result = ModuleMap(e, m, q_onb.shape[1], values)
-    report = is_phi_map(result, phi, ToleranceProfile(tol.abs_tol * 1e3 + 1e-8, tol.rel_tol * 1e3 + 1e-8))
+    pair = gram_pair(result, phi)
+    report = _block_defect(result, pair, ToleranceProfile(tol.abs_tol * 1e3 + 1e-8, tol.rel_tol * 1e3 + 1e-8))
     if not report.ok:
         raise SelfCheckError(
             f"universal map failed its compatibility self-check (defect {report.worst_defect:.3e})"
         )
-    return KsgnsResult(result, q_onb, dil)
+    return KsgnsResult(result, q_onb, dil, pair)
 
 
 @dataclass(frozen=True)
@@ -219,9 +222,14 @@ def gram_pair(phi_map: ModuleMap, phi: CPMap) -> GramPair:
     stack = phi_map.domain._basis_stack
     d, m = len(stack), phi.target_dim
     g_phi = phi.apply_pairs(stack, stack).transpose(0, 2, 1, 3).reshape(d * m, d * m)
+    return _paired(g_phi, phi_map)
+
+
+def _paired(g_phi: np.ndarray, phi_map: ModuleMap) -> GramPair:
+    """A table ``phi~(<x_i, x_j>)`` over the domain of ``phi_map`` and the
+    Gram matrix of the map's columns."""
     cols = phi_map.stacked_columns()
-    g_map = dagger(cols) @ cols
-    return GramPair(g_phi, g_map)
+    return GramPair(g_phi, dagger(cols) @ cols)
 
 
 @dataclass(frozen=True)
@@ -252,7 +260,11 @@ def is_completely_semi_phi(
     on the algebraic tensor of the module with ``C^m``, and each level-n
     instance decomposes into row families of that form.
     """
-    pair = gram_pair(phi_map, phi)
+    return _semi_verdict(gram_pair(phi_map, phi), tol)
+
+
+def _semi_verdict(pair: GramPair, tol: ToleranceProfile) -> SemiPhiReport:
+    """The semi criterion read off a Gram pair."""
     n = pair.g_phi.shape[0]
     if n == 0:
         return SemiPhiReport(True, pair, 0.0, np.zeros(0, dtype=complex))
@@ -370,6 +382,11 @@ class ExtensionResult:
     Carries the extension itself plus every intermediate operator (universal
     map, subspace basis ``Q``, projection ``P``, contraction ``S0``, composite
     ``S``, dilation) and a verification report re-computed from scratch.
+    Stages: obstruction (own tables), input semi check and
+    ``input_is_phi_map`` (the input's pair on ``f``), :func:`ksgns` (its
+    ``gram`` on ``e``), least squares (no pair), and the re-certification of
+    ``phi_prime``, which reads ``gram``: ksgns's ``g_phi`` against the Gram
+    matrix of the columns of ``phi_prime``.
     """
 
     phi_prime: ModuleMap
@@ -380,6 +397,7 @@ class ExtensionResult:
     contraction: np.ndarray
     composite: np.ndarray
     dilation: StinespringDilation
+    gram: GramPair
     report: dict
 
 
@@ -404,7 +422,7 @@ def extend_semi_phi(
         obstruction = phi_extension_obstruction(phi, phi_map.domain, e, tol)
     except PreconditionError:
         raise ExtensionInputError("the map's domain must be a submodule of e") from None
-    return _extend(phi_map, e, phi, obstruction, tol)
+    return _extend(phi_map, e, phi, obstruction, is_completely_semi_phi(phi_map, phi, tol), tol)
 
 
 def _extend(
@@ -412,13 +430,13 @@ def _extend(
     e: ConcreteModule,
     phi: CPMap,
     obstruction: ObstructionReport,
+    semi: SemiPhiReport,
     tol: ToleranceProfile,
 ) -> ExtensionResult:
     """The body of :func:`extend_semi_phi` for a compatible pair whose
     obstruction (and with it the check that the domain is a submodule of
-    ``e``) has already been computed."""
+    ``e``) and semi check have already been computed."""
     f = phi_map.domain
-    semi = is_completely_semi_phi(phi_map, phi, tol)
     if not semi.ok:
         raise ExtensionInputError(
             f"input map is not completely semi-compatible (margin {semi.margin:.3e})"
@@ -462,7 +480,8 @@ def _extend(
     # Restriction certificate, re-derived through coefficients on e.
     prime_on_f = phi_prime.apply(f._basis_stack, tol)
     report["restriction_defect"] = _largest_norm(prime_on_f - phi_map._value_stack)
-    semi_prime = is_completely_semi_phi(phi_prime, phi, tol)
+    gram = _paired(kres.gram.g_phi, phi_prime)  # the universal map is on e too
+    semi_prime = _semi_verdict(gram, tol)
     report["extension_semi_ok"] = semi_prime.ok
     report["extension_semi_margin"] = semi_prime.margin
 
@@ -493,6 +512,7 @@ def _extend(
         contraction=s0,
         composite=composite,
         dilation=kres.dilation,
+        gram=gram,
         report=report,
     )
 
@@ -560,7 +580,8 @@ def _canonical_compacts(
             f"obstruction norm {obstruction.norm:.3e} is nonzero: "
             "no exactly compatible extension exists on the whole module"
         )
-    if not is_phi_map(phi_map, phi, tol).ok:
+    semi = is_completely_semi_phi(phi_map, phi, tol)
+    if not _block_defect(phi_map, semi.gram, tol).ok:
         raise PreconditionError("input is not an exactly compatible map on its domain")
     f_perp = obstruction.complement
     combined = np.concatenate([f._basis_stack, f_perp._basis_stack])
@@ -575,12 +596,12 @@ def _canonical_compacts(
         raise PreconditionError("module does not decompose as f + f_perp")
     values = np.tensordot(sol[: f.dim].T, phi_map._value_stack, axes=1)
     extension = ModuleMap(e, phi_map.h1_dim, phi_map.h2_dim, tuple(values))
-    certify = is_phi_map(extension, phi, tol)
+    engine = _extend(phi_map, e, phi, obstruction, semi, tol)
+    certify = _block_defect(extension, _paired(engine.gram.g_phi, extension), tol)
     if not certify.ok:
         raise SelfCheckError(
             f"extension-by-zero failed its compatibility certificate (defect {certify.worst_defect:.3e})"
         )
-    engine = _extend(phi_map, e, phi, obstruction, tol)
     for ve, vp in zip(extension.values, engine.phi_prime.values):
         if np.linalg.norm(ve - vp) > 1e3 * tol.threshold(max(np.linalg.norm(ve), 1.0)):
             raise SelfCheckError("extension-by-zero disagrees with the engine output")

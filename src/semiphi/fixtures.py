@@ -81,14 +81,14 @@ def example_2_1(n: int) -> ExtensionFixture:
     full = _column_module(algebra, p, [eye_p])
     sub = _column_module(algebra, p, [eye_p[:, :n]])
     phi = identity_cp_map(algebra)
-    values = []
-    for i in range(n):  # submodule basis order: vector index fast over columns
-        for c in range(n):
-            val = np.zeros((n, n), dtype=complex)
-            val[i, c] = 1.0
-            values.append(val)
-    phi_map = ModuleMap(sub, n, n, tuple(values))
+    # The units E_ic of M_n, c fast: the submodule basis order.
+    phi_map = ModuleMap(sub, n, n, tuple(_units(n)))
     return ExtensionFixture(full, sub, phi, phi_map)
+
+
+def _units(n: int) -> np.ndarray:
+    """The matrix units of ``M_n`` as an ``(n*n, n, n)`` stack, row-major."""
+    return np.eye(n * n, dtype=complex).reshape(n * n, n, n)
 
 
 def scalar_fixture(c: complex) -> tuple[ModuleMap, CPMap]:
@@ -116,22 +116,11 @@ def compacts_fixture(n: int) -> ExtensionFixture:
     eye_p = np.eye(p, dtype=complex)
     e = _column_module(algebra, p, [eye_p[:, :n], eye_p[:, n:]])
     f = _column_module(algebra, p, [eye_p[:, :n], eye_p[:, :0]])
-    values = []
-    units = algebra.matrix_units()
-    pairs = algebra.unit_index_pairs()
-    for (i, j), unit in zip(pairs, units):
-        if i < n and j < n:
-            values.append(np.asarray(unit[:n, :n], dtype=complex))
-        else:
-            values.append(np.zeros((n, n), dtype=complex))
-    phi = CPMap(algebra, n, tuple(values))
-    map_values = []
-    for i in range(n):
-        for c in range(n):
-            val = np.zeros((n, n), dtype=complex)
-            val[i, c] = 1.0
-            map_values.append(val)
-    phi_map = ModuleMap(f, n, n, tuple(map_values))
+    # The first block's units come first and map to themselves; the second
+    # block's map to zero.
+    units = _units(n)
+    phi = CPMap(algebra, n, tuple(np.concatenate([units, np.zeros_like(units)])))
+    phi_map = ModuleMap(f, n, n, tuple(units))
     return ExtensionFixture(e, f, phi, phi_map)
 
 

@@ -18,8 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import BlockAlgebra, contains, pinch
-from .cpmaps import CPMap
+from .algebra import BlockAlgebra, pinch
+from .cpmaps import CPMap, compose
 from .extension import (
     ModuleMap,
     PreconditionError,
@@ -274,13 +274,11 @@ class SystemMap:
             self.module_map.h2_dim,
             values,
         )
-        cp_values = tuple(self.cp_map.apply_ambient(v) for v in inner.cp_map.values)
-        composed_cp = CPMap(inner.cp_map.domain, self.cp_map.target_dim, cp_values)
         return SystemMap(
             inner.domain,
             self.codomain,
             composed_module,
-            composed_cp,
+            compose(self.cp_map, inner.cp_map),
             self.unital and inner.unital,
         )
 
@@ -308,9 +306,10 @@ def block_map(
         raise ShapeError("CP target dimension must match the codomain algebra ambient")
     if not codomain_module.contains_matrix(phi_map._value_stack, tol):
         raise ValueError("module-map range escapes the declared codomain module")
-    for v in phi.values:
-        if not contains(codomain_module.algebra, v, tol):
-            raise ValueError("CP-map range escapes the declared codomain algebra")
+    values = phi._value_stack  # contains() on all values, each at its own norm
+    off_block = np.linalg.norm(values[:, ~codomain_module.algebra._mask], axis=-1)
+    if np.any(off_block > tol.threshold(np.linalg.norm(values, axis=(-2, -1)))):
+        raise ValueError("CP-map range escapes the declared codomain algebra")
     unital = phi.is_unital(tol)
     return SystemMap(
         build_system(phi_map.domain),

@@ -50,4 +50,6 @@ def test_extend_requests_run_traced(bench_modules, tmp_path):
     layers = tracing.per_layer(tracer.spans, len(picked))
     assert layers["modules.validate_module.repeat_ratio"] == 1.0
     assert layers["extension.phi_extension_obstruction.calls"] == 1.0
+    # The input semi check on F and the universal map's pair on E.
+    assert layers["extension.gram_pair.calls"] == 2.0
     assert layers["modules.ConcreteModule.coefficients.calls"] <= 5

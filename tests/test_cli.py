@@ -162,7 +162,7 @@ def test_tol_env_var(tmp_path, monkeypatch, ex21_file):
 def test_self_check_failure_is_internal_error(ex21_file, monkeypatch, capsys):
     # A universal map that fails its own compatibility re-check is a defect
     # in the toolkit: it must not read as "refuted" (1) or "bad input" (2).
-    monkeypatch.setattr(ext, "is_phi_map", lambda *args: ext.PhiMapReport(False, 1.0, (0, 0)))
+    monkeypatch.setattr(ext, "_block_defect", lambda *args: ext.PhiMapReport(False, 1.0, (0, 0)))
     assert main(["extend", ex21_file, "--json"]) == EXIT_INTERNAL == 3
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -173,6 +173,39 @@ class TestViewsMatchReference:
             for k, k_ref in zip(ops, ref):
                 assert np.array_equal(k, k_ref)
 
+    @pytest.mark.parametrize("blocks", BLOCKS + [(1,), (3, 1, 2)])
+    def test_reconstruction_defect(self, blocks):
+        algebra = BlockAlgebra(blocks)
+        rng = np.random.default_rng(sum(blocks))
+        maps = [random_cp_map(algebra, m, rank, rng) for m, rank in [(1, 1), (3, 2), (2, 5)]]
+        for phi in maps:
+            dil = stinespring(phi)
+            assert dil.reconstruction_defect(phi) == pytest.approx(
+                reference_reconstruction_defect(dil, phi), rel=0, abs=1e-15
+            )
+        # A dilation against another map, and against the zero map.
+        zero = from_kraus(algebra, [], target_dim=3)
+        dil = stinespring(maps[1])
+        for other in (random_cp_map(algebra, 3, 1, rng), zero):
+            defect = dil.reconstruction_defect(other)
+            assert defect > 0.1
+            assert defect == pytest.approx(reference_reconstruction_defect(dil, other), rel=1e-14)
+        # Rank 0: the zero map and the map into M_0.
+        for empty in (zero, from_kraus(algebra, [], target_dim=0)):
+            dil = stinespring(empty)
+            assert dil.rank == 0
+            assert dil.reconstruction_defect(empty) == 0.0 == reference_reconstruction_defect(dil, empty)
+
+
+def reference_reconstruction_defect(dil, phi):
+    """Max over matrix units of ``|phi(u) - V*(u (x) I_r)V|``, one
+    ``np.kron`` per unit."""
+    worst = 0.0
+    for unit, value in zip(phi.domain.matrix_units(), phi.values):
+        recon = dil.V.conj().T @ np.kron(unit, np.eye(dil.rank)) @ dil.V
+        worst = max(worst, float(np.linalg.norm(recon - value, 2)))
+    return worst
+
 
 class Counter:
     """Counts hermiticity checks, Choi matrices and ``eigh`` calls."""
@@ -220,9 +253,10 @@ class TestOnePassCounts:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_one_obstruction_and_validation_per_canonical_extension(self, n, monkeypatch):
         fx = compacts_fixture(n)
-        calls = {"obstruction": 0, "validate": 0, "input_phi_check": 0}
+        f_stack, e_stack = fx.f._basis_stack, fx.e._basis_stack
+        calls = {"obstruction": 0, "validate": 0, "input_gram": 0, "phi_check": 0, "f_pairs": 0, "e_pairs": 0}
         obstruction, validate = ext.phi_extension_obstruction, modules.validate_module
-        phi_check = ext.is_phi_map
+        gram, phi_check, apply_pairs = ext.gram_pair, ext.is_phi_map, CPMap.apply_pairs
 
         def counted_obstruction(*args, **kwargs):
             calls["obstruction"] += 1
@@ -232,15 +266,37 @@ class TestOnePassCounts:
             calls["validate"] += 1
             return validate(*args, **kwargs)
 
-        def counted_phi_check(phi_map, *args, **kwargs):
-            calls["input_phi_check"] += phi_map is fx.phi_map
-            return phi_check(phi_map, *args, **kwargs)
+        def counted_gram(phi_map, *args, **kwargs):
+            calls["input_gram"] += phi_map is fx.phi_map
+            return gram(phi_map, *args, **kwargs)
+
+        def counted_phi_check(*args, **kwargs):
+            calls["phi_check"] += 1
+            return phi_check(*args, **kwargs)
+
+        def counted_pairs(phi, xs, ys):
+            calls["f_pairs"] += xs is f_stack and ys is f_stack
+            calls["e_pairs"] += xs is e_stack and ys is e_stack
+            return apply_pairs(phi, xs, ys)
 
         monkeypatch.setattr(ext, "phi_extension_obstruction", counted_obstruction)
         monkeypatch.setattr(modules, "validate_module", counted_validate)
+        monkeypatch.setattr(ext, "gram_pair", counted_gram)
         monkeypatch.setattr(ext, "is_phi_map", counted_phi_check)
+        monkeypatch.setattr(CPMap, "apply_pairs", counted_pairs)
         canonical_compacts_extension(fx.phi_map, fx.e, fx.phi)
-        assert calls == {"obstruction": 1, "validate": 1, "input_phi_check": 1}
+        # One Gram pair on f serves the exact check and the engine's semi
+        # check; the E x E tables are the obstruction's scale and the universal
+        # map's pair, which the engine's re-certification and the certificate
+        # of the extension-by-zero read.
+        assert calls == {
+            "obstruction": 1,
+            "validate": 1,
+            "input_gram": 1,
+            "phi_check": 0,
+            "f_pairs": 1,
+            "e_pairs": 2,
+        }
 
 
 def assert_ksgns_matches_kron_loop(phi, e):

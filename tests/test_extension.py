@@ -16,6 +16,7 @@ from semiphi import (
     compare_extensions,
     extend_semi_phi,
     from_kraus,
+    gram_pair,
     identity_cp_map,
     is_completely_semi_phi,
     is_nondegenerate,
@@ -36,6 +37,7 @@ from semiphi.fixtures import (
     scalar_fixture,
 )
 from semiphi.modules import inner_product_matrix
+from semiphi.numerics import DEFAULT_TOL
 from conftest import full_rectangular_module
 
 
@@ -331,13 +333,58 @@ class TestStagesRunOnce:
     )
     def test_engine_checks_its_input_once(self, make, monkeypatch, rng):
         fx = make(rng)
-        f_stack = fx.phi_map.domain._basis_stack
+        f_stack, e_stack = fx.phi_map.domain._basis_stack, fx.e._basis_stack
         phi_checks = counted(monkeypatch, ext, "is_phi_map")
+        grams = counted(monkeypatch, ext, "gram_pair")
         f_pairs = counted(monkeypatch, CPMap, "apply_pairs", lambda _, xs, ys: xs is f_stack and ys is f_stack)
+        e_pairs = counted(monkeypatch, CPMap, "apply_pairs", lambda _, xs, ys: xs is e_stack and ys is e_stack)
         res = extend_semi_phi(fx.phi_map, fx.e, fx.phi)
-        # The one is_phi_map is the universal map's self-check on e.
-        assert [args[0] for args in phi_checks] == [res.ksgns_map]
+        # One Gram pair for the input semi check on f and one for the
+        # universal map's self-check on e, which the re-certification reuses.
+        assert phi_checks == []
+        assert [args[0] for args in grams] == [fx.phi_map, res.ksgns_map]
         assert len(f_pairs) == 1
+        # The E x E tables: the obstruction's scale and the self-check's pair.
+        # With f = 0 the complement is e itself, so the obstruction's table
+        # phi~(<f_perp, e>) is a third.
+        assert len(e_pairs) == 2 + (fx.f.dim == 0)
+
+
+class TestGramPairReuse:
+    def test_block_defect_leaves_the_pair_unchanged(self):
+        # m = 1: the block transpose of g_phi is already contiguous.
+        fx = example_2_1(1)
+        pair = is_completely_semi_phi(fx.phi_map, fx.phi).gram
+        before = (pair.g_phi.copy(), pair.g_map.copy())
+        assert ext._block_defect(fx.phi_map, pair, DEFAULT_TOL).ok
+        assert np.array_equal(pair.g_phi, before[0])
+        assert np.array_equal(pair.g_map, before[1])
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rng: example_2_1(1),
+            lambda rng: example_2_1(2),
+            lambda rng: compacts_fixture(2),
+            random_vanishing_obstruction_fixture,
+            random_semi_phi_fixture,
+        ],
+        ids=["example_2_1_n1", "example_2_1_n2", "compacts", "vanishing_obstruction", "semi"],
+    )
+    def test_handed_pairs_equal_fresh_ones(self, make, rng):
+        fx = make(rng)
+        kres = ksgns(fx.phi, fx.e)
+        fresh = gram_pair(kres.map, fx.phi)
+        assert np.array_equal(kres.gram.g_phi, fresh.g_phi)
+        assert np.array_equal(kres.gram.g_map, fresh.g_map)
+        res = extend_semi_phi(fx.phi_map, fx.e, fx.phi)
+        fresh = gram_pair(res.phi_prime, fx.phi)
+        assert np.array_equal(res.gram.g_phi, fresh.g_phi)
+        assert np.array_equal(res.gram.g_map, fresh.g_map)
+        semi = is_completely_semi_phi(res.phi_prime, fx.phi)
+        assert res.report["extension_semi_ok"] == semi.ok
+        assert res.report["extension_semi_margin"] == semi.margin
+        assert res.report["input_is_phi_map"] == is_phi_map(fx.phi_map, fx.phi).ok
 
 
 class TestUniqueness:

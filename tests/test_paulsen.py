@@ -6,11 +6,13 @@ import pytest
 from semiphi import (
     BlockAlgebra,
     ConcreteModule,
+    CPMap,
     ModuleMap,
     PreconditionError,
     SystemDecompositionError,
     block_map,
     build_system,
+    contains,
     decompose_system_element,
     example_3_4_map,
     identity_cp_map,
@@ -118,6 +120,23 @@ class TestBlockMap:
         small = ConcreteModule(BlockAlgebra((1,)), 1, ())
         with pytest.raises(ValueError):
             block_map(pm, phi, small)
+
+    def test_cp_values_checked_each_at_its_own_scale(self):
+        # Over BlockAlgebra((1, 1)) only the last value, the smallest, has
+        # off-block mass above the threshold at its own norm; the first has
+        # more off-block mass but lies within the threshold at its norm.
+        codomain = ConcreteModule(BlockAlgebra((1, 1)), 2, (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
+        domain = full_rectangular_module(2, 2)
+        pm = ModuleMap(domain, 2, 2, tuple(np.zeros((2, 2)) for _ in range(domain.dim)))
+        values = [np.diag([1e6, 1e6]).astype(complex) for _ in range(4)]
+        values[0][0, 1] = 1e-4
+        phi = CPMap(domain.algebra, 2, tuple(values))
+        assert block_map(pm, phi, codomain).cp_map is phi
+        values[-1] = np.array([[1.0, 1e-6], [0.0, 1.0]], dtype=complex)
+        phi = CPMap(domain.algebra, 2, tuple(values))
+        assert [contains(codomain.algebra, v) for v in phi.values] == [True, True, True, False]
+        with pytest.raises(ValueError, match="^CP-map range escapes the declared codomain algebra$"):
+            block_map(pm, phi, codomain)
 
     def test_functoriality(self, rng):
         e = full_rectangular_module(2, 2)

@@ -125,25 +125,57 @@ class CPMap:
             raise ShapeError(f"expected a {q}x{q} matrix")
         return np.einsum("abij,ij->ab", self._ambient_tensor, arr)
 
+    @cached_property
+    def _size_groups(self) -> list[tuple[int, slice | np.ndarray, np.ndarray]]:
+        """The algebra blocks grouped by size ``n``: per group, the ambient
+        columns of its blocks, block after block, and the ``(b n^2, m^2)``
+        matrix of their values (each block's rows of the block-major value
+        stack, in the same order).  Adjacent blocks take slices (views)."""
+        blocks, m = self.domain.blocks, self.target_dim
+        values = self._value_stack.reshape(len(self._value_stack), m * m)
+        col0 = np.cumsum((0,) + blocks)
+        row0 = np.cumsum((0,) + tuple(n * n for n in blocks))
+        groups = []
+        for n in dict.fromkeys(blocks):
+            ks = [k for k, size in enumerate(blocks) if size == n]
+            if ks[-1] - ks[0] == len(ks) - 1:
+                cols = slice(col0[ks[0]], col0[ks[-1] + 1])
+                rows = slice(row0[ks[0]], row0[ks[-1] + 1])
+            else:
+                cols = np.concatenate([np.arange(col0[k], col0[k + 1]) for k in ks])
+                rows = np.concatenate([np.arange(row0[k], row0[k + 1]) for k in ks])
+            groups.append((n, cols, values[rows]))
+        return groups
+
     def apply_pairs(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """The pinch-extended map on every inner product ``xs[i]* ys[j]``.
 
         ``xs`` and ``ys`` are ``(d_x, p, q)`` and ``(d_y, p, q)`` stacks of
         module elements, such as a module basis; the result is the
-        ``(d_x, d_y, m, m)`` array of ``phi~(<x_i, y_j>)``.  All
-        ``d_x * d_y`` inner products come from one call to
-        :func:`~semiphi.numerics.adjoint_products` and are mapped by one
-        matmul against the ``(m^2, q^2)`` matrix of the map, in place of
-        ``d_x * d_y`` calls to :meth:`apply_ambient`.
+        ``(d_x, d_y, m, m)`` array of ``phi~(<x_i, y_j>)``.  The pinch keeps
+        only the diagonal blocks of each inner product, so only the block
+        slices ``xs[:, :, sl]* ys[:, :, sl]`` are formed: one batched
+        :func:`~semiphi.numerics.adjoint_products` per block size, with the
+        blocks as the batch, mapped by one matmul against those blocks'
+        ``(n^2, m^2)`` values, in place of ``d_x * d_y`` calls to
+        :meth:`apply_ambient`.
         """
         q, m = self.domain.ambient_dim, self.target_dim
         if xs.shape[1:] != ys.shape[1:] or xs.shape[2:] != (q,):
             raise ShapeError(
                 f"expected two stacks of p x {q} matrices, got {xs.shape} and {ys.shape}"
             )
-        products = adjoint_products(xs, ys).reshape(len(xs) * len(ys), q * q)
-        values = products @ self._ambient_tensor.reshape(m * m, q * q).T
-        return values.reshape(len(xs), len(ys), m, m)
+        (dx, p, _), dy = xs.shape, len(ys)
+        values = None
+        for n, columns, group_values in self._size_groups:
+            b = len(group_values) // (n * n)
+            # (b, d, p, n): the slices of each block of the group, block-major.
+            x_blocks = xs[:, :, columns].reshape(dx, p, b, n).transpose(2, 0, 1, 3)
+            y_blocks = ys[:, :, columns].reshape(dy, p, b, n).transpose(2, 0, 1, 3)
+            products = adjoint_products(x_blocks, y_blocks).transpose(1, 2, 0, 3, 4)
+            mapped = products.reshape(dx * dy, b * n * n) @ group_values
+            values = mapped if values is None else np.add(values, mapped, out=values)
+        return values.reshape(dx, dy, m, m)
 
     def apply(self, a, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
         """Apply to an algebra element; rejects matrices outside the algebra."""

@@ -16,12 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cpmaps import CPMap, StinespringDilation, _choi_matrix, stinespring
-from .modules import ConcreteModule, _complement, is_submodule
+from .modules import ConcreteModule, _complement, _invalid_module_message, is_submodule
 from .numerics import (
     DEFAULT_TOL,
     ShapeError,
     ToleranceProfile,
     _matrix_stack,
+    _max_operator_norm,
     adjoint_products,
     column_span_onb,
     dagger,
@@ -63,6 +64,11 @@ class PreconditionError(ValueError):
 
 class ExtensionInputError(ValueError):
     """The extension engine received inputs violating its hypotheses."""
+
+
+class _InvalidModuleError(PreconditionError):
+    """The ambient module fails the module axioms; the message names the
+    first violation."""
 
 
 class SelfCheckError(RuntimeError):
@@ -350,13 +356,6 @@ def _largest_norm(stack: np.ndarray) -> float:
     return float(np.linalg.norm(stack, axis=(-2, -1)).max(initial=0.0))
 
 
-def _max_operator_norm(blocks: np.ndarray, floor: float) -> float:
-    """Largest spectral norm in a stack of matrices, and at least ``floor``."""
-    if blocks.size == 0:
-        return floor
-    return max(floor, float(np.linalg.norm(blocks, 2, axis=(-2, -1)).max()))
-
-
 def phi_extension_obstruction(
     phi: CPMap,
     f: ConcreteModule,
@@ -365,13 +364,28 @@ def phi_extension_obstruction(
 ) -> ObstructionReport:
     """Evaluate the necessary condition for compatible-map extendability:
     the CP map must annihilate all inner products of the orthogonal
-    complement against the ambient module."""
+    complement against the ambient module.
+
+    Validates both modules once: f must be a submodule of e, and e a valid
+    module (the :class:`PreconditionError` names its first violation), which
+    the Frobenius Gram complement needs.  The table ``phi~(<e_i, e_j>)``
+    sets the threshold scale; when f = 0 the complement is e itself and the
+    same table also gives the norm.
+    """
     if not is_submodule(f, e, tol):
         raise PreconditionError("obstruction requires f to be a submodule of e")
+    message = _invalid_module_message(e, tol)
+    if message:
+        raise _InvalidModuleError(message)
     f_perp = _complement(f, e, tol)
     e_stack = e._basis_stack
-    scale = _max_operator_norm(phi.apply_pairs(e_stack, e_stack), 1.0)
-    worst = _max_operator_norm(phi.apply_pairs(f_perp._basis_stack, e_stack), 0.0)
+    table = phi.apply_pairs(e_stack, e_stack)
+    if f_perp is e:
+        worst = _max_operator_norm(table, 0.0)
+        scale = max(worst, 1.0)
+    else:
+        scale = _max_operator_norm(table, 1.0)
+        worst = _max_operator_norm(phi.apply_pairs(f_perp._basis_stack, e_stack), 0.0)
     return ObstructionReport(worst <= tol.threshold(scale), worst, f_perp)
 
 
@@ -417,9 +431,12 @@ def extend_semi_phi(
     against the complemented submodule (the report records both checks).
     """
     _check_compatible(phi_map, phi)
-    # The obstruction runs first: its submodule check is the engine's only one.
+    # The obstruction runs first: its checks of both modules are the engine's
+    # only ones.
     try:
         obstruction = phi_extension_obstruction(phi, phi_map.domain, e, tol)
+    except _InvalidModuleError as err:
+        raise ExtensionInputError(str(err)) from None
     except PreconditionError:
         raise ExtensionInputError("the map's domain must be a submodule of e") from None
     return _extend(phi_map, e, phi, obstruction, is_completely_semi_phi(phi_map, phi, tol), tol)

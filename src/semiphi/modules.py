@@ -17,9 +17,12 @@ import numpy as np
 from .algebra import BlockAlgebra
 from .numerics import (
     DEFAULT_TOL,
+    EPS,
+    NEAR_FACTOR,
     ShapeError,
     ToleranceProfile,
     _matrix_stack,
+    _rank_cut,
     adjoint_products,
     as_matrix,
     column_span_onb,
@@ -145,10 +148,87 @@ def inner_product_matrix(x, y) -> np.ndarray:
 def validate_module(module: ConcreteModule, tol: ToleranceProfile = DEFAULT_TOL) -> ModuleValidation:
     """Check the module axioms and report every violation found.
 
-    Checks: inner products land in the algebra, the span is closed under the
-    right algebra action (tested on matrix units), and the basis is linearly
-    independent.
+    Axioms: inner products land in the algebra, the span is closed under the
+    right algebra action, and the basis is linearly independent.  A rank
+    count decides first (see :func:`_rank_count`); only when it finds the
+    module invalid, or finds one of its quantities near a threshold, does
+    the full pass run, which tests every basis pair and every matrix unit,
+    decides, and names each violation.
     """
+    if _rank_count(module, tol):
+        return ModuleValidation(True, ())
+    return _full_validation(module, tol)
+
+
+def _rank_count(module: ConcreteModule, tol: ToleranceProfile) -> bool | None:
+    """The module axioms decided from the blockwise form: True (valid) or
+    False (invalid) when every deciding quantity clears its threshold by
+    :data:`~semiphi.numerics.NEAR_FACTOR`, None when one is near it.
+
+    Over ``A = (+)_k M_{n_k}`` let ``W_k`` be the span of the columns that
+    the basis has in block ``k``.  The span always lies in
+    ``(+)_k {x : the block-k columns of x lie in W_k}``, of dimension
+    ``sum_k n_k dim W_k``; it is a module iff it is that whole space and the
+    ``W_k`` are pairwise orthogonal.  So the module is valid iff its basis
+    has rank ``dim``, ``sum_k n_k dim W_k = dim`` and the ``W_k`` are
+    orthogonal.  A True verdict also bounds each quantity the full pass
+    thresholds (off-block products, right-action residuals) below its
+    threshold over the factor.
+    """
+    d, p, blocks = module.dim, module.row_dim, module.algebra.blocks
+    if d == 0:
+        return True
+    if p == 0:
+        return None
+    s_basis = np.linalg.svd(module._basis_columns, compute_uv=False)
+    rank, clear = _rank_cut(s_basis, tol)
+    if not clear:
+        return None
+    if rank < d:
+        return False
+    stack, slices = module._basis_stack, module.algebra.block_slices()
+    onbs, first_dropped, tails = [], [], []
+    for sl, n in zip(slices, blocks):
+        columns = stack[:, :, sl].transpose(1, 0, 2).reshape(p, d * n)
+        u, s, _ = np.linalg.svd(columns, full_matrices=False)
+        r, clear = _rank_cut(s, tol)
+        if not clear:
+            return None
+        onbs.append(u[:, :r])
+        first_dropped.append(s[r] if r < s.size else 0.0)
+        tails.append(np.linalg.norm(s[r:]))
+    ranks = [u.shape[1] for u in onbs]
+    if sum(n * r for n, r in zip(blocks, ranks)) != d:
+        return False
+    first_dropped, tails = np.array(first_dropped), np.array(tails)
+    # Off-block products x_i[:, k]* x_j[:, l], k != l: with Q_k an ONB of
+    # the kept W_k, each is at most a_k a_l |Q_k* Q_l|_F plus the terms of
+    # the dropped tails, with a_k the largest block-k norm of a basis element.
+    col_norms = np.linalg.norm(stack, axis=1)  # (d, q)
+    block_norms = np.sqrt(np.add.reduceat(col_norms**2, [sl.start for sl in slices], axis=1))
+    amp = block_norms.max(axis=0)
+    onb = np.concatenate(onbs, axis=1)
+    member = (np.repeat(np.arange(len(blocks)), ranks)[:, None] == np.arange(len(blocks))).astype(float)
+    cosines = np.sqrt(member.T @ np.abs(dagger(onb) @ onb) ** 2 @ member)
+    bound = np.outer(amp, amp) * cosines + np.outer(tails, amp) + np.outer(amp, tails) + np.outer(tails, tails)
+    np.fill_diagonal(bound, 0.0)
+    if np.linalg.norm(bound) * NEAR_FACTOR > tol.abs_tol:
+        return None
+    # Right action: x_i E_rc is column r of x_i placed at column c.  Its
+    # distance from the span is at most its distance from the blockwise
+    # space (the first dropped singular value of its block) plus its norm
+    # times the sine between the two equal-dimensional spaces, itself at
+    # most (dropped mass + projection rounding) / s_min.
+    sine = (np.linalg.norm(tails) + p * module.algebra.ambient_dim * EPS * s_basis[0]) / s_basis[-1]
+    distance = first_dropped[np.repeat(np.arange(len(blocks)), blocks)] + col_norms * sine
+    if np.any(distance * NEAR_FACTOR > tol.threshold(col_norms)):
+        return None
+    return True
+
+
+def _full_validation(module: ConcreteModule, tol: ToleranceProfile) -> ModuleValidation:
+    """The per-pair and per-unit pass of :func:`validate_module`, which names
+    every violation."""
     violations: list[str] = []
     algebra, d = module.algebra, module.dim
     q = algebra.ambient_dim
@@ -194,32 +274,45 @@ def is_submodule(f: ConcreteModule, e: ConcreteModule, tol: ToleranceProfile = D
     return e.contains_matrix(f._basis_stack, tol)
 
 
+def _invalid_module_message(e: ConcreteModule, tol: ToleranceProfile) -> str | None:
+    """None for a valid module, else a message naming its first violation."""
+    report = validate_module(e, tol)
+    return None if report.ok else f"e is not a valid module: {report.violations[0]}"
+
+
 def orthogonal_complement(
     f: ConcreteModule, e: ConcreteModule, tol: ToleranceProfile = DEFAULT_TOL
 ) -> ConcreteModule:
     """The submodule ``{x in e : <x, y> = 0 for all y in f}``.
 
-    Solved as the nullspace of the linear system ``f_j* x = 0`` over the
-    coefficients of ``x`` in e's basis.
+    Validates both modules once: f through :func:`is_submodule`, then e,
+    whose first violation the ``ValueError`` names.  For a submodule f of a
+    valid module e the constraint is the ``dim f x dim e`` Frobenius Gram
+    matrix ``tr(f_j* e_k)``: ``f_j* x`` lies in the algebra and f is closed
+    under the right action, so ``tr(a* f_j* x) = tr((f_j a)* x)`` vanishes
+    for every algebra element ``a`` and every j iff ``f_j* x = 0`` for
+    every j.  The complement is its nullspace over the coefficients of
+    ``x`` in e's basis.
     """
     if not is_submodule(f, e, tol):
         raise ValueError("f must be a submodule of e")
+    message = _invalid_module_message(e, tol)
+    if message:
+        raise ValueError(message)
     return _complement(f, e, tol)
 
 
 def _complement(f: ConcreteModule, e: ConcreteModule, tol: ToleranceProfile) -> ConcreteModule:
     """The body of :func:`orthogonal_complement`, for callers that have
-    already checked that f is a submodule of e."""
+    already checked that f is a submodule of the valid module e."""
     if e.dim == 0:
         return ConcreteModule(e.algebra, e.row_dim, ())
     if f.dim == 0:
         return e
-    # Row block j holds the flattened f_j* e_k in column k.
-    q = e.algebra.ambient_dim
-    products = adjoint_products(f._basis_stack, e._basis_stack)
-    constraint = products.transpose(0, 2, 3, 1).reshape(f.dim * q * q, e.dim)
+    # Row j holds tr(f_j* e_k) in column k.
+    constraint = dagger(f._basis_columns) @ e._basis_columns
     coeff_onb = nullspace_onb(constraint, tol)
-    basis = (e._basis_columns @ coeff_onb).T.reshape(-1, e.row_dim, q)
+    basis = (e._basis_columns @ coeff_onb).T.reshape(-1, e.row_dim, e.algebra.ambient_dim)
     return ConcreteModule(e.algebra, e.row_dim, tuple(basis))
 
 

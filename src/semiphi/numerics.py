@@ -66,6 +66,33 @@ class ToleranceProfile:
 
 DEFAULT_TOL = ToleranceProfile()
 
+#: Float64 machine epsilon, the unit of every rounding allowance below.
+EPS = float(np.finfo(float).eps)
+
+#: How far a fast test's deciding quantity must clear its threshold for the
+#: fast verdict to stand.  Nearer than this factor the decision is *near* its
+#: threshold, and the caller's exact pass decides instead.  The fast tests
+#: compare rigorous bounds on the exact pass's quantities, with their own
+#: rounding allowances, so the factor only has to absorb the rounding of the
+#: threshold comparisons themselves, which is a few ``n * EPS`` against
+#: thresholds no smaller than ``rel_tol``; one decimal order leaves room for
+#: both and is the band in which a decision counts as fragile.
+NEAR_FACTOR = 10.0
+
+
+def _rank_cut(s: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> tuple[int, bool]:
+    """The rank of descending singular values ``s`` at the threshold of
+    :func:`column_span_onb` (``abs + rel * s_max``), and whether the cut is
+    clear of it: the last kept value at least :data:`NEAR_FACTOR` times the
+    threshold and the first dropped one at most the threshold over it."""
+    if s.size == 0:
+        return 0, True
+    cutoff = tol.threshold(s[0])
+    rank = int(np.count_nonzero(s > cutoff))
+    kept_clear = rank == 0 or s[rank - 1] >= NEAR_FACTOR * cutoff
+    dropped_clear = rank == s.size or s[rank] * NEAR_FACTOR <= cutoff
+    return rank, bool(kept_clear and dropped_clear)
+
 
 def as_matrix(m: MatrixLike) -> np.ndarray:
     """Coerce to a 2-d complex array, rejecting NaN/inf entries."""
@@ -116,21 +143,45 @@ def operator_norm(m: MatrixLike) -> float:
     return float(np.linalg.norm(arr, 2))
 
 
+def _max_operator_norm(blocks: np.ndarray, floor: float) -> float:
+    """``max(floor, largest spectral norm in the (..., a, b) stack blocks)``,
+    bit for bit, with the spectral norm taken only where it can decide.
+
+    ``|B|_F / sqrt(min(a, b)) <= |B|_2 <= |B|_F``, so a block whose
+    Frobenius norm is below ``max(floor, max |B|_F / sqrt(min(a, b)))`` can
+    neither beat the floor nor the block of largest Frobenius norm.  That
+    cut is lowered by a relative margin covering the rounding of both norms
+    (each within a small multiple of ``a * b * EPS``).
+    """
+    if blocks.size == 0:
+        return floor
+    a, b = blocks.shape[-2:]
+    flat = blocks.reshape(-1, a, b)
+    fro = np.linalg.norm(flat, axis=(-2, -1))
+    margin = 32.0 * a * b * EPS
+    cut = max(floor, float(fro.max()) / np.sqrt(min(a, b))) * (1.0 - margin)
+    candidates = flat[fro >= cut]
+    if not len(candidates):
+        return floor
+    return max(floor, float(np.linalg.norm(candidates, 2, axis=(-2, -1)).max()))
+
+
 def adjoint_products(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """All products ``xs[i]* @ ys[j]`` of two stacks of equally shaped
-    matrices, ``(d_x, r, c_x)`` and ``(d_y, r, c_y)``, as one
-    ``(d_x, d_y, c_x, c_y)`` array.
+    matrices, ``(..., d_x, r, c_x)`` and ``(..., d_y, r, c_y)``, as one
+    ``(..., d_x, d_y, c_x, c_y)`` array; leading axes are a batch.
 
     With module basis stacks this is every module inner product ``<x_i, y_j>``
     at once; with stacks of map values it is every ``Phi(x_i)* Phi(y_j)``.
-    All products come from one ``(d_x c_x, r) @ (r, d_y c_y)`` matmul (BLAS),
-    which is several times faster than the equivalent ``einsum`` here; the
-    result is a transposed view of it.
+    All products come from one ``(d_x c_x, r) @ (r, d_y c_y)`` matmul (BLAS)
+    per batch entry, which is several times faster than the equivalent
+    ``einsum`` here; the result is a transposed view of it.
     """
-    (dx, r, cx), (dy, _, cy) = xs.shape, ys.shape
-    left = np.conj(xs).transpose(0, 2, 1).reshape(dx * cx, r)
-    right = ys.transpose(1, 0, 2).reshape(r, dy * cy)
-    return (left @ right).reshape(dx, cx, dy, cy).transpose(0, 2, 1, 3)
+    *batch, dx, r, cx = xs.shape
+    dy, cy = ys.shape[-3], ys.shape[-1]
+    left = np.conj(xs).swapaxes(-1, -2).reshape(*batch, dx * cx, r)
+    right = ys.swapaxes(-2, -3).reshape(*batch, r, dy * cy)
+    return (left @ right).reshape(*batch, dx, cx, dy, cy).swapaxes(-2, -3)
 
 
 @dataclass(frozen=True)

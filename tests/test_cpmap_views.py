@@ -254,7 +254,8 @@ class TestOnePassCounts:
     def test_one_obstruction_and_validation_per_canonical_extension(self, n, monkeypatch):
         fx = compacts_fixture(n)
         f_stack, e_stack = fx.f._basis_stack, fx.e._basis_stack
-        calls = {"obstruction": 0, "validate": 0, "input_gram": 0, "phi_check": 0, "f_pairs": 0, "e_pairs": 0}
+        calls = {"obstruction": 0, "input_gram": 0, "phi_check": 0, "f_pairs": 0, "e_pairs": 0}
+        validated = []
         obstruction, validate = ext.phi_extension_obstruction, modules.validate_module
         gram, phi_check, apply_pairs = ext.gram_pair, ext.is_phi_map, CPMap.apply_pairs
 
@@ -262,9 +263,9 @@ class TestOnePassCounts:
             calls["obstruction"] += 1
             return obstruction(*args, **kwargs)
 
-        def counted_validate(*args, **kwargs):
-            calls["validate"] += 1
-            return validate(*args, **kwargs)
+        def counted_validate(module, *args, **kwargs):
+            validated.append(module)
+            return validate(module, *args, **kwargs)
 
         def counted_gram(phi_map, *args, **kwargs):
             calls["input_gram"] += phi_map is fx.phi_map
@@ -291,12 +292,15 @@ class TestOnePassCounts:
         # of the extension-by-zero read.
         assert calls == {
             "obstruction": 1,
-            "validate": 1,
             "input_gram": 1,
             "phi_check": 0,
             "f_pairs": 1,
             "e_pairs": 2,
         }
+        # The obstruction validates f (as a submodule of e) and then e, each
+        # exactly once.
+        assert len(validated) == 2
+        assert validated[0] is fx.f and validated[1] is fx.e
 
 
 def assert_ksgns_matches_kron_loop(phi, e):

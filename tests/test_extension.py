@@ -345,9 +345,9 @@ class TestStagesRunOnce:
         assert [args[0] for args in grams] == [fx.phi_map, res.ksgns_map]
         assert len(f_pairs) == 1
         # The E x E tables: the obstruction's scale and the self-check's pair.
-        # With f = 0 the complement is e itself, so the obstruction's table
-        # phi~(<f_perp, e>) is a third.
-        assert len(e_pairs) == 2 + (fx.f.dim == 0)
+        # With f = 0 the complement is e itself, and the obstruction reads
+        # its norm off the same scale table.
+        assert len(e_pairs) == 2
 
 
 class TestGramPairReuse:

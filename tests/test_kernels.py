@@ -186,3 +186,23 @@ def test_zero_submodule_and_zero_cp_map(seed):
     assert result.report["exact_on_complemented_defect"] == 0.0
     report = is_phi_map(ModuleMap(empty, m, 2, ()), zero_phi)
     assert (report.ok, report.worst_defect, report.worst_pair) == (True, 0.0, None)
+
+
+@pytest.mark.parametrize("blocks", [(1,), (3,), (1, 2, 3)])
+@pytest.mark.parametrize("m", [1, 3])
+def test_per_block_pair_kernel_matches_the_ambient_loop(blocks, m):
+    """``apply_pairs`` contracts each block slice against its own values;
+    the reference maps each full product ``x_i* y_j`` with ``apply_ambient``."""
+    rng = np.random.default_rng(sum(blocks) + 10 * m)
+    algebra = BlockAlgebra(blocks)
+    phi = random_cp_map(algebra, m, 2, rng)
+    q, p = algebra.ambient_dim, 3
+    # Arbitrary matrices, not module elements: the pinch drops the
+    # off-block entries of their products.
+    xs = rng.standard_normal((4, p, q)) + 1j * rng.standard_normal((4, p, q))
+    ys = rng.standard_normal((5, p, q)) + 1j * rng.standard_normal((5, p, q))
+    got = phi.apply_pairs(xs, ys)
+    assert got.shape == (4, 5, m, m)
+    for i, j in itertools.product(range(4), range(5)):
+        np.testing.assert_allclose(got[i, j], pair_value(phi, xs[i], ys[j]), rtol=0, atol=1e-13)
+    assert phi.apply_pairs(xs[:0], ys).shape == (0, 5, m, m)

@@ -115,16 +115,17 @@ class TestStackedErrors:
 
 
 class CallCounter:
-    """Counts calls to ``validate_module`` and ``ConcreteModule.coefficients``."""
+    """Records the modules ``validate_module`` is called on and counts calls
+    to ``ConcreteModule.coefficients``."""
 
     def __init__(self, monkeypatch):
-        self.validations = 0
+        self.validated = []
         self.coefficients = 0
         validate, coefficients = modules.validate_module, ConcreteModule.coefficients
 
-        def counted_validate(*args, **kwargs):
-            self.validations += 1
-            return validate(*args, **kwargs)
+        def counted_validate(module, *args, **kwargs):
+            self.validated.append(module)
+            return validate(module, *args, **kwargs)
 
         def counted_coefficients(*args, **kwargs):
             self.coefficients += 1
@@ -134,22 +135,29 @@ class CallCounter:
         monkeypatch.setattr(ConcreteModule, "coefficients", counted_coefficients)
 
     def reset(self):
-        self.validations = self.coefficients = 0
+        self.validated, self.coefficients = [], 0
+
+    def assert_validated_once_each(self, *expected):
+        """Each expected module validated exactly once, in order, matched by
+        identity, and nothing else validated."""
+        assert len(self.validated) == len(expected)
+        assert all(got is want for got, want in zip(self.validated, expected))
 
 
 class TestOneSubmoduleCheck:
     @pytest.mark.parametrize("fixture", [example_2_1, compacts_fixture])
     def test_one_validation_per_call(self, fixture, monkeypatch):
         fx = fixture(2)
+        assert fx.phi_map.domain is fx.f
         counter = CallCounter(monkeypatch)
         extend_semi_phi(fx.phi_map, fx.e, fx.phi)
-        assert counter.validations == 1
+        counter.assert_validated_once_each(fx.f, fx.e)
         counter.reset()
         phi_extension_obstruction(fx.phi, fx.f, fx.e)
-        assert counter.validations == 1
+        counter.assert_validated_once_each(fx.f, fx.e)
         counter.reset()
         orthogonal_complement(fx.f, fx.e)
-        assert counter.validations == 1
+        counter.assert_validated_once_each(fx.f, fx.e)
 
     @pytest.mark.parametrize("fixture", [example_2_1, compacts_fixture])
     def test_coefficient_calls_do_not_grow_with_the_module(self, fixture, monkeypatch):

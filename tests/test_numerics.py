@@ -4,9 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semiphi.numerics import (
+    NEAR_FACTOR,
     HermiticityError,
     ShapeError,
     ToleranceProfile,
+    _max_operator_norm,
+    _rank_cut,
     column_span_onb,
     is_psd,
     least_squares_operator,
@@ -280,3 +283,36 @@ def test_psd_threshold_scale_is_the_spectral_norm(n, seed):
     ratio = -float(np.linalg.eigvalsh(herm)[0]) / float(np.linalg.norm(herm, 2))
     assert is_psd(herm, ToleranceProfile(0.0, ratio * (1.0 + 1e-9))).ok
     assert not is_psd(herm, ToleranceProfile(0.0, ratio * (1.0 - 1e-9))).ok
+
+
+@pytest.mark.parametrize("floor", [0.0, 1.0])
+def test_max_operator_norm_equals_the_full_batched_norm(floor):
+    """The Frobenius early-out returns the float of the full batched spectral
+    norm, bit for bit, on random, scaled, tied and zero stacks."""
+    rng = np.random.default_rng(int(floor) + 7)
+    for trial in range(300):
+        shape = (int(rng.integers(1, 6)), int(rng.integers(1, 6)), int(rng.integers(1, 5)), int(rng.integers(1, 5)))
+        blocks = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 10.0 ** rng.uniform(-3, 1)
+        if trial % 5 == 0:
+            blocks[..., :, :] = blocks[0, 0]  # every block tied
+        if trial % 7 == 0:
+            blocks *= 0.0
+        expected = max(floor, float(np.linalg.norm(blocks, 2, axis=(-2, -1)).max()))
+        assert _max_operator_norm(blocks, floor) == expected
+    assert _max_operator_norm(np.zeros((0, 3, 4, 4)), floor) == floor
+
+
+def test_rank_cut_is_clear_only_away_from_its_threshold():
+    tol = ToleranceProfile(1e-9, 1e-9)
+    cutoff = tol.threshold(1.0)
+    assert _rank_cut(np.array([1.0, 0.5, 1e-15]), tol) == (2, True)
+    assert _rank_cut(np.array([1.0, 0.5]), tol) == (2, True)
+    assert _rank_cut(np.zeros(0), tol) == (0, True)
+    assert _rank_cut(np.zeros(3), tol) == (0, True)
+    # The first dropped value within the factor below the threshold, and the
+    # last kept one within the factor above it: the same rank, but near.
+    assert _rank_cut(np.array([1.0, cutoff / NEAR_FACTOR * 2]), tol) == (1, False)
+    assert _rank_cut(np.array([1.0, cutoff * NEAR_FACTOR / 2]), tol) == (2, False)
+    # The rank is the one column_span_onb keeps.
+    s = np.array([1.0, 1e-3, 3e-9, 1e-12])
+    assert _rank_cut(s, tol)[0] == np.count_nonzero(s > cutoff)

@@ -201,18 +201,19 @@ def _rank_count(module: ConcreteModule, tol: ToleranceProfile) -> bool | None:
     if sum(n * r for n, r in zip(blocks, ranks)) != d:
         return False
     first_dropped, tails = np.array(first_dropped), np.array(tails)
-    # Off-block products x_i[:, k]* x_j[:, l], k != l: with Q_k an ONB of
-    # the kept W_k, each is at most a_k a_l |Q_k* Q_l|_F plus the terms of
-    # the dropped tails, with a_k the largest block-k norm of a basis element.
+    # Off-block products x_i[:, k]* x_j[:, l], k != l, in units of the
+    # Cauchy-Schwarz scale |x_i| |x_j| the full pass thresholds them at: with
+    # Q_k an ONB of the kept W_k, each is at most |Q_k* Q_l|_F plus the terms
+    # of the dropped tails over the smallest basis norm.
     col_norms = np.linalg.norm(stack, axis=1)  # (d, q)
-    block_norms = np.sqrt(np.add.reduceat(col_norms**2, [sl.start for sl in slices], axis=1))
-    amp = block_norms.max(axis=0)
+    rel_tails = tails / np.linalg.norm(col_norms, axis=1).min()
     onb = np.concatenate(onbs, axis=1)
     member = (np.repeat(np.arange(len(blocks)), ranks)[:, None] == np.arange(len(blocks))).astype(float)
     cosines = np.sqrt(member.T @ np.abs(dagger(onb) @ onb) ** 2 @ member)
-    bound = np.outer(amp, amp) * cosines + np.outer(tails, amp) + np.outer(amp, tails) + np.outer(tails, tails)
+    bound = cosines + rel_tails[:, None] + rel_tails[None, :] + np.outer(rel_tails, rel_tails)
     np.fill_diagonal(bound, 0.0)
-    if np.linalg.norm(bound) * NEAR_FACTOR > tol.abs_tol:
+    # In these units every pair's threshold is at least that of a zero product.
+    if np.linalg.norm(bound) * NEAR_FACTOR > tol.bounded_threshold(0.0, 1.0):
         return None
     # Right action: x_i E_rc is column r of x_i placed at column c.  Its
     # distance from the span is at most its distance from the blockwise
@@ -235,8 +236,11 @@ def _full_validation(module: ConcreteModule, tol: ToleranceProfile) -> ModuleVal
     stack = module._basis_stack
     products = adjoint_products(stack, stack)
     off_block = np.linalg.norm(products[:, :, ~algebra._mask], axis=-1)
+    norms = np.linalg.norm(stack, axis=(-2, -1))
+    # Each product is held to the threshold of its size within its
+    # Cauchy-Schwarz bound |x_i| |x_j|, so rescaling the basis moves no verdict.
     scale = np.linalg.norm(products.reshape(d, d, q * q), axis=-1)
-    for i, j in np.argwhere(off_block > tol.threshold(scale)):
+    for i, j in np.argwhere(off_block > tol.bounded_threshold(scale, np.outer(norms, norms))):
         violations.append(f"inner product of basis ({i},{j}) escapes the algebra")
     # x_i E_u for every basis element and matrix unit, tested against the
     # span in one residual; only the first failing unit is reported.

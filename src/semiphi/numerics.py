@@ -13,7 +13,7 @@ is available to callers that need to build refutation certificates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -35,6 +35,8 @@ __all__ = [
 ]
 
 MatrixLike = Union[np.ndarray, Sequence[Sequence[complex]]]
+
+_NOT_FINITE = "matrix entries must be finite"
 
 
 class ShapeError(ValueError):
@@ -62,6 +64,21 @@ class ToleranceProfile:
         if np.ndim(scale):
             return self.abs_tol + self.rel_tol * np.abs(scale)
         return self.abs_tol + self.rel_tol * float(abs(scale))
+
+    def bounded_threshold(self, scale: float | np.ndarray, bound: float | np.ndarray) -> float | np.ndarray:
+        """``abs_tol * bound + rel_tol * |scale|``: the mixed threshold at
+        ``scale`` taken in units of ``bound``, an a-priori bound on the
+        quantities compared (for an inner product ``x* y`` its Cauchy-Schwarz
+        bound ``|x| |y|``), and scaled back.  Elementwise on arrays.
+
+        A common rescaling of the inputs moves the quantity, ``scale`` and
+        ``bound`` alike, and the rounding of a quantity that is zero in exact
+        arithmetic is a few ``EPS * bound`` at every scale, so no rescaling
+        moves the decision; :meth:`threshold` passes every such quantity of
+        small inputs (below ``abs_tol``) and can fail the rounding of large
+        ones.
+        """
+        return self.abs_tol * bound + self.rel_tol * np.abs(scale)
 
 
 DEFAULT_TOL = ToleranceProfile()
@@ -100,7 +117,7 @@ def as_matrix(m: MatrixLike) -> np.ndarray:
     if arr.ndim != 2:
         raise ShapeError(f"expected a 2-d array, got shape {arr.shape}")
     if arr.size and not np.all(np.isfinite(arr)):
-        raise ValueError("matrix entries must be finite")
+        raise ValueError(_NOT_FINITE)
     return arr
 
 
@@ -200,13 +217,15 @@ class PsdReport:
         return self.ok
 
 
+def _not_hermitian(defect: float, what: str = "matrix") -> HermiticityError:
+    return HermiticityError(f"{what} is not hermitian: defect {defect:.3e} exceeds tolerance")
+
+
 def _check_hermitian(m: np.ndarray, tol: ToleranceProfile, what: str = "matrix") -> None:
     scale = float(np.linalg.norm(m)) if m.size else 0.0
     defect = float(np.linalg.norm(m - dagger(m))) if m.size else 0.0
     if defect > tol.threshold(scale):
-        raise HermiticityError(
-            f"{what} is not hermitian: defect {defect:.3e} exceeds tolerance"
-        )
+        raise _not_hermitian(defect, what)
 
 
 def is_psd(m: MatrixLike, tol: ToleranceProfile = DEFAULT_TOL) -> PsdReport:
@@ -247,6 +266,33 @@ def _psd_eigh(
     lam = float(eigvals[0])
     scale = max(abs(lam), abs(float(eigvals[-1])))
     return PsdReport(lam >= -tol.threshold(scale), lam, eigvecs[:, 0]), eigvals, eigvecs
+
+
+def _psd_stack(
+    stack: np.ndarray, tol: ToleranceProfile
+) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, Callable[[int], Exception]]]]:
+    """The decision of :func:`is_psd` on every matrix of a nonempty
+    ``(N, k, k)`` stack, from one batched ``eigvalsh``: no eigenvectors.
+
+    Returns the verdicts, the smallest eigenvalues, and the two raises of
+    :func:`is_psd` in its order (non-finite entries, then a hermitian
+    defect), each as per-matrix flags with the exception for a matrix index.
+    The verdict of a matrix that fails one of them is meaningless.  The
+    symmetrization, the scale ``max(|lambda_min|, |lambda_max|)`` and the
+    thresholds are those of :func:`is_psd`.
+    """
+    finite = np.isfinite(stack).all(axis=(-2, -1))
+    stack = np.where(finite[:, None, None], stack, 0.0)
+    adjoint = np.conj(stack).transpose(0, 2, 1)
+    defect = np.linalg.norm(stack - adjoint, axis=(-2, -1))
+    eigvals = np.linalg.eigvalsh((stack + adjoint) / 2.0)
+    lam = eigvals[:, 0]
+    ok = lam >= -tol.threshold(np.maximum(np.abs(lam), np.abs(eigvals[:, -1])))
+    raises = [
+        (~finite, lambda i: ValueError(_NOT_FINITE)),
+        (defect > tol.threshold(np.linalg.norm(stack, axis=(-2, -1))), lambda i: _not_hermitian(defect[i])),
+    ]
+    return ok, lam, raises
 
 
 def loewner_leq(a: MatrixLike, b: MatrixLike, tol: ToleranceProfile = DEFAULT_TOL) -> bool:

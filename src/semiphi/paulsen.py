@@ -13,7 +13,6 @@ problem) is out of scope.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -40,9 +39,10 @@ from .numerics import (
     DEFAULT_TOL,
     ShapeError,
     ToleranceProfile,
+    _matrix_stack,
+    _psd_stack,
     as_matrix,
     dagger,
-    is_psd,
 )
 
 __all__ = [
@@ -73,6 +73,11 @@ class PaulsenSystem:
     basis: tuple[np.ndarray, ...]
     corner_layout: tuple[int, int]
 
+    def __post_init__(self) -> None:
+        # The basis as one (dimension, d, d) array; ``basis`` holds views of it.
+        self._basis_stack = _matrix_stack(self.basis, (self.ambient_dim,) * 2, "basis elements")
+        self.basis = tuple(self._basis_stack)
+
     @property
     def ambient_dim(self) -> int:
         return sum(self.corner_layout)
@@ -84,35 +89,18 @@ class PaulsenSystem:
     def identity(self) -> np.ndarray:
         return np.eye(self.ambient_dim, dtype=complex)
 
-    @cached_property
-    def _basis_stack(self) -> np.ndarray:
-        """The basis as one ``(dimension, d, d)`` array, ``d`` the ambient
-        dimension."""
-        return np.stack(self.basis)
-
 
 def build_system(e: ConcreteModule) -> PaulsenSystem:
     """Assemble the system basis: scalar block, module corner, adjoint corner,
     algebra diagonal.  Dimension is ``1 + 2*dim(E) + dim(A)``."""
-    p, q = e.row_dim, e.algebra.ambient_dim
-    n = p + q
-    basis: list[np.ndarray] = []
-    scalar = np.zeros((n, n), dtype=complex)
-    scalar[:p, :p] = np.eye(p)
-    basis.append(scalar)
-    for b in e.basis:
-        corner = np.zeros((n, n), dtype=complex)
-        corner[:p, p:] = b
-        basis.append(corner)
-    for b in e.basis:
-        adj = np.zeros((n, n), dtype=complex)
-        adj[p:, :p] = dagger(b)
-        basis.append(adj)
-    for unit in e.algebra.matrix_units():
-        diag = np.zeros((n, n), dtype=complex)
-        diag[p:, p:] = unit
-        basis.append(diag)
-    return PaulsenSystem(e, e.algebra, tuple(basis), (p, q))
+    p, q, d = e.row_dim, e.algebra.ambient_dim, e.dim
+    rows, cols = np.array(e.algebra.unit_index_pairs()).T
+    stack = np.zeros((1 + 2 * d + len(rows), p + q, p + q), dtype=complex)
+    stack[0, :p, :p] = np.eye(p)
+    stack[1 : 1 + d, :p, p:] = e._basis_stack
+    stack[1 + d : 1 + 2 * d, p:, :p] = np.conj(e._basis_stack).transpose(0, 2, 1)
+    stack[1 + 2 * d + np.arange(len(rows)), p + rows, p + cols] = 1.0
+    return PaulsenSystem(e, e.algebra, stack, (p, q))
 
 
 def decompose_system_element(
@@ -186,13 +174,19 @@ def _split_blocks(system: PaulsenSystem, blocks: np.ndarray, tol: ToleranceProfi
     return _Split(lam, corners, coeffs, residual, np.where(mask, diag, 0.0), failures)
 
 
-def _raise_first(failures: list[_Check]) -> None:
-    """Raise for the first failing block in stack order, and within that
-    block for the first failing check in list order."""
+def _first_failure(failures: list[_Check]) -> Exception | None:
+    """The exception for the first failing block in stack order, and within
+    that block for the first failing check in list order; None if all pass."""
     hits = np.argwhere(np.stack([flags for flags, _ in failures], axis=1))
-    if len(hits):
-        block, check = hits[0]
-        raise failures[check][1](int(block))
+    if not len(hits):
+        return None
+    block, check = hits[0]
+    return failures[check][1](int(block))
+
+
+def _raise_first(failures: list[_Check]) -> None:
+    if (error := _first_failure(failures)) is not None:
+        raise error
 
 
 @dataclass(eq=False)
@@ -212,23 +206,31 @@ class SystemMap:
     def apply_n(self, n: int, x, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
         """Amplification: apply entrywise to an n x n matrix of system blocks.
 
-        All ``n^2`` blocks are decomposed together (one projection of every
-        corner and adjoint corner onto the module span), their corners mapped
-        through the module map's value stack and their pinched diagonals
-        through one matmul against the CP map's ambient tensor.  A block is
-        accepted exactly when the one-block path :meth:`apply` accepts it:
-        the decomposition tests of :func:`decompose_system_element`, then the
-        module map's own span test of the corner and of the adjoint corner at
-        ``tol`` (stricter than the decomposition's).  If any block fails, the
-        first failing one in row-major block order raises the exception of
-        its first failing test.
+        A block is accepted exactly when the one-block path :meth:`apply`
+        accepts it: the decomposition tests of
+        :func:`decompose_system_element`, then the module map's own span test
+        of the corner and of the adjoint corner at ``tol`` (stricter than the
+        decomposition's).  If any block fails, the first failing one in
+        row-major block order raises the exception of its first failing test.
         """
         arr = as_matrix(x)
         din = self.domain.ambient_dim
-        dout = self.codomain.ambient_dim
         if arr.shape != (n * din, n * din):
             raise ShapeError(f"expected a {n * din}x{n * din} matrix")
-        blocks = arr.reshape(n, din, n, din).transpose(0, 2, 1, 3).reshape(n * n, din, din)
+        images, failures = self._apply_stack(arr.reshape(1, n, din, n, din).transpose(0, 1, 3, 2, 4), tol)
+        _raise_first(failures)
+        return images[0]
+
+    def _apply_stack(self, xs: np.ndarray, tol: ToleranceProfile) -> tuple[np.ndarray, list[_Check]]:
+        """:meth:`apply_n` on the ``(S, n, n, din, din)`` blocks of S matrices:
+        their images, and unraised the tests of all ``S*n^2`` blocks in stack
+        order.  All blocks are decomposed by one projection onto the module
+        span and mapped by one matmul each against the module map's value
+        stack and the CP map's ambient tensor."""
+        n_samples, n, _, din, _ = xs.shape
+        dout = self.codomain.ambient_dim
+        n_blocks = n_samples * n * n
+        blocks = xs.reshape(n_blocks, din, din)
         split = _split_blocks(self.domain, blocks, tol)
         module = self.module_map.domain
         if module is self.domain.module:
@@ -244,11 +246,10 @@ class SystemMap:
                 f"matrix outside the module span (residual {residual[offset + i]:.3e})"
             )
 
-        n_blocks = n * n
-        _raise_first(
-            split.failures
-            + [(outside[:n_blocks], membership(0)), (outside[n_blocks:], membership(n_blocks))]
-        )
+        failures = split.failures + [
+            (outside[:n_blocks], membership(0)),
+            (outside[n_blocks:], membership(n_blocks)),
+        ]
         k, m = self.module_map.h2_dim, self.module_map.h1_dim
         values = self.module_map._value_stack.reshape(module.dim, k * m)
         images = (coeffs @ values).reshape(2, n_blocks, k, m)
@@ -261,7 +262,7 @@ class SystemMap:
         out[:, :p_out, p_out:] = images[0]
         out[:, p_out:, :p_out] = np.conj(images[1]).transpose(0, 2, 1)
         out[:, p_out:, p_out:] = diag
-        return out.reshape(n, n, dout, dout).transpose(0, 2, 1, 3).reshape(n * dout, n * dout)
+        return _block_matrices(out.reshape(n_samples, n, n, dout, dout)), failures
 
     def compose(self, inner: "SystemMap", tol: ToleranceProfile = DEFAULT_TOL) -> "SystemMap":
         """Composite of two corner-structured maps, again corner-structured."""
@@ -333,16 +334,33 @@ def random_psd_system_element(
     ``B`` the system dimension, with ``[b, 0]`` the real part ``R_b`` and
     ``[b, 1]`` the imaginary part ``I_b`` of the b-th basis element's
     coefficients.  This consumes the generator exactly as drawing
-    ``R_0, I_0, R_1, I_1, ...`` as separate ``(n, n)`` arrays would.
+    ``R_0, I_0, R_1, I_1, ...`` as separate ``(n, n)`` arrays would.  S
+    samples are one ``(S, B, 2, n, n)`` draw, the same stream as S calls.
     """
+    return _block_matrices(_psd_samples(system, n, 1, rng))[0]
+
+
+def _block_matrices(blocks: np.ndarray) -> np.ndarray:
+    """The ``(S, n*a, n*a)`` matrices of an ``(S, n, n, a, a)`` block stack."""
+    count, n, _, a, _ = blocks.shape
+    return blocks.transpose(0, 1, 3, 2, 4).reshape(count, n * a, n * a)
+
+
+def _psd_samples(system: PaulsenSystem, n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` samples of :func:`random_psd_system_element` as one
+    ``(count, n, n, d, d)`` block stack from one draw.  Block layout is the
+    matmul's and the stacked apply's, so the only full-size copies are the
+    temporaries of the symmetrization and of the one batched ``eigvalsh``."""
     d, dim = system.ambient_dim, system.dimension
-    draws = rng.standard_normal((dim, 2, n, n))
-    coeffs = (draws[:, 0] + 1j * draws[:, 1]).reshape(dim, n * n)
-    x = coeffs.T @ system._basis_stack.reshape(dim, d * d)
-    x = x.reshape(n, n, d, d).transpose(0, 2, 1, 3).reshape(n * d, n * d)
-    herm = (x + dagger(x)) / 2.0
-    lam_min = float(np.linalg.eigvalsh(herm)[0])
-    return herm - lam_min * np.eye(n * d)
+    draws = rng.standard_normal((count, dim, 2, n, n))
+    coeffs = (draws[:, :, 0] + 1j * draws[:, :, 1]).reshape(count, dim, n * n)
+    x = coeffs.transpose(0, 2, 1).reshape(count * n * n, dim) @ system._basis_stack.reshape(dim, d * d)
+    x = x.reshape(count, n, n, d, d)
+    x += np.conj(x).transpose(0, 2, 1, 4, 3)
+    x /= 2.0
+    units, diagonal = np.arange(n)[:, None], np.arange(d)
+    x[:, units, units, diagonal, diagonal] -= np.linalg.eigvalsh(_block_matrices(x))[:, :1, None]
+    return x
 
 
 def is_cp_system_map(
@@ -355,23 +373,31 @@ def is_cp_system_map(
     """CP verdict for a corner-structured map, via the equivalence with the
     Gram criterion for its module part.
 
-    On a positive verdict, randomly sampled PSD system elements at levels up
-    to ``max_level`` are pushed through the amplified map and asserted PSD
-    (a falsification layer for the equivalence, not the decision procedure).
+    On a positive verdict, ``samples`` random PSD system elements at each
+    level up to ``max_level`` are pushed through the amplified map and
+    asserted PSD (a falsification layer for the equivalence, not the
+    decision procedure).  Each level ``n`` is one ``(samples, B, 2, n, n)``
+    draw (see :func:`random_psd_system_element`), one stacked
+    :meth:`SystemMap.apply_n` and one eigenvalue-only PSD decision.  The
+    first failing sample in draw order raises for its first failing test:
+    :meth:`SystemMap.apply_n`'s, :func:`~semiphi.numerics.is_psd`'s, then
+    :class:`SelfCheckError`.  The generator is then at the end of that level.
     """
     report = is_completely_semi_phi(sm.module_map, sm.cp_map, tol)
-    if report.ok and rng is not None:
+    if report.ok and rng is not None and samples > 0:
         scale_tol = ToleranceProfile(max(tol.abs_tol, 1e-8), max(tol.rel_tol, 1e-8))
         for level in range(1, max_level + 1):
-            for _ in range(samples):
-                sample = random_psd_system_element(sm.domain, level, rng)
-                image = sm.apply_n(level, sample, tol)
-                psd = is_psd(image, scale_tol)
-                if not psd.ok:
-                    raise SelfCheckError(
-                        "positive verdict refuted by PSD sampling "
-                        f"(level {level}, lambda_min {psd.lambda_min:.3e})"
-                    )
+            images, failures = sm._apply_stack(_psd_samples(sm.domain, level, samples, rng), tol)
+            ok, lam, raises = _psd_stack(images, scale_tol)
+            rejected = np.stack([flags for flags, _ in failures], axis=1).reshape(samples, -1).any(axis=1)
+            refuted = f"positive verdict refuted by PSD sampling (level {level}, lambda_min {{:.3e}})"
+            # The first failing sample's first failing block is the stack's:
+            # no earlier sample failed anything.
+            _raise_first(
+                [(rejected, lambda s: _first_failure(failures))]
+                + raises
+                + [(~ok, lambda s: SelfCheckError(refuted.format(lam[s])))]
+            )
     return report
 
 

@@ -125,16 +125,7 @@ class TestRankCountParity:
         assert any("right action" in v for v in full.violations)
 
     def test_non_orthogonal_column_spaces(self):
-        algebra = BlockAlgebra((1, 2))
-        rng = np.random.default_rng(3)
-        u = random_unitary(3, rng)
-        tilted = (u[:, 1] + 0.5 * u[:, 0]) / np.linalg.norm(u[:, 1] + 0.5 * u[:, 0])
-        basis = []
-        for c, w in ((0, u[:, 0]), (1, tilted), (2, tilted)):
-            x = np.zeros((3, 3), dtype=complex)
-            x[:, c] = w
-            basis.append(x)
-        count, full = assert_count_matches_full_pass(ConcreteModule(algebra, 3, tuple(basis)))
+        count, full = assert_count_matches_full_pass(tilted_column_spaces())
         assert count is not True and not full.ok
         assert full.violations[0] == "inner product of basis (0,1) escapes the algebra"
 
@@ -160,6 +151,28 @@ class TestRankCountParity:
     def test_badly_scaled_basis(self, scale):
         for module in parity_modules()[:40]:
             assert_count_matches_full_pass(with_basis(module, scale * module._basis_stack))
+
+    def test_every_random_fixture_validates_at_large_scale(self):
+        for seed in range(40):
+            fx = random_fixture(seed)
+            for module in (fx.e, fx.f):
+                assert validate_module(with_basis(module, 1e6 * module._basis_stack)).ok
+
+    @pytest.mark.parametrize("scale", 10.0 ** np.arange(-6, 7, 2))
+    def test_escaping_products_are_rejected_at_every_scale(self, scale):
+        # All 1 x 2 rows over C (+) C: closed under the action, but
+        # [1, 0]* [0, 1] is off the diagonal.
+        rows = ConcreteModule(BlockAlgebra((1, 1)), 1, (np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])))
+        tilted = tilted_column_spaces()
+        cases = [
+            (rows, ("inner product of basis (0,1) escapes the algebra", "inner product of basis (1,0) escapes the algebra")),
+            (tilted, validate_module(tilted).violations),
+        ]
+        assert cases[1][1][0] == "inner product of basis (0,1) escapes the algebra"
+        for module, violations in cases:
+            count, full = assert_count_matches_full_pass(with_basis(module, scale * module._basis_stack))
+            assert count is not True
+            assert full.violations == violations
 
     def test_invalid_one_dimensional_span(self):
         e = span_of_e11()
@@ -233,6 +246,20 @@ def test_verdict_and_complement_dimension_are_invariant(seed, scale, which):
     e2 = moved(e) if which != "f" else e
     f2 = moved(f) if which != "e" else f
     assert orthogonal_complement(f2, e2).dim == dim
+
+
+def tilted_column_spaces():
+    """Columns over BlockAlgebra((1, 2)) whose block column spaces are not
+    orthogonal, so inner products escape the algebra."""
+    rng = np.random.default_rng(3)
+    u = random_unitary(3, rng)
+    tilted = (u[:, 1] + 0.5 * u[:, 0]) / np.linalg.norm(u[:, 1] + 0.5 * u[:, 0])
+    basis = []
+    for c, w in ((0, u[:, 0]), (1, tilted), (2, tilted)):
+        x = np.zeros((3, 3), dtype=complex)
+        x[:, c] = w
+        basis.append(x)
+    return ConcreteModule(BlockAlgebra((1, 2)), 3, tuple(basis))
 
 
 def span_of_e11():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,10 +6,13 @@ import pytest
 
 import semiphi.cli as cli
 import semiphi.extension as ext
+import semiphi.paulsen as paulsen
 import semiphi.serialization as ser
-from semiphi import BlockAlgebra, ModuleMap, canonical_compacts_extension, transpose_map
+from semiphi import BlockAlgebra, ConcreteModule, ModuleMap, block_map, canonical_compacts_extension, transpose_map
 from semiphi.cli import EXIT_INTERNAL, main
 from semiphi.fixtures import compacts_fixture, example_2_1, scalar_fixture
+
+from conftest import full_rectangular_module
 
 
 def write_problem(path, payload):
@@ -190,3 +194,56 @@ def test_witness_command_decides_once(tmp_path, monkeypatch, capsys):
     assert report["verdicts"]["witness_exists"] is True
     assert report["margins"]["gap"] > 0.0
     assert counts == {"gram_pair": 1, "is_psd": 1}
+
+
+def paulsen_problem(tmp_path, name, phi_map, phi, codomain):
+    payload = {
+        "phi": ser.cp_map_to_json(phi),
+        "Phi": ser.module_map_to_json(phi_map),
+        "codomain_module": ser.module_to_json(codomain),
+    }
+    return write_problem(tmp_path / name, payload)
+
+
+def scalar_paulsen_problem(tmp_path, c):
+    """Multiplication by ``c`` on the scalars: CP as a system map iff |c| <= 1."""
+    pm, phi = scalar_fixture(c)
+    codomain = ConcreteModule(BlockAlgebra((1,)), 1, (np.array([[1.0]], dtype=complex),))
+    return paulsen_problem(tmp_path, f"scalar-{c}.json", pm, phi, codomain)
+
+
+def test_paulsen_command(tmp_path, capsys):
+    fx = example_2_1(2)
+    codomain = full_rectangular_module(2, 2)
+    path = paulsen_problem(tmp_path, "paulsen.json", fx.phi_map, fx.phi, codomain)
+    reports = []
+    for _ in range(2):
+        assert main(["paulsen", path, "--seed", "5", "--json"]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    sm = block_map(fx.phi_map, fx.phi, codomain)
+    assert reports[0]["verdicts"] == {
+        "cp_system_map": True,
+        "unital": sm.unital,
+        "domain_dimension": sm.domain.dimension,
+        "codomain_dimension": sm.codomain.dimension,
+    }
+    for report in reports:
+        del report["timings"]
+    assert reports[0] == reports[1]
+    assert main(["paulsen", scalar_paulsen_problem(tmp_path, 2.0), "--seed", "5", "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdicts"]["cp_system_map"] is False
+    assert report["margins"]["gram_margin"] < 0.0
+
+
+def test_paulsen_sampling_refutation_is_internal_error(tmp_path, monkeypatch, capsys):
+    # A positive Gram verdict that PSD sampling refutes is a defect, not a
+    # verdict.  Every level-1 sample of the scalar map with c = 2 is refuted.
+    original = paulsen.is_completely_semi_phi
+    monkeypatch.setattr(
+        paulsen, "is_completely_semi_phi", lambda *a, **k: dataclasses.replace(original(*a, **k), ok=True)
+    )
+    assert main(["paulsen", scalar_paulsen_problem(tmp_path, 2.0), "--seed", "5", "--json"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: positive verdict refuted by PSD sampling (level 1, lambda_min ")

@@ -1,7 +1,10 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
+
+import semiphi.paulsen as paulsen
 
 from semiphi import (
     BlockAlgebra,
@@ -18,6 +21,7 @@ from semiphi import (
     identity_cp_map,
     injectivity_demo,
     is_completely_positive,
+    is_completely_semi_phi,
     is_corner_preserving,
     is_cp_system_map,
 )
@@ -27,8 +31,10 @@ from semiphi.fixtures import (
     random_semi_phi_fixture,
     scalar_fixture,
 )
+from semiphi.extension import SelfCheckError
 from semiphi.modules import MembershipError
-from semiphi.paulsen import random_psd_system_element
+from semiphi.numerics import HermiticityError, ToleranceProfile
+from semiphi.paulsen import _block_matrices, _psd_samples, random_psd_system_element
 from conftest import full_rectangular_module
 
 
@@ -268,8 +274,6 @@ class TestInjectivityDemo:
             )
 
     def test_rejects_non_morphism(self, rng):
-        from semiphi import is_completely_semi_phi
-
         for _ in range(20):
             fx = random_containment_fixture(rng, 2)
             if fx.g.dim == 0:
@@ -447,3 +451,150 @@ class TestBatchedSampling:
         blk = FAILING_BLOCKS["module_map"][0] + system_block(((2, 3), 1.0))
         with pytest.raises(SystemDecompositionError, match="^diagonal block"):
             sm.apply_n(1, blk)
+
+
+def scaled_two_block_system_map(c):
+    """The two-block map with its first corner value scaled by ``c``: not
+    CP for ``|c| > 1``, and (unlike the scalar map) some PSD samples still
+    map to PSD images."""
+    sm = two_block_system_map()
+    module = sm.module_map.domain
+    values = (c * module.basis[0], module.basis[1])
+    return block_map(ModuleMap(module, 2, 2, values), sm.cp_map, module)
+
+
+def force_positive_gram_verdict(monkeypatch):
+    """Let a map that is not CP reach the sampling layer."""
+    original = paulsen.is_completely_semi_phi
+
+    def positive(*args, **kwargs):
+        return dataclasses.replace(original(*args, **kwargs), ok=True)
+
+    monkeypatch.setattr(paulsen, "is_completely_semi_phi", positive)
+
+
+SAMPLING_TOL = ToleranceProfile(1e-8, 1e-8)  # what is_cp_system_map uses at the default
+
+
+def first_refuted_sample(sm, seed, samples, max_level):
+    """(level, sample, lambda_min) of the first sample whose image is not
+    PSD, from the kron and per-block reference loops, and the generator
+    state after that level's draw."""
+    rng = np.random.default_rng(seed)
+    for level in range(1, max_level + 1):
+        found = None
+        for s in range(samples):
+            image = reference_apply_n(sm, level, reference_psd_sample(sm.domain, level, rng))
+            eigvals = np.linalg.eigvalsh((image + image.conj().T) / 2.0)
+            scale = max(abs(eigvals[0]), abs(eigvals[-1]))
+            if found is None and eigvals[0] < -SAMPLING_TOL.threshold(scale):
+                found = (level, s, eigvals[0])
+        if found:
+            return found, rng.bit_generator.state
+    return None, rng.bit_generator.state
+
+
+class TestLevelBatches:
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    @pytest.mark.parametrize("samples", [1, 2, 5])
+    def test_batch_matches_per_sample_loops(self, level, samples):
+        rng = np.random.default_rng(31)
+        maps = [two_block_system_map()] + list(random_system_maps(rng, 4))
+        for k, sm in enumerate(maps):
+            batch_rng = np.random.default_rng([level, samples, k])
+            loop_rng = np.random.default_rng([level, samples, k])
+            kron_rng = np.random.default_rng([level, samples, k])
+            blocks = _psd_samples(sm.domain, level, samples, batch_rng)
+            images, failures = sm._apply_stack(blocks, ToleranceProfile())
+            assert not any(flags.any() for flags, _ in failures)
+            for x, image in zip(_block_matrices(blocks), images):
+                assert np.abs(x - random_psd_system_element(sm.domain, level, loop_rng)).max() <= 1e-12
+                assert np.abs(x - reference_psd_sample(sm.domain, level, kron_rng)).max() <= 1e-12
+                want = reference_apply_n(sm, level, x)
+                assert np.abs(image - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+            assert batch_rng.bit_generator.state == loop_rng.bit_generator.state
+            assert batch_rng.bit_generator.state == kron_rng.bit_generator.state
+
+    @pytest.mark.parametrize("samples, max_level", [(0, 3), (5, 0)])
+    def test_no_samples_draw_nothing(self, samples, max_level, monkeypatch):
+        sm = scaled_two_block_system_map(1.5)
+        assert first_refuted_sample(sm, 4, 5, 3)[0] is not None  # sampling would refute it
+        force_positive_gram_verdict(monkeypatch)
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        report = is_cp_system_map(sm, rng=rng, samples=samples, max_level=max_level)
+        assert rng.bit_generator.state == state
+        gram = is_completely_semi_phi(sm.module_map, sm.cp_map)
+        assert report.ok and report.margin == gram.margin < 0.0
+
+    @pytest.mark.parametrize("samples", [1, 4, 20])
+    def test_one_sample_solve_and_one_image_solve_per_level(self, samples, monkeypatch):
+        fx = example_2_1(2)
+        sm = block_map(fx.phi_map, fx.phi, full_rectangular_module(2, 2))
+        calls = {"eigh": 0, "eigvalsh": 0}
+        for name in calls:
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        is_cp_system_map(sm)
+        gram_only = dict(calls)
+        assert gram_only["eigvalsh"] == 0
+        is_cp_system_map(sm, rng=np.random.default_rng(0), samples=samples, max_level=3)
+        assert calls == {"eigh": 2 * gram_only["eigh"], "eigvalsh": 2 * 3}
+
+
+def level_one_blocks(samples):
+    """Level-1 samples as the ``(S, 1, 1, d, d)`` block stack of the sampler."""
+    return np.stack(samples).astype(complex)[:, None, None]
+
+
+class TestSamplingFailures:
+    @pytest.mark.parametrize("seed, expect", [(5, (1, 2)), (29, (2, 0))])
+    def test_first_refuted_sample_raises(self, seed, expect, monkeypatch):
+        sm = scaled_two_block_system_map(1.5)
+        (level, sample, lam), state = first_refuted_sample(sm, seed, 3, 3)
+        assert (level, sample) == expect  # a later sample, or a later level
+        force_positive_gram_verdict(monkeypatch)
+        rng = np.random.default_rng(seed)
+        with pytest.raises(SelfCheckError) as info:
+            is_cp_system_map(sm, rng=rng, samples=3, max_level=3)
+        assert str(info.value) == (
+            f"positive verdict refuted by PSD sampling (level {level}, lambda_min {lam:.3e})"
+        )
+        # The generator has moved to the end of the failing level's draw.
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("kind", sorted(FAILING_BLOCKS))
+    def test_earlier_refuted_sample_beats_later_rejected_sample(self, kind, monkeypatch):
+        sm = scaled_two_block_system_map(1.5)
+        # [[I, E_00], [E_00, I]] is PSD; its image [[I, 1.5 E_00], [1.5 E_00, I]]
+        # has lambda_min -0.5.
+        refuted = assemble([[np.eye(2), np.diag([1.0, 0.0])], [np.diag([1.0, 0.0]), np.eye(2)]])
+        blk, exc, message = FAILING_BLOCKS[kind]
+        force_positive_gram_verdict(monkeypatch)
+        for batch, error, text in (
+            ((refuted, blk), SelfCheckError, "positive verdict refuted by PSD sampling (level 1, lambda_min -5.000e-01)"),
+            ((blk, refuted), exc, message),
+        ):
+            monkeypatch.setattr(paulsen, "_psd_samples", lambda *args, _b=batch: level_one_blocks(_b))
+            with pytest.raises(error) as info:
+                is_cp_system_map(sm, rng=np.random.default_rng(0), samples=2, max_level=3)
+            assert str(info.value) == text
+
+    def test_image_checks_follow_is_psd_order(self, monkeypatch):
+        sm = two_block_system_map()
+        force_positive_gram_verdict(monkeypatch)
+        bad = np.eye(4, dtype=complex)
+        bad[0, 2] = 1.0  # a corner without its adjoint corner
+        for batch, error, text in (
+            ((np.eye(4), bad), HermiticityError, "matrix is not hermitian: defect 1.414e+00 exceeds tolerance"),
+            ((np.eye(4), np.full((4, 4), np.nan), bad), ValueError, "matrix entries must be finite"),
+        ):
+            monkeypatch.setattr(paulsen, "_psd_samples", lambda *args, _b=batch: level_one_blocks(_b))
+            with pytest.raises(error) as info:
+                is_cp_system_map(sm, rng=np.random.default_rng(0), samples=len(batch), max_level=1)
+            assert str(info.value) == text

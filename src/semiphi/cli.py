@@ -31,6 +31,7 @@ from .extension import (
     _block_defect,
     _canonical_compacts,
     _paired,
+    _refutable_semi,
     _witness_from_report,
     compare_extensions,
     extend_semi_phi,
@@ -153,7 +154,7 @@ def cmd_witness(args, doc, tol, started):
     phi_raw, map_raw = _payload(doc, "phi", "Phi")
     phi = ser.cp_map_from_json(phi_raw)
     phi_map = ser.module_map_from_json(map_raw)
-    verdict = is_completely_semi_phi(phi_map, phi, tol)
+    verdict = _refutable_semi(phi_map, phi, tol)
     if verdict.ok:
         report = _report(
             {"completely_semi_phi": True, "witness_exists": False},

@@ -26,6 +26,7 @@ from .numerics import (
     PsdReport,
     ShapeError,
     ToleranceProfile,
+    _hermitian_part,
     _matrix_stack,
     _psd_eigh,
     adjoint_products,
@@ -277,7 +278,8 @@ def _choi_matrix(phi: CPMap) -> np.ndarray:
 
 
 def is_completely_positive(phi: CPMap, tol: ToleranceProfile = DEFAULT_TOL) -> PsdReport:
-    """CP iff the Choi matrix is PSD; the report carries the margin."""
+    """CP iff the Choi matrix is PSD; the report carries the margin (from an
+    eigenvalue-only solve, see :func:`~semiphi.numerics.is_psd`)."""
     return is_psd(choi(phi, tol), tol)
 
 
@@ -291,7 +293,7 @@ def kraus(phi: CPMap, tol: ToleranceProfile = DEFAULT_TOL) -> list[np.ndarray]:
     operators are canonical only up to unitary mixing, so compare Kraus sets
     via the reconstruction identity, never entrywise.
     """
-    report, eigvals, eigvecs = _psd_eigh(choi(phi, tol), tol)
+    report, eigvals, eigvecs = _psd_eigh(_hermitian_part(choi(phi, tol), tol), tol)
     if not report.ok:
         raise NotCompletelyPositiveError(
             f"map is not completely positive (Choi lambda_min = {report.lambda_min:.3e})"

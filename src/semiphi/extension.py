@@ -11,7 +11,7 @@ re-verified on the result rather than inherited from the construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,14 +19,17 @@ from .cpmaps import CPMap, StinespringDilation, _choi_matrix, stinespring
 from .modules import ConcreteModule, _complement, _invalid_module_message, is_submodule
 from .numerics import (
     DEFAULT_TOL,
+    PsdReport,
     ShapeError,
     ToleranceProfile,
     _matrix_stack,
     _max_operator_norm,
+    _psd_eigh,
+    _psd_report,
     adjoint_products,
+    as_matrix,
     column_span_onb,
     dagger,
-    is_psd,
     least_squares_operator,
     operator_norm,
 )
@@ -244,16 +247,30 @@ class SemiPhiReport:
 
     ``margin`` is the smallest eigenvalue of the Gram gap and ``witness`` a
     unit eigenvector for it (empty when the gap is 0x0), from which a
-    refutation certificate is built.
+    refutation certificate is built.  Both are those of the PSD report of
+    the symmetrized gap (the keyword-only ``_psd``): the margin from an
+    eigenvalue-only solve, the witness computed by ``eigh`` on first
+    access.  Reports made to build a certificate (:func:`semiphi_witness`,
+    the CLI ``witness`` command) are decided by that ``eigh`` instead and
+    come with the witness already computed.  The two solvers round apart,
+    so for a gap whose smallest eigenvalue lies within about
+    ``8 * N * EPS * scale`` of the threshold the two decisions can differ:
+    :func:`is_completely_semi_phi` may refute a pair for which
+    :func:`semiphi_witness` raises "witness requested for a satisfying
+    pair", and the reverse.
     """
 
     ok: bool
     gram: GramPair
     margin: float
-    witness: np.ndarray
+    _psd: PsdReport = field(repr=False, compare=False, kw_only=True)
 
     def __bool__(self) -> bool:
         return self.ok
+
+    @property
+    def witness(self) -> np.ndarray:
+        return self._psd.witness
 
 
 def is_completely_semi_phi(
@@ -269,15 +286,21 @@ def is_completely_semi_phi(
     return _semi_verdict(gram_pair(phi_map, phi), tol)
 
 
-def _semi_verdict(pair: GramPair, tol: ToleranceProfile) -> SemiPhiReport:
-    """The semi criterion read off a Gram pair."""
-    n = pair.g_phi.shape[0]
-    if n == 0:
-        return SemiPhiReport(True, pair, 0.0, np.zeros(0, dtype=complex))
+def _refutable_semi(phi_map: ModuleMap, phi: CPMap, tol: ToleranceProfile) -> SemiPhiReport:
+    """:func:`is_completely_semi_phi` decided by one ``eigh``, for callers
+    that build a certificate when it refutes: the report's ``witness`` comes
+    from the same solve."""
+    return _semi_verdict(gram_pair(phi_map, phi), tol, vectors=True)
+
+
+def _semi_verdict(pair: GramPair, tol: ToleranceProfile, vectors: bool = False) -> SemiPhiReport:
+    """The semi criterion read off a Gram pair: the PSD decision of its
+    symmetrized gap, from eigenvalues alone, or with ``vectors`` from one
+    ``eigh`` that also gives the report's witness."""
     diff = pair.g_phi - pair.g_map
-    diff = (diff + dagger(diff)) / 2.0
-    report = is_psd(diff, tol)
-    return SemiPhiReport(report.ok, pair, report.lambda_min, report.witness)
+    gap = as_matrix((diff + dagger(diff)) / 2.0)  # rejects non-finite entries
+    psd = _psd_eigh(gap, tol)[0] if vectors else _psd_report(gap, tol)
+    return SemiPhiReport(psd.ok, pair, psd.lambda_min, _psd=psd)
 
 
 @dataclass(frozen=True)
@@ -301,8 +324,9 @@ def semiphi_witness(
     phi_map: ModuleMap, phi: CPMap, tol: ToleranceProfile = DEFAULT_TOL
 ) -> SemiPhiWitness:
     """Build a refutation certificate from a negative eigenvector of the Gram
-    gap; raises if the pair actually satisfies the criterion."""
-    report = is_completely_semi_phi(phi_map, phi, tol)
+    gap; raises if the pair actually satisfies the criterion.  One Gram pair
+    and one ``eigh`` decide and give the eigenvector."""
+    report = _refutable_semi(phi_map, phi, tol)
     if report.ok:
         raise PreconditionError("witness requested for a satisfying pair")
     return _witness_from_report(phi_map, phi, report)

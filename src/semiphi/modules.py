@@ -75,6 +75,14 @@ class ConcreteModule:
         return self._basis_stack.reshape(self.dim, self.row_dim * self.algebra.ambient_dim).T
 
     @cached_property
+    def _basis_unit(self) -> float:
+        """The largest Frobenius norm of a basis element (0 for the zero
+        module), the unit in which membership and validation take their
+        absolute tolerance: the rounding of a residual or of a singular
+        value scales with it, so rescaling the basis moves no verdict."""
+        return float(np.linalg.norm(self._basis_columns, axis=0).max(initial=0.0))
+
+    @cached_property
     def _basis_pinv(self) -> np.ndarray:
         if self.dim == 0:
             return np.zeros((0, self.row_dim * self.algebra.ambient_dim), dtype=complex)
@@ -98,7 +106,8 @@ class ConcreteModule:
             raise ShapeError(f"expected shape {(p, q)}")
         vecs = arr.reshape(*arr.shape[:-2], p * q)
         coeffs, residual = self._project(vecs)
-        outside = np.flatnonzero(residual > tol.threshold(np.linalg.norm(vecs, axis=-1)))
+        threshold = tol.bounded_threshold(np.linalg.norm(vecs, axis=-1), self._basis_unit)
+        outside = np.flatnonzero(residual > threshold)
         if outside.size:
             raise MembershipError(
                 f"matrix outside the module span (residual {residual.flat[outside[0]]:.3e})"
@@ -173,15 +182,18 @@ def _rank_count(module: ConcreteModule, tol: ToleranceProfile) -> bool | None:
     has rank ``dim``, ``sum_k n_k dim W_k = dim`` and the ``W_k`` are
     orthogonal.  A True verdict also bounds each quantity the full pass
     thresholds (off-block products, right-action residuals) below its
-    threshold over the factor.
+    threshold over the factor.  Like the full pass, it takes its rank cuts
+    and right-action thresholds in units of the largest basis norm, so
+    rescaling the basis moves no verdict.
     """
     d, p, blocks = module.dim, module.row_dim, module.algebra.blocks
     if d == 0:
         return True
     if p == 0:
         return None
+    unit = module._basis_unit
     s_basis = np.linalg.svd(module._basis_columns, compute_uv=False)
-    rank, clear = _rank_cut(s_basis, tol)
+    rank, clear = _rank_cut(s_basis, tol, unit)
     if not clear:
         return None
     if rank < d:
@@ -191,7 +203,7 @@ def _rank_count(module: ConcreteModule, tol: ToleranceProfile) -> bool | None:
     for sl, n in zip(slices, blocks):
         columns = stack[:, :, sl].transpose(1, 0, 2).reshape(p, d * n)
         u, s, _ = np.linalg.svd(columns, full_matrices=False)
-        r, clear = _rank_cut(s, tol)
+        r, clear = _rank_cut(s, tol, unit)
         if not clear:
             return None
         onbs.append(u[:, :r])
@@ -222,7 +234,7 @@ def _rank_count(module: ConcreteModule, tol: ToleranceProfile) -> bool | None:
     # most (dropped mass + projection rounding) / s_min.
     sine = (np.linalg.norm(tails) + p * module.algebra.ambient_dim * EPS * s_basis[0]) / s_basis[-1]
     distance = first_dropped[np.repeat(np.arange(len(blocks)), blocks)] + col_norms * sine
-    if np.any(distance * NEAR_FACTOR > tol.threshold(col_norms)):
+    if np.any(distance * NEAR_FACTOR > tol.bounded_threshold(col_norms, unit)):
         return None
     return True
 
@@ -247,7 +259,8 @@ def _full_validation(module: ConcreteModule, tol: ToleranceProfile) -> ModuleVal
     units = np.stack(algebra.matrix_units())
     moved = (stack[:, None] @ units).reshape(d, len(units), module.row_dim * q)
     _, residual = module._project(moved)
-    outside = residual > tol.threshold(np.linalg.norm(moved, axis=-1))
+    unit = module._basis_unit
+    outside = residual > tol.bounded_threshold(np.linalg.norm(moved, axis=-1), unit)
     pairs = algebra.unit_index_pairs()
     for i in range(d):
         hits = np.flatnonzero(outside[i])
@@ -255,11 +268,10 @@ def _full_validation(module: ConcreteModule, tol: ToleranceProfile) -> ModuleVal
             r, c = pairs[hits[0]]
             violations.append(f"right action of unit ({r},{c}) on basis {i} leaves the span")
     if module.dim:
-        onb = column_span_onb(module._basis_columns, tol)
-        if onb.shape[1] != module.dim:
-            violations.append(
-                f"basis is linearly dependent (rank {onb.shape[1]} of {module.dim})"
-            )
+        s = np.linalg.svd(module._basis_columns, compute_uv=False)
+        rank = _rank_cut(s, tol, unit)[0]
+        if rank != module.dim:
+            violations.append(f"basis is linearly dependent (rank {rank} of {module.dim})")
     return ModuleValidation(not violations, tuple(violations))
 
 

@@ -6,13 +6,17 @@ tolerance convention: a comparison at scale ``s`` uses the mixed threshold
 ``abs_tol + rel_tol * s``.
 
 Positivity is decided by the smallest eigenvalue of the symmetrized matrix
-(not a Cholesky test) so the margin is reportable and a witness eigenvector
-is available to callers that need to build refutation certificates.
+(not a Cholesky test) so the margin is reportable.  Verdicts come from an
+eigenvalue-only solve (``eigvalsh``, batched over stacks); eigenvectors are
+computed only where one is consumed: the Kraus operators of a Choi matrix
+(:func:`_psd_eigh`, one ``eigh`` for verdict and spectrum), and a refutation
+witness, which :class:`PsdReport` computes by ``eigh`` on first access.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -97,14 +101,16 @@ EPS = float(np.finfo(float).eps)
 NEAR_FACTOR = 10.0
 
 
-def _rank_cut(s: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> tuple[int, bool]:
+def _rank_cut(s: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL, bound: float = 1.0) -> tuple[int, bool]:
     """The rank of descending singular values ``s`` at the threshold of
-    :func:`column_span_onb` (``abs + rel * s_max``), and whether the cut is
+    :func:`column_span_onb` taken in units of ``bound``
+    (``abs * bound + rel * s_max``, see
+    :meth:`ToleranceProfile.bounded_threshold`), and whether the cut is
     clear of it: the last kept value at least :data:`NEAR_FACTOR` times the
     threshold and the first dropped one at most the threshold over it."""
     if s.size == 0:
         return 0, True
-    cutoff = tol.threshold(s[0])
+    cutoff = tol.bounded_threshold(s[0], bound)
     rank = int(np.count_nonzero(s > cutoff))
     kept_clear = rank == 0 or s[rank - 1] >= NEAR_FACTOR * cutoff
     dropped_clear = rank == s.size or s[rank] * NEAR_FACTOR <= cutoff
@@ -205,16 +211,26 @@ def adjoint_products(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 class PsdReport:
     """Verdict of a PSD test, with the attained minimum eigenvalue.
 
+    The verdict and ``lambda_min`` come from the eigenvalues alone.
     ``witness`` is a unit eigenvector for ``lambda_min`` (empty for 0x0
-    input); downstream refutation certificates are built from it.
+    input), from which downstream refutation certificates are built; it is
+    computed on first access by ``eigh`` of the symmetrized matrix the
+    verdict was read from, and then cached.  The report holds that matrix
+    (the keyword-only ``_herm``) for as long as it lives.
     """
 
     ok: bool
     lambda_min: float
-    witness: np.ndarray
+    _herm: np.ndarray = field(repr=False, compare=False, kw_only=True)
 
     def __bool__(self) -> bool:
         return self.ok
+
+    @cached_property
+    def witness(self) -> np.ndarray:
+        if not self._herm.size:
+            return np.zeros(0, dtype=complex)
+        return np.linalg.eigh(self._herm)[1][:, 0]
 
 
 def _not_hermitian(defect: float, what: str = "matrix") -> HermiticityError:
@@ -228,11 +244,20 @@ def _check_hermitian(m: np.ndarray, tol: ToleranceProfile, what: str = "matrix")
         raise _not_hermitian(defect, what)
 
 
+def _hermitian_part(arr: np.ndarray, tol: ToleranceProfile) -> np.ndarray:
+    """``(M + M*) / 2`` of a square complex array, which must be hermitian
+    within tolerance (:class:`HermiticityError` otherwise)."""
+    _check_hermitian(arr, tol)
+    return (arr + dagger(arr)) / 2.0
+
+
 def is_psd(m: MatrixLike, tol: ToleranceProfile = DEFAULT_TOL) -> PsdReport:
     """Decide positive semidefiniteness of a (nearly) hermitian matrix.
 
     The input must be hermitian within tolerance; it is symmetrized before
     the eigenvalue test.  True iff ``lambda_min >= -(abs_tol + rel_tol*|M|)``.
+    The decision solves for eigenvalues only (one ``eigvalsh``); the
+    report's ``witness`` eigenvector is computed only if it is read.
 
     ``|M|`` is the spectral norm of the symmetrized matrix, read off the
     eigenvalues already computed as ``max(|lambda_min|, |lambda_max|)``
@@ -244,28 +269,52 @@ def is_psd(m: MatrixLike, tol: ToleranceProfile = DEFAULT_TOL) -> PsdReport:
     arr = as_matrix(m)
     if arr.shape[0] != arr.shape[1]:
         raise ShapeError(f"is_psd needs a square matrix, got {arr.shape}")
-    return _psd_eigh(arr, tol)[0]
+    return _psd_report(_hermitian_part(arr, tol), tol)
 
 
-def _psd_eigh(
-    arr: np.ndarray, tol: ToleranceProfile
-) -> tuple[PsdReport, np.ndarray, np.ndarray]:
-    """The decision of :func:`is_psd` on a square complex array, together with
-    the eigendecomposition it is read from: ascending eigenvalues and the
-    matching unit eigenvectors (columns) of the symmetrized matrix.
+def _psd_verdict(eigvals: np.ndarray, tol: ToleranceProfile) -> tuple[np.ndarray, np.ndarray]:
+    """The verdict of :func:`is_psd` and ``lambda_min`` read off ascending
+    eigenvalues along the last axis: ``lambda_min >= -threshold(scale)`` at
+    the scale ``max(|lambda_min|, |lambda_max|)``."""
+    lam = eigvals[..., 0]
+    return lam >= -tol.threshold(np.maximum(np.abs(lam), np.abs(eigvals[..., -1]))), lam
 
-    Callers that need the spectrum as well as the verdict (Kraus operators
-    from a Choi matrix) take both from this one ``eigh``.
+
+def _psd_eigvalsh(herm: np.ndarray, tol: ToleranceProfile) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalue-only PSD decision: verdicts and smallest eigenvalues of
+    a nonempty hermitian matrix, or of each matrix of an ``(N, k, k)`` stack
+    of them, from one (batched) ``eigvalsh`` and no eigenvectors."""
+    return _psd_verdict(np.linalg.eigvalsh(herm), tol)
+
+
+def _psd_report(herm: np.ndarray, tol: ToleranceProfile) -> PsdReport:
+    """The report of :func:`is_psd` on a symmetrized matrix (see
+    :func:`_hermitian_part`), from :func:`_psd_eigvalsh`; its ``witness``
+    is computed only if it is read."""
+    if herm.shape[0] == 0:
+        return PsdReport(True, 0.0, _herm=herm)
+    ok, lam = _psd_eigvalsh(herm, tol)
+    return PsdReport(bool(ok), float(lam), _herm=herm)
+
+
+def _psd_eigh(herm: np.ndarray, tol: ToleranceProfile) -> tuple[PsdReport, np.ndarray, np.ndarray]:
+    """The decision of :func:`is_psd` on a symmetrized matrix (see
+    :func:`_hermitian_part`), with the eigendecomposition it is read from:
+    ascending eigenvalues and the matching unit eigenvectors (columns).
+
+    For callers that consume eigenvectors (Kraus operators from a Choi
+    matrix, a refutation witness): verdict, spectrum and the report's
+    ``witness`` all come from this one ``eigh``.
     """
-    if arr.shape[0] == 0:
-        report = PsdReport(True, 0.0, np.zeros(0, dtype=complex))
-        return report, np.zeros(0), np.zeros((0, 0), dtype=complex)
-    _check_hermitian(arr, tol)
-    herm = (arr + dagger(arr)) / 2.0
+    if herm.shape[0] == 0:
+        return PsdReport(True, 0.0, _herm=herm), np.zeros(0), np.zeros((0, 0), dtype=complex)
     eigvals, eigvecs = np.linalg.eigh(herm)
-    lam = float(eigvals[0])
-    scale = max(abs(lam), abs(float(eigvals[-1])))
-    return PsdReport(lam >= -tol.threshold(scale), lam, eigvecs[:, 0]), eigvals, eigvecs
+    ok, lam = _psd_verdict(eigvals, tol)
+    report = PsdReport(bool(ok), float(lam), _herm=herm)
+    # Seed the lazy witness from this solve: a cached property reads the
+    # instance dict first, and writing the dict bypasses the frozen setattr.
+    report.__dict__["witness"] = eigvecs[:, 0]
+    return report, eigvals, eigvecs
 
 
 def _psd_stack(
@@ -278,16 +327,13 @@ def _psd_stack(
     :func:`is_psd` in its order (non-finite entries, then a hermitian
     defect), each as per-matrix flags with the exception for a matrix index.
     The verdict of a matrix that fails one of them is meaningless.  The
-    symmetrization, the scale ``max(|lambda_min|, |lambda_max|)`` and the
-    thresholds are those of :func:`is_psd`.
+    symmetrization and :func:`_psd_eigvalsh` are those of :func:`is_psd`.
     """
     finite = np.isfinite(stack).all(axis=(-2, -1))
     stack = np.where(finite[:, None, None], stack, 0.0)
     adjoint = np.conj(stack).transpose(0, 2, 1)
     defect = np.linalg.norm(stack - adjoint, axis=(-2, -1))
-    eigvals = np.linalg.eigvalsh((stack + adjoint) / 2.0)
-    lam = eigvals[:, 0]
-    ok = lam >= -tol.threshold(np.maximum(np.abs(lam), np.abs(eigvals[:, -1])))
+    ok, lam = _psd_eigvalsh((stack + adjoint) / 2.0, tol)
     raises = [
         (~finite, lambda i: ValueError(_NOT_FINITE)),
         (defect > tol.threshold(np.linalg.norm(stack, axis=(-2, -1))), lambda i: _not_hermitian(defect[i])),

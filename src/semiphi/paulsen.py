@@ -239,7 +239,9 @@ class SystemMap:
             if split.corners.shape[1:] != (module.row_dim, module.algebra.ambient_dim):
                 raise ShapeError(f"expected shape {(module.row_dim, module.algebra.ambient_dim)}")
             coeffs, residual = module._project(split.corners.reshape(len(split.corners), -1))
-        outside = residual > tol.threshold(np.linalg.norm(split.corners, axis=(-2, -1)))
+        outside = residual > tol.bounded_threshold(
+            np.linalg.norm(split.corners, axis=(-2, -1)), module._basis_unit
+        )
 
         def membership(offset: int) -> Callable[[int], Exception]:
             return lambda i: MembershipError(

@@ -26,6 +26,7 @@ from semiphi import (
     canonical_compacts_extension,
     extend_semi_phi,
     identity_cp_map,
+    is_submodule,
     orthogonal_complement,
     phi_extension_obstruction,
     validate_module,
@@ -152,13 +153,17 @@ class TestRankCountParity:
         for module in parity_modules()[:40]:
             assert_count_matches_full_pass(with_basis(module, scale * module._basis_stack))
 
-    def test_every_random_fixture_validates_at_large_scale(self):
-        for seed in range(40):
-            fx = random_fixture(seed)
-            for module in (fx.e, fx.f):
-                assert validate_module(with_basis(module, 1e6 * module._basis_stack)).ok
+    @pytest.mark.parametrize("scale", 10.0 ** np.arange(-12, 7))
+    def test_every_random_fixture_validates_at_every_scale(self, scale):
+        # Rank cuts and right-action thresholds are taken in units of the
+        # largest basis norm, so no scale makes a valid basis look dependent.
+        nonzero = [m for seed in range(40) for m in (random_fixture(seed).e, random_fixture(seed).f) if m.dim]
+        assert len(nonzero) == 72
+        for module in nonzero:
+            count, full = assert_count_matches_full_pass(with_basis(module, scale * module._basis_stack))
+            assert count is True and full.ok
 
-    @pytest.mark.parametrize("scale", 10.0 ** np.arange(-6, 7, 2))
+    @pytest.mark.parametrize("scale", 10.0 ** np.arange(-12, 7, 2))
     def test_escaping_products_are_rejected_at_every_scale(self, scale):
         # All 1 x 2 rows over C (+) C: closed under the action, but
         # [1, 0]* [0, 1] is off the diagonal.
@@ -179,6 +184,45 @@ class TestRankCountParity:
         count, full = assert_count_matches_full_pass(e)
         assert count is False
         assert full.violations == ("right action of unit (0,1) on basis 0 leaves the span",)
+
+
+def matrix_rows():
+    """The first and the second row of 2 x 2 matrices over M_2: two valid
+    modules, neither inside the other."""
+    units = np.eye(4, dtype=complex).reshape(4, 2, 2)
+    algebra = BlockAlgebra((2,))
+    return ConcreteModule(algebra, 2, tuple(units[:2])), ConcreteModule(algebra, 2, tuple(units[2:]))
+
+
+class TestMembershipAtEveryScale:
+    """Membership takes its absolute tolerance in units of the module's
+    largest basis norm, as validation does, so a basis that validates at a
+    small scale cannot pass as a submodule of a span it escapes."""
+
+    SCALES = 10.0 ** np.arange(-12, 7)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_second_row_is_not_a_submodule_of_the_first(self, scale):
+        first, second = (with_basis(m, scale * m._basis_stack) for m in matrix_rows())
+        assert validate_module(second).ok
+        assert is_submodule(first, first)
+        assert not is_submodule(second, first)
+        assert not first.contains_matrix(second._basis_stack)
+        with pytest.raises(ValueError, match="^f must be a submodule of e$"):
+            orthogonal_complement(second, first)
+        phi = identity_cp_map(first.algebra)
+        with pytest.raises(PreconditionError, match="^obstruction requires f to be a submodule of e$"):
+            phi_extension_obstruction(phi, second, first)
+        phi_map = ModuleMap(second, 2, 2, tuple(second._basis_stack))
+        with pytest.raises(ExtensionInputError, match="^the map's domain must be a submodule of e$"):
+            extend_semi_phi(phi_map, first, phi)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_every_random_fixture_submodule_is_contained(self, scale):
+        for seed in range(40):
+            fx = random_fixture(seed)
+            e, f = (with_basis(m, scale * m._basis_stack) for m in (fx.e, fx.f))
+            assert is_submodule(f, e)
 
 
 def constraint_complement(f, e, tol=DEFAULT_TOL):

@@ -180,20 +180,21 @@ def test_witness_command_decides_once(tmp_path, monkeypatch, capsys):
         tmp_path / "refuted.json",
         {"phi": ser.cp_map_to_json(fx.phi), "Phi": ser.module_map_to_json(bad)},
     )
-    counts = {"gram_pair": 0, "is_psd": 0}
-    for name in counts:
-        original = getattr(ext, name)
+    counts = {"gram_pair": 0, "eigh": 0, "eigvalsh": 0}
+    for owner, name in ((ext, "gram_pair"), (np.linalg, "eigh"), (np.linalg, "eigvalsh")):
+        original = getattr(owner, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             counts[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(ext, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     assert main(["witness", path, "--json"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["verdicts"]["witness_exists"] is True
     assert report["margins"]["gap"] > 0.0
-    assert counts == {"gram_pair": 1, "is_psd": 1}
+    # One eigh decides and gives the witness vector; no eigenvalue-only solve.
+    assert counts == {"gram_pair": 1, "eigh": 1, "eigvalsh": 0}
 
 
 def paulsen_problem(tmp_path, name, phi_map, phi, codomain):

@@ -211,14 +211,18 @@ class TestWitnessReevaluation:
 
     def test_one_decision_and_no_pair_kernel(self, monkeypatch):
         pm, phi = scalar_fixture(2.0)
-        calls = []
-        original = ext.is_psd
-        monkeypatch.setattr(ext, "is_psd", lambda *a, **k: calls.append(1) or original(*a, **k))
+        grams = counted(monkeypatch, ext, "gram_pair")
+        eigh = counted(monkeypatch, np.linalg, "eigh")
+        eigvalsh = counted(monkeypatch, np.linalg, "eigvalsh")
+        # The verdict alone solves for eigenvalues only.
         report = is_completely_semi_phi(pm, phi)
-        assert not report.ok and len(calls) == 1
-        calls.clear()
+        assert not report.ok
+        assert (len(grams), len(eigh), len(eigvalsh)) == (1, 0, 1)
+        # A witness is decided by one eigh, which also gives its vector.
+        for calls in (grams, eigh, eigvalsh):
+            calls.clear()
         assert semiphi_witness(pm, phi).gap == pytest.approx(3.0)
-        assert len(calls) == 1
+        assert (len(grams), len(eigh), len(eigvalsh)) == (1, 1, 0)
 
         # Re-evaluation from the report shares no kernel with the Gram matrices.
         def forbidden(*args, **kwargs):
@@ -348,6 +352,24 @@ class TestStagesRunOnce:
         # With f = 0 the complement is e itself, and the obstruction reads
         # its norm off the same scale table.
         assert len(e_pairs) == 2
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda rng: example_2_1(2), random_vanishing_obstruction_fixture, random_semi_phi_fixture],
+        ids=["example_2_1", "vanishing_obstruction", "semi"],
+    )
+    def test_one_choi_eigh_and_two_eigenvalue_only_decisions(self, make, monkeypatch, rng):
+        fx = make(rng)
+        while not fx.phi_map.domain.dim:  # a 0x0 input gap needs no solve
+            fx = make(rng)
+        eigh = counted(monkeypatch, np.linalg, "eigh")
+        eigvalsh = counted(monkeypatch, np.linalg, "eigvalsh")
+        res = extend_semi_phi(fx.phi_map, fx.e, fx.phi)
+        # Kraus operators of the Choi matrix (ksgns) are the only vectors; the
+        # input semi check and the re-certification read eigenvalues.
+        assert res.report["extension_semi_ok"]
+        assert len(eigh) == 1 and eigh[0][0].shape[0] == fx.phi.domain.ambient_dim * fx.phi.target_dim
+        assert len(eigvalsh) == 2
 
 
 class TestGramPairReuse:

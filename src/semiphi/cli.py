@@ -30,6 +30,7 @@ from .extension import (
     SelfCheckError,
     _block_defect,
     _canonical_compacts,
+    _largest_norm,
     _paired,
     _refutable_semi,
     _witness_from_report,
@@ -182,10 +183,16 @@ def cmd_obstruction(args, doc, tol, started):
     verdicts = {"obstruction_vanishes": obs.vanishes}
     if not obs.vanishes:
         verdicts["note"] = (
-            "nonzero obstruction: no exactly compatible extension exists on E"
+            "nonzero obstruction: no non-degenerate exactly compatible map on F "
+            "has an exactly compatible extension to E"
         )
     report = _report(verdicts, {"obstruction_norm": obs.norm}, None, started)
     return (EXIT_OK if obs.vanishes else EXIT_REFUTED), report
+
+
+#: The report fields ``extend`` emits as verdicts and as margins, in order.
+EXTEND_VERDICTS = ("extension_semi_ok", "input_is_phi_map", "obstruction_vanishes")
+EXTEND_MARGINS = ("restriction_defect", "extension_semi_margin", "contraction_norm", "obstruction_norm")
 
 
 def cmd_extend(args, doc, tol, started):
@@ -194,23 +201,14 @@ def cmd_extend(args, doc, tol, started):
     phi_map = ser.module_map_from_json(map_raw)
     e = ser.module_from_json(e_raw, "E")
     result = extend_semi_phi(phi_map, e, phi, tol)
+    rep = result.report
     report = _report(
-        {
-            "extension_semi_ok": result.report["extension_semi_ok"],
-            "input_is_phi_map": result.report["input_is_phi_map"],
-            "obstruction_vanishes": result.report["obstruction_vanishes"],
-        },
-        {
-            "restriction_defect": result.report["restriction_defect"],
-            "extension_semi_margin": result.report["extension_semi_margin"],
-            "contraction_norm": result.report["contraction_norm"],
-            "obstruction_norm": result.report["obstruction_norm"],
-        },
+        {name: getattr(rep, name) for name in EXTEND_VERDICTS},
+        {name: getattr(rep, name) for name in EXTEND_MARGINS},
         {"phi_prime_values": [ser.matrix_to_json(v) for v in result.phi_prime.values]},
         started,
     )
-    ok = result.report["extension_semi_ok"]
-    return (EXIT_OK if ok else EXIT_REFUTED), report
+    return (EXIT_OK if rep.extension_semi_ok else EXIT_REFUTED), report
 
 
 def cmd_compare(args, doc, tol, started):
@@ -220,7 +218,7 @@ def cmd_compare(args, doc, tol, started):
     e = ser.module_from_json(e_raw, "E")
     gamma = ser.module_map_from_json(gamma_raw, "Gamma")
     result = extend_semi_phi(phi_map, e, phi, tol)
-    same = compare_extensions(gamma, result, phi, phi_map.domain, tol)
+    same = compare_extensions(gamma, result, tol)
     report = _report({"unique_extension_matches": same}, {}, None, started)
     return (EXIT_OK if same else EXIT_REFUTED), report
 
@@ -247,30 +245,24 @@ def cmd_paulsen(args, doc, tol, started):
     return (EXIT_OK if verdict.ok else EXIT_REFUTED), report
 
 
-def _largest_distance(xs, ys) -> float:
-    """Largest Frobenius norm of ``x - y`` over paired matrices, 0 for none."""
-    return max((float(np.linalg.norm(x - y)) for x, y in zip(xs, ys)), default=0.0)
-
-
 def _demo_example_2_1(n: int, tol, rng) -> tuple[bool, dict, dict]:
     fx = example_2_1(n)
     verdicts, margins = {}, {}
     result = extend_semi_phi(fx.phi_map, fx.e, fx.phi, tol)
-    verdicts["phi_map_on_submodule"] = result.report["input_is_phi_map"]
-    verdicts["extension_semi_ok"] = result.report["extension_semi_ok"]
-    margins["restriction_defect"] = result.report["restriction_defect"]
+    verdicts["phi_map_on_submodule"] = result.report.input_is_phi_map
+    verdicts["extension_semi_ok"] = result.report.extension_semi_ok
+    margins["restriction_defect"] = result.report.restriction_defect
     # The extension must coincide with extension-by-zero on the whole module.
-    defect = _largest_distance(result.phi_prime.values, fx.e._basis_stack[:, :n])
+    defect = _largest_norm(result.phi_prime._value_stack - fx.e._basis_stack[:, :n])
     verdicts["extension_is_zero_padding"] = defect <= 1e-8
     margins["zero_padding_defect"] = defect
     on_e = _block_defect(result.phi_prime, result.gram, tol)
     verdicts["extension_not_phi_map_on_e"] = not on_e.ok
     margins["phi_map_defect_on_e"] = on_e.worst_defect
-    verdicts["obstruction_nonzero"] = not result.report["obstruction_vanishes"]
-    margins["obstruction_norm"] = result.report["obstruction_norm"]
-    gamma = result.phi_prime
+    verdicts["obstruction_nonzero"] = not result.report.obstruction_vanishes
+    margins["obstruction_norm"] = result.report.obstruction_norm
     try:
-        compare_extensions(gamma, result, fx.phi, fx.f, tol)
+        compare_extensions(result.phi_prime, result, tol)
         verdicts["uniqueness_precondition_refused"] = False
     except PreconditionError:
         verdicts["uniqueness_precondition_refused"] = True
@@ -309,9 +301,7 @@ def _demo_example_3_9(n: int, tol, rng) -> tuple[bool, dict, dict]:
     phi_map = ModuleMap(g_mod, 1, n, tuple(c @ v for v in universal.values))
     embedding = BlockEmbedding.identity(algebra)
     psi_map, psi = injectivity_demo(g_mod, f_mod, embedding, phi_map, phi, tol)
-    restricted = psi_map.apply(g_mod._basis_stack, tol)
-    defects = np.linalg.norm(restricted - phi_map._value_stack, axis=(-2, -1))
-    restriction = float(defects.max(initial=0.0))
+    restriction = _largest_norm(psi_map.apply(g_mod._basis_stack, tol) - phi_map._value_stack)
     verdicts = {"extension_exists": True, "restriction_agrees": restriction <= 1e-8}
     margins = {"restriction_defect": restriction}
     return verdicts["restriction_agrees"], verdicts, margins
@@ -323,7 +313,7 @@ def _demo_compacts_2_6(n: int, tol, rng) -> tuple[bool, dict, dict]:
     canonical, result = _canonical_compacts(fx.phi_map, fx.e, fx.phi, tol)
     pair = _paired(result.gram.g_phi, canonical)
     verdicts["zero_padding_is_phi_map"] = _block_defect(canonical, pair, tol).ok
-    defect = _largest_distance(canonical.values, result.phi_prime.values)
+    defect = _largest_norm(canonical._value_stack - result.phi_prime._value_stack)
     verdicts["matches_engine_output"] = defect <= 1e-8
     margins["engine_agreement_defect"] = defect
     return all(verdicts.values()), verdicts, margins

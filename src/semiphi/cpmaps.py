@@ -29,6 +29,7 @@ from .numerics import (
     _hermitian_part,
     _matrix_stack,
     _psd_eigh,
+    _rank_cut,
     adjoint_products,
     as_matrix,
     dagger,
@@ -298,11 +299,9 @@ def kraus(phi: CPMap, tol: ToleranceProfile = DEFAULT_TOL) -> list[np.ndarray]:
         raise NotCompletelyPositiveError(
             f"map is not completely positive (Choi lambda_min = {report.lambda_min:.3e})"
         )
-    if eigvals.size == 0:
-        return []
     q, m = phi.domain.ambient_dim, phi.target_dim
     # Eigenvalues ascend, so the kept ones are the top `rank`, taken largest first.
-    rank = int(np.count_nonzero(eigvals > tol.threshold(float(eigvals[-1]))))
+    rank = _rank_cut(eigvals[::-1], tol)[0]
     lams, vecs = eigvals[::-1][:rank], eigvecs[:, ::-1][:, :rank]
     ops = np.sqrt(lams)[:, None, None] * vecs.T.reshape(rank, q, m).transpose(0, 2, 1)
     return list(ops)

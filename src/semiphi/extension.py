@@ -45,6 +45,7 @@ __all__ = [
     "SemiPhiWitness",
     "ObstructionReport",
     "KsgnsResult",
+    "ExtensionReport",
     "ExtensionResult",
     "zero_module_map",
     "is_phi_map",
@@ -386,9 +387,9 @@ def phi_extension_obstruction(
     e: ConcreteModule,
     tol: ToleranceProfile = DEFAULT_TOL,
 ) -> ObstructionReport:
-    """Evaluate the necessary condition for compatible-map extendability:
-    the CP map must annihilate all inner products of the orthogonal
-    complement against the ambient module.
+    """Evaluate the obstruction ``max |phi(<f_perp, e>)|`` to exactly
+    compatible extensions: when it vanishes every exactly compatible map on f
+    extends, otherwise no non-degenerate one does (a degenerate one may).
 
     Validates both modules once: f must be a submodule of e, and e a valid
     module (the :class:`PreconditionError` names its first violation), which
@@ -413,13 +414,36 @@ def phi_extension_obstruction(
     return ObstructionReport(worst <= tol.threshold(scale), worst, f_perp)
 
 
+@dataclass(frozen=True)
+class ExtensionReport:
+    """The engine's certificate, re-computed on its output, with the
+    ``extend --json`` keys as field names; ``report["name"]`` reads one.  The
+    two defects of the exact branch are ``None`` unless the input is exactly
+    compatible and the obstruction vanishes."""
+
+    empty_submodule: bool
+    zero_cp_map: bool
+    contraction_norm: float
+    least_squares_residual: float
+    restriction_defect: float
+    extension_semi_ok: bool
+    extension_semi_margin: float
+    input_is_phi_map: bool
+    obstruction_vanishes: bool
+    obstruction_norm: float
+    complement_killed_defect: float | None = None
+    exact_on_complemented_defect: float | None = None
+
+    def __getitem__(self, name: str):
+        if name not in self.__dataclass_fields__:
+            raise KeyError(name)
+        return getattr(self, name)
+
+
 @dataclass(eq=False)
 class ExtensionResult:
-    """Full certificate of the extension construction.
-
-    Carries the extension itself plus every intermediate operator (universal
-    map, subspace basis ``Q``, projection ``P``, contraction ``S0``, composite
-    ``S``, dilation) and a verification report re-computed from scratch.
+    """The extension ``phi_prime = S0 o universal`` with the input map, the
+    universal map, the contraction ``S0``, the dilation and its certificate.
     Stages: obstruction (own tables), input semi check and
     ``input_is_phi_map`` (the input's pair on ``f``), :func:`ksgns` (its
     ``gram`` on ``e``), least squares (no pair), and the re-certification of
@@ -430,13 +454,10 @@ class ExtensionResult:
     phi_prime: ModuleMap
     original: ModuleMap
     ksgns_map: ModuleMap
-    subspace_onb: np.ndarray
-    projection: np.ndarray
     contraction: np.ndarray
-    composite: np.ndarray
     dilation: StinespringDilation
     gram: GramPair
-    report: dict
+    report: ExtensionReport
 
 
 def extend_semi_phi(
@@ -485,13 +506,13 @@ def _extend(
     k, m = phi_map.h2_dim, phi_map.h1_dim
     kres = ksgns(phi, e, tol)
     universal = kres.map
-    d_h = universal.h2_dim
 
     # Values of the universal map on the submodule basis, via coefficients,
     # as the columns U(f_i) e_l (l fast) next to the columns Phi(f_i) e_l.
     univ_on_f = universal.apply(f._basis_stack, tol)
-    a_cols = univ_on_f.transpose(1, 0, 2).reshape(d_h, f.dim * m)
+    a_cols = univ_on_f.transpose(1, 0, 2).reshape(universal.h2_dim, f.dim * m)
     b_cols = phi_map.stacked_columns()
+    # S0 vanishes off the column span of a_cols: it needs no projection onto it.
     s0, residual = least_squares_operator(a_cols, b_cols, tol)
     b_scale = float(np.linalg.norm(b_cols)) if b_cols.size else 0.0
     # Loosened bound: the exact-arithmetic residual is 0 under the semi
@@ -500,41 +521,25 @@ def _extend(
         raise ExtensionInputError(
             f"least-squares system for the contraction is inconsistent (residual {residual:.3e})"
         )
-    u = column_span_onb(a_cols, tol, height=d_h)
-    projection = u @ dagger(u)
     norm_bound = 1.0 + 10.0 * (tol.abs_tol + tol.rel_tol)
     s0_norm = operator_norm(s0)
     if s0_norm > norm_bound:
         raise ExtensionInputError(
             f"factoring operator has norm {s0_norm:.6f} > 1; semi hypothesis violated"
         )
-    composite = s0 @ projection
-    prime_values = tuple(composite @ v for v in universal.values)
-    phi_prime = ModuleMap(e, m, k, prime_values)
+    phi_prime = ModuleMap(e, m, k, tuple(s0 @ universal._value_stack))
 
-    report: dict = {
-        "empty_submodule": f.dim == 0,
-        "zero_cp_map": kres.dilation.rank == 0,
-        "contraction_norm": s0_norm,
-        "least_squares_residual": residual,
-    }
     # Restriction certificate, re-derived through coefficients on e.
     prime_on_f = phi_prime.apply(f._basis_stack, tol)
-    report["restriction_defect"] = _largest_norm(prime_on_f - phi_map._value_stack)
     gram = _paired(kres.gram.g_phi, phi_prime)  # the universal map is on e too
     semi_prime = _semi_verdict(gram, tol)
-    report["extension_semi_ok"] = semi_prime.ok
-    report["extension_semi_margin"] = semi_prime.margin
-
     # The exact check on the input reads the Gram pair of the semi check.
     input_is_phi_map = _block_defect(phi_map, semi.gram, tol).ok
-    report["input_is_phi_map"] = input_is_phi_map
-    report["obstruction_vanishes"] = obstruction.vanishes
-    report["obstruction_norm"] = obstruction.norm
+    killed = exact_defect = None
     if input_is_phi_map and obstruction.vanishes:
         f_perp = obstruction.complement
         prime_on_perp = phi_prime.apply(f_perp._basis_stack, tol)
-        report["complement_killed_defect"] = _largest_norm(prime_on_perp)
+        killed = _largest_norm(prime_on_perp)
         y_stack = np.concatenate([f._basis_stack, f_perp._basis_stack])
         y_values = np.concatenate([prime_on_f, prime_on_perp])
         x_stack, x_values = e._basis_stack, phi_prime._value_stack
@@ -542,44 +547,50 @@ def _extend(
             adjoint_products(x_values, y_values) - phi.apply_pairs(x_stack, y_stack),
             adjoint_products(y_values, x_values) - phi.apply_pairs(y_stack, x_stack),
         ]
-        report["exact_on_complemented_defect"] = max(_largest_norm(dd) for dd in defects)
+        exact_defect = max(_largest_norm(dd) for dd in defects)
 
-    return ExtensionResult(
-        phi_prime=phi_prime,
-        original=phi_map,
-        ksgns_map=universal,
-        subspace_onb=kres.onb,
-        projection=projection,
-        contraction=s0,
-        composite=composite,
-        dilation=kres.dilation,
-        gram=gram,
-        report=report,
+    report = ExtensionReport(
+        empty_submodule=f.dim == 0,
+        zero_cp_map=kres.dilation.rank == 0,
+        contraction_norm=s0_norm,
+        least_squares_residual=residual,
+        restriction_defect=_largest_norm(prime_on_f - phi_map._value_stack),
+        extension_semi_ok=semi_prime.ok,
+        extension_semi_margin=semi_prime.margin,
+        input_is_phi_map=input_is_phi_map,
+        obstruction_vanishes=obstruction.vanishes,
+        obstruction_norm=obstruction.norm,
+        complement_killed_defect=killed,
+        exact_on_complemented_defect=exact_defect,
     )
+    return ExtensionResult(phi_prime, phi_map, universal, s0, kres.dilation, gram, report)
 
 
 def compare_extensions(
     gamma: ModuleMap,
     result: ExtensionResult,
-    phi: CPMap,
-    f: ConcreteModule,
     tol: ToleranceProfile = DEFAULT_TOL,
 ) -> bool:
     """Uniqueness check: a compatible extension of a non-degenerate compatible
     map must coincide with the engine's output.
 
-    Unverified preconditions raise :class:`PreconditionError` rather than
-    returning False.
+    gamma must restrict to ``result.original`` and is certified exactly
+    compatible against the engine's table ``phi(<e_i, e_j>)`` in
+    ``result.gram``.  Unverified preconditions raise
+    :class:`PreconditionError` rather than returning False.
     """
-    if not np.array_equal(gamma.domain._basis_stack, result.phi_prime.domain._basis_stack):
+    prime, original = result.phi_prime, result.original
+    if not np.array_equal(gamma.domain._basis_stack, prime.domain._basis_stack):
         raise PreconditionError("gamma must be defined on the same ambient module")
-    if _any_apart(gamma.apply(f._basis_stack, tol), result.original._value_stack, tol):
+    if (gamma.h1_dim, gamma.h2_dim) != (prime.h1_dim, prime.h2_dim):
+        raise ShapeError("gamma and the engine's extension map between spaces of different dimensions")
+    if _any_apart(gamma.apply(original.domain._basis_stack, tol), original._value_stack, tol):
         raise PreconditionError("gamma does not restrict to the original map")
-    if not is_nondegenerate(result.original, tol):
+    if not is_nondegenerate(original, tol):
         raise PreconditionError("original map is not non-degenerate")
-    if not is_phi_map(gamma, phi, tol).ok:
+    if not _block_defect(gamma, _paired(result.gram.g_phi, gamma), tol).ok:
         raise PreconditionError("gamma is not an exactly compatible map")
-    return not _any_apart(gamma._value_stack, result.phi_prime._value_stack, tol)
+    return not _any_apart(gamma._value_stack, prime._value_stack, tol)
 
 
 def _any_apart(values: np.ndarray, reference: np.ndarray, tol: ToleranceProfile) -> bool:
@@ -598,10 +609,11 @@ def canonical_compacts_extension(
 ) -> ModuleMap:
     """The extension-by-zero along the complemented decomposition.
 
-    Valid only when the obstruction vanishes; otherwise no exactly compatible
-    extension exists at all and this refuses.  The output is certified to be
-    exactly compatible on the whole module and to coincide with the engine's
-    extension.
+    Valid only when the obstruction vanishes; otherwise the extension by zero
+    is not exactly compatible and this refuses (see
+    :func:`phi_extension_obstruction` for when another one exists).  The
+    output is certified to be exactly compatible on the whole module and to
+    coincide with the engine's extension.
     """
     return _canonical_compacts(phi_map, e, phi, tol)[0]
 
@@ -619,7 +631,7 @@ def _canonical_compacts(
     if not obstruction.vanishes:
         raise PreconditionError(
             f"obstruction norm {obstruction.norm:.3e} is nonzero: "
-            "no exactly compatible extension exists on the whole module"
+            "the extension by zero is not exactly compatible on the whole module"
         )
     semi = is_completely_semi_phi(phi_map, phi, tol)
     if not _block_defect(phi_map, semi.gram, tol).ok:

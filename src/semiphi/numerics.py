@@ -102,8 +102,8 @@ NEAR_FACTOR = 10.0
 
 
 def _rank_cut(s: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL, bound: float = 1.0) -> tuple[int, bool]:
-    """The rank of descending singular values ``s`` at the threshold of
-    :func:`column_span_onb` taken in units of ``bound``
+    """The rank of descending singular values ``s``, cut at the one rank
+    threshold of this package taken in units of ``bound``
     (``abs * bound + rel * s_max``, see
     :meth:`ToleranceProfile.bounded_threshold`), and whether the cut is
     clear of it: the last kept value at least :data:`NEAR_FACTOR` times the
@@ -378,10 +378,7 @@ def column_span_onb(
     if mat.shape[1] == 0 or mat.shape[0] == 0:
         return np.zeros((mat.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((mat.shape[0], 0), dtype=complex)
-    rank = int(np.count_nonzero(s > tol.threshold(s[0])))
-    return u[:, :rank]
+    return u[:, : _rank_cut(s, tol)[0]]
 
 
 def least_squares_operator(
@@ -403,10 +400,9 @@ def least_squares_operator(
         s0 = np.zeros((b.shape[0], a.shape[0]), dtype=complex)
         return s0, float(np.linalg.norm(b))
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    cutoff = tol.threshold(s[0]) if s.size else 0.0
-    keep = s > cutoff
+    rank = _rank_cut(s, tol)[0]
     s_inv = np.zeros_like(s)
-    s_inv[keep] = 1.0 / s[keep]
+    s_inv[:rank] = 1.0 / s[:rank]
     pinv = dagger(vh) @ np.diag(s_inv) @ dagger(u)
     s0 = b @ pinv
     residual = float(np.linalg.norm(s0 @ a - b))
@@ -428,6 +424,4 @@ def nullspace_onb(m: MatrixLike, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndar
     if arr.shape[0] == 0 or not arr.any():
         return np.eye(arr.shape[1], dtype=complex)
     _, s, vh = np.linalg.svd(arr, full_matrices=arr.shape[0] < arr.shape[1])
-    cutoff = tol.threshold(s[0]) if s.size else 0.0
-    rank = int(np.count_nonzero(s > cutoff))
-    return dagger(vh)[:, rank:]
+    return dagger(vh)[:, _rank_cut(s, tol)[0] :]

@@ -583,6 +583,6 @@ def injectivity_demo(
     lifted = ModuleMap(g_in_f, phi_map.h1_dim, phi_map.h2_dim, phi_map.values)
     result = extend_semi_phi(lifted, f, psi, tol)
     # The engine's restriction defect is over g_in_f's basis and these values.
-    if result.report["restriction_defect"] > 1e3 * tol.threshold(1.0):
+    if result.report.restriction_defect > 1e3 * tol.threshold(1.0):
         raise SelfCheckError("extension failed to restrict to the input morphism")
     return result.phi_prime, psi

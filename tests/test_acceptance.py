@@ -260,7 +260,7 @@ def test_criterion_9_uniqueness_against_independent_construction():
         fx = random_vanishing_obstruction_fixture(rng)
         res = extend_semi_phi(fx.phi_map, fx.e, fx.phi)
         gamma = canonical_compacts_extension(fx.phi_map, fx.e, fx.phi)
-        ok &= compare_extensions(gamma, res, fx.phi, fx.f)
+        ok &= compare_extensions(gamma, res)
         diff = max(
             (
                 float(np.linalg.norm(a - b))

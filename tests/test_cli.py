@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -67,6 +69,34 @@ def test_obstruction_refuted(ex21_file, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["margins"]["obstruction_norm"] > 0.1
     assert "non" in report["verdicts"]["note"]
+
+
+SCHEMAS = pathlib.Path(__file__).resolve().parents[1] / "docs" / "schemas.md"
+
+
+def documented_keys(command):
+    """The ``verdicts``, ``margins`` and ``witnesses`` names of one row of the
+    report table in docs/schemas.md, in the order listed."""
+    for line in SCHEMAS.read_text().splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if cells[0] == command and len(cells) == 4:  # not the input table's row
+            return [re.findall(r"`([a-z][a-z0-9_]*)`", cell) for cell in cells[1:4]]
+    raise AssertionError(f"no report row for {command!r}")
+
+
+@pytest.mark.parametrize(
+    "command, argv, code",
+    [
+        ("extend", ["extend", "{file}"], 0),
+        ("obstruction", ["obstruction", "{file}"], 1),
+        ("demo example-2-1", ["demo", "example-2-1", "--n", "2"], 0),
+    ],
+)
+def test_report_keys_in_documented_order(ex21_file, capsys, command, argv, code):
+    assert main([a.format(file=ex21_file) for a in argv] + ["--json"]) == code
+    report = json.loads(capsys.readouterr().out)
+    keys = [list(report[part]) for part in ("verdicts", "margins", "witnesses")]
+    assert keys == documented_keys(command)
 
 
 def test_check_cp_transpose(tmp_path, capsys):

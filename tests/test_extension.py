@@ -10,8 +10,10 @@ from semiphi import (
     ConcreteModule,
     CPMap,
     ExtensionInputError,
+    ExtensionReport,
     ModuleMap,
     PreconditionError,
+    ShapeError,
     canonical_compacts_extension,
     compare_extensions,
     extend_semi_phi,
@@ -294,6 +296,17 @@ class TestExtensionEngine:
         for v in res.phi_prime.values:
             assert np.linalg.norm(v) < 1e-12
 
+    def test_report_is_typed_and_read_by_key(self):
+        fx = example_2_1(2)
+        res = extend_semi_phi(fx.phi_map, fx.e, fx.phi)
+        assert isinstance(res.report, ExtensionReport)
+        assert res.report["obstruction_norm"] == res.report.obstruction_norm == 1.0
+        # The obstruction does not vanish, so the exact branch did not run.
+        assert res.report.complement_killed_defect is None
+        assert res.report["exact_on_complemented_defect"] is None
+        with pytest.raises(KeyError):
+            res.report["projection"]
+
     def test_contraction_norm_bounded(self, rng):
         for _ in range(20):
             fx = random_semi_phi_fixture(rng)
@@ -371,6 +384,32 @@ class TestStagesRunOnce:
         assert len(eigh) == 1 and eigh[0][0].shape[0] == fx.phi.domain.ambient_dim * fx.phi.target_dim
         assert len(eigvalsh) == 2
 
+    @pytest.mark.parametrize(
+        "make, svds",
+        [
+            (lambda rng: example_2_1(2), 7),
+            (lambda rng: compacts_fixture(2), 9),
+            (random_vanishing_obstruction_fixture, 9),
+            # f = 0: the least-squares system is empty and takes no SVD.
+            (random_semi_phi_fixture, 4),
+        ],
+        ids=["example_2_1", "compacts", "vanishing_obstruction", "semi"],
+    )
+    def test_svd_count(self, make, svds, monkeypatch, rng):
+        # The least-squares SVD is the only one over the universal vectors on f.
+        fx = make(rng)
+        calls = counted(monkeypatch, np.linalg, "svd")
+        extend_semi_phi(fx.phi_map, fx.e, fx.phi)
+        assert len(calls) == svds
+
+    def test_compare_forms_no_pair_table(self, monkeypatch):
+        fx = compacts_fixture(2)
+        res = extend_semi_phi(fx.phi_map, fx.e, fx.phi)
+        gamma = canonical_compacts_extension(fx.phi_map, fx.e, fx.phi)
+        pairs = counted(monkeypatch, CPMap, "apply_pairs")
+        assert compare_extensions(gamma, res)
+        assert pairs == []
+
 
 class TestGramPairReuse:
     def test_block_defect_leaves_the_pair_unchanged(self):
@@ -413,13 +452,13 @@ class TestUniqueness:
     def test_engine_output_agrees_with_itself(self):
         fx = compacts_fixture(2)
         res = extend_semi_phi(fx.phi_map, fx.e, fx.phi)
-        assert compare_extensions(res.phi_prime, res, fx.phi, fx.f)
+        assert compare_extensions(res.phi_prime, res)
 
     def test_independent_construction_agrees(self):
         fx = compacts_fixture(2)
         res = extend_semi_phi(fx.phi_map, fx.e, fx.phi)
         gamma = canonical_compacts_extension(fx.phi_map, fx.e, fx.phi)
-        assert compare_extensions(gamma, res, fx.phi, fx.f)
+        assert compare_extensions(gamma, res)
 
     def test_non_phi_map_candidate_refused(self):
         fx = compacts_fixture(1)
@@ -428,7 +467,7 @@ class TestUniqueness:
         bent_values[-1] = bent_values[-1] + 1e-2
         bent = ModuleMap(fx.e, 1, 1, tuple(bent_values))
         with pytest.raises(PreconditionError):
-            compare_extensions(bent, res, fx.phi, fx.f)
+            compare_extensions(bent, res)
 
     def test_equal_module_given_as_another_object(self):
         # As when Gamma's domain and E are parsed separately from one file.
@@ -436,7 +475,7 @@ class TestUniqueness:
         res = extend_semi_phi(fx.phi_map, fx.e, fx.phi)
         copy = ConcreteModule(fx.e.algebra, fx.e.row_dim, tuple(b.copy() for b in fx.e.basis))
         gamma = ModuleMap(copy, 2, res.phi_prime.h2_dim, res.phi_prime.values)
-        assert compare_extensions(gamma, res, fx.phi, fx.f)
+        assert compare_extensions(gamma, res)
 
     def test_different_basis_refused(self):
         fx = compacts_fixture(2)
@@ -449,14 +488,21 @@ class TestUniqueness:
             ModuleMap(fx.f, 2, k, tuple(res.phi_prime.apply(fx.f._basis_stack))),
         ):
             with pytest.raises(PreconditionError, match="same ambient module"):
-                compare_extensions(gamma, res, fx.phi, fx.f)
+                compare_extensions(gamma, res)
+
+    def test_gamma_of_another_shape_refused(self):
+        fx = compacts_fixture(2)
+        res = extend_semi_phi(fx.phi_map, fx.e, fx.phi)
+        narrow = ModuleMap(fx.e, 1, res.phi_prime.h2_dim, tuple(v[:, :1] for v in res.phi_prime.values))
+        with pytest.raises(ShapeError):
+            compare_extensions(narrow, res)
 
     def test_wrong_restriction_refused(self):
         fx = compacts_fixture(1)
         res = extend_semi_phi(fx.phi_map, fx.e, fx.phi)
         shrunk = ModuleMap(fx.e, 1, 1, tuple(0.5 * v for v in res.phi_prime.values))
         with pytest.raises(PreconditionError):
-            compare_extensions(shrunk, res, fx.phi, fx.f)
+            compare_extensions(shrunk, res)
 
 
 class TestCanonicalCompactsExtension:
@@ -473,6 +519,21 @@ class TestCanonicalCompactsExtension:
         fx = example_2_1(1)
         with pytest.raises(PreconditionError):
             canonical_compacts_extension(fx.phi_map, fx.e, fx.phi)
+
+    def test_nonvanishing_obstruction_allows_a_degenerate_exact_extension(self):
+        # Phi(x) = x into C^4 on the top half of M_{4x2}: exact but degenerate,
+        # so the nonzero obstruction does not rule out an exact extension.
+        fx = example_2_1(2)
+        phi_map = ModuleMap(fx.f, 2, 4, fx.f.basis)
+        assert is_phi_map(phi_map, fx.phi).ok
+        assert not is_nondegenerate(phi_map)
+        obstruction = phi_extension_obstruction(fx.phi, fx.f, fx.e)
+        assert obstruction.norm == pytest.approx(1.0)
+        extension = ModuleMap(fx.e, 2, 4, fx.e.basis)
+        assert is_phi_map(extension, fx.phi).ok
+        assert np.allclose(extension.apply(fx.f._basis_stack), phi_map._value_stack, atol=1e-12)
+        with pytest.raises(PreconditionError, match="extension by zero"):
+            canonical_compacts_extension(phi_map, fx.e, fx.phi)
 
     def test_total_domain_returns_input(self):
         fx = example_2_1(1)

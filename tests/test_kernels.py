@@ -107,7 +107,7 @@ def assert_obstruction_matches(phi, f, e):
 def assert_extension_matches(phi_map, e, phi):
     result = extend_semi_phi(phi_map, e, phi)
     f = phi_map.domain
-    if "exact_on_complemented_defect" in result.report:
+    if result.report.exact_on_complemented_defect is not None:
         f_perp = phi_extension_obstruction(phi, f, e).complement
         expected = reference_exact_on_complemented(result.phi_prime, phi, f, f_perp, e)
         assert result.report["exact_on_complemented_defect"] == pytest.approx(
@@ -141,7 +141,7 @@ def test_vanishing_obstruction_fixtures_reach_the_exact_branch():
     for seed in range(1, 40, 2):
         fx = random_fixture(seed)
         result = assert_extension_matches(fx.phi_map, fx.e, fx.phi)
-        reached += "exact_on_complemented_defect" in result.report
+        reached += result.report.exact_on_complemented_defect is not None
     assert reached >= 10
 
 

@@ -316,3 +316,33 @@ def test_rank_cut_is_clear_only_away_from_its_threshold():
     # The rank is the one column_span_onb keeps.
     s = np.array([1.0, 1e-3, 3e-9, 1e-12])
     assert _rank_cut(s, tol)[0] == np.count_nonzero(s > cutoff)
+
+
+_CUT = ToleranceProfile(1e-9, 1e-9).threshold(1.0)
+
+
+@pytest.mark.parametrize(
+    "spectrum, rank",
+    [
+        ([], 0),
+        ([0.0, 0.0, 0.0], 0),
+        ([1.0, _CUT], 1),  # a value at the threshold is dropped
+        ([1.0, float(np.nextafter(_CUT, 1.0))], 2),
+    ],
+    ids=["empty", "all_zero", "at_threshold", "above_threshold"],
+)
+def test_span_least_squares_and_nullspace_share_the_rank_cut(spectrum, rank):
+    """The three SVD kernels keep the rank of ``_rank_cut``, whose threshold
+    at bound 1 is the plain mixed threshold bit for bit."""
+    tol = ToleranceProfile(1e-9, 1e-9)
+    s = np.array(spectrum)
+    n = len(s)
+    assert _rank_cut(s, tol)[0] == rank
+    if n:
+        assert tol.bounded_threshold(s[0], 1.0) == tol.threshold(s[0])
+    a = np.diag(s).astype(complex).reshape(n, n)
+    assert column_span_onb(a, tol, height=n).shape == (n, rank)
+    s0, _ = least_squares_operator(a, a, tol)
+    # With targets = inputs, S0 is the projection onto the kept span.
+    assert round(float(np.trace(s0).real)) == rank
+    assert nullspace_onb(a, tol).shape == (n, n - rank)

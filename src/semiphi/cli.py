@@ -31,7 +31,6 @@ from .extension import (
     _block_defect,
     _canonical_compacts,
     _largest_norm,
-    _paired,
     _refutable_semi,
     _witness_from_report,
     compare_extensions,
@@ -310,9 +309,8 @@ def _demo_example_3_9(n: int, tol, rng) -> tuple[bool, dict, dict]:
 def _demo_compacts_2_6(n: int, tol, rng) -> tuple[bool, dict, dict]:
     fx = compacts_fixture(n)
     verdicts, margins = {}, {}
-    canonical, result = _canonical_compacts(fx.phi_map, fx.e, fx.phi, tol)
-    pair = _paired(result.gram.g_phi, canonical)
-    verdicts["zero_padding_is_phi_map"] = _block_defect(canonical, pair, tol).ok
+    canonical, result, certificate = _canonical_compacts(fx.phi_map, fx.e, fx.phi, tol)
+    verdicts["zero_padding_is_phi_map"] = certificate.ok
     defect = _largest_norm(canonical._value_stack - result.phi_prime._value_stack)
     verdicts["matches_engine_output"] = defect <= 1e-8
     margins["engine_agreement_defect"] = defect

@@ -12,6 +12,8 @@ re-verified on the result rather than inherited from the construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
@@ -19,13 +21,16 @@ from .cpmaps import CPMap, StinespringDilation, _choi_matrix, stinespring
 from .modules import ConcreteModule, _complement, _invalid_module_message, is_submodule
 from .numerics import (
     DEFAULT_TOL,
-    PsdReport,
     ShapeError,
     ToleranceProfile,
+    _far_from_overflow,
+    _lowest_eigenvector,
     _matrix_stack,
     _max_operator_norm,
     _psd_eigh,
     _psd_report,
+    _psd_verdict_clear,
+    _rounding_band,
     adjoint_products,
     as_matrix,
     column_span_onb,
@@ -248,30 +253,46 @@ class SemiPhiReport:
 
     ``margin`` is the smallest eigenvalue of the Gram gap and ``witness`` a
     unit eigenvector for it (empty when the gap is 0x0), from which a
-    refutation certificate is built.  Both are those of the PSD report of
-    the symmetrized gap (the keyword-only ``_psd``): the margin from an
-    eigenvalue-only solve, the witness computed by ``eigh`` on first
-    access.  Reports made to build a certificate (:func:`semiphi_witness`,
-    the CLI ``witness`` command) are decided by that ``eigh`` instead and
-    come with the witness already computed.  The two solvers round apart,
-    so for a gap whose smallest eigenvalue lies within about
-    ``8 * N * EPS * scale`` of the threshold the two decisions can differ:
-    :func:`is_completely_semi_phi` may refute a pair for which
-    :func:`semiphi_witness` raises "witness requested for a satisfying
-    pair", and the reverse.
+    refutation certificate is built.
+
+    :func:`is_completely_semi_phi` decides gaps of 64 rows and more on the
+    signed Choi carrier (see :func:`_carrier_semi`) and builds no Gram pair:
+    ``gram`` (a :class:`GramPair`, from the keyword-only callable ``_table``)
+    is formed on first access, and so is ``witness``, by ``eigh`` of the
+    symmetrized gap of that pair; both are bit-equal to a table-decided
+    report's.  Smaller gaps are decided on the Gram pair as before.  A
+    report made to build a certificate (:func:`semiphi_witness`, the CLI
+    ``witness`` command) that refutes carries its witness from the decision
+    (the keyword-only ``_vector``): on the carrier, the lift of the small
+    eigenvector, a unit eigenvector of the gap for ``margin`` defined up to a
+    unit phase.
+
+    The carrier and the table round apart, so ``margin`` differs from the
+    table's smallest eigenvalue in the rounding digits; a verdict within the
+    carrier's error band of the threshold is taken from the table.  For a
+    gap whose smallest eigenvalue lies within about ``8 * N * EPS * scale``
+    of the threshold, a refuting :func:`is_completely_semi_phi` can still
+    meet a :func:`semiphi_witness` that raises "witness requested for a
+    satisfying pair", and the reverse.
     """
 
     ok: bool
-    gram: GramPair
     margin: float
-    _psd: PsdReport = field(repr=False, compare=False, kw_only=True)
+    _table: Callable[[], GramPair] = field(repr=False, compare=False, kw_only=True)
+    _vector: np.ndarray | None = field(default=None, repr=False, compare=False, kw_only=True)
 
     def __bool__(self) -> bool:
         return self.ok
 
-    @property
+    @cached_property
+    def gram(self) -> GramPair:
+        return self._table()
+
+    @cached_property
     def witness(self) -> np.ndarray:
-        return self._psd.witness
+        if self._vector is not None:
+            return self._vector
+        return _lowest_eigenvector(_symmetrized_gap(self.gram))
 
 
 def is_completely_semi_phi(
@@ -283,25 +304,181 @@ def is_completely_semi_phi(
     the level-n condition for all n: both sides are the same quadratic form
     on the algebraic tensor of the module with ``C^m``, and each level-n
     instance decomposes into row families of that form.
+
+    From ``N = 64`` on the comparison is decided on the signed Choi carrier
+    (:func:`_carrier_semi`): per algebra block one small ``eigh`` of the
+    Choi matrix and one SVD of the basis columns, then one QR and one
+    eigenvalue-only solve of the carrier size ``n <= p * T + k`` in place of
+    the ``N x N`` gap.  Where that cannot decide (``n >= N``, a verdict
+    within the carrier's error bound of its threshold, or values near
+    overflow), and for smaller gaps, the Gram pair decides, as
+    :func:`extend_semi_phi` does, so the verdict is the pair's.  The report's
+    ``gram``, and its ``witness`` on the carrier, are built on first access.
     """
-    return _semi_verdict(gram_pair(phi_map, phi), tol)
+    return _carrier_semi(phi_map, phi, tol)
 
 
 def _refutable_semi(phi_map: ModuleMap, phi: CPMap, tol: ToleranceProfile) -> SemiPhiReport:
-    """:func:`is_completely_semi_phi` decided by one ``eigh``, for callers
-    that build a certificate when it refutes: the report's ``witness`` comes
-    from the same solve."""
-    return _semi_verdict(gram_pair(phi_map, phi), tol, vectors=True)
+    """:func:`is_completely_semi_phi` for callers that build a certificate
+    when it refutes: the report's ``witness`` comes from the deciding solve."""
+    return _carrier_semi(phi_map, phi, tol, vectors=True)
+
+
+def _table_semi(
+    phi_map: ModuleMap, phi: CPMap, tol: ToleranceProfile, vectors: bool = False
+) -> SemiPhiReport:
+    """The semi criterion decided on the Gram pair of ``phi_map``."""
+    return _semi_verdict(gram_pair(phi_map, phi), tol, vectors)
+
+
+# The gap size N from which the carrier decides.  Below it the Gram pair's
+# one N x N solve costs less than the carrier's fixed work (per algebra block
+# an eigh and an SVD, then a QR and the small solve): the two paths break
+# even between N = 48 and N = 80 on bench-style problems over one to three
+# algebra blocks (2-vCPU x86-64 host, OpenBLAS at one thread).
+_CARRIER_MIN_GAP = 64
+
+
+def _carrier_semi(
+    phi_map: ModuleMap, phi: CPMap, tol: ToleranceProfile, vectors: bool = False
+) -> SemiPhiReport:
+    """The semi criterion decided on the signed Choi carrier, with no Gram
+    pair and no ``N x N`` solve (``N = dim * m``).
+
+    With ``H = sum_t lambda_t w_t w_t*`` the symmetrized Choi matrix, the
+    pinch-extended ``phi~(<x_i, x_j>)`` is ``C_i* J C_j`` on the rows
+    ``c[(s, t), (i, l)] = sqrt|lambda_t| sum_b x_i[s, b] conj(w_t[(b, l)])``
+    with the signs ``J`` of the ``T`` kept eigenvalues.  The symmetrized Gram
+    gap is then ``X* J' X`` with ``X = [C; B]``, ``B`` the map's
+    :meth:`~ModuleMap.stacked_columns` and ``J' = diag(J, -I_k)``; with
+    ``X* = Q R`` (one QR) its spectrum is that of the ``n x n`` matrix
+    ``R J' R*`` and ``N - n`` zeros.  With ``vectors`` a refuting decision
+    comes from ``eigh`` of that matrix, and its witness is the lift ``Q w``
+    of the small eigenvector ``w``.
+
+    ``H`` is block diagonal, one block per algebra block, so each block has
+    its own ``eigh`` and its eigenvectors meet only that block's columns of
+    the basis.  Those columns span few rows: the rows ``s`` of a block are
+    taken in an orthonormal basis of that span (one SVD), which leaves the
+    form unchanged, so ``n`` is the sum over blocks of (rank of the block's
+    columns) * (kept eigenvalues) plus ``k``, at most ``p * T + k``.
+
+    Eigenvalues and singular values below the rounding band
+    (``numerics._rounding_band``) are dropped.  With ``S = sum_i |x_i|_F^2``
+    and ``e`` the dropped singular mass, that moves the gap by at most
+    ``|lambda|_drop * S`` and ``|H| * e * (e + 2 sqrt(S))`` (Weyl,
+    Cauchy-Schwarz); with the rounding of every solve of both paths this
+    bounds how far the carrier's smallest and largest eigenvalues can be
+    from the table's.  A verdict that is not clear of its threshold by
+    ``NEAR_FACTOR`` times that bound (``numerics._psd_verdict_clear``), a
+    carrier no smaller than ``N``, a gap below ``_CARRIER_MIN_GAP`` and
+    values whose products come near overflow are decided on the Gram pair
+    instead (:func:`_table_semi`), so the verdict is always the pair's, and
+    non-finite pairs raise as there.
+    """
+    _check_compatible(phi_map, phi)
+    basis, values = phi_map.domain._basis_stack, phi_map._value_stack
+    d, p, q = basis.shape
+    k, m = phi_map.h2_dim, phi_map.h1_dim
+    dim = d * m
+    if dim < _CARRIER_MIN_GAP or k >= dim:
+        return _table_semi(phi_map, phi, tol, vectors)
+    choi = _choi_matrix(phi)
+    module_mass = float(np.vdot(basis, basis).real)  # sum_i |x_i|_F^2
+    map_mass = float(np.vdot(values, values).real)  # |B|_F^2
+    choi_l1 = float(np.abs(choi).sum())
+    # Every product either path forms is bounded by this (the table's
+    # phi~(x_i* x_j) by module_mass * choi_l1, the carrier's rows by its
+    # eigenvalues, each at most choi_l1).
+    product_bound = (module_mass + 1.0) * choi_l1 * q * m + map_mass
+    if not _far_from_overflow(product_bound):
+        return _table_semi(phi_map, phi, tol, vectors)
+    herm = (choi + dagger(choi)) / 2.0
+    slices = phi.domain.block_slices()
+    spectra = [np.linalg.eigh(herm[sl.start * m : sl.stop * m, sl.start * m : sl.stop * m]) for sl in slices]
+    top = max(float(np.abs(lam).max()) for lam, _ in spectra)
+    cut = _rounding_band(q * m, top)
+    kept = [np.abs(lam) > cut for lam, _ in spectra]
+    # A block whose columns span r_b rows adds r_b * (kept eigenvalues) rows
+    # to the carrier, against r_b * width * m of N for a module (whose
+    # dimension is sum_b r_b * width): when k covers the largest shortfall
+    # the blocks the basis meets can leave, n >= N without an SVD.
+    shortfall = dim * max(
+        (1.0 - np.count_nonzero(keep) / len(keep) for sl, keep in zip(slices, kept) if basis[:, :, sl].any()),
+        default=0.0,
+    )
+    if k >= shortfall:
+        return _table_semi(phi_map, phi, tol, vectors)
+    dropped = row_loss = 0.0
+    n, blocks = k, []
+    for sl, (lam, w), keep in zip(slices, spectra, kept):
+        dropped = max(dropped, float(np.abs(lam[~keep]).max(initial=0.0)))
+        if not keep.any():
+            continue
+        # The rows s spanned by the block's columns of every basis element.
+        y = basis[:, :, sl].transpose(1, 0, 2).reshape(p, -1)
+        u, sv, _ = np.linalg.svd(y, full_matrices=False)
+        rank = int(np.count_nonzero(sv > _rounding_band(max(y.shape), sv.max(initial=0.0))))
+        row_loss += float(np.linalg.norm(sv[rank:]))
+        n += rank * int(np.count_nonzero(keep))
+        blocks.append((y, u[:, :rank], lam[keep], w[:, keep]))
+    if n >= dim:
+        return _table_semi(phi_map, phi, tol, vectors)
+    columns, signs = [], []
+    for y, u_kept, lam, w in blocks:
+        rank, width, t = u_kept.shape[1], w.shape[0] // m, len(lam)
+        # conj(x_i[s, b]) with the rows s in that basis, as (d, rank, width).
+        conj_rows = (u_kept.T @ np.conj(y)).reshape(rank, d, width).transpose(1, 0, 2)
+        # C*[(i, l), (s, t)] = sqrt|lambda_t| sum_b conj(x_i[s, b]) w_t[(b, l)].
+        w_kept = (w * np.sqrt(np.abs(lam))).reshape(width, m * t)
+        c_adj = (conj_rows @ w_kept).reshape(d, rank, m, t)
+        columns.append(c_adj.transpose(0, 2, 1, 3).reshape(dim, rank * t))
+        signs.append(np.tile(np.sign(lam), rank))
+    columns.append(np.conj(values).transpose(0, 2, 1).reshape(dim, k))
+    signs.append(-np.ones(k))
+    x_adj = np.concatenate(columns, axis=1)
+    if vectors:
+        q_onb, r = np.linalg.qr(x_adj)
+    else:
+        r = np.linalg.qr(x_adj, mode="r")
+    small = (r * np.concatenate(signs)) @ dagger(r)
+    if vectors:
+        mu, small_vecs = np.linalg.eigh(small)
+    else:
+        mu = np.linalg.eigvalsh(small)
+    scale = float(np.linalg.norm(choi)) * module_mass + map_mass
+    error = (
+        dropped * module_mass
+        + top * row_loss * (row_loss + 2.0 * np.sqrt(module_mass))
+        + _rounding_band(dim + n + (m + d + p) * q, scale)
+    )
+    # The gap's spectrum: mu and N - n zeros.
+    extremes = np.array([min(0.0, mu[0]), max(0.0, mu[-1])])
+    ok, lam_min, clear = _psd_verdict_clear(extremes, error, tol)
+    if not clear:
+        return _table_semi(phi_map, phi, tol, vectors)
+    lifted = q_onb @ small_vecs[:, 0] if vectors and not ok else None
+    return SemiPhiReport(ok, lam_min, _table=partial(gram_pair, phi_map, phi), _vector=lifted)
+
+
+def _symmetrized_gap(pair: GramPair) -> np.ndarray:
+    """``(G + G*) / 2`` for the gap ``G = g_phi - g_map`` of a Gram pair;
+    rejects non-finite entries."""
+    diff = pair.g_phi - pair.g_map
+    return as_matrix((diff + dagger(diff)) / 2.0)
 
 
 def _semi_verdict(pair: GramPair, tol: ToleranceProfile, vectors: bool = False) -> SemiPhiReport:
     """The semi criterion read off a Gram pair: the PSD decision of its
     symmetrized gap, from eigenvalues alone, or with ``vectors`` from one
     ``eigh`` that also gives the report's witness."""
-    diff = pair.g_phi - pair.g_map
-    gap = as_matrix((diff + dagger(diff)) / 2.0)  # rejects non-finite entries
-    psd = _psd_eigh(gap, tol)[0] if vectors else _psd_report(gap, tol)
-    return SemiPhiReport(psd.ok, pair, psd.lambda_min, _psd=psd)
+    gap = _symmetrized_gap(pair)
+    if vectors:
+        psd = _psd_eigh(gap, tol)[0]
+        vector = psd.witness
+    else:
+        psd, vector = _psd_report(gap, tol), None
+    return SemiPhiReport(psd.ok, psd.lambda_min, _table=lambda: pair, _vector=vector)
 
 
 @dataclass(frozen=True)
@@ -325,8 +502,10 @@ def semiphi_witness(
     phi_map: ModuleMap, phi: CPMap, tol: ToleranceProfile = DEFAULT_TOL
 ) -> SemiPhiWitness:
     """Build a refutation certificate from a negative eigenvector of the Gram
-    gap; raises if the pair actually satisfies the criterion.  One Gram pair
-    and one ``eigh`` decide and give the eigenvector."""
+    gap; raises if the pair actually satisfies the criterion.  One ``eigh``
+    decides and gives the eigenvector: of the carrier matrix, lifted to the
+    gap (:func:`_carrier_semi`), or of the gap itself where the Gram pair
+    decides.  The vector is a unit eigenvector defined up to a unit phase."""
     report = _refutable_semi(phi_map, phi, tol)
     if report.ok:
         raise PreconditionError("witness requested for a satisfying pair")
@@ -484,7 +663,7 @@ def extend_semi_phi(
         raise ExtensionInputError(str(err)) from None
     except PreconditionError:
         raise ExtensionInputError("the map's domain must be a submodule of e") from None
-    return _extend(phi_map, e, phi, obstruction, is_completely_semi_phi(phi_map, phi, tol), tol)
+    return _extend(phi_map, e, phi, obstruction, _table_semi(phi_map, phi, tol), tol)
 
 
 def _extend(
@@ -623,9 +802,10 @@ def _canonical_compacts(
     e: ConcreteModule,
     phi: CPMap,
     tol: ToleranceProfile,
-) -> tuple[ModuleMap, ExtensionResult]:
+) -> tuple[ModuleMap, ExtensionResult, PhiMapReport]:
     """The body of :func:`canonical_compacts_extension`, which also returns
-    the engine result the extension was certified against."""
+    the engine result the extension was certified against and that
+    certificate (which is ``ok``: a failing one raises)."""
     f = phi_map.domain
     obstruction = phi_extension_obstruction(phi, f, e, tol)
     if not obstruction.vanishes:
@@ -633,7 +813,7 @@ def _canonical_compacts(
             f"obstruction norm {obstruction.norm:.3e} is nonzero: "
             "the extension by zero is not exactly compatible on the whole module"
         )
-    semi = is_completely_semi_phi(phi_map, phi, tol)
+    semi = _table_semi(phi_map, phi, tol)
     if not _block_defect(phi_map, semi.gram, tol).ok:
         raise PreconditionError("input is not an exactly compatible map on its domain")
     f_perp = obstruction.complement
@@ -658,4 +838,4 @@ def _canonical_compacts(
     for ve, vp in zip(extension.values, engine.phi_prime.values):
         if np.linalg.norm(ve - vp) > 1e3 * tol.threshold(max(np.linalg.norm(ve), 1.0)):
             raise SelfCheckError("extension-by-zero disagrees with the engine output")
-    return extension, engine
+    return extension, engine, certify

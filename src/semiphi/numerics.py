@@ -101,6 +101,23 @@ EPS = float(np.finfo(float).eps)
 NEAR_FACTOR = 10.0
 
 
+def _rounding_band(dim: int, scale: float) -> float:
+    """``dim * EPS * scale``: the rounding allowance of a backward-stable
+    solve of dimension ``dim`` (an eigendecomposition, a QR) or of sums of
+    ``dim`` terms whose absolute values are bounded by ``scale``.  Below it a
+    computed quantity that is zero in exact arithmetic cannot be told from
+    zero."""
+    return dim * EPS * scale
+
+
+def _far_from_overflow(bound: float) -> bool:
+    """Whether sums of products whose absolute sum is at most ``bound`` stay
+    finite with a headroom of ``1 / EPS``: far more than the factor by which
+    rounding (below 2 while ``dim * EPS < 1``) and a symmetrizing sum can
+    grow them.  False for an infinite or NaN ``bound``."""
+    return bool(bound < np.finfo(float).max * EPS)
+
+
 def _rank_cut(s: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL, bound: float = 1.0) -> tuple[int, bool]:
     """The rank of descending singular values ``s``, cut at the one rank
     threshold of this package taken in units of ``bound``
@@ -228,9 +245,15 @@ class PsdReport:
 
     @cached_property
     def witness(self) -> np.ndarray:
-        if not self._herm.size:
-            return np.zeros(0, dtype=complex)
-        return np.linalg.eigh(self._herm)[1][:, 0]
+        return _lowest_eigenvector(self._herm)
+
+
+def _lowest_eigenvector(herm: np.ndarray) -> np.ndarray:
+    """A unit eigenvector for the smallest eigenvalue of a hermitian matrix,
+    from ``eigh`` (empty for 0x0 input)."""
+    if not herm.size:
+        return np.zeros(0, dtype=complex)
+    return np.linalg.eigh(herm)[1][:, 0]
 
 
 def _not_hermitian(defect: float, what: str = "matrix") -> HermiticityError:
@@ -278,6 +301,22 @@ def _psd_verdict(eigvals: np.ndarray, tol: ToleranceProfile) -> tuple[np.ndarray
     the scale ``max(|lambda_min|, |lambda_max|)``."""
     lam = eigvals[..., 0]
     return lam >= -tol.threshold(np.maximum(np.abs(lam), np.abs(eigvals[..., -1]))), lam
+
+
+def _psd_verdict_clear(extremes: np.ndarray, error: float, tol: ToleranceProfile) -> tuple[bool, float, bool]:
+    """The verdict of :func:`_psd_verdict` and ``lambda_min`` from the
+    smallest and largest eigenvalues ``extremes`` of a matrix known to
+    within ``error`` per eigenvalue, and whether the verdict is clear.
+
+    The deciding quantity ``lambda_min + threshold(scale)`` moves by at most
+    ``(1 + rel_tol) * error`` when both eigenvalues move by ``error``; the
+    verdict is clear when it lies more than :data:`NEAR_FACTOR` times that
+    from zero, and is then the verdict of every matrix within ``error``.
+    """
+    ok, lam = _psd_verdict(extremes, tol)
+    deciding = lam + tol.threshold(np.abs(extremes).max())
+    clear = abs(deciding) > NEAR_FACTOR * (1.0 + tol.rel_tol) * error
+    return bool(ok), float(lam), bool(clear)
 
 
 def _psd_eigvalsh(herm: np.ndarray, tol: ToleranceProfile) -> tuple[np.ndarray, np.ndarray]:
@@ -401,10 +440,8 @@ def least_squares_operator(
         return s0, float(np.linalg.norm(b))
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     rank = _rank_cut(s, tol)[0]
-    s_inv = np.zeros_like(s)
-    s_inv[:rank] = 1.0 / s[:rank]
-    pinv = dagger(vh) @ np.diag(s_inv) @ dagger(u)
-    s0 = b @ pinv
+    # The pseudo-inverse V_r diag(1/s_r) U_r* from the kept triplets alone.
+    s0 = (b @ dagger(vh[:rank])) @ dagger(u[:, :rank] / s[:rank])
     residual = float(np.linalg.norm(s0 @ a - b))
     return s0, residual
 

@@ -163,6 +163,36 @@ class TestLeastSquaresOperator:
             assert res < 1e-8
             assert np.linalg.norm(s0 @ a - b) < 1e-8
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 6),
+        st.integers(1, 6),
+        st.integers(0, 6),
+        st.integers(1, 3),
+        st.floats(-6.0, 6.0),
+    )
+    def test_matches_pinv_oracle(self, seed, rows, cols, rank, k, log_scale):
+        # Inputs of every rank up to full, the rank-deficient ones exactly
+        # so: their dropped singular values are rounding, far below the cut,
+        # and their kept ones far above it.
+        rng = np.random.default_rng(seed)
+        rank = min(rank, rows, cols)
+
+        def gaussian(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        u = np.linalg.qr(gaussian(rows, rows))[0][:, :rank]
+        v = np.linalg.qr(gaussian(cols, cols))[0][:, :rank]
+        a = 10.0**log_scale * (u * rng.uniform(0.1, 1.0, rank)) @ v.conj().T
+        b = gaussian(k, cols)
+        s0, res = least_squares_operator(a, b)
+        pinv = np.linalg.pinv(a, rcond=1e-6)
+        want = b @ pinv
+        assert s0.shape == want.shape == (k, rows)
+        assert np.linalg.norm(s0 - want) <= 1e-12 * np.linalg.norm(b) * np.linalg.norm(pinv, 2) * rows * cols
+        assert abs(res - np.linalg.norm(want @ a - b)) <= 1e-12 * np.linalg.norm(b) * rows * cols
+
     def test_supported_on_input_span(self, rng):
         a = np.zeros((3, 1), dtype=complex)
         a[0, 0] = 1.0

@@ -140,12 +140,16 @@ class TestSemiCriterion:
             assert np.array_equal(np.concatenate(witness.vectors), vec)
 
     def test_report_field_is_keyword_only(self):
-        # The old positional form SemiPhiReport(ok, gram, margin, witness)
-        # fails loudly; the witness is read off the report's PSD report.
+        # The old positional forms SemiPhiReport(ok, gram, margin, witness)
+        # and SemiPhiReport(ok, gram, margin, _psd=...) fail loudly; gram and
+        # witness are built once, on first access.
         report = is_completely_semi_phi(example_2_1(2).phi_map, example_2_1(2).phi)
         with pytest.raises(TypeError):
             SemiPhiReport(report.ok, report.gram, report.margin, report.witness)
-        assert report.witness is report._psd.witness
+        with pytest.raises(TypeError):
+            SemiPhiReport(report.ok, report.gram, report.margin, _psd=None)
+        assert report.gram is report.gram
+        assert report.witness is report.witness
 
     def test_refuted_fixture_is_refuted(self):
         fx = example_2_1(2)

@@ -23,6 +23,9 @@ from .numerics import (
     DEFAULT_TOL,
     ShapeError,
     ToleranceProfile,
+    _construction_threshold,
+    _construction_tol,
+    _contraction_bound,
     _far_from_overflow,
     _lowest_eigenvector,
     _matrix_stack,
@@ -182,7 +185,8 @@ def is_nondegenerate(phi_map: ModuleMap, tol: ToleranceProfile = DEFAULT_TOL) ->
 @dataclass(eq=False)
 class KsgnsResult:
     """Universal map through which semi-compatible maps factor by contraction.
-    Its self-check reads ``gram``, the Gram pair of the map on ``e``."""
+    Its self-check reads ``gram``, the Gram pair of the map on ``e``, equal to
+    a fresh :func:`gram_pair` of ``map``."""
 
     map: ModuleMap
     onb: np.ndarray
@@ -190,7 +194,9 @@ class KsgnsResult:
     gram: GramPair
 
 
-def ksgns(phi: CPMap, e: ConcreteModule, tol: ToleranceProfile = DEFAULT_TOL) -> KsgnsResult:
+def ksgns(
+    phi: CPMap, e: ConcreteModule, tol: ToleranceProfile = DEFAULT_TOL, *, _table: np.ndarray | None = None
+) -> KsgnsResult:
     """Kolmogorov-style factorization: the universal non-degenerate map.
 
     With ``V`` from the Stinespring dilation and ``r`` its rank, the carrier
@@ -202,6 +208,13 @@ def ksgns(phi: CPMap, e: ConcreteModule, tol: ToleranceProfile = DEFAULT_TOL) ->
     read as a ``q x (r m)`` matrix, the carrier columns of every basis
     element come from one matmul against the basis stack, and the values
     from one batched product with ``Q*``.
+
+    The self-check compares the map's Gram matrix with the table
+    ``phi~(<e_i, e_j>)``.  The engine passes the table its obstruction has
+    already formed (the keyword-only ``_table``, a ``(dim e, dim e, m, m)``
+    array from ``phi.apply_pairs`` on e's basis); without it the table comes
+    from :func:`gram_pair`.  Either way ``gram`` is bit-equal to a fresh
+    :func:`gram_pair` of the map.
     """
     if e.algebra.blocks != phi.domain.blocks:
         raise ShapeError("module and CP map live over different algebras")
@@ -213,8 +226,8 @@ def ksgns(phi: CPMap, e: ConcreteModule, tol: ToleranceProfile = DEFAULT_TOL) ->
     q_onb = column_span_onb(stacked, tol, height=p * r)
     values = tuple(dagger(q_onb) @ cols)
     result = ModuleMap(e, m, q_onb.shape[1], values)
-    pair = gram_pair(result, phi)
-    report = _block_defect(result, pair, ToleranceProfile(tol.abs_tol * 1e3 + 1e-8, tol.rel_tol * 1e3 + 1e-8))
+    pair = gram_pair(result, phi) if _table is None else _paired(_table_matrix(_table), result)
+    report = _block_defect(result, pair, _construction_tol(tol))
     if not report.ok:
         raise SelfCheckError(
             f"universal map failed its compatibility self-check (defect {report.worst_defect:.3e})"
@@ -235,9 +248,14 @@ class GramPair:
 def gram_pair(phi_map: ModuleMap, phi: CPMap) -> GramPair:
     _check_compatible(phi_map, phi)
     stack = phi_map.domain._basis_stack
-    d, m = len(stack), phi.target_dim
-    g_phi = phi.apply_pairs(stack, stack).transpose(0, 2, 1, 3).reshape(d * m, d * m)
-    return _paired(g_phi, phi_map)
+    return _paired(_table_matrix(phi.apply_pairs(stack, stack)), phi_map)
+
+
+def _table_matrix(table: np.ndarray) -> np.ndarray:
+    """The ``(d m) x (d m)`` matrix whose block ``(i, j)`` is ``table[i, j]``
+    of a ``(d, d, m, m)`` table such as ``phi.apply_pairs`` returns."""
+    d, m = len(table), table.shape[-1]
+    return table.transpose(0, 2, 1, 3).reshape(d * m, d * m)
 
 
 def _paired(g_phi: np.ndarray, phi_map: ModuleMap) -> GramPair:
@@ -305,11 +323,12 @@ def is_completely_semi_phi(
     on the algebraic tensor of the module with ``C^m``, and each level-n
     instance decomposes into row families of that form.
 
-    From ``N = 64`` on the comparison is decided on the signed Choi carrier
-    (:func:`_carrier_semi`): per algebra block one small ``eigh`` of the
-    Choi matrix and one SVD of the basis columns, then one QR and one
-    eigenvalue-only solve of the carrier size ``n <= p * T + k`` in place of
-    the ``N x N`` gap.  Where that cannot decide (``n >= N``, a verdict
+    From ``N = 64`` on (32 more per algebra block the basis meets beyond
+    two, see :func:`_carrier_cutoff`) the comparison is decided on the
+    signed Choi carrier (:func:`_carrier_semi`): per algebra block one small
+    ``eigh`` of the Choi matrix and one SVD of the basis columns, then one QR
+    and one eigenvalue-only solve of the carrier size ``n <= p * T + k`` in
+    place of the ``N x N`` gap.  Where that cannot decide (``n >= N``, a verdict
     within the carrier's error bound of its threshold, or values near
     overflow), and for smaller gaps, the Gram pair decides, as
     :func:`extend_semi_phi` does, so the verdict is the pair's.  The report's
@@ -331,12 +350,22 @@ def _table_semi(
     return _semi_verdict(gram_pair(phi_map, phi), tol, vectors)
 
 
-# The gap size N from which the carrier decides.  Below it the Gram pair's
-# one N x N solve costs less than the carrier's fixed work (per algebra block
-# an eigh and an SVD, then a QR and the small solve): the two paths break
-# even between N = 48 and N = 80 on bench-style problems over one to three
-# algebra blocks (2-vCPU x86-64 host, OpenBLAS at one thread).
+# The gap size N from which the carrier decides when the basis meets at most
+# two algebra blocks; each further block the basis meets raises the cutoff by
+# half of it (see _carrier_cutoff).  Below it the Gram pair's one N x N solve
+# costs less than the carrier's fixed work (per algebra block met an eigh and
+# an SVD, then a QR and the small solve).  On bench/problems.py problems at
+# m = 4 (2-vCPU x86-64 host, OpenBLAS at one thread) the two paths break even
+# near N = 50 over one block, 70 over two, 85-96 over three and 110-130 over
+# four.
 _CARRIER_MIN_GAP = 64
+
+
+def _carrier_cutoff(blocks_met: int) -> int:
+    """The smallest gap the carrier decides when the basis meets
+    ``blocks_met`` algebra blocks: ``_CARRIER_MIN_GAP`` up to two blocks and
+    half of it more per further block (64, 96, 128 at two, three, four)."""
+    return _CARRIER_MIN_GAP * max(blocks_met, 2) // 2
 
 
 def _carrier_semi(
@@ -371,7 +400,7 @@ def _carrier_semi(
     bounds how far the carrier's smallest and largest eigenvalues can be
     from the table's.  A verdict that is not clear of its threshold by
     ``NEAR_FACTOR`` times that bound (``numerics._psd_verdict_clear``), a
-    carrier no smaller than ``N``, a gap below ``_CARRIER_MIN_GAP`` and
+    carrier no smaller than ``N``, a gap below :func:`_carrier_cutoff` and
     values whose products come near overflow are decided on the Gram pair
     instead (:func:`_table_semi`), so the verdict is always the pair's, and
     non-finite pairs raise as there.
@@ -381,7 +410,9 @@ def _carrier_semi(
     d, p, q = basis.shape
     k, m = phi_map.h2_dim, phi_map.h1_dim
     dim = d * m
-    if dim < _CARRIER_MIN_GAP or k >= dim:
+    slices = phi.domain.block_slices()
+    met = [bool(basis[:, :, sl].any()) for sl in slices]
+    if dim < _carrier_cutoff(sum(met)) or k >= dim:
         return _table_semi(phi_map, phi, tol, vectors)
     choi = _choi_matrix(phi)
     module_mass = float(np.vdot(basis, basis).real)  # sum_i |x_i|_F^2
@@ -394,7 +425,6 @@ def _carrier_semi(
     if not _far_from_overflow(product_bound):
         return _table_semi(phi_map, phi, tol, vectors)
     herm = (choi + dagger(choi)) / 2.0
-    slices = phi.domain.block_slices()
     spectra = [np.linalg.eigh(herm[sl.start * m : sl.stop * m, sl.start * m : sl.stop * m]) for sl in slices]
     top = max(float(np.abs(lam).max()) for lam, _ in spectra)
     cut = _rounding_band(q * m, top)
@@ -404,7 +434,7 @@ def _carrier_semi(
     # dimension is sum_b r_b * width): when k covers the largest shortfall
     # the blocks the basis meets can leave, n >= N without an SVD.
     shortfall = dim * max(
-        (1.0 - np.count_nonzero(keep) / len(keep) for sl, keep in zip(slices, kept) if basis[:, :, sl].any()),
+        (1.0 - np.count_nonzero(keep) / len(keep) for hit, keep in zip(met, kept) if hit),
         default=0.0,
     )
     if k >= shortfall:
@@ -545,11 +575,20 @@ def _witness_rhs(phi: CPMap, basis: np.ndarray, vecs: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class ObstructionReport:
-    """Non-extendability obstruction: the largest ``|phi(<f_perp, e>)|``."""
+    """Non-extendability obstruction: the largest ``|phi(<f_perp, e>)|``.
+
+    The report also holds what the extension engine reads after it: the
+    ``(dim e, dim e, m, m)`` table ``phi~(<e_i, e_j>)`` (the keyword-only
+    ``_table``) and the ``dim e x dim f_perp`` coefficients ``C`` of the
+    complement's basis over e's (``_coefficients``), with
+    ``f_perp_a = sum_i C[i, a] e_i`` exactly.
+    """
 
     vanishes: bool
     norm: float
     complement: ConcreteModule
+    _table: np.ndarray = field(repr=False, compare=False, kw_only=True)
+    _coefficients: np.ndarray = field(repr=False, compare=False, kw_only=True)
 
     def __bool__(self) -> bool:
         return self.vanishes
@@ -572,16 +611,18 @@ def phi_extension_obstruction(
 
     Validates both modules once: f must be a submodule of e, and e a valid
     module (the :class:`PreconditionError` names its first violation), which
-    the Frobenius Gram complement needs.  The table ``phi~(<e_i, e_j>)``
-    sets the threshold scale; when f = 0 the complement is e itself and the
-    same table also gives the norm.
+    the Frobenius Gram complement needs.  One table ``phi~(<e_i, e_j>)``
+    (one ``apply_pairs`` on e's basis) sets the threshold scale and gives the
+    norm: the ``f_perp x e`` block is its contraction with the complement's
+    coefficients over e's basis, and when f = 0 the complement is e itself
+    and the table is that block.  The report keeps the table for the engine.
     """
     if not is_submodule(f, e, tol):
         raise PreconditionError("obstruction requires f to be a submodule of e")
     message = _invalid_module_message(e, tol)
     if message:
         raise _InvalidModuleError(message)
-    f_perp = _complement(f, e, tol)
+    f_perp, coeffs = _complement(f, e, tol)
     e_stack = e._basis_stack
     table = phi.apply_pairs(e_stack, e_stack)
     if f_perp is e:
@@ -589,8 +630,9 @@ def phi_extension_obstruction(
         scale = max(worst, 1.0)
     else:
         scale = _max_operator_norm(table, 1.0)
-        worst = _max_operator_norm(phi.apply_pairs(f_perp._basis_stack, e_stack), 0.0)
-    return ObstructionReport(worst <= tol.threshold(scale), worst, f_perp)
+        # phi~(<f_perp_a, e_j>) = sum_i conj(C[i, a]) phi~(<e_i, e_j>).
+        worst = _max_operator_norm(np.tensordot(np.conj(coeffs).T, table, axes=1), 0.0)
+    return ObstructionReport(worst <= tol.threshold(scale), worst, f_perp, _table=table, _coefficients=coeffs)
 
 
 @dataclass(frozen=True)
@@ -623,11 +665,14 @@ class ExtensionReport:
 class ExtensionResult:
     """The extension ``phi_prime = S0 o universal`` with the input map, the
     universal map, the contraction ``S0``, the dilation and its certificate.
-    Stages: obstruction (own tables), input semi check and
-    ``input_is_phi_map`` (the input's pair on ``f``), :func:`ksgns` (its
-    ``gram`` on ``e``), least squares (no pair), and the re-certification of
-    ``phi_prime``, which reads ``gram``: ksgns's ``g_phi`` against the Gram
-    matrix of the columns of ``phi_prime``.
+    Stages: obstruction (forms the one table ``phi~(<e_i, e_j>)``), input
+    semi check and ``input_is_phi_map`` (the input's own pair on ``f``),
+    :func:`ksgns` (its ``gram`` on ``e`` reads the obstruction's table), least
+    squares (no pair), the re-certification of ``phi_prime``, which reads
+    ``gram``: ksgns's ``g_phi`` against the Gram matrix of the columns of
+    ``phi_prime``, and on the exact branch the two ``e x (f + f_perp)``
+    tables, contractions of the same table.  ``gram`` is bit-equal to a fresh
+    :func:`gram_pair` of ``phi_prime``.
     """
 
     phi_prime: ModuleMap
@@ -683,7 +728,7 @@ def _extend(
             f"input map is not completely semi-compatible (margin {semi.margin:.3e})"
         )
     k, m = phi_map.h2_dim, phi_map.h1_dim
-    kres = ksgns(phi, e, tol)
+    kres = ksgns(phi, e, tol, _table=obstruction._table)
     universal = kres.map
 
     # Values of the universal map on the submodule basis, via coefficients,
@@ -696,11 +741,11 @@ def _extend(
     b_scale = float(np.linalg.norm(b_cols)) if b_cols.size else 0.0
     # Loosened bound: the exact-arithmetic residual is 0 under the semi
     # hypothesis; numerical rank cuts in the ONB can leave small remnants.
-    if residual > 1e3 * tol.threshold(max(b_scale, 1.0)):
+    if residual > _construction_threshold(tol, max(b_scale, 1.0)):
         raise ExtensionInputError(
             f"least-squares system for the contraction is inconsistent (residual {residual:.3e})"
         )
-    norm_bound = 1.0 + 10.0 * (tol.abs_tol + tol.rel_tol)
+    norm_bound = _contraction_bound(tol)
     s0_norm = operator_norm(s0)
     if s0_norm > norm_bound:
         raise ExtensionInputError(
@@ -709,22 +754,26 @@ def _extend(
     phi_prime = ModuleMap(e, m, k, tuple(s0 @ universal._value_stack))
 
     # Restriction certificate, re-derived through coefficients on e.
-    prime_on_f = phi_prime.apply(f._basis_stack, tol)
+    f_coeffs = e.coefficients(f._basis_stack, tol)
+    prime_on_f = np.tensordot(f_coeffs, phi_prime._value_stack, axes=1)
     gram = _paired(kres.gram.g_phi, phi_prime)  # the universal map is on e too
     semi_prime = _semi_verdict(gram, tol)
     # The exact check on the input reads the Gram pair of the semi check.
     input_is_phi_map = _block_defect(phi_map, semi.gram, tol).ok
     killed = exact_defect = None
     if input_is_phi_map and obstruction.vanishes:
-        f_perp = obstruction.complement
-        prime_on_perp = phi_prime.apply(f_perp._basis_stack, tol)
+        table, perp_coeffs = obstruction._table, obstruction._coefficients
+        prime_on_perp = np.tensordot(perp_coeffs.T, phi_prime._value_stack, axes=1)
         killed = _largest_norm(prime_on_perp)
-        y_stack = np.concatenate([f._basis_stack, f_perp._basis_stack])
+        # The basis y of f + f_perp is mix @ e over e's basis, so the tables
+        # phi~(<y_a, e_i>) and phi~(<e_i, y_a>) (here indexed (a, i)) are
+        # contractions of the obstruction's phi~(<e_i, e_j>).
+        mix = np.concatenate([f_coeffs, perp_coeffs.T])
         y_values = np.concatenate([prime_on_f, prime_on_perp])
-        x_stack, x_values = e._basis_stack, phi_prime._value_stack
+        x_values = phi_prime._value_stack
         defects = [
-            adjoint_products(x_values, y_values) - phi.apply_pairs(x_stack, y_stack),
-            adjoint_products(y_values, x_values) - phi.apply_pairs(y_stack, x_stack),
+            adjoint_products(x_values, y_values).transpose(1, 0, 2, 3) - np.tensordot(mix, table, axes=([1], [1])),
+            adjoint_products(y_values, x_values) - np.tensordot(np.conj(mix), table, axes=1),
         ]
         exact_defect = max(_largest_norm(dd) for dd in defects)
 
@@ -836,6 +885,6 @@ def _canonical_compacts(
             f"extension-by-zero failed its compatibility certificate (defect {certify.worst_defect:.3e})"
         )
     for ve, vp in zip(extension.values, engine.phi_prime.values):
-        if np.linalg.norm(ve - vp) > 1e3 * tol.threshold(max(np.linalg.norm(ve), 1.0)):
+        if np.linalg.norm(ve - vp) > _construction_threshold(tol, max(np.linalg.norm(ve), 1.0)):
             raise SelfCheckError("extension-by-zero disagrees with the engine output")
     return extension, engine, certify

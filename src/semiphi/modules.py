@@ -315,21 +315,26 @@ def orthogonal_complement(
     message = _invalid_module_message(e, tol)
     if message:
         raise ValueError(message)
-    return _complement(f, e, tol)
+    return _complement(f, e, tol)[0]
 
 
-def _complement(f: ConcreteModule, e: ConcreteModule, tol: ToleranceProfile) -> ConcreteModule:
+def _complement(
+    f: ConcreteModule, e: ConcreteModule, tol: ToleranceProfile
+) -> tuple[ConcreteModule, np.ndarray]:
     """The body of :func:`orthogonal_complement`, for callers that have
-    already checked that f is a submodule of the valid module e."""
+    already checked that f is a submodule of the valid module e, with the
+    ``dim e x dim f_perp`` matrix ``C`` of the complement's coefficients
+    over e's basis: ``f_perp_a = sum_i C[i, a] e_i``, exact by construction
+    (``C`` is the identity when f = 0 and the complement is e itself)."""
     if e.dim == 0:
-        return ConcreteModule(e.algebra, e.row_dim, ())
+        return ConcreteModule(e.algebra, e.row_dim, ()), np.zeros((0, 0), dtype=complex)
     if f.dim == 0:
-        return e
+        return e, np.eye(e.dim, dtype=complex)
     # Row j holds tr(f_j* e_k) in column k.
     constraint = dagger(f._basis_columns) @ e._basis_columns
     coeff_onb = nullspace_onb(constraint, tol)
     basis = (e._basis_columns @ coeff_onb).T.reshape(-1, e.row_dim, e.algebra.ambient_dim)
-    return ConcreteModule(e.algebra, e.row_dim, tuple(basis))
+    return ConcreteModule(e.algebra, e.row_dim, tuple(basis)), coeff_onb
 
 
 def is_full(e: ConcreteModule, tol: ToleranceProfile = DEFAULT_TOL) -> bool:

@@ -101,6 +101,36 @@ EPS = float(np.finfo(float).eps)
 NEAR_FACTOR = 10.0
 
 
+#: How much looser than a decision threshold a construction's check of its
+#: own output is held.  The quantities such a check reads (a universal map's
+#: compatibility defect, a least-squares residual, the distance between two
+#: constructions of one map) vanish in exact arithmetic but pass through a
+#: chain of rank cuts and solves, each of which may leave a remnant up to the
+#: threshold itself.
+_CONSTRUCTION_SLACK = 1e3
+
+
+def _construction_tol(tol: ToleranceProfile) -> ToleranceProfile:
+    """The profile a construction's compatibility self-check decides with:
+    both parts of ``tol`` loosened by :data:`_CONSTRUCTION_SLACK`, with a
+    floor of ``1e-8`` each so a zero tolerance still admits rounding."""
+    return ToleranceProfile(tol.abs_tol * _CONSTRUCTION_SLACK + 1e-8, tol.rel_tol * _CONSTRUCTION_SLACK + 1e-8)
+
+
+def _construction_threshold(tol: ToleranceProfile, scale: float) -> float:
+    """The threshold at ``scale`` for a construction's residual or for the
+    distance between two constructions: :meth:`ToleranceProfile.threshold`
+    loosened by :data:`_CONSTRUCTION_SLACK`."""
+    return _CONSTRUCTION_SLACK * tol.threshold(scale)
+
+
+def _contraction_bound(tol: ToleranceProfile) -> float:
+    """The largest operator norm accepted for a computed contraction: 1 plus
+    ten times both parts of ``tol``, room for the rounding of the solve that
+    produced it."""
+    return 1.0 + 10.0 * (tol.abs_tol + tol.rel_tol)
+
+
 def _rounding_band(dim: int, scale: float) -> float:
     """``dim * EPS * scale``: the rounding allowance of a backward-stable
     solve of dimension ``dim`` (an eigendecomposition, a QR) or of sums of

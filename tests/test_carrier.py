@@ -3,7 +3,8 @@ pair it replaces.
 
 ``is_completely_semi_phi`` and the witness path decide from the carrier
 eigenproblem, of size at most ``p*T + k``, from a gap of
-``_CARRIER_MIN_GAP`` on; below it the Gram pair decides.  The problems here
+``_carrier_cutoff`` on (``_CARRIER_MIN_GAP`` over up to two algebra blocks);
+below it the Gram pair decides.  The problems here
 are built so that the carrier is smaller than the gap (``n < N``) but are
 kept small, so most classes lower that size cutoff to exercise the carrier;
 ``TestSizeDispatch`` keeps it.  The tests count the pair kernel and the
@@ -87,7 +88,7 @@ M = 3
 KINDS = ["cp", "indefinite", "skew"]
 
 
-def carrier_problem(seed, kind="cp", scale=1.0, factor=1.0, mix=False, cols=None, m=M):
+def carrier_problem(seed, kind="cp", scale=1.0, factor=1.0, mix=False, cols=None, m=M, blocks=None):
     """A module map and a map over a block algebra whose Gram gap is larger
     than its carrier.
 
@@ -100,10 +101,11 @@ def carrier_problem(seed, kind="cp", scale=1.0, factor=1.0, mix=False, cols=None
     ``factor * scale`` and the CP values by ``scale**2``.  With ``mix`` the
     basis (and the map with it) is changed by a random unitary, so that no
     basis element has a single nonzero column.  ``cols`` fixes the column
-    dimensions per block and ``m`` the target dimension of the map.
+    dimensions per block, ``m`` the target dimension of the map and
+    ``blocks`` the algebra (by default one of ``BLOCKS``, chosen by seed).
     """
     rng = np.random.default_rng(seed)
-    algebra = BlockAlgebra(BLOCKS[seed % len(BLOCKS)])
+    algebra = BlockAlgebra(BLOCKS[seed % len(BLOCKS)] if blocks is None else blocks)
     cols = rng.integers(2, 4, size=len(algebra.blocks)) if cols is None else np.array(cols)
     p = int(cols.sum())
     u = _random_unitary(p, rng)
@@ -335,3 +337,22 @@ class TestSizeDispatch:
         assert report.gram is report.gram
         assert report.witness is report.witness
         assert len(calls["apply_pairs"]) == 1
+
+    @pytest.mark.parametrize("cols, carrier", [((4, 4, 4), False), ((6, 6, 6), True)], ids=["N64", "N96"])
+    def test_cutoff_grows_with_the_blocks_met(self, cols, carrier, monkeypatch):
+        # BlockAlgebra((1, 1, 2)) at m = 4: the basis meets three blocks, so
+        # the carrier's fixed work is larger and it decides from N = 96 on.
+        phi_map, phi = carrier_problem(0, "cp", 1.0, 0.5, cols=cols, m=4, blocks=(1, 1, 2))
+        n_dim = phi_map.domain.dim * 4
+        assert ext._carrier_cutoff(3) == 96 and n_dim == (96 if carrier else 64)
+        calls = count_paths(monkeypatch)
+        report = is_completely_semi_phi(phi_map, phi)
+        if carrier:
+            assert calls["apply_pairs"] == [] and max(calls["eigh"] + calls["eigvalsh"]) < n_dim
+        else:
+            # One Gram pair and one eigenvalue-only solve of the gap.
+            assert (len(calls["apply_pairs"]), calls["eigh"], calls["eigvalsh"]) == (1, [], [n_dim])
+        want = ext._semi_verdict(gram_pair(phi_map, phi), DEFAULT_TOL)
+        assert report.ok == want.ok
+        if not carrier:
+            assert report.margin == want.margin

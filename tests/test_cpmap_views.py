@@ -287,15 +287,15 @@ class TestOnePassCounts:
         monkeypatch.setattr(CPMap, "apply_pairs", counted_pairs)
         canonical_compacts_extension(fx.phi_map, fx.e, fx.phi)
         # One Gram pair on f serves the exact check and the engine's semi
-        # check; the E x E tables are the obstruction's scale and the universal
-        # map's pair, which the engine's re-certification and the certificate
-        # of the extension-by-zero read.
+        # check; the one E x E table is the obstruction's, which the universal
+        # map's pair, the engine's re-certification and the certificate of
+        # the extension-by-zero read.
         assert calls == {
             "obstruction": 1,
             "input_gram": 1,
             "phi_check": 0,
             "f_pairs": 1,
-            "e_pairs": 2,
+            "e_pairs": 1,
         }
         # The obstruction validates f (as a submodule of e) and then e, each
         # exactly once.

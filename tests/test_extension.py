@@ -383,16 +383,30 @@ class TestStagesRunOnce:
         grams = counted(monkeypatch, ext, "gram_pair")
         f_pairs = counted(monkeypatch, CPMap, "apply_pairs", lambda _, xs, ys: xs is f_stack and ys is f_stack)
         e_pairs = counted(monkeypatch, CPMap, "apply_pairs", lambda _, xs, ys: xs is e_stack and ys is e_stack)
-        res = extend_semi_phi(fx.phi_map, fx.e, fx.phi)
-        # One Gram pair for the input semi check on f and one for the
-        # universal map's self-check on e, which the re-certification reuses.
+        extend_semi_phi(fx.phi_map, fx.e, fx.phi)
+        # One Gram pair, for the input semi check on f.
         assert phi_checks == []
-        assert [args[0] for args in grams] == [fx.phi_map, res.ksgns_map]
+        assert [args[0] for args in grams] == [fx.phi_map]
         assert len(f_pairs) == 1
-        # The E x E tables: the obstruction's scale and the self-check's pair.
-        # With f = 0 the complement is e itself, and the obstruction reads
-        # its norm off the same scale table.
-        assert len(e_pairs) == 2
+        # One E x E table, formed by the obstruction, which reads its scale
+        # and its norm off it; the universal map's self-check, the
+        # re-certification and the exact branch read the same table.
+        assert len(e_pairs) == 1
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda rng: compacts_fixture(2), random_vanishing_obstruction_fixture],
+        ids=["compacts", "vanishing_obstruction"],
+    )
+    def test_exact_branch_forms_two_tables(self, make, monkeypatch, rng):
+        fx = make(rng)
+        pairs = counted(monkeypatch, CPMap, "apply_pairs")
+        res = extend_semi_phi(fx.phi_map, fx.e, fx.phi)
+        assert res.report.exact_on_complemented_defect is not None
+        # E x E in the obstruction and F x F for the input, nothing else.
+        (_, e_xs, e_ys), (_, f_xs, f_ys) = pairs
+        assert e_xs is e_ys is fx.e._basis_stack
+        assert f_xs is f_ys is fx.phi_map.domain._basis_stack
 
     @pytest.mark.parametrize(
         "make",

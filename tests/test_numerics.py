@@ -1,3 +1,6 @@
+import pathlib
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,9 @@ from semiphi.numerics import (
     HermiticityError,
     ShapeError,
     ToleranceProfile,
+    _construction_threshold,
+    _construction_tol,
+    _contraction_bound,
     _max_operator_norm,
     _rank_cut,
     column_span_onb,
@@ -376,3 +382,25 @@ def test_span_least_squares_and_nullspace_share_the_rank_cut(spectrum, rank):
     # With targets = inputs, S0 is the projection onto the kept span.
     assert round(float(np.trace(s0).real)) == rank
     assert nullspace_onb(a, tol).shape == (n, n - rank)
+
+
+class TestTolerancePolicy:
+    """The loosened thresholds of the extension engine live in numerics.py,
+    with the values of the literals they replaced."""
+
+    EXTENSION = pathlib.Path(__file__).resolve().parents[1] / "src" / "semiphi" / "extension.py"
+    LITERAL_FACTOR = re.compile(r"\b1e3\b|\b1e-8\b|\b10\.0 \*")
+
+    @pytest.mark.parametrize("abs_tol, rel_tol", [(1e-9, 1e-9), (0.0, 0.0), (1e-6, 3e-12), (0.1, 0.0)])
+    def test_helpers_keep_their_bits(self, abs_tol, rel_tol):
+        tol = ToleranceProfile(abs_tol, rel_tol)
+        assert _construction_tol(tol) == ToleranceProfile(abs_tol * 1e3 + 1e-8, rel_tol * 1e3 + 1e-8)
+        for scale in (0.0, 1.0, 7.3, 2.5e11):
+            assert _construction_threshold(tol, scale) == 1e3 * tol.threshold(scale)
+        assert _contraction_bound(tol) == 1.0 + 10.0 * (abs_tol + rel_tol)
+
+    def test_extension_has_no_literal_loosening_factor(self):
+        lines = self.EXTENSION.read_text().splitlines()
+        hits = [f"{n}: {line.strip()}" for n, line in enumerate(lines, 1) if self.LITERAL_FACTOR.search(line)]
+        assert hits == []
+

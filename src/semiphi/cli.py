@@ -39,9 +39,15 @@ from .extension import (
     is_phi_map,
     phi_extension_obstruction,
 )
-from .fixtures import compacts_fixture, example_2_1
 from .modules import BlockEmbedding, MembershipError
-from .numerics import HermiticityError, ShapeError, ToleranceProfile
+from .numerics import (
+    HermiticityError,
+    ShapeError,
+    ToleranceProfile,
+    _construction_threshold,
+    _fixture_agrees,
+    _fixture_identity_holds,
+)
 from .paulsen import (
     block_map,
     example_3_4_map,
@@ -114,7 +120,7 @@ def cmd_stinespring(args, doc, tol, started):
     dil = stinespring(phi, tol)
     defect = dil.reconstruction_defect(phi)
     report = _report(
-        {"dilation_reconstructs": defect <= tol.threshold(1.0) * 1e3},
+        {"dilation_reconstructs": defect <= _construction_threshold(tol, 1.0)},
         {"reconstruction_defect": defect, "rank": dil.rank},
         {"V": ser.matrix_to_json(dil.V)},
         started,
@@ -245,6 +251,8 @@ def cmd_paulsen(args, doc, tol, started):
 
 
 def _demo_example_2_1(n: int, tol, rng) -> tuple[bool, dict, dict]:
+    from .fixtures import example_2_1
+
     fx = example_2_1(n)
     verdicts, margins = {}, {}
     result = extend_semi_phi(fx.phi_map, fx.e, fx.phi, tol)
@@ -253,7 +261,7 @@ def _demo_example_2_1(n: int, tol, rng) -> tuple[bool, dict, dict]:
     margins["restriction_defect"] = result.report.restriction_defect
     # The extension must coincide with extension-by-zero on the whole module.
     defect = _largest_norm(result.phi_prime._value_stack - fx.e._basis_stack[:, :n])
-    verdicts["extension_is_zero_padding"] = defect <= 1e-8
+    verdicts["extension_is_zero_padding"] = _fixture_agrees(defect)
     margins["zero_padding_defect"] = defect
     on_e = _block_defect(result.phi_prime, result.gram, tol)
     verdicts["extension_not_phi_map_on_e"] = not on_e.ok
@@ -273,7 +281,7 @@ def _demo_example_3_4(n: int, tol, rng) -> tuple[bool, dict, dict]:
     verdicts, margins = {}, {}
     eye = np.eye(2 * n, dtype=complex)
     unital_defect = float(np.linalg.norm(ex.apply(eye) - np.eye(4 * n)))
-    verdicts["unital"] = unital_defect <= 1e-12
+    verdicts["unital"] = _fixture_identity_holds(unital_defect)
     psd = is_completely_positive(ex.as_cp_map(), tol)
     verdicts["completely_positive"] = psd.ok
     margins["choi_lambda_min"] = psd.lambda_min
@@ -301,18 +309,20 @@ def _demo_example_3_9(n: int, tol, rng) -> tuple[bool, dict, dict]:
     embedding = BlockEmbedding.identity(algebra)
     psi_map, psi = injectivity_demo(g_mod, f_mod, embedding, phi_map, phi, tol)
     restriction = _largest_norm(psi_map.apply(g_mod._basis_stack, tol) - phi_map._value_stack)
-    verdicts = {"extension_exists": True, "restriction_agrees": restriction <= 1e-8}
+    verdicts = {"extension_exists": True, "restriction_agrees": _fixture_agrees(restriction)}
     margins = {"restriction_defect": restriction}
     return verdicts["restriction_agrees"], verdicts, margins
 
 
 def _demo_compacts_2_6(n: int, tol, rng) -> tuple[bool, dict, dict]:
+    from .fixtures import compacts_fixture
+
     fx = compacts_fixture(n)
     verdicts, margins = {}, {}
     canonical, result, certificate = _canonical_compacts(fx.phi_map, fx.e, fx.phi, tol)
     verdicts["zero_padding_is_phi_map"] = certificate.ok
     defect = _largest_norm(canonical._value_stack - result.phi_prime._value_stack)
-    verdicts["matches_engine_output"] = defect <= 1e-8
+    verdicts["matches_engine_output"] = _fixture_agrees(defect)
     margins["engine_agreement_defect"] = defect
     return all(verdicts.values()), verdicts, margins
 

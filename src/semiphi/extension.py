@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .cpmaps import CPMap, StinespringDilation, _choi_matrix, stinespring
-from .modules import ConcreteModule, _complement, _invalid_module_message, is_submodule
+from .modules import ConcreteModule, _complement, _invalid_module_message, _submodule_coefficients
 from .numerics import (
     DEFAULT_TOL,
     ShapeError,
@@ -186,12 +186,20 @@ def is_nondegenerate(phi_map: ModuleMap, tol: ToleranceProfile = DEFAULT_TOL) ->
 class KsgnsResult:
     """Universal map through which semi-compatible maps factor by contraction.
     Its self-check reads ``gram``, the Gram pair of the map on ``e``, equal to
-    a fresh :func:`gram_pair` of ``map``."""
+    a fresh :func:`gram_pair` of ``map``.
+
+    The result also holds the ``(p r) x (dim e * m)`` matrix ``C`` of carrier
+    columns ``(e_i (x) I_r) V e_l`` (l fast) that ``map`` was built from (the
+    keyword-only ``_carrier``): ``C* C`` is ``phi~(<e_i, e_j>)`` up to the
+    dilation's rank cut and rounding, and the engine re-certifies its
+    extension on it (see :func:`_recertify`).
+    """
 
     map: ModuleMap
     onb: np.ndarray
     dilation: StinespringDilation
     gram: GramPair
+    _carrier: np.ndarray = field(repr=False, kw_only=True)
 
 
 def ksgns(
@@ -232,7 +240,7 @@ def ksgns(
         raise SelfCheckError(
             f"universal map failed its compatibility self-check (defect {report.worst_defect:.3e})"
         )
-    return KsgnsResult(result, q_onb, dil, pair)
+    return KsgnsResult(result, q_onb, dil, pair, _carrier=stacked)
 
 
 @dataclass(frozen=True)
@@ -291,7 +299,9 @@ class SemiPhiReport:
     gap whose smallest eigenvalue lies within about ``8 * N * EPS * scale``
     of the threshold, a refuting :func:`is_completely_semi_phi` can still
     meet a :func:`semiphi_witness` that raises "witness requested for a
-    satisfying pair", and the reverse.
+    satisfying pair", and the reverse.  The engine's re-certification of its
+    extension (:func:`_recertify`) makes its report the same way on the
+    KSGNS carrier, with ``gram`` the extension's pair.
     """
 
     ok: bool
@@ -466,29 +476,49 @@ def _carrier_semi(
         signs.append(np.tile(np.sign(lam), rank))
     columns.append(np.conj(values).transpose(0, 2, 1).reshape(dim, k))
     signs.append(-np.ones(k))
-    x_adj = np.concatenate(columns, axis=1)
-    if vectors:
-        q_onb, r = np.linalg.qr(x_adj)
-    else:
-        r = np.linalg.qr(x_adj, mode="r")
-    small = (r * np.concatenate(signs)) @ dagger(r)
-    if vectors:
-        mu, small_vecs = np.linalg.eigh(small)
-    else:
-        mu = np.linalg.eigvalsh(small)
     scale = float(np.linalg.norm(choi)) * module_mass + map_mass
     error = (
         dropped * module_mass
         + top * row_loss * (row_loss + 2.0 * np.sqrt(module_mass))
         + _rounding_band(dim + n + (m + d + p) * q, scale)
     )
-    # The gap's spectrum: mu and N - n zeros.
-    extremes = np.array([min(0.0, mu[0]), max(0.0, mu[-1])])
-    ok, lam_min, clear = _psd_verdict_clear(extremes, error, tol)
+    x_adj, signs = np.concatenate(columns, axis=1), np.concatenate(signs)
+    ok, lam_min, clear, lifted = _signed_gap(x_adj, signs, error, tol, vectors)
     if not clear:
         return _table_semi(phi_map, phi, tol, vectors)
-    lifted = q_onb @ small_vecs[:, 0] if vectors and not ok else None
     return SemiPhiReport(ok, lam_min, _table=partial(gram_pair, phi_map, phi), _vector=lifted)
+
+
+def _signed_gap(
+    x_adj: np.ndarray, signs: np.ndarray, error: float, tol: ToleranceProfile, vectors: bool = False
+) -> tuple[bool, float, bool, np.ndarray | None]:
+    """The PSD decision of the ``N x N`` matrix ``X* J X`` from ``X*``
+    (``x_adj``, ``N x n`` with ``n < N``) and the diagonal ``signs`` of
+    ``J``, with no ``N x N`` solve: with ``X* = Q R`` (one QR) its spectrum
+    is that of the ``n x n`` matrix ``R J R*`` (one ``eigvalsh``) and
+    ``N - n`` zeros.
+
+    Returns the verdict and ``lambda_min`` of :func:`numerics._psd_verdict`
+    read off ``min(0, mu_min)`` and ``max(0, mu_max)``, whether that verdict
+    is clear of its threshold for every matrix whose eigenvalues lie within
+    ``error`` of these (:func:`numerics._psd_verdict_clear`), and with
+    ``vectors`` (one ``eigh`` in place of the ``eigvalsh``) a refuting
+    decision's unit eigenvector lifted to the gap as ``Q w``, else None.
+    """
+    if vectors:
+        q_onb, r = np.linalg.qr(x_adj)
+    else:
+        r = np.linalg.qr(x_adj, mode="r")
+    small = (r * signs) @ dagger(r)
+    if vectors:
+        mu, small_vecs = np.linalg.eigh(small)
+    else:
+        mu = np.linalg.eigvalsh(small)
+    # The gap's spectrum: mu and N - n zeros.
+    extremes = np.array([mu.min(initial=0.0), mu.max(initial=0.0)])
+    ok, lam_min, clear = _psd_verdict_clear(extremes, error, tol)
+    lifted = q_onb @ small_vecs[:, 0] if vectors and not ok else None
+    return ok, lam_min, clear, lifted
 
 
 def _symmetrized_gap(pair: GramPair) -> np.ndarray:
@@ -579,9 +609,11 @@ class ObstructionReport:
 
     The report also holds what the extension engine reads after it: the
     ``(dim e, dim e, m, m)`` table ``phi~(<e_i, e_j>)`` (the keyword-only
-    ``_table``) and the ``dim e x dim f_perp`` coefficients ``C`` of the
+    ``_table``), the ``dim e x dim f_perp`` coefficients ``C`` of the
     complement's basis over e's (``_coefficients``), with
-    ``f_perp_a = sum_i C[i, a] e_i`` exactly.
+    ``f_perp_a = sum_i C[i, a] e_i`` exactly, and the ``dim f x dim e``
+    coefficients of f's basis over e's (``_f_coefficients``), the one
+    projection of f onto e that the submodule check formed.
     """
 
     vanishes: bool
@@ -589,6 +621,7 @@ class ObstructionReport:
     complement: ConcreteModule
     _table: np.ndarray = field(repr=False, compare=False, kw_only=True)
     _coefficients: np.ndarray = field(repr=False, compare=False, kw_only=True)
+    _f_coefficients: np.ndarray = field(repr=False, compare=False, kw_only=True)
 
     def __bool__(self) -> bool:
         return self.vanishes
@@ -615,9 +648,11 @@ def phi_extension_obstruction(
     (one ``apply_pairs`` on e's basis) sets the threshold scale and gives the
     norm: the ``f_perp x e`` block is its contraction with the complement's
     coefficients over e's basis, and when f = 0 the complement is e itself
-    and the table is that block.  The report keeps the table for the engine.
+    and the table is that block.  The report keeps the table, and the
+    submodule check's one projection of f's basis onto e's, for the engine.
     """
-    if not is_submodule(f, e, tol):
+    f_coeffs = _submodule_coefficients(f, e, tol)
+    if f_coeffs is None:
         raise PreconditionError("obstruction requires f to be a submodule of e")
     message = _invalid_module_message(e, tol)
     if message:
@@ -632,7 +667,9 @@ def phi_extension_obstruction(
         scale = _max_operator_norm(table, 1.0)
         # phi~(<f_perp_a, e_j>) = sum_i conj(C[i, a]) phi~(<e_i, e_j>).
         worst = _max_operator_norm(np.tensordot(np.conj(coeffs).T, table, axes=1), 0.0)
-    return ObstructionReport(worst <= tol.threshold(scale), worst, f_perp, _table=table, _coefficients=coeffs)
+    return ObstructionReport(
+        worst <= tol.threshold(scale), worst, f_perp, _table=table, _coefficients=coeffs, _f_coefficients=f_coeffs
+    )
 
 
 @dataclass(frozen=True)
@@ -665,14 +702,19 @@ class ExtensionReport:
 class ExtensionResult:
     """The extension ``phi_prime = S0 o universal`` with the input map, the
     universal map, the contraction ``S0``, the dilation and its certificate.
-    Stages: obstruction (forms the one table ``phi~(<e_i, e_j>)``), input
-    semi check and ``input_is_phi_map`` (the input's own pair on ``f``),
-    :func:`ksgns` (its ``gram`` on ``e`` reads the obstruction's table), least
-    squares (no pair), the re-certification of ``phi_prime``, which reads
-    ``gram``: ksgns's ``g_phi`` against the Gram matrix of the columns of
-    ``phi_prime``, and on the exact branch the two ``e x (f + f_perp)``
-    tables, contractions of the same table.  ``gram`` is bit-equal to a fresh
-    :func:`gram_pair` of ``phi_prime``.
+    Stages: obstruction (forms the one table ``phi~(<e_i, e_j>)`` and the
+    coefficients of f's basis over e's), input semi check and
+    ``input_is_phi_map`` (the input's own pair on ``f``), :func:`ksgns` (its
+    ``gram`` on ``e`` reads the obstruction's table), least squares (no
+    pair), the re-certification of ``phi_prime``, which reads ``gram``:
+    ksgns's ``g_phi`` against the Gram matrix of the columns of
+    ``phi_prime``, decided on ksgns's carrier under a bound against that
+    table where the bound settles it and on the table otherwise (see
+    :func:`_recertify`), and on the exact branch the two
+    ``e x (f + f_perp)`` tables, contractions of the same table.  ``gram``
+    is bit-equal to a fresh :func:`gram_pair` of ``phi_prime``; the report's
+    ``extension_semi_margin`` is its gap's smallest eigenvalue up to the
+    rounding of the path that decided.
     """
 
     phi_prime: ModuleMap
@@ -731,9 +773,11 @@ def _extend(
     kres = ksgns(phi, e, tol, _table=obstruction._table)
     universal = kres.map
 
-    # Values of the universal map on the submodule basis, via coefficients,
-    # as the columns U(f_i) e_l (l fast) next to the columns Phi(f_i) e_l.
-    univ_on_f = universal.apply(f._basis_stack, tol)
+    # Values of the universal map on the submodule basis, through the
+    # coefficients of f's basis over e's that the submodule check formed, as
+    # the columns U(f_i) e_l (l fast) next to the columns Phi(f_i) e_l.
+    f_coeffs = obstruction._f_coefficients
+    univ_on_f = np.tensordot(f_coeffs, universal._value_stack, axes=1)
     a_cols = univ_on_f.transpose(1, 0, 2).reshape(universal.h2_dim, f.dim * m)
     b_cols = phi_map.stacked_columns()
     # S0 vanishes off the column span of a_cols: it needs no projection onto it.
@@ -753,11 +797,10 @@ def _extend(
         )
     phi_prime = ModuleMap(e, m, k, tuple(s0 @ universal._value_stack))
 
-    # Restriction certificate, re-derived through coefficients on e.
-    f_coeffs = e.coefficients(f._basis_stack, tol)
+    # Restriction certificate, re-derived through the same coefficients.
     prime_on_f = np.tensordot(f_coeffs, phi_prime._value_stack, axes=1)
     gram = _paired(kres.gram.g_phi, phi_prime)  # the universal map is on e too
-    semi_prime = _semi_verdict(gram, tol)
+    semi_prime = _recertify(phi_prime, kres, gram, tol)
     # The exact check on the input reads the Gram pair of the semi check.
     input_is_phi_map = _block_defect(phi_map, semi.gram, tol).ok
     killed = exact_defect = None
@@ -792,6 +835,51 @@ def _extend(
         exact_on_complemented_defect=exact_defect,
     )
     return ExtensionResult(phi_prime, phi_map, universal, s0, kres.dilation, gram, report)
+
+
+def _recertify(phi_prime: ModuleMap, kres: KsgnsResult, gram: GramPair, tol: ToleranceProfile) -> SemiPhiReport:
+    """The semi criterion of the extension ``phi_prime = S0 o universal``
+    against the independent table ``T = gram.g_phi``, decided on the KSGNS
+    carrier ``C`` (``kres._carrier``) where that can settle the table's
+    verdict, with no ``N x N`` solve.
+
+    With ``B`` the extension's :meth:`~ModuleMap.stacked_columns`,
+    ``X = [C; B]`` and ``J = diag(I, -I_k)``, the gap is
+    ``T - B* B = X* J X + (T - C* C)``, and the first term is decided from
+    ``n = p r + k`` rows (:func:`_signed_gap`).  By Weyl no eigenvalue of the
+    gap is farther from those of ``X* J X`` than ``delta = |T - C* C|_F``;
+    with the rounding of both paths added, a verdict clear of its threshold
+    by that bound is the table's.  A verdict that is not clear, a carrier no
+    smaller than ``N``, a gap below ``_CARRIER_MIN_GAP`` (flat: this carrier
+    takes no per-block solve) and values near overflow are decided on the
+    Gram pair instead (:func:`_semi_verdict`), so a carrier that disagrees
+    with the table can only hand the decision back to it.  On the carrier the
+    margin is ``min(0, mu_min)``.
+    """
+    carrier, cols = kres._carrier, phi_prime.stacked_columns()
+    dim, rows = gram.g_phi.shape[0], len(carrier) + len(cols)
+    if dim < _CARRIER_MIN_GAP or rows >= dim:
+        return _semi_verdict(gram, tol)
+    carrier_mass = float(np.vdot(carrier, carrier).real)  # |C|_F^2
+    map_mass = float(np.vdot(cols, cols).real)  # |B|_F^2
+    # Every product either path forms is bounded by this.
+    scale = float(np.linalg.norm(gram.g_phi)) + carrier_mass + map_mass
+    if not _far_from_overflow(scale):
+        return _semi_verdict(gram, tol)
+    delta = float(np.linalg.norm(gram.g_phi - dagger(carrier) @ carrier))
+    # The rounding of the table path (B* B, the difference, the N x N solve),
+    # of the carrier path (the QR and the small solve) and of delta (C* C).
+    error = (
+        delta
+        + _rounding_band(dim + len(cols) + 1, scale)
+        + _rounding_band(dim + rows, scale)
+        + _rounding_band(len(carrier) + 1, scale)
+    )
+    signs = np.concatenate([np.ones(len(carrier)), -np.ones(len(cols))])
+    ok, lam_min, clear, _ = _signed_gap(dagger(np.concatenate([carrier, cols])), signs, error, tol)
+    if not clear:
+        return _semi_verdict(gram, tol)
+    return SemiPhiReport(ok, lam_min, _table=lambda: gram)
 
 
 def compare_extensions(

@@ -284,10 +284,21 @@ def _same_footprint(f: ConcreteModule, e: ConcreteModule) -> None:
 
 def is_submodule(f: ConcreteModule, e: ConcreteModule, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
     """True iff span(f) is contained in span(e) and f is a valid module."""
+    return _submodule_coefficients(f, e, tol) is not None
+
+
+def _submodule_coefficients(f: ConcreteModule, e: ConcreteModule, tol: ToleranceProfile) -> np.ndarray | None:
+    """The test of :func:`is_submodule` with the projection it is read
+    from: the ``(dim f, dim e)`` coefficients of f's basis over e's
+    (:meth:`ConcreteModule.coefficients`) when f is a valid module whose
+    span lies in e's, else None."""
     _same_footprint(f, e)
     if not validate_module(f, tol).ok:
-        return False
-    return e.contains_matrix(f._basis_stack, tol)
+        return None
+    try:
+        return e.coefficients(f._basis_stack, tol)
+    except MembershipError:
+        return None
 
 
 def _invalid_module_message(e: ConcreteModule, tol: ToleranceProfile) -> str | None:

@@ -131,6 +131,39 @@ def _contraction_bound(tol: ToleranceProfile) -> float:
     return 1.0 + 10.0 * (tol.abs_tol + tol.rel_tol)
 
 
+#: The floor under each part of the profile that the Paulsen falsification
+#: layer decides its sampled images with (see :func:`_sampling_tol`).
+_SAMPLING_FLOOR = 1e-8
+
+
+def _sampling_tol(tol: ToleranceProfile) -> ToleranceProfile:
+    """The profile a sampled image's PSD test decides with: each part of
+    ``tol`` with a floor of :data:`_SAMPLING_FLOOR`, so a zero tolerance
+    still admits the rounding of the random draw and the amplified apply."""
+    return ToleranceProfile(max(tol.abs_tol, _SAMPLING_FLOOR), max(tol.rel_tol, _SAMPLING_FLOOR))
+
+
+#: The absolute bounds of the CLI demos' own checks on their fixtures, whose
+#: entries are of order one at every size the demos admit: two constructions
+#: of one map (a chain of solves and rank cuts each) agree within
+#: ``_FIXTURE_AGREEMENT``, and an identity a map satisfies by construction
+#: (a few roundings of unit entries) holds within ``_FIXTURE_IDENTITY``.
+_FIXTURE_AGREEMENT = 1e-8
+_FIXTURE_IDENTITY = 1e-12
+
+
+def _fixture_agrees(defect: float) -> bool:
+    """Whether two constructions on a demo fixture agree: ``defect`` at most
+    :data:`_FIXTURE_AGREEMENT`."""
+    return defect <= _FIXTURE_AGREEMENT
+
+
+def _fixture_identity_holds(defect: float) -> bool:
+    """Whether a demo fixture satisfies an identity of its construction:
+    ``defect`` at most :data:`_FIXTURE_IDENTITY`."""
+    return defect <= _FIXTURE_IDENTITY
+
+
 def _rounding_band(dim: int, scale: float) -> float:
     """``dim * EPS * scale``: the rounding allowance of a backward-stable
     solve of dimension ``dim`` (an eigendecomposition, a QR) or of sums of
@@ -217,23 +250,36 @@ def _max_operator_norm(blocks: np.ndarray, floor: float) -> float:
     """``max(floor, largest spectral norm in the (..., a, b) stack blocks)``,
     bit for bit, with the spectral norm taken only where it can decide.
 
-    ``|B|_F / sqrt(min(a, b)) <= |B|_2 <= |B|_F``, so a block whose
-    Frobenius norm is below ``max(floor, max |B|_F / sqrt(min(a, b)))`` can
-    neither beat the floor nor the block of largest Frobenius norm.  That
-    cut is lowered by a relative margin covering the rounding of both norms
-    (each within a small multiple of ``a * b * EPS``).
+    ``|B|_2 <= |B|_F``, so a block can beat a value ``v`` only if its
+    Frobenius norm is at least ``v``; each cut below is lowered by a relative
+    margin covering the rounding of both norms (each within a small multiple
+    of ``a * b * EPS``).  Two cuts, from the Frobenius norms alone:
+
+    * a stack that is zero, or whose largest Frobenius norm is below the
+      floor, returns ``floor`` with no SVD (tested before the second cut,
+      which a zero stack at a zero floor would pass whole);
+    * otherwise the block of largest Frobenius norm gets its spectral norm
+      first, and only the blocks whose Frobenius norm reaches
+      ``max(floor, that norm)`` get theirs, in one batched call.
+
+    Every spectral norm is the one LAPACK call the full batched norm makes
+    for that block, so the result is its maximum.
     """
     if blocks.size == 0:
         return floor
     a, b = blocks.shape[-2:]
     flat = blocks.reshape(-1, a, b)
     fro = np.linalg.norm(flat, axis=(-2, -1))
-    margin = 32.0 * a * b * EPS
-    cut = max(floor, float(fro.max()) / np.sqrt(min(a, b))) * (1.0 - margin)
-    candidates = flat[fro >= cut]
-    if not len(candidates):
+    lead = int(fro.argmax())
+    keep = 1.0 - 32.0 * a * b * EPS
+    if fro[lead] == 0.0 or fro[lead] < floor * keep:
         return floor
-    return max(floor, float(np.linalg.norm(candidates, 2, axis=(-2, -1)).max()))
+    best = float(np.linalg.norm(flat[lead], 2))
+    rivals = fro >= max(floor, best) * keep
+    rivals[lead] = False
+    if rivals.any():
+        best = max(best, float(np.linalg.norm(flat[rivals], 2, axis=(-2, -1)).max()))
+    return max(floor, best)
 
 
 def adjoint_products(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

@@ -39,8 +39,10 @@ from .numerics import (
     DEFAULT_TOL,
     ShapeError,
     ToleranceProfile,
+    _construction_threshold,
     _matrix_stack,
     _psd_stack,
+    _sampling_tol,
     as_matrix,
     dagger,
 )
@@ -387,7 +389,7 @@ def is_cp_system_map(
     """
     report = is_completely_semi_phi(sm.module_map, sm.cp_map, tol)
     if report.ok and rng is not None and samples > 0:
-        scale_tol = ToleranceProfile(max(tol.abs_tol, 1e-8), max(tol.rel_tol, 1e-8))
+        scale_tol = _sampling_tol(tol)
         for level in range(1, max_level + 1):
             images, failures = sm._apply_stack(_psd_samples(sm.domain, level, samples, rng), tol)
             ok, lam, raises = _psd_stack(images, scale_tol)
@@ -583,6 +585,6 @@ def injectivity_demo(
     lifted = ModuleMap(g_in_f, phi_map.h1_dim, phi_map.h2_dim, phi_map.values)
     result = extend_semi_phi(lifted, f, psi, tol)
     # The engine's restriction defect is over g_in_f's basis and these values.
-    if result.report.restriction_defect > 1e3 * tol.threshold(1.0):
+    if result.report.restriction_defect > _construction_threshold(tol, 1.0):
         raise SelfCheckError("extension failed to restrict to the input morphism")
     return result.phi_prime, psi

@@ -53,4 +53,4 @@ def test_extend_requests_run_traced(bench_modules, tmp_path):
     # The input semi check on F; the universal map's pair on E reads the
     # obstruction's table.
     assert layers["extension.gram_pair.calls"] == 1.0
-    assert layers["modules.ConcreteModule.coefficients.calls"] <= 5
+    assert layers["modules.ConcreteModule.coefficients.calls"] == 1.0

@@ -1,7 +1,10 @@
 import dataclasses
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -150,6 +153,23 @@ def test_demos_all_pass(capsys):
     for name in ("example-2-1", "example-3-4", "example-3-9", "compacts-2-6"):
         assert main(["demo", name, "--n", "2", "--seed", "7"]) == 0, name
     capsys.readouterr()
+
+
+def test_cli_import_leaves_the_fixtures_unloaded():
+    """A fresh process that imports the CLI does not load the fixtures,
+    which only the demos read, and every demo still runs there."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    script = (
+        "import sys, contextlib, io\n"
+        "import semiphi.cli as cli\n"
+        "assert 'semiphi.fixtures' not in sys.modules\n"
+        "for name in ('example-2-1', 'example-3-4', 'example-3-9', 'compacts-2-6'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(['demo', name, '--n', '2']) == 0, name\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_demos_reuse_engine_stages(monkeypatch, capsys):

@@ -168,4 +168,6 @@ class TestOneSubmoduleCheck:
             counter.reset()
             extend_semi_phi(fx.phi_map, fx.e, fx.phi)
             counts.append(counter.coefficients)
-        assert counts[0] == counts[1] <= 5
+        # One projection of f onto e, in the submodule check; the engine
+        # reads the obstruction's coefficients for every later stage.
+        assert counts == [1, 1]

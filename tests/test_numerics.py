@@ -14,8 +14,11 @@ from semiphi.numerics import (
     _construction_threshold,
     _construction_tol,
     _contraction_bound,
+    _fixture_agrees,
+    _fixture_identity_holds,
     _max_operator_norm,
     _rank_cut,
+    _sampling_tol,
     column_span_onb,
     is_psd,
     least_squares_operator,
@@ -321,21 +324,73 @@ def test_psd_threshold_scale_is_the_spectral_norm(n, seed):
     assert not is_psd(herm, ToleranceProfile(0.0, ratio * (1.0 - 1e-9))).ok
 
 
+def flat_beside_rank_one(rng, a, b, count):
+    """A stack of ``count >= 2`` blocks of shape ``(a, b)``, ``min(a, b) >= 2``:
+    block 0 has ``min(a, b)`` equal singular values and the largest Frobenius
+    norm, block 1 is rank one with a larger spectral norm, and the rest is
+    small noise."""
+    n = min(a, b)
+    z = rng.standard_normal((a, b)) + 1j * rng.standard_normal((a, b))
+    u, _, vh = np.linalg.svd(z, full_matrices=False)
+    x = rng.standard_normal(a) + 1j * rng.standard_normal(a)
+    y = rng.standard_normal(b) + 1j * rng.standard_normal(b)
+    blocks = 1e-3 * (rng.standard_normal((count, a, b)) + 1j * rng.standard_normal((count, a, b)))
+    blocks[0] = u @ vh  # spectral norm 1, Frobenius norm sqrt(n)
+    blocks[1] = 0.9 * np.sqrt(n) * np.outer(x, y.conj()) / (np.linalg.norm(x) * np.linalg.norm(y))
+    return blocks
+
+
 @pytest.mark.parametrize("floor", [0.0, 1.0])
 def test_max_operator_norm_equals_the_full_batched_norm(floor):
-    """The Frobenius early-out returns the float of the full batched spectral
-    norm, bit for bit, on random, scaled, tied and zero stacks."""
+    """Both cuts return the float of the full batched spectral norm, bit for
+    bit, on random, tied and zero stacks at scales 1e-12 to 1e12, on a block
+    of largest Frobenius norm whose spectral norm another block beats, and
+    at a floor equal to the largest Frobenius norm."""
     rng = np.random.default_rng(int(floor) + 7)
-    for trial in range(300):
+    for trial in range(400):
         shape = (int(rng.integers(1, 6)), int(rng.integers(1, 6)), int(rng.integers(1, 5)), int(rng.integers(1, 5)))
-        blocks = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 10.0 ** rng.uniform(-3, 1)
+        blocks = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        if trial % 4 == 1:
+            a, b, count = (int(x) for x in rng.integers(2, [6, 6, 7]))
+            blocks = flat_beside_rank_one(rng, a, b, count)
+        blocks = blocks * 10.0 ** rng.uniform(-12, 12) if trial % 2 else blocks * 10.0 ** rng.uniform(-3, 1)
         if trial % 5 == 0:
-            blocks[..., :, :] = blocks[0, 0]  # every block tied
+            blocks[..., :, :] = blocks.reshape(-1, *blocks.shape[-2:])[0]  # every block tied
         if trial % 7 == 0:
             blocks *= 0.0
-        expected = max(floor, float(np.linalg.norm(blocks, 2, axis=(-2, -1)).max()))
-        assert _max_operator_norm(blocks, floor) == expected
+        for at in (floor, float(np.linalg.norm(blocks, axis=(-2, -1)).max())):
+            expected = max(at, float(np.linalg.norm(blocks, 2, axis=(-2, -1)).max()))
+            assert _max_operator_norm(blocks, at) == expected
     assert _max_operator_norm(np.zeros((0, 3, 4, 4)), floor) == floor
+
+
+def test_max_operator_norm_takes_no_spectral_norm_it_does_not_need(monkeypatch):
+    """A zero stack and a stack below its floor make no SVD; a block whose
+    spectral norm no other block's Frobenius norm reaches makes one, and a
+    flat block beaten by a rank-one block makes two calls."""
+    spectral = []
+    norm = np.linalg.norm
+
+    def counted(x, ord=None, axis=None, keepdims=False):
+        if ord == 2:
+            spectral.append(np.shape(x))
+        return norm(x, ord, axis, keepdims)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    rng = np.random.default_rng(3)
+    blocks = rng.standard_normal((3, 4, 5, 5)) + 1j * rng.standard_normal((3, 4, 5, 5))
+    for floor in (0.0, 1.0):
+        assert _max_operator_norm(np.zeros((3, 4, 5, 5)), floor) == floor
+    top = float(norm(blocks, axis=(-2, -1)).max())
+    assert _max_operator_norm(blocks, 2.0 * top) == 2.0 * top
+    assert spectral == []
+    blocks[1, 2] = 100.0 * np.outer(blocks[1, 2, 0], blocks[1, 2, :, 0])  # rank one, dominant
+    assert _max_operator_norm(blocks, 0.0) == norm(blocks[1, 2], 2)
+    assert spectral == [(5, 5)]
+    spectral.clear()
+    stack = flat_beside_rank_one(rng, 4, 4, 6)
+    assert _max_operator_norm(stack, 0.0) == norm(stack[1], 2)
+    assert spectral == [(4, 4), (1, 4, 4)]
 
 
 def test_rank_cut_is_clear_only_away_from_its_threshold():
@@ -385,11 +440,13 @@ def test_span_least_squares_and_nullspace_share_the_rank_cut(spectrum, rank):
 
 
 class TestTolerancePolicy:
-    """The loosened thresholds of the extension engine live in numerics.py,
-    with the values of the literals they replaced."""
+    """The loosened thresholds of the extension engine, the Paulsen layer and
+    the CLI live in numerics.py, with the values of the literals they
+    replaced."""
 
-    EXTENSION = pathlib.Path(__file__).resolve().parents[1] / "src" / "semiphi" / "extension.py"
-    LITERAL_FACTOR = re.compile(r"\b1e3\b|\b1e-8\b|\b10\.0 \*")
+    PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "semiphi"
+    SOURCES = [PACKAGE / "extension.py", PACKAGE / "paulsen.py", PACKAGE / "cli.py"]
+    LITERAL_FACTOR = re.compile(r"\b1e3\b|\b1e-8\b|\b1e-12\b|\b10\.0 \*")
 
     @pytest.mark.parametrize("abs_tol, rel_tol", [(1e-9, 1e-9), (0.0, 0.0), (1e-6, 3e-12), (0.1, 0.0)])
     def test_helpers_keep_their_bits(self, abs_tol, rel_tol):
@@ -398,9 +455,14 @@ class TestTolerancePolicy:
         for scale in (0.0, 1.0, 7.3, 2.5e11):
             assert _construction_threshold(tol, scale) == 1e3 * tol.threshold(scale)
         assert _contraction_bound(tol) == 1.0 + 10.0 * (abs_tol + rel_tol)
+        assert _sampling_tol(tol) == ToleranceProfile(max(abs_tol, 1e-8), max(rel_tol, 1e-8))
+        for defect in (0.0, 1e-12, np.nextafter(1e-12, 1.0), 1e-8, np.nextafter(1e-8, 1.0)):
+            assert _fixture_agrees(defect) == (defect <= 1e-8)
+            assert _fixture_identity_holds(defect) == (defect <= 1e-12)
 
-    def test_extension_has_no_literal_loosening_factor(self):
-        lines = self.EXTENSION.read_text().splitlines()
+    @pytest.mark.parametrize("source", SOURCES, ids=lambda path: path.name)
+    def test_no_literal_loosening_factor(self, source):
+        lines = source.read_text().splitlines()
         hits = [f"{n}: {line.strip()}" for n, line in enumerate(lines, 1) if self.LITERAL_FACTOR.search(line)]
         assert hits == []
 

@@ -49,6 +49,7 @@ from .numerics import (
     _fixture_identity_holds,
 )
 from .paulsen import (
+    _cp_restriction_defect,
     block_map,
     example_3_4_map,
     injectivity_demo,
@@ -309,9 +310,11 @@ def _demo_example_3_9(n: int, tol, rng) -> tuple[bool, dict, dict]:
     embedding = BlockEmbedding.identity(algebra)
     psi_map, psi = injectivity_demo(g_mod, f_mod, embedding, phi_map, phi, tol)
     restriction = _largest_norm(psi_map.apply(g_mod._basis_stack, tol) - phi_map._value_stack)
-    verdicts = {"extension_exists": True, "restriction_agrees": _fixture_agrees(restriction)}
-    margins = {"restriction_defect": restriction}
-    return verdicts["restriction_agrees"], verdicts, margins
+    cp_restriction = _cp_restriction_defect(psi, phi, embedding)
+    agrees = _fixture_agrees(restriction)
+    verdicts = {"extension_exists": _fixture_agrees(cp_restriction) and agrees, "restriction_agrees": agrees}
+    margins = {"restriction_defect": restriction, "cp_restriction_defect": cp_restriction}
+    return verdicts["extension_exists"], verdicts, margins
 
 
 def _demo_compacts_2_6(n: int, tol, rng) -> tuple[bool, dict, dict]:

@@ -24,6 +24,7 @@ from .extension import (
     PreconditionError,
     SelfCheckError,
     SemiPhiReport,
+    _largest_norm,
     extend_semi_phi,
     is_completely_semi_phi,
 )
@@ -140,6 +141,12 @@ class _Split:
     failures: list[_Check]
 
 
+def _frobenius_norms(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norms of an ``(N, a, b)`` stack, summed over its real and
+    imaginary views: no temporary of the stack's size."""
+    return np.sqrt(np.einsum("nij,nij->n", stack.real, stack.real) + np.einsum("nij,nij->n", stack.imag, stack.imag))
+
+
 def _split_blocks(system: PaulsenSystem, blocks: np.ndarray, tol: ToleranceProfile) -> _Split:
     """Decompose a ``(N, p+q, p+q)`` stack of system blocks at once.
 
@@ -150,10 +157,13 @@ def _split_blocks(system: PaulsenSystem, blocks: np.ndarray, tol: ToleranceProfi
     """
     p, q = system.corner_layout
     n_blocks = len(blocks)
-    scale = np.maximum(np.linalg.norm(blocks, axis=(-2, -1)), 1.0)
+    scale = np.maximum(_frobenius_norms(blocks), 1.0)
     top = blocks[:, :p, :p]
     lam = np.trace(top, axis1=-2, axis2=-1) / p if p else np.zeros(n_blocks, dtype=complex)
-    top_defect = np.linalg.norm(top - lam[:, None, None] * np.eye(p), axis=(-2, -1))
+    top_off_scalar = top.copy()
+    top_off_scalar[:, np.arange(p), np.arange(p)] -= lam[:, None]
+    top_defect = _frobenius_norms(top_off_scalar)
+    del top_off_scalar
     corners = np.concatenate([blocks[:, :p, p:], np.conj(blocks[:, p:, :p]).transpose(0, 2, 1)])
     vecs = corners.reshape(2 * n_blocks, p * q)
     coeffs, residual = system.module._project(vecs)
@@ -176,14 +186,16 @@ def _split_blocks(system: PaulsenSystem, blocks: np.ndarray, tol: ToleranceProfi
     return _Split(lam, corners, coeffs, residual, np.where(mask, diag, 0.0), failures)
 
 
-def _first_failure(failures: list[_Check]) -> Exception | None:
+def _first_failure(failures: list[_Check], start: int = 0, stop: int | None = None) -> Exception | None:
     """The exception for the first failing block in stack order, and within
-    that block for the first failing check in list order; None if all pass."""
-    hits = np.argwhere(np.stack([flags for flags, _ in failures], axis=1))
+    that block for the first failing check in list order; None if all pass.
+    Only blocks ``start:stop`` are searched; the exception is that of the
+    block's index in the whole stack."""
+    hits = np.argwhere(np.stack([flags[start:stop] for flags, _ in failures], axis=1))
     if not len(hits):
         return None
     block, check = hits[0]
-    return failures[check][1](int(block))
+    return failures[check][1](start + int(block))
 
 
 def _raise_first(failures: list[_Check]) -> None:
@@ -228,7 +240,10 @@ class SystemMap:
         their images, and unraised the tests of all ``S*n^2`` blocks in stack
         order.  All blocks are decomposed by one projection onto the module
         span and mapped by one matmul each against the module map's value
-        stack and the CP map's ambient tensor."""
+        stack and the CP map's ambient tensor.  Blocks are mapped one by one,
+        so :func:`is_cp_system_map` passes the blocks of all its levels as
+        ``(N, 1, 1, din, din)`` and reads each level's images and tests off
+        its own range of the N."""
         n_samples, n, _, din, _ = xs.shape
         dout = self.codomain.ambient_dim
         n_blocks = n_samples * n * n
@@ -381,27 +396,48 @@ def is_cp_system_map(
     level up to ``max_level`` are pushed through the amplified map and
     asserted PSD (a falsification layer for the equivalence, not the
     decision procedure).  Each level ``n`` is one ``(samples, B, 2, n, n)``
-    draw (see :func:`random_psd_system_element`), one stacked
-    :meth:`SystemMap.apply_n` and one eigenvalue-only PSD decision.  The
-    first failing sample in draw order raises for its first failing test:
-    :meth:`SystemMap.apply_n`'s, :func:`~semiphi.numerics.is_psd`'s, then
-    :class:`SelfCheckError`.  The generator is then at the end of that level.
+    draw (see :func:`random_psd_system_element`), copied into one block
+    array for all levels; the blocks of all levels go through one
+    :meth:`SystemMap._apply_stack`, and then each level in turn through
+    one eigenvalue-only PSD decision.  The first failing sample in draw
+    order raises for its first failing test: :meth:`SystemMap.apply_n`'s,
+    :func:`~semiphi.numerics.is_psd`'s, then :class:`SelfCheckError`.  The
+    generator is then at the end of that level's draw, as if no later
+    level had been drawn.
     """
     report = is_completely_semi_phi(sm.module_map, sm.cp_map, tol)
-    if report.ok and rng is not None and samples > 0:
-        scale_tol = _sampling_tol(tol)
-        for level in range(1, max_level + 1):
-            images, failures = sm._apply_stack(_psd_samples(sm.domain, level, samples, rng), tol)
-            ok, lam, raises = _psd_stack(images, scale_tol)
-            rejected = np.stack([flags for flags, _ in failures], axis=1).reshape(samples, -1).any(axis=1)
-            refuted = f"positive verdict refuted by PSD sampling (level {level}, lambda_min {{:.3e}})"
-            # The first failing sample's first failing block is the stack's:
-            # no earlier sample failed anything.
-            _raise_first(
-                [(rejected, lambda s: _first_failure(failures))]
-                + raises
-                + [(~ok, lambda s: SelfCheckError(refuted.format(lam[s])))]
-            )
+    if not (report.ok and rng is not None and samples > 0 and max_level > 0):
+        return report
+    d = sm.domain.ambient_dim
+    blocks = np.empty((samples * sum(n * n for n in range(1, max_level + 1)), d, d), dtype=complex)
+    levels = []  # per level: its number, sample count, size, first block and generator state
+    used = 0
+    for level in range(1, max_level + 1):
+        stack = _psd_samples(sm.domain, level, samples, rng)
+        count, n = stack.shape[:2]
+        blocks[used : used + count * n * n] = stack.reshape(-1, d, d)
+        del stack
+        levels.append((level, count, n, used, rng.bit_generator.state))
+        used += count * n * n
+    images, failures = sm._apply_stack(blocks[:used, None, None], tol)
+    del blocks
+    rejected = np.stack([flags for flags, _ in failures], axis=1).any(axis=1)
+    scale_tol = _sampling_tol(tol)
+    dout = sm.codomain.ambient_dim
+    for level, count, n, start, state in levels:
+        stop = start + count * n * n
+        ok, lam, raises = _psd_stack(_block_matrices(images[start:stop].reshape(count, n, n, dout, dout)), scale_tol)
+        refuted = f"positive verdict refuted by PSD sampling (level {level}, lambda_min {{:.3e}})"
+        # The first failing sample's first failing block is the level's:
+        # no earlier sample failed anything.
+        error = _first_failure(
+            [(rejected[start:stop].reshape(count, -1).any(axis=1), lambda s: _first_failure(failures, start, stop))]
+            + raises
+            + [(~ok, lambda s: SelfCheckError(refuted.format(lam[s])))]
+        )
+        if error is not None:
+            rng.bit_generator.state = state
+            raise error
     return report
 
 
@@ -549,6 +585,14 @@ def example_3_4_map(h_dim: int) -> Example34Map:
     return Example34Map(h_dim, tuple(images))
 
 
+def _cp_restriction_defect(psi: CPMap, phi: CPMap, embedding: BlockEmbedding) -> float:
+    """Largest Frobenius norm of ``psi(iota(u)) - phi(u)`` over the matrix
+    units ``u`` of ``phi``'s domain, ``iota`` the embedding: zero when
+    ``psi`` extends ``phi`` along it."""
+    images = np.stack([psi.apply_ambient(embedding.embed(u)) for u in phi.domain.matrix_units()])
+    return _largest_norm(images - phi._value_stack)
+
+
 def injectivity_demo(
     g: ConcreteModule,
     f: ConcreteModule,
@@ -561,8 +605,10 @@ def injectivity_demo(
     column-module targets.
 
     The CP part is extended by pulling back through the embedding's
-    compression and pinch; the module part is extended by the engine.  The
-    returned pair restricts to the input morphism on the embedded submodule.
+    compression and pinch, and checked to restrict to ``phi`` (see
+    :func:`_cp_restriction_defect`) before the engine extends the module
+    part.  The returned pair restricts to the input morphism on the embedded
+    submodule; a pair that does not raises :class:`SelfCheckError`.
     """
     if not is_contained_pair(g, f, embedding, tol):
         raise PreconditionError("the declared containment does not hold")
@@ -578,6 +624,9 @@ def injectivity_demo(
         for u in big_algebra.matrix_units()
     )
     psi = CPMap(big_algebra, phi.target_dim, psi_values)
+    defect = _cp_restriction_defect(psi, phi, embedding)
+    if defect > _construction_threshold(tol, _largest_norm(phi._value_stack)):
+        raise SelfCheckError(f"extended CP map does not restrict to the input map (defect {defect:.3e})")
 
     g_in_f = embed_module(g, embedding)
     if not is_submodule(g_in_f, f, tol):

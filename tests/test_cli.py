@@ -93,6 +93,7 @@ def documented_keys(command):
         ("extend", ["extend", "{file}"], 0),
         ("obstruction", ["obstruction", "{file}"], 1),
         ("demo example-2-1", ["demo", "example-2-1", "--n", "2"], 0),
+        ("demo example-3-9", ["demo", "example-3-9", "--n", "2"], 0),
     ],
 )
 def test_report_keys_in_documented_order(ex21_file, capsys, command, argv, code):
@@ -190,6 +191,19 @@ def test_demos_reuse_engine_stages(monkeypatch, capsys):
     assert main(["demo", "example-2-1", "--n", "2"]) == 0
     assert counts == {"_extend": 1, "phi_extension_obstruction": 1}
     capsys.readouterr()
+
+
+def test_demo_example_3_9_reports_both_restrictions(monkeypatch, capsys):
+    assert main(["demo", "example-3-9", "--n", "2", "--seed", "4", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdicts"] == {"extension_exists": True, "restriction_agrees": True}
+    assert report["margins"]["cp_restriction_defect"] == 0.0
+    # extension_exists reads the CP part's restriction, not a constant.
+    monkeypatch.setattr(cli, "_cp_restriction_defect", lambda *args: 1.0)
+    assert main(["demo", "example-3-9", "--n", "2", "--seed", "4", "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdicts"] == {"extension_exists": False, "restriction_agrees": True}
+    assert report["margins"]["cp_restriction_defect"] == 1.0
 
 
 def test_demo_size_bound(capsys):

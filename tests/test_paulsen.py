@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from semiphi.fixtures import (
     scalar_fixture,
 )
 from semiphi.extension import SelfCheckError
-from semiphi.modules import MembershipError
+from semiphi.modules import BlockEmbedding, MembershipError
 from semiphi.numerics import HermiticityError, ToleranceProfile
 from semiphi.paulsen import _block_matrices, _psd_samples, random_psd_system_element
 from conftest import full_rectangular_module
@@ -250,6 +251,24 @@ class TestInjectivityDemo:
             j = fx.embedding.column_map()
             for b, orig in zip(fx.g.basis, fx.phi_map.values):
                 assert np.linalg.norm(psi_map.apply(b @ j.T) - orig) < 1e-8
+
+    def test_cp_part_restricts_to_the_input_map(self, rng):
+        for _ in range(10):
+            fx = random_containment_fixture(rng, int(rng.integers(1, 4)))
+            _, psi = injectivity_demo(fx.g, fx.f, fx.embedding, fx.phi_map, fx.phi)
+            assert paulsen._cp_restriction_defect(psi, fx.phi, fx.embedding) == 0.0
+
+    def test_wrong_compression_raises_before_the_engine(self, rng, monkeypatch):
+        fx = random_containment_fixture(rng, 2)
+        compress = BlockEmbedding.compress
+        monkeypatch.setattr(BlockEmbedding, "compress", lambda self, m: 2.0 * compress(self, m))
+
+        def engine(*args, **kwargs):
+            raise AssertionError("the engine ran")
+
+        monkeypatch.setattr(paulsen, "extend_semi_phi", engine)
+        with pytest.raises(SelfCheckError, match=r"^extended CP map does not restrict to the input map \(defect "):
+            injectivity_demo(fx.g, fx.f, fx.embedding, fx.phi_map, fx.phi)
 
     def test_rejects_broken_containment(self, rng):
         fx = random_containment_fixture(rng, 2)
@@ -600,3 +619,69 @@ class TestSamplingFailures:
             with pytest.raises(error) as info:
                 is_cp_system_map(sm, rng=np.random.default_rng(0), samples=len(batch), max_level=1)
             assert str(info.value) == text
+
+
+def tall_row_system_map(rows):
+    """Identity block map on a module of ``rows x 2`` matrices spanned by the
+    units of its first row: a system of size ``rows + 2`` whose semi check
+    is a 4 x 4 Gram pair."""
+    row = full_rectangular_module(1, 2)
+    padded = tuple(np.vstack([b, np.zeros((rows - 1, 2))]) for b in row.basis)
+    module = ConcreteModule(BlockAlgebra((2,)), rows, padded)
+    return block_map(ModuleMap(module, 2, 1, row.basis), identity_cp_map(module.algebra), row)
+
+
+class TestOneDecompositionPass:
+    @pytest.mark.parametrize("samples, max_level, calls", [(0, 3, 0), (5, 0, 0), (1, 3, 1), (20, 3, 1)])
+    def test_one_split_per_call(self, samples, max_level, calls, monkeypatch):
+        fx = example_2_1(2)
+        sm = block_map(fx.phi_map, fx.phi, full_rectangular_module(2, 2))
+        count = [0]
+        original = paulsen._split_blocks
+
+        def counted(*args, **kwargs):
+            count[0] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(paulsen, "_split_blocks", counted)
+        assert is_cp_system_map(sm, rng=np.random.default_rng(0), samples=samples, max_level=max_level).ok
+        assert count[0] == calls
+
+    @pytest.mark.parametrize("max_level", [3, 4])
+    def test_planted_failure_at_level_three(self, max_level, monkeypatch):
+        # Levels 1 and 2 are clean random samples; the last block of the last
+        # level-3 sample is the module-map failure, whose residual (1e-7)
+        # stands apart from every other block's.
+        sm = two_block_system_map()
+        blk, exc, message = FAILING_BLOCKS["module_map"]
+        draw = paulsen._psd_samples
+
+        def planted(system, n, count, rng):
+            stack = draw(system, n, count, rng)
+            if n == 3:
+                stack[-1, 2, 2] = blk
+            return stack
+
+        monkeypatch.setattr(paulsen, "_psd_samples", planted)
+        rng = np.random.default_rng(8)
+        with pytest.raises(exc) as info:
+            is_cp_system_map(sm, rng=rng, samples=4, max_level=max_level)
+        assert str(info.value) == message
+        # The generator sits at the end of level 3, whether or not a later
+        # level was drawn.
+        end_of_level_3 = np.random.default_rng(8)
+        for n in (1, 2, 3):
+            draw(sm.domain, n, 4, end_of_level_3)
+        assert rng.bit_generator.state == end_of_level_3.bit_generator.state
+
+    def test_peak_memory_within_three_block_arrays(self):
+        sm = tall_row_system_map(16)
+        is_cp_system_map(sm, rng=np.random.default_rng(0), samples=1)  # warm the cached views
+        block_bytes = 20 * (1 + 4 + 9) * sm.domain.ambient_dim**2 * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            assert is_cp_system_map(sm, rng=np.random.default_rng(1), samples=20, max_level=3).ok
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * block_bytes

@@ -30,8 +30,8 @@ from .extension import (
     SelfCheckError,
     _block_defect,
     _canonical_compacts,
+    _choi_semi,
     _largest_norm,
-    _refutable_semi,
     _witness_from_report,
     compare_extensions,
     extend_semi_phi,
@@ -161,7 +161,7 @@ def cmd_witness(args, doc, tol, started):
     phi_raw, map_raw = _payload(doc, "phi", "Phi")
     phi = ser.cp_map_from_json(phi_raw)
     phi_map = ser.module_map_from_json(map_raw)
-    verdict = _refutable_semi(phi_map, phi, tol)
+    verdict = _choi_semi(phi_map, phi, tol, vectors=True)
     if verdict.ok:
         report = _report(
             {"completely_semi_phi": True, "witness_exists": False},

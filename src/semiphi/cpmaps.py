@@ -186,17 +186,6 @@ class CPMap:
             raise ValueError("matrix is not in the domain algebra")
         return self.apply_ambient(arr)
 
-    def apply_n(self, n: int, block_matrix) -> np.ndarray:
-        """Amplification: apply the (pinch-extended) map entrywise to an
-        ``n x n`` operator matrix of ``q x q`` blocks."""
-        q, m = self.domain.ambient_dim, self.target_dim
-        arr = as_matrix(block_matrix)
-        if arr.shape != (n * q, n * q):
-            raise ShapeError(f"expected a {n * q}x{n * q} matrix")
-        blocks = arr.reshape(n, q, n, q).transpose(0, 2, 1, 3)
-        out = np.einsum("abij,uvij->uavb", self._ambient_tensor, blocks)
-        return out.reshape(n * m, n * m)
-
     def is_unital(self, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
         img = self.apply_ambient(self.domain.identity())
         eye = np.eye(self.target_dim, dtype=complex)
@@ -235,14 +224,17 @@ def identity_cp_map(algebra: BlockAlgebra) -> CPMap:
 
 
 def trace_cp_map(algebra: BlockAlgebra) -> CPMap:
+    """The trace into ``M_1``.  Public as the simplest CP map to the scalars,
+    a state up to normalization."""
     values = tuple(np.array([[np.trace(u)]], dtype=complex) for u in algebra.matrix_units())
     return CPMap(algebra, 1, values)
 
 
 def transpose_map(algebra: BlockAlgebra) -> CPMap:
     """The transpose on the ambient, restricted to the algebra.  Positive but
-    (for any block of size >= 2) not completely positive; used as a standard
-    rejection fixture."""
+    (for any block of size >= 2) not completely positive.  Public as the
+    standard example the CP check rejects, built by the CLI and acceptance
+    tests."""
     q = algebra.ambient_dim
     values = tuple(u.T.copy() for u in algebra.matrix_units())
     return CPMap(algebra, q, values)

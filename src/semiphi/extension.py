@@ -192,7 +192,7 @@ class KsgnsResult:
     columns ``(e_i (x) I_r) V e_l`` (l fast) that ``map`` was built from (the
     keyword-only ``_carrier``): ``C* C`` is ``phi~(<e_i, e_j>)`` up to the
     dilation's rank cut and rounding, and the engine re-certifies its
-    extension on it (see :func:`_recertify`).
+    extension on it (see :func:`_ksgns_carrier`).
     """
 
     map: ModuleMap
@@ -281,27 +281,22 @@ class SemiPhiReport:
     unit eigenvector for it (empty when the gap is 0x0), from which a
     refutation certificate is built.
 
-    :func:`is_completely_semi_phi` decides gaps of 64 rows and more on the
-    signed Choi carrier (see :func:`_carrier_semi`) and builds no Gram pair:
-    ``gram`` (a :class:`GramPair`, from the keyword-only callable ``_table``)
-    is formed on first access, and so is ``witness``, by ``eigh`` of the
-    symmetrized gap of that pair; both are bit-equal to a table-decided
-    report's.  Smaller gaps are decided on the Gram pair as before.  A
-    report made to build a certificate (:func:`semiphi_witness`, the CLI
-    ``witness`` command) that refutes carries its witness from the decision
-    (the keyword-only ``_vector``): on the carrier, the lift of the small
-    eigenvector, a unit eigenvector of the gap for ``margin`` defined up to a
-    unit phase.
+    :func:`_decide_gap` makes every report, on a signed carrier or on the
+    Gram pair.  ``gram`` (a :class:`GramPair`, from the keyword-only callable
+    ``_table``) is formed on first access, and so is ``witness``, by ``eigh``
+    of the symmetrized gap of that pair; both are bit-equal to a
+    table-decided report's.  A report made to build a certificate
+    (:func:`semiphi_witness`, the CLI ``witness`` command) that refutes
+    carries its witness from the decision (the keyword-only ``_vector``): on
+    a carrier, the lift of the small eigenvector, a unit eigenvector of the
+    gap for ``margin`` defined up to a unit phase.
 
-    The carrier and the table round apart, so ``margin`` differs from the
-    table's smallest eigenvalue in the rounding digits; a verdict within the
-    carrier's error band of the threshold is taken from the table.  For a
-    gap whose smallest eigenvalue lies within about ``8 * N * EPS * scale``
-    of the threshold, a refuting :func:`is_completely_semi_phi` can still
-    meet a :func:`semiphi_witness` that raises "witness requested for a
-    satisfying pair", and the reverse.  The engine's re-certification of its
-    extension (:func:`_recertify`) makes its report the same way on the
-    KSGNS carrier, with ``gram`` the extension's pair.
+    A carrier and the table round apart, so a carrier's ``margin`` differs
+    from the table's smallest eigenvalue in the rounding digits.  For a gap
+    whose smallest eigenvalue lies within about ``8 * N * EPS * scale`` of
+    the threshold, a refuting :func:`is_completely_semi_phi` can still meet
+    a :func:`semiphi_witness` that raises "witness requested for a
+    satisfying pair", and the reverse.
     """
 
     ok: bool
@@ -333,31 +328,17 @@ def is_completely_semi_phi(
     on the algebraic tensor of the module with ``C^m``, and each level-n
     instance decomposes into row families of that form.
 
-    From ``N = 64`` on (32 more per algebra block the basis meets beyond
-    two, see :func:`_carrier_cutoff`) the comparison is decided on the
-    signed Choi carrier (:func:`_carrier_semi`): per algebra block one small
-    ``eigh`` of the Choi matrix and one SVD of the basis columns, then one QR
-    and one eigenvalue-only solve of the carrier size ``n <= p * T + k`` in
-    place of the ``N x N`` gap.  Where that cannot decide (``n >= N``, a verdict
-    within the carrier's error bound of its threshold, or values near
-    overflow), and for smaller gaps, the Gram pair decides, as
-    :func:`extend_semi_phi` does, so the verdict is the pair's.  The report's
-    ``gram``, and its ``witness`` on the carrier, are built on first access.
+    :func:`_decide_gap` decides it on the signed Choi carrier
+    (:func:`_choi_carrier`, from ``N = 64`` on) or on the Gram pair, so the
+    verdict is the pair's, as in :func:`extend_semi_phi`.
     """
-    return _carrier_semi(phi_map, phi, tol)
+    return _choi_semi(phi_map, phi, tol)
 
 
-def _refutable_semi(phi_map: ModuleMap, phi: CPMap, tol: ToleranceProfile) -> SemiPhiReport:
-    """:func:`is_completely_semi_phi` for callers that build a certificate
-    when it refutes: the report's ``witness`` comes from the deciding solve."""
-    return _carrier_semi(phi_map, phi, tol, vectors=True)
-
-
-def _table_semi(
-    phi_map: ModuleMap, phi: CPMap, tol: ToleranceProfile, vectors: bool = False
-) -> SemiPhiReport:
-    """The semi criterion decided on the Gram pair of ``phi_map``."""
-    return _semi_verdict(gram_pair(phi_map, phi), tol, vectors)
+def _choi_semi(phi_map: ModuleMap, phi: CPMap, tol: ToleranceProfile, vectors: bool = False) -> SemiPhiReport:
+    """:func:`_decide_gap` of the Gram gap of ``phi_map`` on its signed
+    Choi carrier; the witness path passes ``vectors``."""
+    return _decide_gap(partial(_choi_carrier, phi_map, phi), partial(gram_pair, phi_map, phi), tol, vectors)
 
 
 # The gap size N from which the carrier decides when the basis meets at most
@@ -378,22 +359,65 @@ def _carrier_cutoff(blocks_met: int) -> int:
     return _CARRIER_MIN_GAP * max(blocks_met, 2) // 2
 
 
-def _carrier_semi(
-    phi_map: ModuleMap, phi: CPMap, tol: ToleranceProfile, vectors: bool = False
+# A signed carrier of a Gram gap: ``X*`` (``N x n``, ``n < N``), the diagonal
+# ``J`` of the form ``X* J X`` and the most an eigenvalue of that form can lie
+# from the Gram pair's gap.
+_Carrier = tuple[np.ndarray, np.ndarray, float]
+
+
+def _decide_gap(
+    carrier: Callable[[], _Carrier | None],
+    table: Callable[[], GramPair],
+    tol: ToleranceProfile,
+    vectors: bool = False,
 ) -> SemiPhiReport:
-    """The semi criterion decided on the signed Choi carrier, with no Gram
-    pair and no ``N x N`` solve (``N = dim * m``).
+    """The semi criterion of a Gram gap: on its signed carrier where that
+    settles the Gram pair's verdict, with no ``N x N`` solve, and on the pair
+    (:func:`_semi_verdict` of ``table()``) otherwise.
+
+    ``carrier()`` returns ``(X*, J, error)``, or None where it cannot decide.
+    With ``X* = Q R`` (one QR) the spectrum of ``X* J X`` is that of the
+    ``n x n`` matrix ``R J R*`` (one ``eigvalsh``) and ``N - n`` zeros; the
+    verdict and ``margin`` are read off ``min(0, mu_min)`` and
+    ``max(0, mu_max)``.  A verdict that is not clear of its threshold for
+    every matrix whose eigenvalues lie within ``error`` of these
+    (:func:`numerics._psd_verdict_clear`) is taken from the pair, so a
+    carrier that disagrees with it can only hand the decision back.  With
+    ``vectors`` (one ``eigh`` in place of the ``eigvalsh``) a refuting
+    carrier report's witness is the lift ``Q w`` of the small unit
+    eigenvector ``w``.  The report's ``gram`` is ``table()``, called on
+    first access when the carrier decides.
+    """
+    built = carrier()
+    if built is not None:
+        x_adj, signs, error = built
+        if vectors:
+            q_onb, r = np.linalg.qr(x_adj)
+        else:
+            r = np.linalg.qr(x_adj, mode="r")
+        small = (r * signs) @ dagger(r)
+        if vectors:
+            mu, small_vecs = np.linalg.eigh(small)
+        else:
+            mu = np.linalg.eigvalsh(small)
+        extremes = np.array([mu.min(initial=0.0), mu.max(initial=0.0)])
+        ok, lam_min, clear = _psd_verdict_clear(extremes, error, tol)
+        if clear:
+            lifted = q_onb @ small_vecs[:, 0] if vectors and not ok else None
+            return SemiPhiReport(ok, lam_min, _table=table, _vector=lifted)
+    return _semi_verdict(table(), tol, vectors)
+
+
+def _choi_carrier(phi_map: ModuleMap, phi: CPMap) -> _Carrier | None:
+    """The signed Choi carrier of the Gram gap of ``phi_map`` (``N = dim *
+    m``) for :func:`_decide_gap`, with no Gram pair.
 
     With ``H = sum_t lambda_t w_t w_t*`` the symmetrized Choi matrix, the
     pinch-extended ``phi~(<x_i, x_j>)`` is ``C_i* J C_j`` on the rows
     ``c[(s, t), (i, l)] = sqrt|lambda_t| sum_b x_i[s, b] conj(w_t[(b, l)])``
     with the signs ``J`` of the ``T`` kept eigenvalues.  The symmetrized Gram
     gap is then ``X* J' X`` with ``X = [C; B]``, ``B`` the map's
-    :meth:`~ModuleMap.stacked_columns` and ``J' = diag(J, -I_k)``; with
-    ``X* = Q R`` (one QR) its spectrum is that of the ``n x n`` matrix
-    ``R J' R*`` and ``N - n`` zeros.  With ``vectors`` a refuting decision
-    comes from ``eigh`` of that matrix, and its witness is the lift ``Q w``
-    of the small eigenvector ``w``.
+    :meth:`~ModuleMap.stacked_columns` and ``J' = diag(J, -I_k)``.
 
     ``H`` is block diagonal, one block per algebra block, so each block has
     its own ``eigh`` and its eigenvectors meet only that block's columns of
@@ -406,14 +430,10 @@ def _carrier_semi(
     (``numerics._rounding_band``) are dropped.  With ``S = sum_i |x_i|_F^2``
     and ``e`` the dropped singular mass, that moves the gap by at most
     ``|lambda|_drop * S`` and ``|H| * e * (e + 2 sqrt(S))`` (Weyl,
-    Cauchy-Schwarz); with the rounding of every solve of both paths this
-    bounds how far the carrier's smallest and largest eigenvalues can be
-    from the table's.  A verdict that is not clear of its threshold by
-    ``NEAR_FACTOR`` times that bound (``numerics._psd_verdict_clear``), a
-    carrier no smaller than ``N``, a gap below :func:`_carrier_cutoff` and
-    values whose products come near overflow are decided on the Gram pair
-    instead (:func:`_table_semi`), so the verdict is always the pair's, and
-    non-finite pairs raise as there.
+    Cauchy-Schwarz); with the rounding of every solve of both paths this is
+    the carrier's error.  None (the pair decides) for a gap below
+    :func:`_carrier_cutoff`, a carrier no smaller than ``N`` and values
+    whose products come near overflow.
     """
     _check_compatible(phi_map, phi)
     basis, values = phi_map.domain._basis_stack, phi_map._value_stack
@@ -423,7 +443,7 @@ def _carrier_semi(
     slices = phi.domain.block_slices()
     met = [bool(basis[:, :, sl].any()) for sl in slices]
     if dim < _carrier_cutoff(sum(met)) or k >= dim:
-        return _table_semi(phi_map, phi, tol, vectors)
+        return None
     choi = _choi_matrix(phi)
     module_mass = float(np.vdot(basis, basis).real)  # sum_i |x_i|_F^2
     map_mass = float(np.vdot(values, values).real)  # |B|_F^2
@@ -433,7 +453,7 @@ def _carrier_semi(
     # eigenvalues, each at most choi_l1).
     product_bound = (module_mass + 1.0) * choi_l1 * q * m + map_mass
     if not _far_from_overflow(product_bound):
-        return _table_semi(phi_map, phi, tol, vectors)
+        return None
     herm = (choi + dagger(choi)) / 2.0
     spectra = [np.linalg.eigh(herm[sl.start * m : sl.stop * m, sl.start * m : sl.stop * m]) for sl in slices]
     top = max(float(np.abs(lam).max()) for lam, _ in spectra)
@@ -448,7 +468,7 @@ def _carrier_semi(
         default=0.0,
     )
     if k >= shortfall:
-        return _table_semi(phi_map, phi, tol, vectors)
+        return None
     dropped = row_loss = 0.0
     n, blocks = k, []
     for sl, (lam, w), keep in zip(slices, spectra, kept):
@@ -463,7 +483,7 @@ def _carrier_semi(
         n += rank * int(np.count_nonzero(keep))
         blocks.append((y, u[:, :rank], lam[keep], w[:, keep]))
     if n >= dim:
-        return _table_semi(phi_map, phi, tol, vectors)
+        return None
     columns, signs = [], []
     for y, u_kept, lam, w in blocks:
         rank, width, t = u_kept.shape[1], w.shape[0] // m, len(lam)
@@ -482,43 +502,7 @@ def _carrier_semi(
         + top * row_loss * (row_loss + 2.0 * np.sqrt(module_mass))
         + _rounding_band(dim + n + (m + d + p) * q, scale)
     )
-    x_adj, signs = np.concatenate(columns, axis=1), np.concatenate(signs)
-    ok, lam_min, clear, lifted = _signed_gap(x_adj, signs, error, tol, vectors)
-    if not clear:
-        return _table_semi(phi_map, phi, tol, vectors)
-    return SemiPhiReport(ok, lam_min, _table=partial(gram_pair, phi_map, phi), _vector=lifted)
-
-
-def _signed_gap(
-    x_adj: np.ndarray, signs: np.ndarray, error: float, tol: ToleranceProfile, vectors: bool = False
-) -> tuple[bool, float, bool, np.ndarray | None]:
-    """The PSD decision of the ``N x N`` matrix ``X* J X`` from ``X*``
-    (``x_adj``, ``N x n`` with ``n < N``) and the diagonal ``signs`` of
-    ``J``, with no ``N x N`` solve: with ``X* = Q R`` (one QR) its spectrum
-    is that of the ``n x n`` matrix ``R J R*`` (one ``eigvalsh``) and
-    ``N - n`` zeros.
-
-    Returns the verdict and ``lambda_min`` of :func:`numerics._psd_verdict`
-    read off ``min(0, mu_min)`` and ``max(0, mu_max)``, whether that verdict
-    is clear of its threshold for every matrix whose eigenvalues lie within
-    ``error`` of these (:func:`numerics._psd_verdict_clear`), and with
-    ``vectors`` (one ``eigh`` in place of the ``eigvalsh``) a refuting
-    decision's unit eigenvector lifted to the gap as ``Q w``, else None.
-    """
-    if vectors:
-        q_onb, r = np.linalg.qr(x_adj)
-    else:
-        r = np.linalg.qr(x_adj, mode="r")
-    small = (r * signs) @ dagger(r)
-    if vectors:
-        mu, small_vecs = np.linalg.eigh(small)
-    else:
-        mu = np.linalg.eigvalsh(small)
-    # The gap's spectrum: mu and N - n zeros.
-    extremes = np.array([mu.min(initial=0.0), mu.max(initial=0.0)])
-    ok, lam_min, clear = _psd_verdict_clear(extremes, error, tol)
-    lifted = q_onb @ small_vecs[:, 0] if vectors and not ok else None
-    return ok, lam_min, clear, lifted
+    return np.concatenate(columns, axis=1), np.concatenate(signs), error
 
 
 def _symmetrized_gap(pair: GramPair) -> np.ndarray:
@@ -564,9 +548,10 @@ def semiphi_witness(
     """Build a refutation certificate from a negative eigenvector of the Gram
     gap; raises if the pair actually satisfies the criterion.  One ``eigh``
     decides and gives the eigenvector: of the carrier matrix, lifted to the
-    gap (:func:`_carrier_semi`), or of the gap itself where the Gram pair
-    decides.  The vector is a unit eigenvector defined up to a unit phase."""
-    report = _refutable_semi(phi_map, phi, tol)
+    gap, or of the gap itself where the Gram pair decides
+    (:func:`_decide_gap`).  The vector is a unit eigenvector defined up to a
+    unit phase."""
+    report = _choi_semi(phi_map, phi, tol, vectors=True)
     if report.ok:
         raise PreconditionError("witness requested for a satisfying pair")
     return _witness_from_report(phi_map, phi, report)
@@ -708,9 +693,8 @@ class ExtensionResult:
     ``gram`` on ``e`` reads the obstruction's table), least squares (no
     pair), the re-certification of ``phi_prime``, which reads ``gram``:
     ksgns's ``g_phi`` against the Gram matrix of the columns of
-    ``phi_prime``, decided on ksgns's carrier under a bound against that
-    table where the bound settles it and on the table otherwise (see
-    :func:`_recertify`), and on the exact branch the two
+    ``phi_prime``, decided by :func:`_decide_gap` on ksgns's carrier
+    (:func:`_ksgns_carrier`) or on that pair, and on the exact branch the two
     ``e x (f + f_perp)`` tables, contractions of the same table.  ``gram``
     is bit-equal to a fresh :func:`gram_pair` of ``phi_prime``; the report's
     ``extension_semi_margin`` is its gap's smallest eigenvalue up to the
@@ -750,7 +734,7 @@ def extend_semi_phi(
         raise ExtensionInputError(str(err)) from None
     except PreconditionError:
         raise ExtensionInputError("the map's domain must be a submodule of e") from None
-    return _extend(phi_map, e, phi, obstruction, _table_semi(phi_map, phi, tol), tol)
+    return _extend(phi_map, e, phi, obstruction, _semi_verdict(gram_pair(phi_map, phi), tol), tol)
 
 
 def _extend(
@@ -800,7 +784,7 @@ def _extend(
     # Restriction certificate, re-derived through the same coefficients.
     prime_on_f = np.tensordot(f_coeffs, phi_prime._value_stack, axes=1)
     gram = _paired(kres.gram.g_phi, phi_prime)  # the universal map is on e too
-    semi_prime = _recertify(phi_prime, kres, gram, tol)
+    semi_prime = _decide_gap(partial(_ksgns_carrier, phi_prime, kres, gram), lambda: gram, tol)
     # The exact check on the input reads the Gram pair of the semi check.
     input_is_phi_map = _block_defect(phi_map, semi.gram, tol).ok
     killed = exact_defect = None
@@ -837,35 +821,30 @@ def _extend(
     return ExtensionResult(phi_prime, phi_map, universal, s0, kres.dilation, gram, report)
 
 
-def _recertify(phi_prime: ModuleMap, kres: KsgnsResult, gram: GramPair, tol: ToleranceProfile) -> SemiPhiReport:
-    """The semi criterion of the extension ``phi_prime = S0 o universal``
-    against the independent table ``T = gram.g_phi``, decided on the KSGNS
-    carrier ``C`` (``kres._carrier``) where that can settle the table's
-    verdict, with no ``N x N`` solve.
+def _ksgns_carrier(phi_prime: ModuleMap, kres: KsgnsResult, gram: GramPair) -> _Carrier | None:
+    """The KSGNS carrier ``C`` (``kres._carrier``) of the extension
+    ``phi_prime = S0 o universal``'s gap against the independent table
+    ``T = gram.g_phi``, for :func:`_decide_gap`.
 
     With ``B`` the extension's :meth:`~ModuleMap.stacked_columns`,
     ``X = [C; B]`` and ``J = diag(I, -I_k)``, the gap is
-    ``T - B* B = X* J X + (T - C* C)``, and the first term is decided from
-    ``n = p r + k`` rows (:func:`_signed_gap`).  By Weyl no eigenvalue of the
-    gap is farther from those of ``X* J X`` than ``delta = |T - C* C|_F``;
-    with the rounding of both paths added, a verdict clear of its threshold
-    by that bound is the table's.  A verdict that is not clear, a carrier no
-    smaller than ``N``, a gap below ``_CARRIER_MIN_GAP`` (flat: this carrier
-    takes no per-block solve) and values near overflow are decided on the
-    Gram pair instead (:func:`_semi_verdict`), so a carrier that disagrees
-    with the table can only hand the decision back to it.  On the carrier the
-    margin is ``min(0, mu_min)``.
+    ``T - B* B = X* J X + (T - C* C)`` on ``n = p r + k`` rows.  By Weyl no
+    eigenvalue of the gap is farther from those of ``X* J X`` than
+    ``delta = |T - C* C|_F``; with the rounding of both paths added, that is
+    the carrier's error.  None (the pair decides) for a gap below
+    ``_CARRIER_MIN_GAP`` (flat: this carrier takes no per-block solve), a
+    carrier no smaller than ``N`` and values near overflow.
     """
     carrier, cols = kres._carrier, phi_prime.stacked_columns()
     dim, rows = gram.g_phi.shape[0], len(carrier) + len(cols)
     if dim < _CARRIER_MIN_GAP or rows >= dim:
-        return _semi_verdict(gram, tol)
+        return None
     carrier_mass = float(np.vdot(carrier, carrier).real)  # |C|_F^2
     map_mass = float(np.vdot(cols, cols).real)  # |B|_F^2
     # Every product either path forms is bounded by this.
     scale = float(np.linalg.norm(gram.g_phi)) + carrier_mass + map_mass
     if not _far_from_overflow(scale):
-        return _semi_verdict(gram, tol)
+        return None
     delta = float(np.linalg.norm(gram.g_phi - dagger(carrier) @ carrier))
     # The rounding of the table path (B* B, the difference, the N x N solve),
     # of the carrier path (the QR and the small solve) and of delta (C* C).
@@ -876,10 +855,7 @@ def _recertify(phi_prime: ModuleMap, kres: KsgnsResult, gram: GramPair, tol: Tol
         + _rounding_band(len(carrier) + 1, scale)
     )
     signs = np.concatenate([np.ones(len(carrier)), -np.ones(len(cols))])
-    ok, lam_min, clear, _ = _signed_gap(dagger(np.concatenate([carrier, cols])), signs, error, tol)
-    if not clear:
-        return _semi_verdict(gram, tol)
-    return SemiPhiReport(ok, lam_min, _table=lambda: gram)
+    return dagger(np.concatenate([carrier, cols])), signs, error
 
 
 def compare_extensions(
@@ -950,7 +926,7 @@ def _canonical_compacts(
             f"obstruction norm {obstruction.norm:.3e} is nonzero: "
             "the extension by zero is not exactly compatible on the whole module"
         )
-    semi = _table_semi(phi_map, phi, tol)
+    semi = _semi_verdict(gram_pair(phi_map, phi), tol)
     if not _block_defect(phi_map, semi.gram, tol).ok:
         raise PreconditionError("input is not an exactly compatible map on its domain")
     f_perp = obstruction.complement

@@ -25,7 +25,6 @@ from .numerics import (
     _rank_cut,
     adjoint_products,
     as_matrix,
-    column_span_onb,
     dagger,
     nullspace_onb,
 )
@@ -38,8 +37,6 @@ __all__ = [
     "inner_product_matrix",
     "is_submodule",
     "orthogonal_complement",
-    "is_full",
-    "direct_sum",
     "BlockEmbedding",
     "embed_module",
     "is_contained_pair",
@@ -147,7 +144,8 @@ class ModuleValidation:
 
 
 def inner_product_matrix(x, y) -> np.ndarray:
-    """Raw module inner product ``x* y`` of two equally-shaped matrices."""
+    """Raw module inner product ``x* y`` of two equally-shaped matrices.
+    Public as the module's inner product itself; the kernels batch it."""
     xm, ym = as_matrix(x), as_matrix(y)
     if xm.shape != ym.shape:
         raise ShapeError("inner product needs equal shapes")
@@ -346,41 +344,6 @@ def _complement(
     coeff_onb = nullspace_onb(constraint, tol)
     basis = (e._basis_columns @ coeff_onb).T.reshape(-1, e.row_dim, e.algebra.ambient_dim)
     return ConcreteModule(e.algebra, e.row_dim, tuple(basis)), coeff_onb
-
-
-def is_full(e: ConcreteModule, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
-    """True iff the inner products of basis pairs span the whole algebra."""
-    if e.dim == 0:
-        return False
-    q = e.algebra.ambient_dim
-    products = adjoint_products(e._basis_stack, e._basis_stack).reshape(e.dim**2, q * q)
-    onb = column_span_onb(products.T, tol)
-    return onb.shape[1] == e.algebra.dimension
-
-
-def direct_sum(
-    f: ConcreteModule,
-    g: ConcreteModule,
-    external: bool = False,
-    tol: ToleranceProfile = DEFAULT_TOL,
-) -> ConcreteModule:
-    """Internal (same rows, trivial intersection) or external (stacked rows) sum."""
-    if f.algebra.blocks != g.algebra.blocks:
-        raise ShapeError("direct sum needs a common algebra")
-    q = f.algebra.ambient_dim
-    if external:
-        p = f.row_dim + g.row_dim
-        top = [np.vstack([b, np.zeros((g.row_dim, q))]) for b in f.basis]
-        bottom = [np.vstack([np.zeros((f.row_dim, q)), b]) for b in g.basis]
-        return ConcreteModule(f.algebra, p, tuple(top) + tuple(bottom))
-    if f.row_dim != g.row_dim:
-        raise ShapeError("internal direct sum needs equal row dimensions")
-    combined = tuple(f.basis) + tuple(g.basis)
-    if combined:
-        onb = column_span_onb([b.reshape(-1) for b in combined], tol)
-        if onb.shape[1] != f.dim + g.dim:
-            raise ValueError("internal direct sum requires a trivial span intersection")
-    return ConcreteModule(f.algebra, f.row_dim, combined)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,6 @@ __all__ = [
     "operator_norm",
     "adjoint_products",
     "is_psd",
-    "loewner_leq",
     "column_span_onb",
     "least_squares_operator",
     "nullspace_onb",
@@ -59,8 +58,9 @@ class ToleranceProfile:
     rel_tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        if self.abs_tol < 0 or self.rel_tol < 0:
-            raise ValueError("tolerances must be nonnegative")
+        # NaN fails both comparisons; an infinite tolerance passes every test.
+        if not (0.0 <= self.abs_tol < np.inf and 0.0 <= self.rel_tol < np.inf):
+            raise ValueError("tolerances must be finite and nonnegative")
 
     def threshold(self, scale: float | np.ndarray) -> float | np.ndarray:
         """``abs_tol + rel_tol * |scale|``; elementwise for an array of scales,
@@ -332,15 +332,15 @@ def _lowest_eigenvector(herm: np.ndarray) -> np.ndarray:
     return np.linalg.eigh(herm)[1][:, 0]
 
 
-def _not_hermitian(defect: float, what: str = "matrix") -> HermiticityError:
-    return HermiticityError(f"{what} is not hermitian: defect {defect:.3e} exceeds tolerance")
+def _not_hermitian(defect: float) -> HermiticityError:
+    return HermiticityError(f"matrix is not hermitian: defect {defect:.3e} exceeds tolerance")
 
 
-def _check_hermitian(m: np.ndarray, tol: ToleranceProfile, what: str = "matrix") -> None:
+def _check_hermitian(m: np.ndarray, tol: ToleranceProfile) -> None:
     scale = float(np.linalg.norm(m)) if m.size else 0.0
     defect = float(np.linalg.norm(m - dagger(m))) if m.size else 0.0
     if defect > tol.threshold(scale):
-        raise _not_hermitian(defect, what)
+        raise _not_hermitian(defect)
 
 
 def _hermitian_part(arr: np.ndarray, tol: ToleranceProfile) -> np.ndarray:
@@ -454,16 +454,6 @@ def _psd_stack(
         (defect > tol.threshold(np.linalg.norm(stack, axis=(-2, -1))), lambda i: _not_hermitian(defect[i])),
     ]
     return ok, lam, raises
-
-
-def loewner_leq(a: MatrixLike, b: MatrixLike, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
-    """Loewner order: ``a <= b`` iff ``b - a`` is positive semidefinite."""
-    am, bm = as_matrix(a), as_matrix(b)
-    if am.shape != bm.shape or am.shape[0] != am.shape[1]:
-        raise ShapeError(f"loewner_leq needs equal square shapes, got {am.shape}, {bm.shape}")
-    _check_hermitian(am, tol, "left operand")
-    _check_hermitian(bm, tol, "right operand")
-    return bool(is_psd(bm - am, tol))
 
 
 def _stack_columns(vectors, height: int | None) -> np.ndarray:

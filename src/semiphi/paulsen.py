@@ -219,6 +219,7 @@ class SystemMap:
 
     def apply_n(self, n: int, x, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
         """Amplification: apply entrywise to an n x n matrix of system blocks.
+        Public as the level-n map that complete positivity asks to be positive.
 
         A block is accepted exactly when the one-block path :meth:`apply`
         accepts it: the decomposition tests of
@@ -284,7 +285,8 @@ class SystemMap:
         return _block_matrices(out.reshape(n_samples, n, n, dout, dout)), failures
 
     def compose(self, inner: "SystemMap", tol: ToleranceProfile = DEFAULT_TOL) -> "SystemMap":
-        """Composite of two corner-structured maps, again corner-structured."""
+        """Composite of two corner-structured maps, again corner-structured.
+        Public as composition in the paper's category of systems."""
         if inner.codomain.corner_layout != self.domain.corner_layout:
             raise ShapeError("layouts do not compose")
         values = tuple(self.module_map.apply(inner.module_map._value_stack, tol))

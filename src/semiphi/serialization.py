@@ -154,7 +154,7 @@ def tolerance_from_json(data: Any) -> ToleranceProfile:
             rel_tol=float(data.get("rel_tol", 1e-9)),
         )
     except (AttributeError, TypeError, ValueError) as exc:
-        raise SchemaError("tolerance: expected {'abs_tol': ..., 'rel_tol': ...}") from exc
+        raise SchemaError("tolerance: expected finite nonnegative {'abs_tol': ..., 'rel_tol': ...}") from exc
 
 
 def load_problem(path: str) -> dict:

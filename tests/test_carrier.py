@@ -20,6 +20,7 @@ gap is formed from: it is compared within ``8 * N * EPS * scale`` with
 """
 
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -165,6 +166,19 @@ def count_paths(monkeypatch):
     return calls
 
 
+def count_tables(monkeypatch):
+    """Record each decision taken on the Gram pair."""
+    calls = []
+    original = ext._semi_verdict
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ext, "_semi_verdict", wrapper)
+    return calls
+
+
 @pytest.mark.usefixtures("carrier_at_every_size")
 class TestCarrierParity:
     @settings(max_examples=120, deadline=None)
@@ -210,7 +224,7 @@ class TestCarrierParity:
         for seed, factor in ((0, 0.5), (1, 2.0), (2, 4.0)):
             phi_map, phi = carrier_problem(seed, "cp", 1.0, factor)
             report = is_completely_semi_phi(phi_map, phi)
-            table = ext._table_semi(phi_map, phi, DEFAULT_TOL)
+            table = ext._semi_verdict(gram_pair(phi_map, phi), DEFAULT_TOL)
             fresh = gram_pair(phi_map, phi)
             assert report.ok == table.ok
             assert np.array_equal(report.gram.g_phi, fresh.g_phi)
@@ -231,23 +245,11 @@ class TestCarrierParity:
 
 @pytest.mark.usefixtures("carrier_at_every_size")
 class TestFallback:
-    def count_tables(self, monkeypatch):
-        """Record each decision taken on the Gram pair."""
-        calls = []
-        original = ext._table_semi
-
-        def wrapper(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(ext, "_table_semi", wrapper)
-        return calls
-
     def test_near_threshold_falls_back(self, monkeypatch):
         phi_map, phi = carrier_problem(1, "cp", 1.0, 20.0)
         margin = is_completely_semi_phi(phi_map, phi).margin
         assert margin < -0.1
-        tables = self.count_tables(monkeypatch)
+        tables = count_tables(monkeypatch)
         # The threshold sits on the carrier's smallest eigenvalue.
         for tol in (ToleranceProfile(-margin, 0.0), ToleranceProfile(-margin * (1 + 1e-13), 0.0)):
             tables.clear()
@@ -267,7 +269,7 @@ class TestFallback:
         module = ConcreteModule(algebra, 1, tuple(np.eye(2, dtype=complex)[:, None, :]))
         phi = random_cp_map(algebra, M, 6, np.random.default_rng(0))
         phi_map = ModuleMap(module, M, 2, tuple(np.ones((2, 2, M), dtype=complex)))
-        tables = self.count_tables(monkeypatch)
+        tables = count_tables(monkeypatch)
         report = is_completely_semi_phi(phi_map, phi)
         assert len(tables) == 1
         want = ext._semi_verdict(gram_pair(phi_map, phi), DEFAULT_TOL)
@@ -285,7 +287,7 @@ class TestFallback:
     def test_zero_map(self, monkeypatch):
         phi_map, phi = carrier_problem(0, "cp", 1.0, 1.0)
         zero_phi = CPMap(phi.domain, M, tuple(0.0 * phi._value_stack))
-        tables = self.count_tables(monkeypatch)
+        tables = count_tables(monkeypatch)
         # T = 0: the carrier is B alone, so the gap is -B*B.
         report = is_completely_semi_phi(phi_map, zero_phi)
         assert not report.ok and tables == []
@@ -306,18 +308,87 @@ class TestFallback:
         huge_phi = CPMap(phi.domain, M, tuple(phi_scale * phi._value_stack))
         with np.errstate(all="ignore"):
             try:
-                want = ext._table_semi(huge_map, huge_phi, DEFAULT_TOL).ok
+                want = ext._semi_verdict(gram_pair(huge_map, huge_phi), DEFAULT_TOL).ok
             except ValueError as err:
                 want = str(err)
         if map_scale >= 1e160:
             assert want == "matrix entries must be finite"
-        for decide in (is_completely_semi_phi, ext._refutable_semi):
+        for decide in (is_completely_semi_phi, partial(ext._choi_semi, vectors=True)):
             with np.errstate(all="ignore"):
                 try:
                     got = decide(huge_map, huge_phi, DEFAULT_TOL).ok
                 except ValueError as err:
                     got = str(err)
             assert got == want
+
+
+class TestDecider:
+    """The contract of ``_decide_gap`` on stub carriers of a gap of size
+    ``N = 6`` with ``n = 2`` carrier columns."""
+
+    def stub(self, signs, seed=0):
+        """A carrier ``X*`` with the signs ``J`` and the Gram pair whose gap
+        is ``X* J X``: ``g_phi`` from the positive columns, ``g_map`` from the
+        negative ones."""
+        rng = np.random.default_rng(seed)
+        x_adj = rng.standard_normal((6, len(signs))) + 1j * rng.standard_normal((6, len(signs)))
+        signs = np.asarray(signs, dtype=float)
+        pos, neg = x_adj[:, signs > 0], x_adj[:, signs < 0]
+        return x_adj, signs, ext.GramPair(pos @ pos.conj().T, neg @ neg.conj().T)
+
+    def counted(self, pair):
+        """A table callable returning ``pair`` and the list of its calls."""
+        calls = []
+
+        def table():
+            calls.append(pair)
+            return pair
+
+        return table, calls
+
+    def test_no_carrier_takes_the_table(self, monkeypatch):
+        _, _, pair = self.stub([1.0, -1.0])
+        table, calls = self.counted(pair)
+        verdicts = count_tables(monkeypatch)
+        report = ext._decide_gap(lambda: None, table, DEFAULT_TOL)
+        assert len(verdicts) == 1 and len(calls) == 1
+        want = ext._semi_verdict(pair, DEFAULT_TOL)
+        assert not report.ok and (report.ok, report.margin) == (want.ok, want.margin)
+        assert report.gram is pair
+
+    @pytest.mark.parametrize("signs, ok", [([1.0, 1.0], True), ([1.0, -1.0], False)])
+    def test_clear_carrier_leaves_the_table_for_gram(self, signs, ok, monkeypatch):
+        x_adj, signs, pair = self.stub(signs)
+        table, calls = self.counted(pair)
+        verdicts = count_tables(monkeypatch)
+        report = ext._decide_gap(lambda: (x_adj, signs, 0.0), table, DEFAULT_TOL)
+        gap = pair.g_phi - pair.g_map
+        assert report.ok == ok and calls == [] and verdicts == []
+        assert report.margin == pytest.approx(min(np.linalg.eigvalsh(gap)[0], 0.0), abs=1e-12 * np.linalg.norm(gap))
+        assert report.gram is pair and report.gram is pair and len(calls) == 1
+
+    def test_unclear_verdict_takes_the_table(self, monkeypatch):
+        # The carrier refutes by far less than its error; the table, which
+        # here satisfies, decides.
+        x_adj, signs, _ = self.stub([1.0, -1.0])
+        _, _, pair = self.stub([1.0, 1.0], seed=1)
+        table, calls = self.counted(pair)
+        verdicts = count_tables(monkeypatch)
+        report = ext._decide_gap(lambda: (x_adj, signs, 1e6), table, DEFAULT_TOL)
+        assert len(verdicts) == 1 and len(calls) == 1
+        assert report.ok and report.margin == ext._semi_verdict(pair, DEFAULT_TOL).margin
+
+    def test_vectors_lift_the_small_eigenvector(self):
+        x_adj, signs, pair = self.stub([1.0, -1.0])
+        table, calls = self.counted(pair)
+        report = ext._decide_gap(lambda: (x_adj, signs, 0.0), table, DEFAULT_TOL, vectors=True)
+        gap = pair.g_phi - pair.g_map
+        band = 8 * len(gap) * EPS * np.linalg.norm(gap)
+        vec = report.witness
+        assert not report.ok and calls == []
+        assert abs(np.linalg.norm(vec) - 1.0) <= 8 * len(vec) * EPS
+        assert np.linalg.norm(gap @ vec - report.margin * vec) <= band
+        assert abs(report.margin - np.linalg.eigvalsh(gap)[0]) <= band
 
 
 class TestSizeDispatch:
@@ -447,14 +518,14 @@ class TestRecertification:
 
     def test_verdict_and_margin_match_the_table(self, monkeypatch):
         cases, decided = extension_cases(), 0
-        settled, signed_gap = [], ext._signed_gap  # the clear flag of each carrier decision
+        settled, verdict_clear = [], ext._psd_verdict_clear  # the clear flag of each carrier decision
 
         def recorded(*args, **kwargs):
-            out = signed_gap(*args, **kwargs)
+            out = verdict_clear(*args, **kwargs)
             settled.append(out[2])
             return out
 
-        monkeypatch.setattr(ext, "_signed_gap", recorded)
+        monkeypatch.setattr(ext, "_psd_verdict_clear", recorded)
         for name, phi_map, e, phi, settles in cases:
             monkeypatch.setattr(ext, "_CARRIER_MIN_GAP", 0)
             settled.clear()
@@ -478,6 +549,22 @@ class TestRecertification:
         # The cases that raise are exact inputs refused at scale 1e3, the
         # rescaling defect that test_kernels.py's strict xfail tracks.
         assert decided >= 0.9 * len(cases)
+
+    def test_zero_maps_take_no_gap_sized_solve(self, monkeypatch):
+        # A zero CP map has a rank-0 dilation, so the KSGNS carrier has no C
+        # rows: the extension's gap is decided from its k rows alone.
+        phi_map, e, phi = wide_problem(0, (2, 2), (1, 1), False)
+        n_dim, k = e.dim * 4, phi_map.h2_dim
+        zero_phi = CPMap(phi.domain, 4, tuple(0.0 * phi._value_stack))
+        zero_map = zero_module_map(phi_map.domain, 4, k)
+        calls = count_paths(monkeypatch)
+        result = extend_semi_phi(zero_map, e, zero_phi)
+        report = result.report
+        assert n_dim == 96 and result.dilation.rank == 0 and report.zero_cp_map
+        assert (report.extension_semi_ok, report.extension_semi_margin) == (True, 0.0)
+        # The input's own gap on F, then the carrier's k x k solve.
+        assert calls["eigvalsh"] == [phi_map.domain.dim * 4, k]
+        assert max(calls["eigh"] + calls["eigvalsh"]) < n_dim
 
     @pytest.mark.parametrize("corrupt", [False, True], ids=["carrier", "corrupted-carrier"])
     def test_wide_call_takes_no_gap_sized_solve(self, corrupt, monkeypatch):

@@ -13,7 +13,15 @@ import semiphi.cli as cli
 import semiphi.extension as ext
 import semiphi.paulsen as paulsen
 import semiphi.serialization as ser
-from semiphi import BlockAlgebra, ConcreteModule, ModuleMap, block_map, canonical_compacts_extension, transpose_map
+from semiphi import (
+    BlockAlgebra,
+    ConcreteModule,
+    ModuleMap,
+    block_map,
+    canonical_compacts_extension,
+    identity_cp_map,
+    transpose_map,
+)
 from semiphi.cli import EXIT_INTERNAL, main
 from semiphi.fixtures import compacts_fixture, example_2_1, scalar_fixture
 
@@ -225,6 +233,29 @@ def test_tol_env_var(tmp_path, monkeypatch, ex21_file):
     assert main(["extend", ex21_file]) == 0
     monkeypatch.setenv("SEMIPHI_TOL", "not-a-number")
     assert main(["extend", ex21_file]) == 2
+
+
+@pytest.mark.parametrize(
+    "how, value",
+    [("flag", "nan"), ("flag", "inf"), ("env", "nan"), ("file", float("nan")), ("file", float("inf"))],
+)
+def test_non_finite_tolerance_is_input_error(tmp_path, monkeypatch, capsys, how, value):
+    # An infinite tolerance passes every test and NaN fails every one: both
+    # are refused before any verdict, for the transpose map (not CP) and the
+    # identity map (CP) alike.
+    for phi in (transpose_map(BlockAlgebra((2,))), identity_cp_map(BlockAlgebra((2,)))):
+        doc = {"schema_version": "1", "payload": {"phi": ser.cp_map_to_json(phi)}}
+        if how == "file":
+            doc["tolerance"] = {"abs_tol": value, "rel_tol": 1e-9}
+        path = tmp_path / "tol.json"
+        path.write_text(json.dumps(doc))  # json writes and reads NaN and Infinity
+        if how == "env":
+            monkeypatch.setenv("SEMIPHI_TOL", value)
+        argv = ["check-cp", str(path)] + (["--tol", value] if how == "flag" else [])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite" in captured.err and "nonnegative" in captured.err
 
 
 def test_self_check_failure_is_internal_error(ex21_file, monkeypatch, capsys):

@@ -143,20 +143,6 @@ class TestApplication:
         tr = trace_cp_map(M2)
         assert tr.apply(np.diag([1.0, 0.0]))[0, 0] == pytest.approx(1.0)
 
-    def test_amplification_of_identity(self, rng):
-        phi = identity_cp_map(M2)
-        big = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        assert np.allclose(phi.apply_n(2, big), big)
-
-    def test_amplification_matches_blockwise(self, rng):
-        phi = random_cp_map(BlockAlgebra((2, 1)), 2, 2, rng)
-        big = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        out = phi.apply_n(2, big)
-        for u in range(2):
-            for v in range(2):
-                block = big[u * 3 : (u + 1) * 3, v * 3 : (v + 1) * 3]
-                assert np.allclose(out[u * 2 : (u + 1) * 2, v * 2 : (v + 1) * 2], phi.apply_ambient(block))
-
 
 class TestCompose:
     def test_pinch_then_trace(self):

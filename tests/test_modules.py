@@ -7,11 +7,9 @@ from semiphi import (
     ConcreteModule,
     MembershipError,
     contains,
-    direct_sum,
     embed_module,
     inner_product_matrix,
     is_contained_pair,
-    is_full,
     is_submodule,
     orthogonal_complement,
     validate_module,
@@ -173,45 +171,16 @@ class TestSubmoduleAndComplement:
             assert all(f.contains_matrix(b) for b in back.basis)
 
 
-class TestFullness:
-    def test_full_matrix_module(self):
-        assert is_full(full_rectangular_module(2, 2))
-
-    def test_zero_module(self):
-        assert not is_full(ConcreteModule(BlockAlgebra((2,)), 2, ()))
-
-    def test_nonzero_over_full_algebra(self):
-        fx = example_2_1(2)
-        assert is_full(fx.f)
-
-
 class TestDirectSum:
     def test_internal_recovers_ambient(self):
+        # f and its complement are an internal direct sum spanning e.
         e = scalar_column_module()
         f = ConcreteModule(e.algebra, 2, (e.basis[0],))
         perp = orthogonal_complement(f, e)
-        total = direct_sum(f, perp)
+        total = ConcreteModule(e.algebra, 2, f.basis + perp.basis)
         assert total.dim == 2
+        assert np.linalg.matrix_rank(total._basis_columns) == 2
         assert all(total.contains_matrix(b) for b in e.basis)
-
-    def test_internal_rejects_overlap(self):
-        e = scalar_column_module()
-        f = ConcreteModule(e.algebra, 2, (e.basis[0],))
-        with pytest.raises(ValueError):
-            direct_sum(f, f)
-
-    def test_external_stacks_rows(self):
-        algebra = BlockAlgebra((2,))
-        m = full_rectangular_module(2, 2)
-        stacked = direct_sum(m, m, external=True)
-        assert stacked.row_dim == 4
-        assert stacked.dim == 8
-        assert validate_module(stacked).ok
-
-    def test_sum_with_zero(self):
-        f = full_rectangular_module(2, 2)
-        zero = ConcreteModule(f.algebra, 2, ())
-        assert direct_sum(f, zero).dim == f.dim
 
 
 class TestEmbedding:

@@ -22,7 +22,6 @@ from semiphi.numerics import (
     column_span_onb,
     is_psd,
     least_squares_operator,
-    loewner_leq,
     nullspace_onb,
     operator_norm,
 )
@@ -86,33 +85,6 @@ class TestIsPsd:
             if is_psd(m).ok != cholesky_psd_oracle(m):
                 disagreements += 1
         assert disagreements == 0
-
-
-class TestLoewner:
-    def test_scaling(self):
-        assert loewner_leq(np.eye(2), 2 * np.eye(2))
-        assert not loewner_leq(np.array([[4.0]]), np.array([[1.0]]))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            loewner_leq(np.eye(2), np.eye(3))
-
-    def test_zero_below_random_psd(self, rng):
-        for _ in range(20):
-            a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            p = a.conj().T @ a
-            assert loewner_leq(np.zeros((4, 4)), p)
-
-    def test_reflexive_and_transitive(self, rng):
-        for _ in range(20):
-            a = random_hermitian(4, rng)
-            assert loewner_leq(a, a)
-            b = a + rng.standard_normal((4, 1)) @ rng.standard_normal((1, 4))
-            b = (b + b.conj().T) / 2.0
-            p = rng.standard_normal((4, 4))
-            c = b + p @ p.T
-            if loewner_leq(a, b) and loewner_leq(b, c):
-                assert loewner_leq(a, c, ToleranceProfile(1e-8, 1e-8))
 
 
 class TestColumnSpanOnb:
@@ -308,6 +280,15 @@ def test_operator_norm_of_scaled_identity(s):
 def test_tolerance_profile_rejects_negative():
     with pytest.raises(ValueError):
         ToleranceProfile(abs_tol=-1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_tolerance_profile_rejects_non_finite(bad):
+    # An infinite tolerance would pass every test and NaN fail every one.
+    for kwargs in ({"abs_tol": bad}, {"rel_tol": bad}):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            ToleranceProfile(**kwargs)
+    assert ToleranceProfile(0.0, 0.0).threshold(1.0) == 0.0
 
 
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**32 - 1))

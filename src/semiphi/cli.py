@@ -2,8 +2,9 @@
 
 Exit-code contract: 0 = property holds / construction succeeded, 1 =
 property refuted (with a witness where applicable), 2 = input or validation
-error, 3 = an internal self-check failed (a defect, not a verdict).  The
-split lets shell pipelines branch on mathematics versus plumbing.
+error, 3 = an internal self-check failed or an unexpected exception escaped
+(a defect, not a verdict; the latter prints its traceback).  The split lets
+shell pipelines branch on mathematics versus plumbing.
 ``--json`` emits a machine-readable report; ``SEMIPHI_TOL`` sets the default
 tolerance.
 """
@@ -19,13 +20,8 @@ import numpy as np
 
 from . import serialization as ser
 from .algebra import BlockAlgebra
-from .cpmaps import (
-    NotCompletelyPositiveError,
-    is_completely_positive,
-    stinespring,
-)
+from .cpmaps import is_completely_positive, stinespring
 from .extension import (
-    ExtensionInputError,
     PreconditionError,
     SelfCheckError,
     _block_defect,
@@ -39,10 +35,8 @@ from .extension import (
     is_phi_map,
     phi_extension_obstruction,
 )
-from .modules import BlockEmbedding, MembershipError
+from .modules import BlockEmbedding
 from .numerics import (
-    HermiticityError,
-    ShapeError,
     ToleranceProfile,
     _construction_threshold,
     _fixture_agrees,
@@ -83,108 +77,84 @@ def _tolerance(args, doc: dict | None) -> ToleranceProfile:
     return ToleranceProfile(abs_tol=base, rel_tol=base)
 
 
-def _payload(doc: dict, *keys: str) -> list:
+#: Payload key -> the ``serialization`` reader that parses it.  Readers are
+#: named, not held, so that a wrapper patched into the module is called.
+LOADERS = {
+    "phi": "cp_map_from_json",
+    "Phi": "module_map_from_json",
+    "Gamma": "module_map_from_json",
+    "E": "module_from_json",
+    "F": "module_from_json",
+    "codomain_module": "module_from_json",
+}
+
+
+def _load(doc: dict, *keys: str) -> list:
+    """The payload's ``keys``, each parsed with the key as its location."""
     payload = doc["payload"]
-    out = []
     for key in keys:
         if key not in payload:
             raise SchemaError(f"payload is missing '{key}'")
-        out.append(payload[key])
-    return out
+    return [getattr(ser, LOADERS[key])(payload[key], key) for key in keys]
 
 
-def _report(verdicts: dict, margins: dict, witnesses: dict | None, started: float) -> dict:
-    return {
-        "verdicts": verdicts,
-        "margins": margins,
-        "witnesses": witnesses or {},
-        "timings": {"seconds": time.perf_counter() - started},
-    }
+# Every command returns ``(ok, verdicts, margins, witnesses)``; ``main``
+# builds the report and maps ``ok`` to exit 0 or 1.
 
 
-def cmd_check_cp(args, doc, tol, started):
-    (phi_raw,) = _payload(doc, "phi")
-    phi = ser.cp_map_from_json(phi_raw)
+def cmd_check_cp(args, doc, tol):
+    (phi,) = _load(doc, "phi")
     psd = is_completely_positive(phi, tol)
-    report = _report(
-        {"completely_positive": psd.ok},
-        {"choi_lambda_min": psd.lambda_min},
-        None,
-        started,
-    )
-    return (EXIT_OK if psd.ok else EXIT_REFUTED), report
+    return psd.ok, {"completely_positive": psd.ok}, {"choi_lambda_min": psd.lambda_min}, {}
 
 
-def cmd_stinespring(args, doc, tol, started):
-    (phi_raw,) = _payload(doc, "phi")
-    phi = ser.cp_map_from_json(phi_raw)
+def cmd_stinespring(args, doc, tol):
+    (phi,) = _load(doc, "phi")
     dil = stinespring(phi, tol)
     defect = dil.reconstruction_defect(phi)
-    report = _report(
+    # The dilation is a construction: it succeeds whatever the check says.
+    return (
+        True,
         {"dilation_reconstructs": defect <= _construction_threshold(tol, 1.0)},
         {"reconstruction_defect": defect, "rank": dil.rank},
         {"V": ser.matrix_to_json(dil.V)},
-        started,
     )
-    return EXIT_OK, report
 
 
-def cmd_check_phi(args, doc, tol, started):
-    phi_raw, map_raw = _payload(doc, "phi", "Phi")
-    phi = ser.cp_map_from_json(phi_raw)
-    phi_map = ser.module_map_from_json(map_raw)
+def cmd_check_phi(args, doc, tol):
+    phi, phi_map = _load(doc, "phi", "Phi")
     verdict = is_phi_map(phi_map, phi, tol)
-    report = _report(
+    return (
+        verdict.ok,
         {"phi_map": verdict.ok},
         {"worst_defect": verdict.worst_defect},
         {"worst_pair": list(verdict.worst_pair) if verdict.worst_pair else None},
-        started,
     )
-    return (EXIT_OK if verdict.ok else EXIT_REFUTED), report
 
 
-def cmd_check_semiphi(args, doc, tol, started):
-    phi_raw, map_raw = _payload(doc, "phi", "Phi")
-    phi = ser.cp_map_from_json(phi_raw)
-    phi_map = ser.module_map_from_json(map_raw)
+def cmd_check_semiphi(args, doc, tol):
+    phi, phi_map = _load(doc, "phi", "Phi")
     verdict = is_completely_semi_phi(phi_map, phi, tol)
-    report = _report(
-        {"completely_semi_phi": verdict.ok},
-        {"gram_margin": verdict.margin},
-        None,
-        started,
-    )
-    return (EXIT_OK if verdict.ok else EXIT_REFUTED), report
+    return verdict.ok, {"completely_semi_phi": verdict.ok}, {"gram_margin": verdict.margin}, {}
 
 
-def cmd_witness(args, doc, tol, started):
-    phi_raw, map_raw = _payload(doc, "phi", "Phi")
-    phi = ser.cp_map_from_json(phi_raw)
-    phi_map = ser.module_map_from_json(map_raw)
+def cmd_witness(args, doc, tol):
+    phi, phi_map = _load(doc, "phi", "Phi")
     verdict = _choi_semi(phi_map, phi, tol, vectors=True)
     if verdict.ok:
-        report = _report(
-            {"completely_semi_phi": True, "witness_exists": False},
-            {"gram_margin": verdict.margin},
-            None,
-            started,
-        )
-        return EXIT_OK, report
+        verdicts = {"completely_semi_phi": True, "witness_exists": False}
+        return True, verdicts, {"gram_margin": verdict.margin}, {}
     witness = _witness_from_report(phi_map, phi, verdict)
-    report = _report(
+    return (
+        False,
         {"completely_semi_phi": False, "witness_exists": True},
         {"gap": witness.gap, "lhs": witness.lhs, "rhs": witness.rhs},
         {"vectors": [ser.matrix_to_json(v.reshape(1, -1)) for v in witness.vectors]},
-        started,
     )
-    return EXIT_REFUTED, report
 
 
-def cmd_obstruction(args, doc, tol, started):
-    phi_raw, e_raw, f_raw = _payload(doc, "phi", "E", "F")
-    phi = ser.cp_map_from_json(phi_raw)
-    e = ser.module_from_json(e_raw, "E")
-    f = ser.module_from_json(f_raw, "F")
+def cmd_obstruction(args, doc, tol):
+    phi, e, f = _load(doc, "phi", "E", "F")
     obs = phi_extension_obstruction(phi, f, e, tol)
     verdicts = {"obstruction_vanishes": obs.vanishes}
     if not obs.vanishes:
@@ -192,8 +162,7 @@ def cmd_obstruction(args, doc, tol, started):
             "nonzero obstruction: no non-degenerate exactly compatible map on F "
             "has an exactly compatible extension to E"
         )
-    report = _report(verdicts, {"obstruction_norm": obs.norm}, None, started)
-    return (EXIT_OK if obs.vanishes else EXIT_REFUTED), report
+    return obs.vanishes, verdicts, {"obstruction_norm": obs.norm}, {}
 
 
 #: The report fields ``extend`` emits as verdicts and as margins, in order.
@@ -201,54 +170,36 @@ EXTEND_VERDICTS = ("extension_semi_ok", "input_is_phi_map", "obstruction_vanishe
 EXTEND_MARGINS = ("restriction_defect", "extension_semi_margin", "contraction_norm", "obstruction_norm")
 
 
-def cmd_extend(args, doc, tol, started):
-    phi_raw, map_raw, e_raw = _payload(doc, "phi", "Phi", "E")
-    phi = ser.cp_map_from_json(phi_raw)
-    phi_map = ser.module_map_from_json(map_raw)
-    e = ser.module_from_json(e_raw, "E")
+def cmd_extend(args, doc, tol):
+    phi, phi_map, e = _load(doc, "phi", "Phi", "E")
     result = extend_semi_phi(phi_map, e, phi, tol)
     rep = result.report
-    report = _report(
+    return (
+        rep.extension_semi_ok,
         {name: getattr(rep, name) for name in EXTEND_VERDICTS},
         {name: getattr(rep, name) for name in EXTEND_MARGINS},
         {"phi_prime_values": [ser.matrix_to_json(v) for v in result.phi_prime.values]},
-        started,
     )
-    return (EXIT_OK if rep.extension_semi_ok else EXIT_REFUTED), report
 
 
-def cmd_compare(args, doc, tol, started):
-    phi_raw, map_raw, e_raw, gamma_raw = _payload(doc, "phi", "Phi", "E", "Gamma")
-    phi = ser.cp_map_from_json(phi_raw)
-    phi_map = ser.module_map_from_json(map_raw)
-    e = ser.module_from_json(e_raw, "E")
-    gamma = ser.module_map_from_json(gamma_raw, "Gamma")
+def cmd_compare(args, doc, tol):
+    phi, phi_map, e, gamma = _load(doc, "phi", "Phi", "E", "Gamma")
     result = extend_semi_phi(phi_map, e, phi, tol)
     same = compare_extensions(gamma, result, tol)
-    report = _report({"unique_extension_matches": same}, {}, None, started)
-    return (EXIT_OK if same else EXIT_REFUTED), report
+    return same, {"unique_extension_matches": same}, {}, {}
 
 
-def cmd_paulsen(args, doc, tol, started):
-    phi_raw, map_raw, cod_raw = _payload(doc, "phi", "Phi", "codomain_module")
-    phi = ser.cp_map_from_json(phi_raw)
-    phi_map = ser.module_map_from_json(map_raw)
-    codomain = ser.module_from_json(cod_raw, "codomain_module")
+def cmd_paulsen(args, doc, tol):
+    phi, phi_map, codomain = _load(doc, "phi", "Phi", "codomain_module")
     sm = block_map(phi_map, phi, codomain, tol)
-    rng = np.random.default_rng(args.seed)
-    verdict = is_cp_system_map(sm, tol, rng=rng)
-    report = _report(
-        {
-            "cp_system_map": verdict.ok,
-            "unital": sm.unital,
-            "domain_dimension": sm.domain.dimension,
-            "codomain_dimension": sm.codomain.dimension,
-        },
-        {"gram_margin": verdict.margin},
-        None,
-        started,
-    )
-    return (EXIT_OK if verdict.ok else EXIT_REFUTED), report
+    verdict = is_cp_system_map(sm, tol, rng=np.random.default_rng(args.seed))
+    verdicts = {
+        "cp_system_map": verdict.ok,
+        "unital": sm.unital,
+        "domain_dimension": sm.domain.dimension,
+        "codomain_dimension": sm.codomain.dimension,
+    }
+    return verdict.ok, verdicts, {"gram_margin": verdict.margin}, {}
 
 
 def _demo_example_2_1(n: int, tol, rng) -> tuple[bool, dict, dict]:
@@ -281,12 +232,12 @@ def _demo_example_3_4(n: int, tol, rng) -> tuple[bool, dict, dict]:
     ex = example_3_4_map(n)
     verdicts, margins = {}, {}
     eye = np.eye(2 * n, dtype=complex)
-    unital_defect = float(np.linalg.norm(ex.apply(eye) - np.eye(4 * n)))
+    unital_defect = float(np.linalg.norm(ex.apply_ambient(eye) - np.eye(4 * n)))
     verdicts["unital"] = _fixture_identity_holds(unital_defect)
-    psd = is_completely_positive(ex.as_cp_map(), tol)
+    psd = is_completely_positive(ex, tol)
     verdicts["completely_positive"] = psd.ok
     margins["choi_lambda_min"] = psd.lambda_min
-    corner = is_corner_preserving(ex.unit_images, (n, n), (2 * n, 2 * n), tol)
+    corner = is_corner_preserving(ex.values, (n, n), (2 * n, 2 * n), tol)
     verdicts["corner_preserving"] = corner.ok
     margins["violations"] = [
         {"part": part, "entry": list(entry), "magnitude": mag}
@@ -338,15 +289,11 @@ DEMOS = {
 }
 
 
-def cmd_demo(args, doc, tol, started):
-    if args.name not in DEMOS:
-        raise SchemaError(f"unknown demo {args.name!r}; choose from {sorted(DEMOS)}")
+def cmd_demo(args, doc, tol):
     if not 1 <= args.n <= 6:
         raise SchemaError("demo size n must be between 1 and 6")
-    rng = np.random.default_rng(args.seed)
-    ok, verdicts, margins = DEMOS[args.name](args.n, tol, rng)
-    report = _report(verdicts, margins, None, started)
-    return (EXIT_OK if ok else EXIT_REFUTED), report
+    ok, verdicts, margins = DEMOS[args.name](args.n, tol, np.random.default_rng(args.seed))
+    return ok, verdicts, margins, {}
 
 
 COMMANDS = {
@@ -382,42 +329,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_report(report: dict, as_json: bool) -> None:
-    if as_json:
-        print(ser.dump_report(report))
-        return
-    for name, value in report["verdicts"].items():
-        print(f"{name}: {value}")
-    for name, value in report["margins"].items():
-        print(f"{name} = {value}")
-
-
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code (see the module docstring).
+
+    Every input error of the package is a ``ValueError`` and exits 2; a
+    failed self-check exits 3, and so does any other exception, whose
+    traceback goes to stderr.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     handler, takes_input = COMMANDS[args.command]
     started = time.perf_counter()
     try:
         doc = ser.load_problem(args.input) if takes_input else None
-        tol = _tolerance(args, doc)
-        code, report = handler(args, doc, tol, started)
-    except (
-        SchemaError,
-        ShapeError,
-        HermiticityError,
-        MembershipError,
-        NotCompletelyPositiveError,
-        ExtensionInputError,
-        PreconditionError,
-        ValueError,
-    ) as exc:
+        ok, verdicts, margins, witnesses = handler(args, doc, _tolerance(args, doc))
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SelfCheckError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    _print_report(report, args.json)
-    return code
+    except Exception:
+        import traceback  # loaded only here: numpy does not import it
+
+        traceback.print_exc()
+        return EXIT_INTERNAL
+    if args.json:
+        timings = {"seconds": time.perf_counter() - started}
+        report = {"verdicts": verdicts, "margins": margins, "witnesses": witnesses, "timings": timings}
+        print(ser.dump_report(report))
+    else:
+        for name, value in verdicts.items():
+            print(f"{name}: {value}")
+        for name, value in margins.items():
+            print(f"{name} = {value}")
+    return EXIT_OK if ok else EXIT_REFUTED
 
 
 if __name__ == "__main__":

@@ -18,8 +18,9 @@ from typing import Callable
 import numpy as np
 
 from .algebra import BlockAlgebra, pinch
-from .cpmaps import CPMap, compose
+from .cpmaps import CPMap, compose, from_kraus
 from .extension import (
+    ExtensionInputError,
     ModuleMap,
     PreconditionError,
     SelfCheckError,
@@ -34,7 +35,6 @@ from .modules import (
     MembershipError,
     embed_module,
     is_contained_pair,
-    is_submodule,
 )
 from .numerics import (
     DEFAULT_TOL,
@@ -541,50 +541,19 @@ def is_corner_preserving(
     return CornerReport(not violations, tuple(violations), tuple(dict.fromkeys(corner_entries)))
 
 
-@dataclass(eq=False)
-class Example34Map:
-    """The displayed shuffle assignment from 2x2 blocks into 4x4 blocks:
-    unital, completely positive, and not corner-preserving."""
-
-    h_dim: int
-    unit_images: tuple[np.ndarray, ...]
-
-    def apply(self, m) -> np.ndarray:
-        arr = as_matrix(m)
-        h = self.h_dim
-        if arr.shape != (2 * h, 2 * h):
-            raise ShapeError(f"expected a {2 * h}x{2 * h} matrix")
-        t = [
-            [arr[:h, :h], arr[:h, h:]],
-            [arr[h:, :h], arr[h:, h:]],
-        ]
-        out = np.zeros((4 * h, 4 * h), dtype=complex)
-        blk = lambda r, c: (slice(r * h, (r + 1) * h), slice(c * h, (c + 1) * h))
-        out[blk(0, 0)] = t[0][0]
-        out[blk(0, 3)] = t[0][1]
-        out[blk(1, 1)] = t[1][1]
-        out[blk(2, 2)] = t[0][0]
-        out[blk(3, 0)] = t[1][0]
-        out[blk(3, 3)] = t[1][1]
-        return out
-
-    def as_cp_map(self) -> CPMap:
-        """View over the full matrix algebra, for Choi-based certification."""
-        return CPMap(BlockAlgebra((2 * self.h_dim,)), 4 * self.h_dim, self.unit_images)
-
-
-def example_3_4_map(h_dim: int) -> Example34Map:
+def example_3_4_map(h_dim: int) -> CPMap:
+    """The displayed shuffle assignment from 2x2 blocks of ``h x h`` into
+    4x4 blocks, on ``M_2h``: unital, completely positive, and not
+    corner-preserving.  Its Kraus operators select the blocks it moves."""
     if h_dim < 1:
         raise ValueError("h_dim must be >= 1")
-    d = 2 * h_dim
-    images = []
-    probe = Example34Map(h_dim, ())
-    for i in range(d):
-        for j in range(d):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[i, j] = 1.0
-            images.append(probe.apply(unit))
-    return Example34Map(h_dim, tuple(images))
+    eye, zero = np.eye(h_dim), np.zeros((h_dim, h_dim))
+    ops = [
+        np.block([[eye, zero], [zero, zero], [zero, zero], [zero, eye]]),
+        np.block([[zero, zero], [zero, eye], [zero, zero], [zero, zero]]),
+        np.block([[zero, zero], [zero, zero], [eye, zero], [zero, zero]]),
+    ]
+    return from_kraus(BlockAlgebra((2 * h_dim,)), ops)
 
 
 def _cp_restriction_defect(psi: CPMap, phi: CPMap, embedding: BlockEmbedding) -> float:
@@ -609,16 +578,15 @@ def injectivity_demo(
     The CP part is extended by pulling back through the embedding's
     compression and pinch, and checked to restrict to ``phi`` (see
     :func:`_cp_restriction_defect`) before the engine extends the module
-    part.  The returned pair restricts to the input morphism on the embedded
-    submodule; a pair that does not raises :class:`SelfCheckError`.
+    part.  The engine checks that the pair is a morphism on a submodule of
+    ``f``; its input errors are raised as :class:`PreconditionError`.  The
+    returned pair restricts to the input morphism on the embedded submodule;
+    a pair that does not raises :class:`SelfCheckError`.
     """
     if not is_contained_pair(g, f, embedding, tol):
         raise PreconditionError("the declared containment does not hold")
     if not np.array_equal(phi_map.domain._basis_stack, g._basis_stack):
         raise PreconditionError("the module map must be defined on the contained module")
-    semi = is_completely_semi_phi(phi_map, phi, tol)
-    if not semi.ok:
-        raise PreconditionError("the input pair is not a morphism (semi criterion fails)")
 
     big_algebra = f.algebra
     psi_values = tuple(
@@ -630,12 +598,12 @@ def injectivity_demo(
     if defect > _construction_threshold(tol, _largest_norm(phi._value_stack)):
         raise SelfCheckError(f"extended CP map does not restrict to the input map (defect {defect:.3e})")
 
-    g_in_f = embed_module(g, embedding)
-    if not is_submodule(g_in_f, f, tol):
-        raise PreconditionError("embedded module is not a submodule of the container")
-    lifted = ModuleMap(g_in_f, phi_map.h1_dim, phi_map.h2_dim, phi_map.values)
-    result = extend_semi_phi(lifted, f, psi, tol)
-    # The engine's restriction defect is over g_in_f's basis and these values.
+    lifted = ModuleMap(embed_module(g, embedding), phi_map.h1_dim, phi_map.h2_dim, phi_map.values)
+    try:
+        result = extend_semi_phi(lifted, f, psi, tol)
+    except ExtensionInputError as err:
+        raise PreconditionError(str(err)) from None
+    # The engine's restriction defect is over the embedded basis and these values.
     if result.report.restriction_defect > _construction_threshold(tol, 1.0):
         raise SelfCheckError("extension failed to restrict to the input morphism")
     return result.phi_prime, psi

@@ -46,20 +46,41 @@ class SchemaError(ValueError):
 
 def matrix_to_json(m: np.ndarray) -> list:
     arr = np.asarray(m, dtype=complex)
-    return [[[float(x.real), float(x.imag)] for x in row] for row in arr]
+    return np.stack([arr.real, arr.imag], -1).tolist()
 
 
 def matrix_from_json(data: Any, where: str = "matrix") -> np.ndarray:
+    """Read a complex matrix written as rows of ``[re, im]`` pairs.
+
+    Every entry must be exactly two numbers; ``[]`` is the 0x0 matrix and a
+    list of empty rows an ``r x 0`` one.  Anything else (ragged rows, a
+    string, ``null`` or an object in place of a number) raises
+    :class:`SchemaError` naming ``where``.
+    """
+    bad = f"{where}: expected nested [re, im] pairs"
     try:
-        rows = []
-        for row in data:
-            rows.append([complex(float(x[0]), float(x[1])) for x in row])
-        arr = np.array(rows, dtype=complex)
-    except (TypeError, ValueError, IndexError) as exc:
-        raise SchemaError(f"{where}: expected nested [re, im] pairs") from exc
-    if arr.ndim == 1:  # zero-row matrix
-        arr = arr.reshape(0, 0)
-    return arr
+        arr = np.asarray(data)
+    except ValueError:  # ragged rows
+        raise SchemaError(bad) from None
+    if arr.dtype.kind not in "biuf":  # a string, null or object for a number
+        raise SchemaError(bad)
+    if arr.size == 0 and arr.ndim in (1, 2):
+        return np.zeros(arr.shape if arr.ndim == 2 else (0, 0), dtype=complex)
+    if arr.ndim != 3 or arr.shape[2] != 2:
+        raise SchemaError(bad)
+    # The view pairs each (re, im) into one complex entry, bit for bit.
+    return np.ascontiguousarray(arr, dtype=float).view(complex)[..., 0]
+
+
+def _matrices_from_json(data: Any, where: str, shape: tuple[int, int] | None = None) -> tuple:
+    """Read a list of matrices; an empty one becomes zeros of ``shape`` when
+    that is given."""
+    if not isinstance(data, list):
+        raise SchemaError(f"{where}: expected a list of matrices")
+    mats = [matrix_from_json(m, f"{where}[{i}]") for i, m in enumerate(data)]
+    if shape is not None:
+        mats = [m if m.size else np.zeros(shape, dtype=complex) for m in mats]
+    return tuple(mats)
 
 
 def algebra_to_json(a: BlockAlgebra) -> dict:
@@ -88,14 +109,8 @@ def module_from_json(data: Any, where: str = "module") -> ConcreteModule:
         raw = data["basis"]
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{where}: expected algebra/row_dim/basis") from exc
-    q = algebra.ambient_dim
-    basis = []
-    for i, b in enumerate(raw):
-        mat = matrix_from_json(b, f"{where}.basis[{i}]")
-        if mat.size == 0:
-            mat = np.zeros((row_dim, q), dtype=complex)
-        basis.append(mat)
-    return ConcreteModule(algebra, row_dim, tuple(basis))
+    basis = _matrices_from_json(raw, f"{where}.basis", (row_dim, algebra.ambient_dim))
+    return ConcreteModule(algebra, row_dim, basis)
 
 
 def cp_map_to_json(phi: CPMap) -> dict:
@@ -113,10 +128,7 @@ def cp_map_from_json(data: Any, where: str = "phi") -> CPMap:
         raw = data["values_on_units"]
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{where}: expected algebra/target_dim/values_on_units") from exc
-    values = tuple(
-        matrix_from_json(v, f"{where}.values_on_units[{i}]") for i, v in enumerate(raw)
-    )
-    return CPMap(algebra, target_dim, values)
+    return CPMap(algebra, target_dim, _matrices_from_json(raw, f"{where}.values_on_units"))
 
 
 def module_map_to_json(phi_map: ModuleMap) -> dict:
@@ -136,13 +148,7 @@ def module_map_from_json(data: Any, where: str = "Phi") -> ModuleMap:
         raw = data["values"]
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{where}: expected domain/h1_dim/h2_dim/values") from exc
-    values = []
-    for i, v in enumerate(raw):
-        mat = matrix_from_json(v, f"{where}.values[{i}]")
-        if mat.size == 0:
-            mat = np.zeros((h2, h1), dtype=complex)
-        values.append(mat)
-    return ModuleMap(domain, h1, h2, tuple(values))
+    return ModuleMap(domain, h1, h2, _matrices_from_json(raw, f"{where}.values", (h2, h1)))
 
 
 def tolerance_from_json(data: Any) -> ToleranceProfile:
@@ -180,9 +186,7 @@ def load_problem(path: str) -> dict:
 def dump_report(report: dict, pretty: bool = True) -> str:
     def default(obj):
         if isinstance(obj, np.ndarray):
-            return matrix_to_json(obj) if obj.ndim == 2 else [
-                [float(x.real), float(x.imag)] for x in obj
-            ]
+            return matrix_to_json(obj)
         if isinstance(obj, (np.floating, np.integer)):
             return obj.item()
         if isinstance(obj, complex):

@@ -205,9 +205,9 @@ def test_criterion_7_shuffle_map_properties():
         ex = example_3_4_map(h)
         unital_defect = float(np.linalg.norm(ex.apply(np.eye(2 * h)) - np.eye(4 * h)))
         ok &= unital_defect <= 1e-12
-        cp_report = is_completely_positive(ex.as_cp_map())
+        cp_report = is_completely_positive(ex)
         ok &= cp_report.lambda_min >= -1e-10
-        corner = is_corner_preserving(ex.unit_images, (h, h), (2 * h, 2 * h))
+        corner = is_corner_preserving(ex.values, (h, h), (2 * h, 2 * h))
         ok &= not corner.ok and len(corner.violations) > 0
         # The corner's image support lands in the far (1,4) block position:
         # rows in the first h, columns in the last h of the 4h ambient.

@@ -16,7 +16,15 @@ import semiphi.serialization as ser
 from semiphi import (
     BlockAlgebra,
     ConcreteModule,
+    ExtensionInputError,
+    HermiticityError,
+    MembershipError,
     ModuleMap,
+    NotCompletelyPositiveError,
+    PreconditionError,
+    SelfCheckError,
+    ShapeError,
+    SystemDecompositionError,
     block_map,
     canonical_compacts_extension,
     identity_cp_map,
@@ -148,6 +156,70 @@ def test_malformed_json_is_input_error(tmp_path, capsys):
 def test_missing_payload_key(tmp_path, capsys):
     path = write_problem(tmp_path / "empty.json", {})
     assert main(["check-cp", str(path)]) == 2
+
+
+def _set_entry(payload, value):
+    payload["phi"]["values_on_units"][0][0][0] = value
+
+
+PAIRS = "expected nested [re, im] pairs"
+LIST = "expected a list of matrices"
+
+
+@pytest.mark.parametrize(
+    "command, corrupt, location",
+    [
+        ("check-cp", lambda p: _set_entry(p, {"re": 1.0}), f"phi.values_on_units[0]: {PAIRS}"),
+        ("check-cp", lambda p: _set_entry(p, [1.0, 0.0, 5.0]), f"phi.values_on_units[0]: {PAIRS}"),
+        ("check-cp", lambda p: p["phi"].update(values_on_units=5), f"phi.values_on_units: {LIST}"),
+        ("obstruction", lambda p: p["E"].update(basis=7), f"E.basis: {LIST}"),
+        ("check-phi", lambda p: p["Phi"].update(values=None), f"Phi.values: {LIST}"),
+    ],
+    ids=["object-entry", "three-numbers", "number-for-list", "basis-number", "null-values"],
+)
+def test_malformed_matrices_are_input_errors(tmp_path, capsys, command, corrupt, location):
+    # Each of these once escaped as a traceback with exit 1 ("refuted"), or,
+    # for the third number in a pair, was dropped and the file accepted.
+    fx = example_2_1(1)
+    payload = {
+        "phi": ser.cp_map_to_json(fx.phi),
+        "Phi": ser.module_map_to_json(fx.phi_map),
+        "E": ser.module_to_json(fx.e),
+        "F": ser.module_to_json(fx.f),
+    }
+    corrupt(payload)
+    assert main([command, write_problem(tmp_path / "bad.json", payload)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {location}\n"
+
+
+def test_unexpected_exception_is_internal_error(ex21_file, monkeypatch, capsys):
+    def broken(*args):
+        raise KeyError("no such entry")
+
+    monkeypatch.setitem(cli.COMMANDS, "extend", (broken, True))
+    assert main(["extend", ex21_file, "--json"]) == EXIT_INTERNAL == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("Traceback")
+    assert captured.err.endswith("KeyError: 'no such entry'\n")
+
+
+def test_input_errors_are_value_errors():
+    # main() maps every ValueError to exit 2 and a SelfCheckError to exit 3.
+    for cls in (
+        ser.SchemaError,
+        ShapeError,
+        HermiticityError,
+        MembershipError,
+        NotCompletelyPositiveError,
+        ExtensionInputError,
+        PreconditionError,
+        SystemDecompositionError,
+    ):
+        assert issubclass(cls, ValueError), cls
+    assert not issubclass(SelfCheckError, ValueError)
 
 
 def test_stinespring_command(tmp_path, capsys):

@@ -1,10 +1,13 @@
 import dataclasses
 import itertools
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import semiphi.extension as extension
+import semiphi.modules as modules
 import semiphi.paulsen as paulsen
 
 from semiphi import (
@@ -226,14 +229,14 @@ class TestExample34:
 
     def test_completely_positive(self):
         for h in (1, 2):
-            report = is_completely_positive(example_3_4_map(h).as_cp_map())
+            report = is_completely_positive(example_3_4_map(h))
             assert report.ok
             assert report.lambda_min >= -1e-10
 
     def test_not_corner_preserving(self):
         for h in (1, 2):
             ex = example_3_4_map(h)
-            report = is_corner_preserving(ex.unit_images, (h, h), (2 * h, 2 * h))
+            report = is_corner_preserving(ex.values, (h, h), (2 * h, 2 * h))
             assert not report.ok
             assert report.violations
             # The corner's image support sits in the far (1,4)-block position.
@@ -291,6 +294,25 @@ class TestInjectivityDemo:
             injectivity_demo(
                 fx.g, fx.f, fx.embedding, ModuleMap(reordered, h1, h2, fx.phi_map.values[::-1]), fx.phi
             )
+
+    def test_validates_and_semi_checks_once(self, monkeypatch):
+        # The engine's own checks of the pair and of the container are the
+        # only ones: no pre-check repeats them on the same objects.
+        fx = random_containment_fixture(np.random.default_rng(0), 2)
+        counts = {"validate_module": 0, "_submodule_coefficients": 0, "gram_pair": 0}
+        homes = {"validate_module": modules, "_submodule_coefficients": modules, "gram_pair": extension}
+        for name, home in homes.items():
+            original = getattr(home, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            for mod in [m for key, m in sys.modules.items() if key.startswith("semiphi")]:
+                if getattr(mod, name, None) is original:
+                    monkeypatch.setattr(mod, name, counted)
+        injectivity_demo(fx.g, fx.f, fx.embedding, fx.phi_map, fx.phi)
+        assert counts == {"validate_module": 2, "_submodule_coefficients": 1, "gram_pair": 1}
 
     def test_rejects_non_morphism(self, rng):
         for _ in range(20):

@@ -11,11 +11,16 @@ from semiphi.fixtures import example_2_1, random_cp_map, random_semi_phi_fixture
 def test_matrix_roundtrip(rng):
     m = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
     assert np.array_equal(ser.matrix_from_json(ser.matrix_to_json(m)), m)
+    for empty in (np.zeros((0, 0)), np.zeros((2, 0))):
+        assert ser.matrix_from_json(ser.matrix_to_json(empty)).shape == empty.shape
 
 
 def test_matrix_bad_payload():
-    with pytest.raises(ser.SchemaError):
-        ser.matrix_from_json([[1.0, 2.0]])
+    # Entries are two numbers: a string or null for a number, a third number
+    # or a ragged row is malformed.
+    for bad in ([[1.0, 2.0]], [[["1.0", 0.0]]], [[[None, 0.0]]], [[[1.0, 0.0, 5.0]]], [[[1.0, 0.0]], [[1.0]]]):
+        with pytest.raises(ser.SchemaError):
+            ser.matrix_from_json(bad)
 
 
 def test_algebra_roundtrip():

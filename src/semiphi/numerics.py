@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -430,30 +430,6 @@ def _psd_eigh(herm: np.ndarray, tol: ToleranceProfile) -> tuple[PsdReport, np.nd
     # instance dict first, and writing the dict bypasses the frozen setattr.
     report.__dict__["witness"] = eigvecs[:, 0]
     return report, eigvals, eigvecs
-
-
-def _psd_stack(
-    stack: np.ndarray, tol: ToleranceProfile
-) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, Callable[[int], Exception]]]]:
-    """The decision of :func:`is_psd` on every matrix of a nonempty
-    ``(N, k, k)`` stack, from one batched ``eigvalsh``: no eigenvectors.
-
-    Returns the verdicts, the smallest eigenvalues, and the two raises of
-    :func:`is_psd` in its order (non-finite entries, then a hermitian
-    defect), each as per-matrix flags with the exception for a matrix index.
-    The verdict of a matrix that fails one of them is meaningless.  The
-    symmetrization and :func:`_psd_eigvalsh` are those of :func:`is_psd`.
-    """
-    finite = np.isfinite(stack).all(axis=(-2, -1))
-    stack = np.where(finite[:, None, None], stack, 0.0)
-    adjoint = np.conj(stack).transpose(0, 2, 1)
-    defect = np.linalg.norm(stack - adjoint, axis=(-2, -1))
-    ok, lam = _psd_eigvalsh((stack + adjoint) / 2.0, tol)
-    raises = [
-        (~finite, lambda i: ValueError(_NOT_FINITE)),
-        (defect > tol.threshold(np.linalg.norm(stack, axis=(-2, -1))), lambda i: _not_hermitian(defect[i])),
-    ]
-    return ok, lam, raises
 
 
 def _stack_columns(vectors, height: int | None) -> np.ndarray:

@@ -40,9 +40,11 @@ from .numerics import (
     DEFAULT_TOL,
     ShapeError,
     ToleranceProfile,
+    _NOT_FINITE,
     _construction_threshold,
     _matrix_stack,
-    _psd_stack,
+    _not_hermitian,
+    _psd_eigvalsh,
     _sampling_tol,
     as_matrix,
     dagger,
@@ -141,10 +143,13 @@ class _Split:
     failures: list[_Check]
 
 
-def _frobenius_norms(stack: np.ndarray) -> np.ndarray:
-    """Frobenius norms of an ``(N, a, b)`` stack, summed over its real and
-    imaginary views: no temporary of the stack's size."""
-    return np.sqrt(np.einsum("nij,nij->n", stack.real, stack.real) + np.einsum("nij,nij->n", stack.imag, stack.imag))
+def _frobenius_norms(stack: np.ndarray, groups: np.ndarray | None = None) -> np.ndarray:
+    """Frobenius norms of the matrices of an ``(N, a, b)`` stack, summed over
+    its real and imaginary views: no temporary of the stack's size.  With
+    ``groups``, the first indices of consecutive runs of matrices, the norm
+    of each run taken as one matrix."""
+    squares = np.einsum("nij,nij->n", stack.real, stack.real) + np.einsum("nij,nij->n", stack.imag, stack.imag)
+    return np.sqrt(squares if groups is None else np.add.reduceat(squares, groups))
 
 
 def _split_blocks(system: PaulsenSystem, blocks: np.ndarray, tol: ToleranceProfile) -> _Split:
@@ -186,21 +191,23 @@ def _split_blocks(system: PaulsenSystem, blocks: np.ndarray, tol: ToleranceProfi
     return _Split(lam, corners, coeffs, residual, np.where(mask, diag, 0.0), failures)
 
 
-def _first_failure(failures: list[_Check], start: int = 0, stop: int | None = None) -> Exception | None:
-    """The exception for the first failing block in stack order, and within
-    that block for the first failing check in list order; None if all pass.
-    Only blocks ``start:stop`` are searched; the exception is that of the
-    block's index in the whole stack."""
+def _first_failure(
+    failures: list[_Check], start: int = 0, stop: int | None = None
+) -> tuple[int, Exception] | None:
+    """The first failing block in stack order with the exception of its
+    first failing check in list order; None if all pass.  Only blocks
+    ``start:stop`` are searched; the block is an index into the whole
+    stack."""
     hits = np.argwhere(np.stack([flags[start:stop] for flags, _ in failures], axis=1))
     if not len(hits):
         return None
-    block, check = hits[0]
-    return failures[check][1](start + int(block))
+    block, check = start + int(hits[0, 0]), hits[0, 1]
+    return block, failures[check][1](block)
 
 
 def _raise_first(failures: list[_Check]) -> None:
-    if (error := _first_failure(failures)) is not None:
-        raise error
+    if (hit := _first_failure(failures)) is not None:
+        raise hit[1]
 
 
 @dataclass(eq=False)
@@ -242,8 +249,8 @@ class SystemMap:
         order.  All blocks are decomposed by one projection onto the module
         span and mapped by one matmul each against the module map's value
         stack and the CP map's ambient tensor.  Blocks are mapped one by one,
-        so :func:`is_cp_system_map` passes the blocks of all its levels as
-        ``(N, 1, 1, din, din)`` and reads each level's images and tests off
+        so :func:`is_cp_system_map` passes the blocks of all its samples as
+        ``(N, 1, 1, din, din)`` and reads each sample's images and tests off
         its own range of the N."""
         n_samples, n, _, din, _ = xs.shape
         dout = self.codomain.ambient_dim
@@ -356,9 +363,14 @@ def random_psd_system_element(
     ``[b, 1]`` the imaginary part ``I_b`` of the b-th basis element's
     coefficients.  This consumes the generator exactly as drawing
     ``R_0, I_0, R_1, I_1, ...`` as separate ``(n, n)`` arrays would.  S
-    samples are one ``(S, B, 2, n, n)`` draw, the same stream as S calls.
+    samples are one ``(S, B, 2, n, n)`` draw, the same stream as S calls;
+    :func:`_psd_sample_stack` builds those of several levels at once.
     """
-    return _block_matrices(_psd_samples(system, n, 1, rng))[0]
+    if n < 1:
+        raise ValueError(f"level n must be at least 1, got {n}")
+    layout = _SampleLayout(1, (n,))
+    (matrices,) = _level_matrices(_psd_sample_stack(system, layout, rng)[0], layout)
+    return matrices[0]
 
 
 def _block_matrices(blocks: np.ndarray) -> np.ndarray:
@@ -367,21 +379,81 @@ def _block_matrices(blocks: np.ndarray) -> np.ndarray:
     return blocks.transpose(0, 1, 3, 2, 4).reshape(count, n * a, n * a)
 
 
-def _psd_samples(system: PaulsenSystem, n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` samples of :func:`random_psd_system_element` as one
-    ``(count, n, n, d, d)`` block stack from one draw.  Block layout is the
-    matmul's and the stacked apply's, so the only full-size copies are the
-    temporaries of the symmetrization and of the one batched ``eigvalsh``."""
-    d, dim = system.ambient_dim, system.dimension
-    draws = rng.standard_normal((count, dim, 2, n, n))
-    coeffs = (draws[:, :, 0] + 1j * draws[:, :, 1]).reshape(count, dim, n * n)
-    x = coeffs.transpose(0, 2, 1).reshape(count * n * n, dim) @ system._basis_stack.reshape(dim, d * d)
-    x = x.reshape(count, n, n, d, d)
-    x += np.conj(x).transpose(0, 2, 1, 4, 3)
+class _SampleLayout:
+    """Where the samples of :func:`_psd_sample_stack` sit in its ``(N, d, d)``
+    block stack: ``count`` samples at each level of ``levels`` in turn, and
+    the ``n*n`` blocks ``(i, j)`` of each level-n sample in row-major order.
+    The block indices below come from index arithmetic alone."""
+
+    def __init__(self, count: int, levels) -> None:
+        self.count, self.levels = count, tuple(levels)
+        sizes = np.repeat(self.levels, count)  # the level of each sample
+        areas = sizes * sizes
+        #: (S + 1,) the first block of each of the S samples, then N
+        self.starts = np.zeros(len(sizes) + 1, dtype=int)
+        np.cumsum(areas, out=self.starts[1:])
+        sample = np.repeat(np.arange(len(sizes)), areas)  # the sample of each block
+        n, first = sizes[sample], self.starts[sample]
+        row, col = divmod(np.arange(self.starts[-1]) - first, n)
+        #: (N,) the index of block (s, j, i) at block (s, i, j)
+        self.partner = first + col * n + row
+        #: the indices of the blocks (s, i, i), and the sample of each
+        self.diagonal = np.flatnonzero(row == col)
+        self.diagonal_sample = sample[self.diagonal]
+
+    def level_ranges(self):
+        """Per level: its size n and its samples ``first:stop``, whose blocks
+        are ``starts[first]:starts[stop]``."""
+        for k, n in enumerate(self.levels):
+            yield n, k * self.count, (k + 1) * self.count
+
+
+def _level_matrices(stack: np.ndarray, layout: _SampleLayout):
+    """The ``(count, n*a, n*a)`` matrices of each level of an ``(N, a, a)``
+    block stack laid out by ``layout``, as copies made one level at a time."""
+    a, starts = stack.shape[-1], layout.starts
+    for n, first, stop in layout.level_ranges():
+        yield _block_matrices(stack[starts[first] : starts[stop]].reshape(stop - first, n, n, a, a))
+
+
+def _partner_adjoints(stack: np.ndarray, partner: np.ndarray) -> np.ndarray:
+    """The blocks of ``M*`` for the matrices ``M`` whose blocks ``stack``
+    holds: the adjoint of each block's transpose partner, in one new array."""
+    adjoints = stack[partner]
+    np.conj(adjoints, out=adjoints)
+    return adjoints.transpose(0, 2, 1)
+
+
+def _psd_sample_stack(
+    system: PaulsenSystem, layout: _SampleLayout, rng: np.random.Generator
+) -> tuple[np.ndarray, list[dict]]:
+    """The samples of :func:`random_psd_system_element` at every level of
+    ``layout``, as one ``(N, d, d)`` block stack, and the generator state
+    after each level's draw.
+
+    Each level n is one ``(count, B, 2, n, n)`` draw, as in
+    :func:`random_psd_system_element`.  The blocks of all levels are then
+    built by one matmul against the system basis and symmetrized in place
+    against their transpose partners; only the ``eigvalsh`` that finds each
+    sample's shift runs per level.  The samples equal the per-level ones up
+    to rounding, and the only temporary of the stack's size is that of the
+    symmetrization."""
+    d, dim, count = system.ambient_dim, system.dimension, layout.count
+    coeffs = np.empty((len(layout.partner), dim), dtype=complex)
+    states = []
+    for n, first, stop in layout.level_ranges():
+        draws = rng.standard_normal((count, dim, 2, n, n)).transpose(2, 0, 3, 4, 1)
+        states.append(rng.bit_generator.state)
+        level = coeffs[layout.starts[first] : layout.starts[stop]].reshape(count, n, n, dim)
+        level.real, level.imag = draws
+    x = (coeffs @ system._basis_stack.reshape(dim, d * d)).reshape(-1, d, d)
+    del coeffs
+    x += _partner_adjoints(x, layout.partner)
     x /= 2.0
-    units, diagonal = np.arange(n)[:, None], np.arange(d)
-    x[:, units, units, diagonal, diagonal] -= np.linalg.eigvalsh(_block_matrices(x))[:, :1, None]
-    return x
+    lam = np.concatenate([np.linalg.eigvalsh(m)[:, 0] for m in _level_matrices(x, layout)])
+    units = np.arange(d)
+    x[layout.diagonal[:, None], units, units] -= lam[layout.diagonal_sample, None]
+    return x, states
 
 
 def is_cp_system_map(
@@ -397,49 +469,58 @@ def is_cp_system_map(
     On a positive verdict, ``samples`` random PSD system elements at each
     level up to ``max_level`` are pushed through the amplified map and
     asserted PSD (a falsification layer for the equivalence, not the
-    decision procedure).  Each level ``n`` is one ``(samples, B, 2, n, n)``
-    draw (see :func:`random_psd_system_element`), copied into one block
-    array for all levels; the blocks of all levels go through one
-    :meth:`SystemMap._apply_stack`, and then each level in turn through
-    one eigenvalue-only PSD decision.  The first failing sample in draw
-    order raises for its first failing test: :meth:`SystemMap.apply_n`'s,
-    :func:`~semiphi.numerics.is_psd`'s, then :class:`SelfCheckError`.  The
-    generator is then at the end of that level's draw, as if no later
-    level had been drawn.
+    decision procedure); 0 for either draws nothing, and a negative value
+    raises ``ValueError``.  Each level ``n`` is one ``(samples, B, 2, n, n)``
+    draw (see :func:`random_psd_system_element`); the samples of all levels
+    are built as one block stack (:func:`_psd_sample_stack`), mapped by one
+    :meth:`SystemMap._apply_stack`, and checked as :func:`~semiphi.numerics.is_psd`
+    checks its input (non-finite entries, hermitian defect) in one blockwise
+    pass.  Only the eigen-solves run per level: the one that shifts the
+    level's samples and the eigenvalue-only PSD decision of their images.
+    The first failing sample in draw order raises for its first failing
+    test: :meth:`SystemMap.apply_n`'s, :func:`~semiphi.numerics.is_psd`'s,
+    then :class:`SelfCheckError`.  The generator is then at the end of that
+    level's draw, as if no later level had been drawn.
     """
+    for name, value in (("samples", samples), ("max_level", max_level)):
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative, got {value}")
     report = is_completely_semi_phi(sm.module_map, sm.cp_map, tol)
     if not (report.ok and rng is not None and samples > 0 and max_level > 0):
         return report
-    d = sm.domain.ambient_dim
-    blocks = np.empty((samples * sum(n * n for n in range(1, max_level + 1)), d, d), dtype=complex)
-    levels = []  # per level: its number, sample count, size, first block and generator state
-    used = 0
-    for level in range(1, max_level + 1):
-        stack = _psd_samples(sm.domain, level, samples, rng)
-        count, n = stack.shape[:2]
-        blocks[used : used + count * n * n] = stack.reshape(-1, d, d)
-        del stack
-        levels.append((level, count, n, used, rng.bit_generator.state))
-        used += count * n * n
-    images, failures = sm._apply_stack(blocks[:used, None, None], tol)
+    layout = _SampleLayout(samples, range(1, max_level + 1))
+    blocks, states = _psd_sample_stack(sm.domain, layout, rng)
+    images, failures = sm._apply_stack(blocks[:, None, None], tol)
     del blocks
-    rejected = np.stack([flags for flags, _ in failures], axis=1).any(axis=1)
+    starts, firsts = layout.starts, layout.starts[:-1]
+    rejected = np.logical_or.reduceat(np.stack([flags for flags, _ in failures], axis=1).any(axis=1), firsts)
+    # The image checks of is_psd, blockwise: a non-finite block is zeroed
+    # before any eigen-solve, and the norms of a sample's matrix are summed
+    # from its blocks.
+    finite = np.isfinite(images).all(axis=(-2, -1))
+    images[~finite] = 0.0
     scale_tol = _sampling_tol(tol)
-    dout = sm.codomain.ambient_dim
-    for level, count, n, start, state in levels:
-        stop = start + count * n * n
-        ok, lam, raises = _psd_stack(_block_matrices(images[start:stop].reshape(count, n, n, dout, dout)), scale_tol)
-        refuted = f"positive verdict refuted by PSD sampling (level {level}, lambda_min {{:.3e}})"
-        # The first failing sample's first failing block is the level's:
-        # no earlier sample failed anything.
-        error = _first_failure(
-            [(rejected[start:stop].reshape(count, -1).any(axis=1), lambda s: _first_failure(failures, start, stop))]
-            + raises
-            + [(~ok, lambda s: SelfCheckError(refuted.format(lam[s])))]
-        )
-        if error is not None:
-            rng.bit_generator.state = state
-            raise error
+    adjoints = _partner_adjoints(images, layout.partner)
+    defect = _frobenius_norms(images - adjoints, firsts)
+    not_hermitian = defect > scale_tol.threshold(_frobenius_norms(images, firsts))
+    images += adjoints
+    images /= 2.0
+    del adjoints
+    verdicts = [_psd_eigvalsh(m, scale_tol) for m in _level_matrices(images, layout)]
+    ok, lam = (np.concatenate(parts) for parts in zip(*verdicts))
+    checks = [
+        # A rejected sample raises for its first failing block.
+        (rejected, lambda s: _first_failure(failures, starts[s], starts[s + 1])[1]),
+        (~np.logical_and.reduceat(finite, firsts), lambda s: ValueError(_NOT_FINITE)),
+        (not_hermitian, lambda s: _not_hermitian(defect[s])),
+        (~ok, lambda s: SelfCheckError(
+            f"positive verdict refuted by PSD sampling (level {layout.levels[s // samples]}, lambda_min {lam[s]:.3e})"
+        )),
+    ]
+    if (hit := _first_failure(checks)) is not None:
+        sample, error = hit
+        rng.bit_generator.state = states[sample // samples]
+        raise error
     return report
 
 

@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semiphi import (
@@ -91,8 +91,11 @@ def assert_phi_map_matches(phi_map, phi):
         # Pairs (i, j) and (j, i) tie in exact arithmetic; rounding may
         # break the tie either way, but the chosen pair must attain the max.
         assert defects[report.worst_pair] == pytest.approx(worst, rel=1e-9)
-    elif worst == 0.0:
+    elif report.worst_defect == 0.0:
         assert report.worst_pair is None
+    else:
+        # A rounding-level defect may sit where the reference finds none.
+        assert defects[report.worst_pair] == pytest.approx(worst, abs=1e-12)
 
 
 def assert_gram_matches(phi_map, phi):
@@ -129,6 +132,7 @@ def random_fixture(seed):
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
+@example(47798155)  # the kernel finds a 1.66e-19 defect where the reference finds 0.0
 @settings(max_examples=30, deadline=None)
 def test_random_fixtures_match_reference_loops(seed):
     fx = random_fixture(seed)

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semiphi.extension as extension
 import semiphi.modules as modules
@@ -38,7 +40,7 @@ from semiphi.fixtures import (
 from semiphi.extension import SelfCheckError
 from semiphi.modules import BlockEmbedding, MembershipError
 from semiphi.numerics import HermiticityError, ToleranceProfile
-from semiphi.paulsen import _block_matrices, _psd_samples, random_psd_system_element
+from semiphi.paulsen import _SampleLayout, _block_matrices, _psd_sample_stack, random_psd_system_element
 from conftest import full_rectangular_module
 
 
@@ -517,15 +519,21 @@ def force_positive_gram_verdict(monkeypatch):
 SAMPLING_TOL = ToleranceProfile(1e-8, 1e-8)  # what is_cp_system_map uses at the default
 
 
-def first_refuted_sample(sm, seed, samples, max_level):
+def first_refuted_sample(sm, seed, samples, max_level, planted=None):
     """(level, sample, lambda_min) of the first sample whose image is not
     PSD, from the kron and per-block reference loops, and the generator
-    state after that level's draw."""
+    state after that level's draw.  A sample ``planted = (level, sample)``
+    holds a block that the map rejects, so it fails before its PSD test:
+    its lambda_min reads None."""
     rng = np.random.default_rng(seed)
     for level in range(1, max_level + 1):
         found = None
         for s in range(samples):
-            image = reference_apply_n(sm, level, reference_psd_sample(sm.domain, level, rng))
+            x = reference_psd_sample(sm.domain, level, rng)
+            if found is None and planted == (level, s):
+                found = (level, s, None)
+                continue
+            image = reference_apply_n(sm, level, x)
             eigvals = np.linalg.eigvalsh((image + image.conj().T) / 2.0)
             scale = max(abs(eigvals[0]), abs(eigvals[-1]))
             if found is None and eigvals[0] < -SAMPLING_TOL.threshold(scale):
@@ -545,7 +553,9 @@ class TestLevelBatches:
             batch_rng = np.random.default_rng([level, samples, k])
             loop_rng = np.random.default_rng([level, samples, k])
             kron_rng = np.random.default_rng([level, samples, k])
-            blocks = _psd_samples(sm.domain, level, samples, batch_rng)
+            d = sm.domain.ambient_dim
+            stack, _ = _psd_sample_stack(sm.domain, _SampleLayout(samples, (level,)), batch_rng)
+            blocks = stack.reshape(samples, level, level, d, d)
             images, failures = sm._apply_stack(blocks, ToleranceProfile())
             assert not any(flags.any() for flags, _ in failures)
             for x, image in zip(_block_matrices(blocks), images):
@@ -590,9 +600,23 @@ class TestLevelBatches:
         assert calls == {"eigh": 0, "eigvalsh": 1 + 2 * 3}
 
 
-def level_one_blocks(samples):
-    """Level-1 samples as the ``(S, 1, 1, d, d)`` block stack of the sampler."""
-    return np.stack(samples).astype(complex)[:, None, None]
+def plant_blocks(monkeypatch, where, blocks):
+    """Make the sampler put ``blocks`` in its block stack from the block
+    ``where(layout)`` on, in place of the drawn ones."""
+    draw = paulsen._psd_sample_stack
+
+    def planted(system, layout, rng):
+        stack, states = draw(system, layout, rng)
+        start = where(layout)
+        stack[start : start + len(blocks)] = blocks
+        return stack, states
+
+    monkeypatch.setattr(paulsen, "_psd_sample_stack", planted)
+
+
+def plant_level_one(monkeypatch, samples):
+    """Make the sampler's level-1 samples the matrices ``samples``."""
+    plant_blocks(monkeypatch, lambda layout: 0, np.stack(samples))
 
 
 class TestSamplingFailures:
@@ -623,7 +647,7 @@ class TestSamplingFailures:
             ((refuted, blk), SelfCheckError, "positive verdict refuted by PSD sampling (level 1, lambda_min -5.000e-01)"),
             ((blk, refuted), exc, message),
         ):
-            monkeypatch.setattr(paulsen, "_psd_samples", lambda *args, _b=batch: level_one_blocks(_b))
+            plant_level_one(monkeypatch, batch)
             with pytest.raises(error) as info:
                 is_cp_system_map(sm, rng=np.random.default_rng(0), samples=2, max_level=3)
             assert str(info.value) == text
@@ -637,10 +661,88 @@ class TestSamplingFailures:
             ((np.eye(4), bad), HermiticityError, "matrix is not hermitian: defect 1.414e+00 exceeds tolerance"),
             ((np.eye(4), np.full((4, 4), np.nan), bad), ValueError, "matrix entries must be finite"),
         ):
-            monkeypatch.setattr(paulsen, "_psd_samples", lambda *args, _b=batch: level_one_blocks(_b))
+            plant_level_one(monkeypatch, batch)
             with pytest.raises(error) as info:
                 is_cp_system_map(sm, rng=np.random.default_rng(0), samples=len(batch), max_level=1)
             assert str(info.value) == text
+
+
+def scaled_system_map(sm, c):
+    """``sm`` with its module-map values scaled by ``c``."""
+    mm = sm.module_map
+    scaled = ModuleMap(mm.domain, mm.h1_dim, mm.h2_dim, tuple(c * v for v in mm.values))
+    return block_map(scaled, sm.cp_map, sm.codomain.module)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    random_map=st.booleans(),
+    c=st.sampled_from([1.0, 1.2, 1.5, 3.0]),
+    samples=st.sampled_from([1, 2, 5]),
+    max_level=st.sampled_from([1, 2, 3]),
+    plant=st.none() | st.tuples(
+        st.sampled_from(sorted(FAILING_BLOCKS)),
+        st.integers(1, 3),  # level
+        st.integers(0, 4),  # sample, modulo the sample count
+        st.integers(0, 2),  # block row and column, modulo the level
+        st.integers(0, 2),
+    ),
+)
+@settings(max_examples=100, deadline=None)
+def test_sampling_layer_matches_reference_loops(seed, random_map, c, samples, max_level, plant):
+    # A (possibly scaled, so not CP) map with a forced positive Gram verdict,
+    # and on the two-block map possibly one rejected block planted in one
+    # sample: the layer raises what the kron and per-block loops find first,
+    # and leaves the generator where they leave it.
+    base = next(random_system_maps(np.random.default_rng(seed), 1)) if random_map else two_block_system_map()
+    sm = scaled_system_map(base, c)
+    if random_map or plant is None or plant[1] > max_level:
+        plant = None
+    else:
+        kind, level, sample, row, col = plant
+        plant = (kind, level, sample % samples, row % level, col % level)
+    found, state = first_refuted_sample(sm, seed, samples, max_level, plant and plant[1:3])
+    rng = np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        force_positive_gram_verdict(mp)
+        if plant is not None:
+            kind, level, sample, row, col = plant
+            index = (level - 1) * samples + sample  # the planted sample, in draw order
+            block = row * level + col
+            plant_blocks(mp, lambda layout: layout.starts[index] + block, FAILING_BLOCKS[kind][0][None])
+        if found is None:
+            assert is_cp_system_map(sm, rng=rng, samples=samples, max_level=max_level).ok
+        else:
+            found_level, _, lam = found
+            if lam is None:
+                _, exc, message = FAILING_BLOCKS[plant[0]]
+            else:
+                exc = SelfCheckError
+                message = f"positive verdict refuted by PSD sampling (level {found_level}, lambda_min {lam:.3e})"
+            with pytest.raises(exc) as info:
+                is_cp_system_map(sm, rng=rng, samples=samples, max_level=max_level)
+            assert str(info.value) == message
+    assert rng.bit_generator.state == state
+
+
+class TestSamplingArguments:
+    @pytest.mark.parametrize("name, value", [("samples", -3), ("max_level", -1)])
+    def test_negative_count_raises(self, name, value):
+        sm = two_block_system_map()
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        for generator in (rng, None):
+            with pytest.raises(ValueError, match=f"^{name} must be non-negative, got {value}$"):
+                is_cp_system_map(sm, rng=generator, **{name: value})
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_level_below_one_raises(self, n):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"^level n must be at least 1, got {n}$"):
+            random_psd_system_element(two_block_system_map().domain, n, rng)
+        assert rng.bit_generator.state == state
 
 
 def tall_row_system_map(rows):
@@ -676,15 +778,8 @@ class TestOneDecompositionPass:
         # stands apart from every other block's.
         sm = two_block_system_map()
         blk, exc, message = FAILING_BLOCKS["module_map"]
-        draw = paulsen._psd_samples
-
-        def planted(system, n, count, rng):
-            stack = draw(system, n, count, rng)
-            if n == 3:
-                stack[-1, 2, 2] = blk
-            return stack
-
-        monkeypatch.setattr(paulsen, "_psd_samples", planted)
+        draw = paulsen._psd_sample_stack
+        plant_blocks(monkeypatch, lambda layout: layout.starts[3 * layout.count] - 1, blk[None])
         rng = np.random.default_rng(8)
         with pytest.raises(exc) as info:
             is_cp_system_map(sm, rng=rng, samples=4, max_level=max_level)
@@ -692,8 +787,7 @@ class TestOneDecompositionPass:
         # The generator sits at the end of level 3, whether or not a later
         # level was drawn.
         end_of_level_3 = np.random.default_rng(8)
-        for n in (1, 2, 3):
-            draw(sm.domain, n, 4, end_of_level_3)
+        draw(sm.domain, _SampleLayout(4, (1, 2, 3)), end_of_level_3)
         assert rng.bit_generator.state == end_of_level_3.bit_generator.state
 
     def test_peak_memory_within_three_block_arrays(self):

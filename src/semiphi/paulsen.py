@@ -47,7 +47,6 @@ from .numerics import (
     _psd_eigvalsh,
     _sampling_tol,
     as_matrix,
-    dagger,
 )
 
 __all__ = [
@@ -143,13 +142,10 @@ class _Split:
     failures: list[_Check]
 
 
-def _frobenius_norms(stack: np.ndarray, groups: np.ndarray | None = None) -> np.ndarray:
+def _frobenius_norms(stack: np.ndarray) -> np.ndarray:
     """Frobenius norms of the matrices of an ``(N, a, b)`` stack, summed over
-    its real and imaginary views: no temporary of the stack's size.  With
-    ``groups``, the first indices of consecutive runs of matrices, the norm
-    of each run taken as one matrix."""
-    squares = np.einsum("nij,nij->n", stack.real, stack.real) + np.einsum("nij,nij->n", stack.imag, stack.imag)
-    return np.sqrt(squares if groups is None else np.add.reduceat(squares, groups))
+    its real and imaginary views: no temporary of the stack's size."""
+    return np.sqrt(np.einsum("nij,nij->n", stack.real, stack.real) + np.einsum("nij,nij->n", stack.imag, stack.imag))
 
 
 def _split_blocks(system: PaulsenSystem, blocks: np.ndarray, tol: ToleranceProfile) -> _Split:
@@ -198,9 +194,9 @@ def _first_failure(
     first failing check in list order; None if all pass.  Only blocks
     ``start:stop`` are searched; the block is an index into the whole
     stack."""
-    hits = np.argwhere(np.stack([flags[start:stop] for flags, _ in failures], axis=1))
-    if not len(hits):
+    if not any(flags[start:stop].any() for flags, _ in failures):
         return None
+    hits = np.argwhere(np.stack([flags[start:stop] for flags, _ in failures], axis=1))
     block, check = start + int(hits[0, 0]), hits[0, 1]
     return block, failures[check][1](block)
 
@@ -364,13 +360,14 @@ def random_psd_system_element(
     coefficients.  This consumes the generator exactly as drawing
     ``R_0, I_0, R_1, I_1, ...`` as separate ``(n, n)`` arrays would.  S
     samples are one ``(S, B, 2, n, n)`` draw, the same stream as S calls;
-    :func:`_psd_sample_stack` builds those of several levels at once.
+    :func:`_psd_sample_stack` builds and maps those of several levels in one
+    pass and shifts each level on its own view.
     """
     if n < 1:
         raise ValueError(f"level n must be at least 1, got {n}")
-    layout = _SampleLayout(1, (n,))
-    (matrices,) = _level_matrices(_psd_sample_stack(system, layout, rng)[0], layout)
-    return matrices[0]
+    blocks, _ = _psd_sample_stack(system, 1, (n,), rng)
+    d = system.ambient_dim
+    return _block_matrices(blocks.reshape(1, n, n, d, d))[0]
 
 
 def _block_matrices(blocks: np.ndarray) -> np.ndarray:
@@ -379,80 +376,50 @@ def _block_matrices(blocks: np.ndarray) -> np.ndarray:
     return blocks.transpose(0, 1, 3, 2, 4).reshape(count, n * a, n * a)
 
 
-class _SampleLayout:
-    """Where the samples of :func:`_psd_sample_stack` sit in its ``(N, d, d)``
-    block stack: ``count`` samples at each level of ``levels`` in turn, and
-    the ``n*n`` blocks ``(i, j)`` of each level-n sample in row-major order.
-    The block indices below come from index arithmetic alone."""
-
-    def __init__(self, count: int, levels) -> None:
-        self.count, self.levels = count, tuple(levels)
-        sizes = np.repeat(self.levels, count)  # the level of each sample
-        areas = sizes * sizes
-        #: (S + 1,) the first block of each of the S samples, then N
-        self.starts = np.zeros(len(sizes) + 1, dtype=int)
-        np.cumsum(areas, out=self.starts[1:])
-        sample = np.repeat(np.arange(len(sizes)), areas)  # the sample of each block
-        n, first = sizes[sample], self.starts[sample]
-        row, col = divmod(np.arange(self.starts[-1]) - first, n)
-        #: (N,) the index of block (s, j, i) at block (s, i, j)
-        self.partner = first + col * n + row
-        #: the indices of the blocks (s, i, i), and the sample of each
-        self.diagonal = np.flatnonzero(row == col)
-        self.diagonal_sample = sample[self.diagonal]
-
-    def level_ranges(self):
-        """Per level: its size n and its samples ``first:stop``, whose blocks
-        are ``starts[first]:starts[stop]``."""
-        for k, n in enumerate(self.levels):
-            yield n, k * self.count, (k + 1) * self.count
+def _level_views(stack: np.ndarray, count: int, levels):
+    """Per level n of ``levels``: n, the index of its first block, and the
+    ``(count, n, n, a, b)`` view of its blocks in an ``(N, a, b)`` stack
+    holding the ``n*n`` blocks of ``count`` samples at each level in turn."""
+    start = 0
+    for n in levels:
+        stop = start + count * n * n
+        yield n, start, stack[start:stop].reshape(count, n, n, *stack.shape[1:])
+        start = stop
 
 
-def _level_matrices(stack: np.ndarray, layout: _SampleLayout):
-    """The ``(count, n*a, n*a)`` matrices of each level of an ``(N, a, a)``
-    block stack laid out by ``layout``, as copies made one level at a time."""
-    a, starts = stack.shape[-1], layout.starts
-    for n, first, stop in layout.level_ranges():
-        yield _block_matrices(stack[starts[first] : starts[stop]].reshape(stop - first, n, n, a, a))
-
-
-def _partner_adjoints(stack: np.ndarray, partner: np.ndarray) -> np.ndarray:
-    """The blocks of ``M*`` for the matrices ``M`` whose blocks ``stack``
-    holds: the adjoint of each block's transpose partner, in one new array."""
-    adjoints = stack[partner]
-    np.conj(adjoints, out=adjoints)
-    return adjoints.transpose(0, 2, 1)
+def _adjoint_blocks(blocks: np.ndarray) -> np.ndarray:
+    """The ``(S, n, n, a, a)`` blocks of ``M*`` for the matrices ``M`` whose
+    blocks ``blocks`` holds, in one new array."""
+    return np.conj(blocks.transpose(0, 2, 1, 4, 3))
 
 
 def _psd_sample_stack(
-    system: PaulsenSystem, layout: _SampleLayout, rng: np.random.Generator
+    system: PaulsenSystem, count: int, levels, rng: np.random.Generator
 ) -> tuple[np.ndarray, list[dict]]:
-    """The samples of :func:`random_psd_system_element` at every level of
-    ``layout``, as one ``(N, d, d)`` block stack, and the generator state
-    after each level's draw.
+    """The samples of :func:`random_psd_system_element`, ``count`` at each
+    level of ``levels`` in turn, as one ``(N, d, d)`` block stack, and the
+    generator state after each level's draw.
 
     Each level n is one ``(count, B, 2, n, n)`` draw, as in
     :func:`random_psd_system_element`.  The blocks of all levels are then
-    built by one matmul against the system basis and symmetrized in place
-    against their transpose partners; only the ``eigvalsh`` that finds each
-    sample's shift runs per level.  The samples equal the per-level ones up
-    to rounding, and the only temporary of the stack's size is that of the
-    symmetrization."""
-    d, dim, count = system.ambient_dim, system.dimension, layout.count
-    coeffs = np.empty((len(layout.partner), dim), dtype=complex)
+    built by one matmul against the system basis; each level is symmetrized
+    and shifted in place on its ``(count, n, n, d, d)`` view
+    (:func:`_level_views`), after one ``eigvalsh`` finds its samples'
+    shifts.  The samples equal the per-level ones up to rounding."""
+    d, dim = system.ambient_dim, system.dimension
+    coeffs = np.empty((count * sum(n * n for n in levels), dim), dtype=complex)
     states = []
-    for n, first, stop in layout.level_ranges():
-        draws = rng.standard_normal((count, dim, 2, n, n)).transpose(2, 0, 3, 4, 1)
+    for n, _, level in _level_views(coeffs, count, levels):
+        level.real, level.imag = rng.standard_normal((count, dim, 2, n, n)).transpose(2, 0, 3, 4, 1)
         states.append(rng.bit_generator.state)
-        level = coeffs[layout.starts[first] : layout.starts[stop]].reshape(count, n, n, dim)
-        level.real, level.imag = draws
     x = (coeffs @ system._basis_stack.reshape(dim, d * d)).reshape(-1, d, d)
     del coeffs
-    x += _partner_adjoints(x, layout.partner)
-    x /= 2.0
-    lam = np.concatenate([np.linalg.eigvalsh(m)[:, 0] for m in _level_matrices(x, layout)])
-    units = np.arange(d)
-    x[layout.diagonal[:, None], units, units] -= lam[layout.diagonal_sample, None]
+    for n, _, level in _level_views(x, count, levels):
+        level += _adjoint_blocks(level)
+        level /= 2.0
+        lam = np.linalg.eigvalsh(_block_matrices(level))[:, 0]
+        diagonal = np.einsum("siiaa->sia", level)  # a writable view
+        diagonal -= lam[:, None, None]
     return x, states
 
 
@@ -472,15 +439,16 @@ def is_cp_system_map(
     decision procedure); 0 for either draws nothing, and a negative value
     raises ``ValueError``.  Each level ``n`` is one ``(samples, B, 2, n, n)``
     draw (see :func:`random_psd_system_element`); the samples of all levels
-    are built as one block stack (:func:`_psd_sample_stack`), mapped by one
-    :meth:`SystemMap._apply_stack`, and checked as :func:`~semiphi.numerics.is_psd`
-    checks its input (non-finite entries, hermitian defect) in one blockwise
-    pass.  Only the eigen-solves run per level: the one that shifts the
-    level's samples and the eigenvalue-only PSD decision of their images.
-    The first failing sample in draw order raises for its first failing
-    test: :meth:`SystemMap.apply_n`'s, :func:`~semiphi.numerics.is_psd`'s,
-    then :class:`SelfCheckError`.  The generator is then at the end of that
-    level's draw, as if no later level had been drawn.
+    are built as one block stack (:func:`_psd_sample_stack`) and mapped by
+    one :meth:`SystemMap._apply_stack`, whose rejections and non-finite
+    images are flagged in one pass.  Then each level in turn is checked on
+    its ``(samples, n, n, d, d)`` view of the images as
+    :func:`~semiphi.numerics.is_psd` checks its input: hermitian defect,
+    symmetrization, one eigenvalue-only solve.  The first failing sample in
+    draw order raises for its first failing test: :meth:`SystemMap.apply_n`'s,
+    :func:`~semiphi.numerics.is_psd`'s, then :class:`SelfCheckError`.  The
+    generator is then at the end of that level's draw, as if no later level
+    had been drawn.
     """
     for name, value in (("samples", samples), ("max_level", max_level)):
         if value < 0:
@@ -488,39 +456,38 @@ def is_cp_system_map(
     report = is_completely_semi_phi(sm.module_map, sm.cp_map, tol)
     if not (report.ok and rng is not None and samples > 0 and max_level > 0):
         return report
-    layout = _SampleLayout(samples, range(1, max_level + 1))
-    blocks, states = _psd_sample_stack(sm.domain, layout, rng)
+    levels = range(1, max_level + 1)
+    blocks, states = _psd_sample_stack(sm.domain, samples, levels, rng)
     images, failures = sm._apply_stack(blocks[:, None, None], tol)
     del blocks
-    starts, firsts = layout.starts, layout.starts[:-1]
-    rejected = np.logical_or.reduceat(np.stack([flags for flags, _ in failures], axis=1).any(axis=1), firsts)
-    # The image checks of is_psd, blockwise: a non-finite block is zeroed
-    # before any eigen-solve, and the norms of a sample's matrix are summed
-    # from its blocks.
+    rejected = np.stack([flags for flags, _ in failures], axis=1).any(axis=1)
+    # A non-finite block is zeroed before any eigen-solve, as is_psd would
+    # reject its matrix before solving.
     finite = np.isfinite(images).all(axis=(-2, -1))
     images[~finite] = 0.0
-    scale_tol = _sampling_tol(tol)
-    adjoints = _partner_adjoints(images, layout.partner)
-    defect = _frobenius_norms(images - adjoints, firsts)
-    not_hermitian = defect > scale_tol.threshold(_frobenius_norms(images, firsts))
-    images += adjoints
-    images /= 2.0
-    del adjoints
-    verdicts = [_psd_eigvalsh(m, scale_tol) for m in _level_matrices(images, layout)]
-    ok, lam = (np.concatenate(parts) for parts in zip(*verdicts))
-    checks = [
-        # A rejected sample raises for its first failing block.
-        (rejected, lambda s: _first_failure(failures, starts[s], starts[s + 1])[1]),
-        (~np.logical_and.reduceat(finite, firsts), lambda s: ValueError(_NOT_FINITE)),
-        (not_hermitian, lambda s: _not_hermitian(defect[s])),
-        (~ok, lambda s: SelfCheckError(
-            f"positive verdict refuted by PSD sampling (level {layout.levels[s // samples]}, lambda_min {lam[s]:.3e})"
-        )),
-    ]
-    if (hit := _first_failure(checks)) is not None:
-        sample, error = hit
-        rng.bit_generator.state = states[sample // samples]
-        raise error
+    scale_tol, d = _sampling_tol(tol), sm.codomain.ambient_dim
+    for (n, start, level), state in zip(_level_views(images, samples, levels), states):
+        stop = start + samples * n * n
+        adjoints = _adjoint_blocks(level)
+        defect = _frobenius_norms((level - adjoints).reshape(samples, -1, d))
+        not_hermitian = defect > scale_tol.threshold(_frobenius_norms(level.reshape(samples, -1, d)))
+        level += adjoints
+        level /= 2.0
+        del adjoints
+        ok, lam = _psd_eigvalsh(_block_matrices(level), scale_tol)
+        checks = [
+            # A rejected sample raises for its first failing block.
+            (rejected[start:stop].reshape(samples, -1).any(axis=1),
+             lambda s: _first_failure(failures, start + s * n * n, start + (s + 1) * n * n)[1]),
+            (~finite[start:stop].reshape(samples, -1).all(axis=1), lambda s: ValueError(_NOT_FINITE)),
+            (not_hermitian, lambda s: _not_hermitian(defect[s])),
+            (~ok, lambda s: SelfCheckError(
+                f"positive verdict refuted by PSD sampling (level {n}, lambda_min {lam[s]:.3e})"
+            )),
+        ]
+        if (hit := _first_failure(checks)) is not None:
+            rng.bit_generator.state = state
+            raise hit[1]
     return report
 
 
@@ -541,11 +508,6 @@ class CornerReport:
         return self.ok
 
 
-def _support(m: np.ndarray, cutoff: float) -> list[tuple[int, int]]:
-    rows, cols = np.nonzero(np.abs(m) > cutoff)
-    return list(zip(rows.tolist(), cols.tolist()))
-
-
 def is_corner_preserving(
     unit_images,
     layout_in: tuple[int, int],
@@ -558,7 +520,10 @@ def is_corner_preserving(
     ambient, row-major.  The structural generators are the scalar block sum,
     the corner units, the adjoint-corner units, and the diagonal units; the
     scalar generator must additionally map to a multiple of the codomain
-    scalar.
+    scalar.  Each generator's image is read off the ``(d_in, d_in, d_out,
+    d_out)`` stack of unit images, and each output entry belongs to one
+    part: ``2*(row >= p_out) + (col >= p_out)`` numbers the scalar block,
+    the corner, the adjoint corner and the diagonal block.
     """
     p_in, q_in = layout_in
     p_out, q_out = layout_out
@@ -568,58 +533,30 @@ def is_corner_preserving(
         raise ShapeError(f"need {d_in * d_in} unit images")
     if any(m.shape != (d_out, d_out) for m in images):
         raise ShapeError(f"unit images must be {d_out}x{d_out}")
-
-    def image_of(mat: np.ndarray) -> np.ndarray:
-        out = np.zeros((d_out, d_out), dtype=complex)
-        for i in range(d_in):
-            for j in range(d_in):
-                if mat[i, j] != 0:
-                    out += mat[i, j] * images[i * d_in + j]
-        return out
-
-    scale = max(max(float(np.linalg.norm(m)) for m in images), 1.0)
-    cutoff = tol.threshold(scale)
-    violations: list[tuple[str, tuple[int, int], float]] = []
-
-    def record_outside(name: str, img: np.ndarray, mask: np.ndarray) -> None:
-        escaped = np.where(mask, 0.0, img)
-        for r, c in _support(escaped, cutoff):
-            violations.append((name, (r, c), float(abs(img[r, c]))))
-
-    scalar_in = np.zeros((d_in, d_in), dtype=complex)
-    scalar_in[:p_in, :p_in] = np.eye(p_in)
-    scalar_img = image_of(scalar_in)
-    scalar_mask = np.zeros((d_out, d_out), dtype=bool)
-    scalar_mask[:p_out, :p_out] = True
-    record_outside("scalar", scalar_img, scalar_mask)
-    top = scalar_img[:p_out, :p_out]
-    lam = complex(np.trace(top) / p_out) if p_out else 0.0
-    pattern_defect = top - lam * np.eye(p_out)
-    for r, c in _support(pattern_defect, cutoff):
-        violations.append(("scalar", (r, c), float(abs(pattern_defect[r, c]))))
-
-    corner_mask = np.zeros((d_out, d_out), dtype=bool)
-    corner_mask[:p_out, p_out:] = True
-    adj_mask = corner_mask.T.copy()
-    diag_mask = np.zeros((d_out, d_out), dtype=bool)
-    diag_mask[p_out:, p_out:] = True
-
-    corner_entries: list[tuple[int, int]] = []
-    for i in range(p_in):
-        for j in range(q_in):
-            unit = np.zeros((d_in, d_in), dtype=complex)
-            unit[i, p_in + j] = 1.0
-            img = image_of(unit)
-            corner_entries.extend(_support(img, cutoff))
-            record_outside("corner", img, corner_mask)
-            record_outside("adjoint_corner", image_of(dagger(unit)), adj_mask)
-    for i in range(q_in):
-        for j in range(q_in):
-            unit = np.zeros((d_in, d_in), dtype=complex)
-            unit[p_in + i, p_in + j] = 1.0
-            record_outside("diagonal", image_of(unit), diag_mask)
-
-    return CornerReport(not violations, tuple(violations), tuple(dict.fromkeys(corner_entries)))
+    cutoff = tol.threshold(max(max(float(np.linalg.norm(m)) for m in images), 1.0))
+    stack = np.array(images).reshape(d_in, d_in, d_out, d_out)
+    scalar = stack[range(p_in), range(p_in)].sum(axis=0)
+    # The scalar image's defect from a multiple of the codomain scalar, which
+    # may sit in no part.
+    top = scalar[:p_out, :p_out]
+    pattern = np.zeros_like(scalar)
+    pattern[:p_out, :p_out] = top - (np.trace(top) / p_out if p_out else 0.0) * np.eye(p_out)
+    corners = stack[:p_in, p_in:].reshape(p_in * q_in, d_out, d_out)
+    adjoints = stack[p_in:, :p_in].transpose(1, 0, 2, 3).reshape(p_in * q_in, d_out, d_out)
+    generators = np.concatenate([
+        scalar[None], pattern[None],
+        np.stack([corners, adjoints], axis=1).reshape(2 * p_in * q_in, d_out, d_out),
+        stack[p_in:, p_in:].reshape(q_in * q_in, d_out, d_out),
+    ])
+    names = ["scalar", "scalar"] + ["corner", "adjoint_corner"] * (p_in * q_in) + ["diagonal"] * (q_in * q_in)
+    parts = np.array([0, -1] + [1, 2] * (p_in * q_in) + [3] * (q_in * q_in))
+    outer = np.arange(d_out) >= p_out
+    escaped = (np.abs(generators) > cutoff) & (2 * outer[:, None] + outer != parts[:, None, None])
+    violations = tuple(
+        (names[g], (r, c), float(abs(generators[g, r, c]))) for g, r, c in zip(*map(np.ndarray.tolist, np.nonzero(escaped)))
+    )
+    _, rows, cols = np.nonzero(np.abs(corners) > cutoff)
+    return CornerReport(not violations, violations, tuple(dict.fromkeys(zip(rows.tolist(), cols.tolist()))))
 
 
 def example_3_4_map(h_dim: int) -> CPMap:

@@ -183,7 +183,7 @@ def load_problem(path: str) -> dict:
     return doc
 
 
-def dump_report(report: dict, pretty: bool = True) -> str:
+def dump_report(report: dict) -> str:
     def default(obj):
         if isinstance(obj, np.ndarray):
             return matrix_to_json(obj)
@@ -195,4 +195,4 @@ def dump_report(report: dict, pretty: bool = True) -> str:
             return bool(obj)
         raise TypeError(f"cannot serialize {type(obj)!r}")
 
-    return json.dumps(report, indent=2 if pretty else None, default=default)
+    return json.dumps(report, indent=2, default=default)

@@ -47,6 +47,74 @@ class MembershipError(ValueError):
     """A matrix is not in the span of a module's basis."""
 
 
+#: The band ``c`` of the orthogonality test of :class:`_BasisFactorization`:
+#: off-diagonal Gram entries within ``c * N * EPS`` of the Cauchy-Schwarz
+#: scale count as rounding.
+_GRAM_BAND = 4.0
+
+#: ``np.linalg.pinv``'s default cut: a singular value at most this times the
+#: largest gets no inverse.
+_PINV_RCOND = 1e-15
+
+
+@dataclass(frozen=True)
+class _BasisFactorization:
+    """The one factorization of a module's basis columns ``B`` (``N x d``,
+    ``N = p*q``) that projection and the rank count read.
+
+    It starts from the Gram product ``G = B* B``.  Each computed entry is
+    within ``gamma_N |b_i| |b_j|`` of its exact value, ``gamma_N = N u / (1 -
+    N u) <= N * EPS`` with ``u = EPS / 2`` the unit roundoff (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 3.1), so for an exactly
+    orthogonal basis every computed off-diagonal entry of ``C = D^-1/2 G
+    D^-1/2``, ``D = diag(G)``, is below about ``N * EPS / 2`` in absolute
+    value, and every diagonal one is within a few ``EPS`` of 1.  The basis
+    counts as orthogonal when no column is zero and every computed ``|C -
+    I|_ij`` is at most :data:`_GRAM_BAND` ``* N * EPS``: the factor 4 admits
+    every exactly orthogonal basis with room for one built by a
+    backward-stable step (a computed complement).  Then
+
+    * the pseudo-inverse is ``D^-1 B*``, with ``np.linalg.pinv``'s cut (a column whose norm is at most
+      :data:`_PINV_RCOND` times the largest gets a zero row), and
+    * the singular values are the sorted column norms, each within the
+      relative ``spread`` of its exact value: with ``B = Q D^(1/2)``,
+      Ostrowski's theorem puts ``s_i(B)`` between ``s_min(Q)`` and
+      ``s_max(Q)`` times the i-th column norm, and the singular values of
+      ``Q`` squared are the eigenvalues of ``C``, within ``|C - I|_F`` of 1.  ``spread`` bounds that norm by ``d`` times the
+      largest computed ``|C_ij - delta_ij|`` plus ``2 N EPS`` for the
+      rounding of ``G`` and of the ratios.
+
+    Any other basis takes one thin SVD ``B = U S V*``: the pseudo-inverse is
+    ``V S^+ U*`` with the same cut, the singular values are ``S`` and the
+    spread is 0.  An approximate pseudo-inverse moves no membership verdict:
+    every caller decides on the explicit residual ``|B c - y|`` of the
+    returned coefficients, which is at least the distance of ``y`` from the
+    span and, for an orthogonal basis, exceeds it by at most about
+    ``spread * |y|``, far below any threshold.
+    """
+
+    pinv: np.ndarray  # (d, N)
+    singular_values: np.ndarray  # descending
+    spread: float
+
+    @classmethod
+    def of(cls, columns: np.ndarray, gram: np.ndarray) -> "_BasisFactorization":
+        n, d = columns.shape
+        norms_sq = gram.diagonal().real
+        if norms_sq.min(initial=np.inf) > 0.0 and norms_sq.max(initial=0.0) < np.inf:
+            norms = np.sqrt(norms_sq)
+            worst = float(np.abs(gram / np.outer(norms, norms) - np.eye(d)).max(initial=0.0))
+            spread = d * (worst + 2 * n * EPS)
+            if worst <= _GRAM_BAND * n * EPS and spread < 1.0:
+                inverse = 1.0 / norms_sq
+                inverse[norms <= _PINV_RCOND * norms.max(initial=0.0)] = 0.0
+                return cls(dagger(columns) * inverse[:, None], np.sort(norms)[::-1], spread)
+        u, s, vh = np.linalg.svd(columns, full_matrices=False)
+        keep = s > _PINV_RCOND * s.max(initial=0.0)
+        inverse = np.divide(1.0, s, out=np.zeros(s.size), where=keep)
+        return cls((dagger(vh) * inverse) @ dagger(u), s, 0.0)
+
+
 @dataclass(eq=False)
 class ConcreteModule:
     """Subspace of ``p x q`` matrices acting as a right Hilbert module."""
@@ -72,26 +140,32 @@ class ConcreteModule:
         return self._basis_stack.reshape(self.dim, self.row_dim * self.algebra.ambient_dim).T
 
     @cached_property
-    def _basis_unit(self) -> float:
-        """The largest Frobenius norm of a basis element (0 for the zero
-        module), the unit in which membership and validation take their
-        absolute tolerance: the rounding of a residual or of a singular
-        value scales with it, so rescaling the basis moves no verdict."""
-        return float(np.linalg.norm(self._basis_columns, axis=0).max(initial=0.0))
+    def _gram(self) -> np.ndarray:
+        """The Frobenius Gram matrix ``tr(b_i* b_j)`` of the basis."""
+        columns = self._basis_columns
+        return dagger(columns) @ columns
 
     @cached_property
-    def _basis_pinv(self) -> np.ndarray:
-        if self.dim == 0:
-            return np.zeros((0, self.row_dim * self.algebra.ambient_dim), dtype=complex)
-        return np.linalg.pinv(self._basis_columns)
+    def _basis_unit(self) -> float:
+        """The largest Frobenius norm of a basis element (0 for the zero
+        module), read off the Gram diagonal: the unit in which membership
+        and validation take their absolute tolerance.  The rounding of a
+        residual or of a singular value scales with it, so rescaling the
+        basis moves no verdict."""
+        return float(np.sqrt(self._gram.diagonal().real.max(initial=0.0)))
+
+    @cached_property
+    def _factorization(self) -> _BasisFactorization:
+        return _BasisFactorization.of(self._basis_columns, self._gram)
 
     def coefficients(self, m, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
         """Coefficients over the basis of one ``p x q`` matrix (shape
         ``(dim,)``) or of each matrix of an ``(n, p, q)`` stack (shape
-        ``(n, dim)``), from one projection onto the span.
+        ``(n, dim)``), from one projection onto the span (see
+        :meth:`_project`).
 
         Raises :class:`MembershipError` for the first matrix, in stack order,
-        that escapes the span.
+        whose explicit residual ``|B c - y|`` exceeds its threshold.
         """
         arr = np.asarray(m, dtype=complex)
         if arr.ndim != 3:
@@ -113,8 +187,13 @@ class ConcreteModule:
 
     def _project(self, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Coefficients over the basis of the row-major flattened matrices
-        ``vecs`` (shape ``(..., p*q)``), and the distance of each from the span."""
-        coeffs = vecs @ self._basis_pinv.T
+        ``vecs`` (shape ``(..., p*q)``), and the distance of each from the span.
+
+        The coefficients come from the pseudo-inverse of the basis'
+        one factorization (:class:`_BasisFactorization`): ``D^-1 B*`` for an
+        orthogonal basis, with no SVD, else one thin SVD per module.  The
+        distance is the explicit residual of those coefficients."""
+        coeffs = vecs @ self._factorization.pinv.T
         residual = np.linalg.norm(coeffs @ self._basis_columns.T - vecs, axis=-1)
         return coeffs, residual
 
@@ -160,7 +239,10 @@ def validate_module(module: ConcreteModule, tol: ToleranceProfile = DEFAULT_TOL)
     count decides first (see :func:`_rank_count`); only when it finds the
     module invalid, or finds one of its quantities near a threshold, does
     the full pass run, which tests every basis pair and every matrix unit,
-    decides, and names each violation.
+    decides, and names each violation.  Both read the basis rank, and the
+    full pass its projections, off the module's one factorization
+    (:class:`_BasisFactorization`): the Gram product alone for an
+    orthogonal basis, one thin SVD for any other.
     """
     if _rank_count(module, tol):
         return ModuleValidation(True, ())
@@ -189,9 +271,8 @@ def _rank_count(module: ConcreteModule, tol: ToleranceProfile) -> bool | None:
         return True
     if p == 0:
         return None
-    unit = module._basis_unit
-    s_basis = np.linalg.svd(module._basis_columns, compute_uv=False)
-    rank, clear = _rank_cut(s_basis, tol, unit)
+    unit, basis = module._basis_unit, module._factorization
+    rank, clear = _rank_cut(basis.singular_values, tol, unit)
     if not clear:
         return None
     if rank < d:
@@ -229,8 +310,11 @@ def _rank_count(module: ConcreteModule, tol: ToleranceProfile) -> bool | None:
     # distance from the span is at most its distance from the blockwise
     # space (the first dropped singular value of its block) plus its norm
     # times the sine between the two equal-dimensional spaces, itself at
-    # most (dropped mass + projection rounding) / s_min.
-    sine = (np.linalg.norm(tails) + p * module.algebra.ambient_dim * EPS * s_basis[0]) / s_basis[-1]
+    # most (dropped mass + projection rounding) / s_min, with s_max and s_min
+    # moved outwards by the spread of the listed singular values.
+    s_max = basis.singular_values[0] * (1.0 + basis.spread)
+    s_min = basis.singular_values[-1] * (1.0 - basis.spread)
+    sine = (np.linalg.norm(tails) + p * module.algebra.ambient_dim * EPS * s_max) / s_min
     distance = first_dropped[np.repeat(np.arange(len(blocks)), blocks)] + col_norms * sine
     if np.any(distance * NEAR_FACTOR > tol.bounded_threshold(col_norms, unit)):
         return None
@@ -266,8 +350,7 @@ def _full_validation(module: ConcreteModule, tol: ToleranceProfile) -> ModuleVal
             r, c = pairs[hits[0]]
             violations.append(f"right action of unit ({r},{c}) on basis {i} leaves the span")
     if module.dim:
-        s = np.linalg.svd(module._basis_columns, compute_uv=False)
-        rank = _rank_cut(s, tol, unit)[0]
+        rank = _rank_cut(module._factorization.singular_values, tol, unit)[0]
         if rank != module.dim:
             violations.append(f"basis is linearly dependent (rank {rank} of {module.dim})")
     return ModuleValidation(not violations, tuple(violations))

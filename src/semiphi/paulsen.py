@@ -533,7 +533,8 @@ def is_corner_preserving(
         raise ShapeError(f"need {d_in * d_in} unit images")
     if any(m.shape != (d_out, d_out) for m in images):
         raise ShapeError(f"unit images must be {d_out}x{d_out}")
-    cutoff = tol.threshold(max(max(float(np.linalg.norm(m)) for m in images), 1.0))
+    # An empty domain has no unit images, and no generator escapes its part.
+    cutoff = tol.threshold(max(max((float(np.linalg.norm(m)) for m in images), default=0.0), 1.0))
     stack = np.array(images).reshape(d_in, d_in, d_out, d_out)
     scalar = stack[range(p_in), range(p_in)].sum(axis=0)
     # The scalar image's defect from a multiple of the codomain scalar, which

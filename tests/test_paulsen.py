@@ -242,7 +242,7 @@ def reference_corner_report(unit_images, layout_in, layout_out, tol=DEFAULT_TOL)
         rows, cols = np.nonzero(np.abs(m) > cutoff)
         return list(zip(rows.tolist(), cols.tolist()))
 
-    cutoff = tol.threshold(max(max(float(np.linalg.norm(m)) for m in images), 1.0))
+    cutoff = tol.threshold(max([1.0] + [float(np.linalg.norm(m)) for m in images]))
     violations = []
 
     def record_outside(name, img, mask):
@@ -294,6 +294,12 @@ def test_corner_report_of_example_3_4_matches_reference_loop():
         values = example_3_4_map(h).values
         layouts = (h, h), (2 * h, 2 * h)
         assert is_corner_preserving(values, *layouts) == reference_corner_report(values, *layouts)
+
+
+@pytest.mark.parametrize("layout_out", [(0, 0), (1, 1), (2, 0)])
+def test_empty_domain_is_corner_preserving(layout_out):
+    # An empty domain has no unit images and no structural generator to move.
+    assert is_corner_preserving([], (0, 0), layout_out) == paulsen.CornerReport(True, (), ())
 
 
 LAYOUTS = st.tuples(st.integers(0, 3), st.integers(0, 3))

@@ -289,7 +289,8 @@ class SemiPhiReport:
     (:func:`semiphi_witness`, the CLI ``witness`` command) that refutes
     carries its witness from the decision (the keyword-only ``_vector``): on
     a carrier, the lift of the small eigenvector, a unit eigenvector of the
-    gap for ``margin`` defined up to a unit phase.
+    gap for ``margin`` defined up to a unit phase.  The keyword-only
+    ``_path`` names the path that decided: ``"carrier"`` or ``"table"``.
 
     A carrier and the table round apart, so a carrier's ``margin`` differs
     from the table's smallest eigenvalue in the rounding digits.  For a gap
@@ -303,6 +304,7 @@ class SemiPhiReport:
     margin: float
     _table: Callable[[], GramPair] = field(repr=False, compare=False, kw_only=True)
     _vector: np.ndarray | None = field(default=None, repr=False, compare=False, kw_only=True)
+    _path: str = field(default="table", repr=False, compare=False, kw_only=True)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -344,11 +346,12 @@ def _choi_semi(phi_map: ModuleMap, phi: CPMap, tol: ToleranceProfile, vectors: b
 # The gap size N from which the carrier decides when the basis meets at most
 # two algebra blocks; each further block the basis meets raises the cutoff by
 # half of it (see _carrier_cutoff).  Below it the Gram pair's one N x N solve
-# costs less than the carrier's fixed work (per algebra block met an eigh and
-# an SVD, then a QR and the small solve).  On bench/problems.py problems at
-# m = 4 (2-vCPU x86-64 host, OpenBLAS at one thread) the two paths break even
-# near N = 50 over one block, 70 over two, 85-96 over three and 110-130 over
-# four.
+# costs less than the carrier's fixed work (per algebra block met two small
+# eighs, of the Choi block and of the row Gram, then a QR and the small
+# solve).  On bench/problems.py problems at m = 4 over blocks of size 2
+# (2-vCPU x86-64 host, OpenBLAS at one thread, calls of both paths
+# interleaved) the two paths break even near N = 45-55 over one block, 60-65
+# over two, 70 over three and 80-85 over four.
 _CARRIER_MIN_GAP = 64
 
 
@@ -404,7 +407,7 @@ def _decide_gap(
         ok, lam_min, clear = _psd_verdict_clear(extremes, error, tol)
         if clear:
             lifted = q_onb @ small_vecs[:, 0] if vectors and not ok else None
-            return SemiPhiReport(ok, lam_min, _table=table, _vector=lifted)
+            return SemiPhiReport(ok, lam_min, _table=table, _vector=lifted, _path="carrier")
     return _semi_verdict(table(), tol, vectors)
 
 
@@ -421,19 +424,27 @@ def _choi_carrier(phi_map: ModuleMap, phi: CPMap) -> _Carrier | None:
 
     ``H`` is block diagonal, one block per algebra block, so each block has
     its own ``eigh`` and its eigenvectors meet only that block's columns of
-    the basis.  Those columns span few rows: the rows ``s`` of a block are
-    taken in an orthonormal basis of that span (one SVD), which leaves the
-    form unchanged, so ``n`` is the sum over blocks of (rank of the block's
-    columns) * (kept eigenvalues) plus ``k``, at most ``p * T + k``.
+    the basis.  Those columns, stacked as the ``p x (d * width)`` matrix
+    ``y``, span few rows: the rows ``s`` of a block are taken in an
+    orthonormal basis ``U`` of that span, which leaves the form unchanged, so
+    ``n`` is the sum over blocks of (rank of the block's columns) * (kept
+    eigenvalues) plus ``k``, at most ``p * T + k``.  ``U`` holds the
+    eigenvectors of one ``eigh`` of the row Gram ``y y*`` (``p x p``), with
+    no SVD.
 
-    Eigenvalues and singular values below the rounding band
+    Eigenvalues of ``H`` and of the row Gram below their rounding bands
     (``numerics._rounding_band``) are dropped.  With ``S = sum_i |x_i|_F^2``
-    and ``e`` the dropped singular mass, that moves the gap by at most
-    ``|lambda|_drop * S`` and ``|H| * e * (e + 2 sqrt(S))`` (Weyl,
-    Cauchy-Schwarz); with the rounding of every solve of both paths this is
-    the carrier's error.  None (the pair decides) for a gap below
-    :func:`_carrier_cutoff`, a carrier no smaller than ``N`` and values
-    whose products come near overflow.
+    and ``e^2`` the dropped row mass, the sum over blocks of the squared
+    residuals ``|y - U U* y|_F^2`` formed explicitly (it takes in the rows
+    whose singular values, up to about ``sqrt((p + d * width) * EPS)`` of the
+    largest, the Gram cannot resolve, and any error of ``U``), that moves the
+    gap by at most ``|lambda|_drop * S`` and ``|H| * e^2`` (Weyl; ``H`` acts
+    on the columns of ``y`` alone, so with ``P = U U*`` the form of ``y`` is
+    that of ``P y`` plus that of ``(I - P) y``, up to ``U``'s departure from
+    orthonormality, which the rounding term covers); with the rounding of
+    every solve of both paths this is the carrier's error.  None (the pair
+    decides) for a gap below :func:`_carrier_cutoff`, a carrier no smaller
+    than ``N`` and values whose products come near overflow.
     """
     _check_compatible(phi_map, phi)
     basis, values = phi_map.domain._basis_stack, phi_map._value_stack
@@ -469,26 +480,29 @@ def _choi_carrier(phi_map: ModuleMap, phi: CPMap) -> _Carrier | None:
     )
     if k >= shortfall:
         return None
-    dropped = row_loss = 0.0
+    dropped = row_mass = 0.0
     n, blocks = k, []
-    for sl, (lam, w), keep in zip(slices, spectra, kept):
+    for sl, hit, (lam, w), keep in zip(slices, met, spectra, kept):
         dropped = max(dropped, float(np.abs(lam[~keep]).max(initial=0.0)))
-        if not keep.any():
+        if not (hit and keep.any()):
             continue
-        # The rows s spanned by the block's columns of every basis element.
+        # The rows s spanned by the block's columns of every basis element,
+        # read off the row Gram y y*.
         y = basis[:, :, sl].transpose(1, 0, 2).reshape(p, -1)
-        u, sv, _ = np.linalg.svd(y, full_matrices=False)
-        rank = int(np.count_nonzero(sv > _rounding_band(max(y.shape), sv.max(initial=0.0))))
-        row_loss += float(np.linalg.norm(sv[rank:]))
-        n += rank * int(np.count_nonzero(keep))
-        blocks.append((y, u[:, :rank], lam[keep], w[:, keep]))
+        ev, vecs = np.linalg.eigh(y @ dagger(y))
+        u_kept = vecs[:, ev > _rounding_band(sum(y.shape), ev[-1])]
+        coords = dagger(u_kept) @ y
+        residual = y - u_kept @ coords
+        row_mass += float(np.vdot(residual, residual).real)
+        n += u_kept.shape[1] * int(np.count_nonzero(keep))
+        blocks.append((coords, lam[keep], w[:, keep]))
     if n >= dim:
         return None
     columns, signs = [], []
-    for y, u_kept, lam, w in blocks:
-        rank, width, t = u_kept.shape[1], w.shape[0] // m, len(lam)
+    for coords, lam, w in blocks:
+        rank, width, t = len(coords), w.shape[0] // m, len(lam)
         # conj(x_i[s, b]) with the rows s in that basis, as (d, rank, width).
-        conj_rows = (u_kept.T @ np.conj(y)).reshape(rank, d, width).transpose(1, 0, 2)
+        conj_rows = np.conj(coords).reshape(rank, d, width).transpose(1, 0, 2)
         # C*[(i, l), (s, t)] = sqrt|lambda_t| sum_b conj(x_i[s, b]) w_t[(b, l)].
         w_kept = (w * np.sqrt(np.abs(lam))).reshape(width, m * t)
         c_adj = (conj_rows @ w_kept).reshape(d, rank, m, t)
@@ -499,7 +513,7 @@ def _choi_carrier(phi_map: ModuleMap, phi: CPMap) -> _Carrier | None:
     scale = float(np.linalg.norm(choi)) * module_mass + map_mass
     error = (
         dropped * module_mass
-        + top * row_loss * (row_loss + 2.0 * np.sqrt(module_mass))
+        + top * row_mass
         + _rounding_band(dim + n + (m + d + p) * q, scale)
     )
     return np.concatenate(columns, axis=1), np.concatenate(signs), error

@@ -7,8 +7,9 @@ eigenproblem, of size at most ``p*T + k``, from a gap of
 below it the Gram pair decides.  The problems here
 are built so that the carrier is smaller than the gap (``n < N``) but are
 kept small, so most classes lower that size cutoff to exercise the carrier;
-``TestSizeDispatch`` keeps it.  The tests count the pair kernel and the
-eigen-solves to tell which path decided.
+``TestSizeDispatch`` keeps it.  Each report names the path that decided
+(``_path``); the tests count the pair kernel and the eigen-solves to pin the
+work each path does.
 
 The oracle forms the Gram pair with the pair kernel, symmetrizes its gap and
 takes the full ``eigh``.  Every verdict must equal the Gram pair's, and the
@@ -153,9 +154,9 @@ def carrier_problem(seed, kind="cp", scale=1.0, factor=1.0, mix=False, cols=None
 
 
 def count_paths(monkeypatch):
-    """Record the pair kernel and every eigen-solve with its size."""
-    calls = {"apply_pairs": [], "eigh": [], "eigvalsh": []}
-    for owner, name in ((CPMap, "apply_pairs"), (np.linalg, "eigh"), (np.linalg, "eigvalsh")):
+    """Record the pair kernel and every eigen-solve and SVD with its size."""
+    calls = {"apply_pairs": [], "eigh": [], "eigvalsh": [], "svd": []}
+    for owner, name in ((CPMap, "apply_pairs"), (np.linalg, "eigh"), (np.linalg, "eigvalsh"), (np.linalg, "svd")):
         original = getattr(owner, name)
 
         def wrapper(*args, _name=name, _original=original, **kwargs):
@@ -164,6 +165,17 @@ def count_paths(monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
     return calls
+
+
+def carrier_eighs(phi_map, phi):
+    """The sizes of the carrier's ``eigh`` calls: one Choi block per algebra
+    block, then one ``p x p`` row Gram ``y y*`` (``y`` the block columns of
+    the basis) per block the basis meets.  Every block of the maps built here
+    keeps a Choi eigenvalue."""
+    basis = phi_map.domain._basis_stack
+    p = basis.shape[1]
+    choi = [size * phi.target_dim for size in phi.domain.blocks]
+    return choi + [p for sl in phi.domain.block_slices() if basis[:, :, sl].any()]
 
 
 def count_tables(monkeypatch):
@@ -206,7 +218,8 @@ class TestCarrierParity:
     @given(st.integers(0, 2**32 - 1), st.sampled_from(KINDS), st.sampled_from([0.5, 1.0, 2.0, 4.0]))
     def test_carrier_decides_at_unit_scale(self, seed, kind, factor):
         # Far from the threshold the carrier decides alone: no pair kernel,
-        # one Choi eigh per block and one solve of the carrier's size.
+        # no SVD, one Choi eigh and one row-Gram eigh per block and one solve
+        # of the carrier's size.
         phi_map, phi = carrier_problem(seed, kind, 1.0, factor)
         gap, w, v, threshold, _, pair_band = gap_oracle(phi_map, phi)
         with pytest.MonkeyPatch.context() as mp:
@@ -215,8 +228,9 @@ class TestCarrierParity:
         if abs(w[0] + threshold) <= 1e3 * pair_band:
             return  # near the threshold the table may decide
         n_dim = len(w)
-        assert calls["apply_pairs"] == []
-        assert calls["eigh"] == [size * M for size in phi.domain.blocks]
+        assert report._path == "carrier" and calls["svd"] == []
+        assert calls["eigh"] == carrier_eighs(phi_map, phi)
+        assert max(calls["eigh"]) < n_dim
         assert len(calls["eigvalsh"]) == 1 and calls["eigvalsh"][0] < n_dim
         assert report.ok == (w[0] >= -threshold)
 
@@ -236,11 +250,93 @@ class TestCarrierParity:
         phi_map, phi = carrier_problem(seed, "cp", 1.0, 20.0)
         gap, w, v, threshold, _, pair_band = gap_oracle(phi_map, phi)
         calls = count_paths(monkeypatch)
+        assert ext._choi_semi(phi_map, phi, DEFAULT_TOL, vectors=True)._path == "carrier"
+        for solves in calls.values():
+            solves.clear()
         witness = semiphi_witness(phi_map, phi)
-        assert calls["apply_pairs"] == []
-        assert calls["eigvalsh"] == [] and len(calls["eigh"]) == len(phi.domain.blocks) + 1
+        assert calls["apply_pairs"] == [] and calls["svd"] == []
+        # The carrier's eighs, then the eigh of the carrier matrix.
+        assert calls["eigvalsh"] == [] and calls["eigh"][:-1] == carrier_eighs(phi_map, phi)
         assert max(calls["eigh"]) < len(w)
         assert_gap_witness(witness, gap, w, v, pair_band)
+
+
+# How the block columns y (p x (dim * width)) of a module basis span C^p:
+# "full" rank min(p, dim * width), "deficient" a lower rank, "nearly" full
+# rank with singular values spread over 1e-16...1, "zero".  A block with
+# p > dim * width is tall: its row Gram y y* is rank-deficient.
+SPANS = ["full", "deficient", "nearly", "zero"]
+
+
+def bound_problem(seed, blocks, spans, p, d, m, k, kind, log_scale, log_factor):
+    """A basis of ``d`` elements of ``p x q`` matrices over ``blocks`` whose
+    block columns span C^p as ``spans`` says, times ``10**log_scale``, and a
+    map to M_{k x m}.  For "cp", a Kraus rank-one CP map and the map with the
+    columns ``K g_phi^(1/2)``, ``|K| <= 10**log_factor`` (semi-compatible for
+    a factor of at most 1); for "indefinite", the difference of two such CP
+    maps and a random map of the basis's scale times that factor.  No module
+    axiom is asked of the basis: the carrier and the Gram pair read the basis
+    stack alone."""
+    rng = np.random.default_rng(seed)
+    algebra = BlockAlgebra(tuple(blocks))
+    basis = np.zeros((d, p, algebra.ambient_dim), dtype=complex)
+    for sl, span in zip(algebra.block_slices(), spans):
+        cols = d * (sl.stop - sl.start)
+        full = min(p, cols)
+        u, v = _random_unitary(p, rng)[:, :full], _random_unitary(cols, rng)[:, :full]
+        sv = rng.uniform(0.5, 2.0, size=full)
+        if span == "deficient":
+            sv[int(rng.integers(1, full)) if full > 1 else 0 :] = 0.0
+        elif span == "nearly":
+            sv = 10.0 ** rng.uniform(-16.0, 0.0, size=full)
+            sv[0] = 1.0
+        elif span == "zero":
+            sv[:] = 0.0
+        y = (u * sv) @ v.conj().T
+        basis[:, :, sl] = y.reshape(p, d, sl.stop - sl.start).transpose(1, 0, 2)
+    module = ConcreteModule(algebra, p, tuple(10.0**log_scale * basis))
+    phi, factor = random_cp_map(algebra, m, 1, rng), 10.0**log_factor
+    if kind == "cp":
+        lam, vecs = np.linalg.eigh(gram_pair(zero_module_map(module, m, 0), phi).g_phi)
+        root = (vecs * np.sqrt(np.clip(lam, 0.0, None))) @ vecs.conj().T
+        cols = factor * random_contraction(k, d * m, rng) @ root
+    else:
+        other = random_cp_map(algebra, m, 1, rng)
+        phi = CPMap(algebra, m, tuple(phi._value_stack - 2.0 * other._value_stack))
+        cols = factor * 10.0**log_scale * (rng.standard_normal((k, d * m)) + 1j * rng.standard_normal((k, d * m)))
+    return ModuleMap(module, m, k, tuple(cols.reshape(k, d, m).transpose(1, 0, 2))), phi
+
+
+@pytest.mark.usefixtures("carrier_at_every_size")
+class TestErrorBound:
+    """The carrier's ``error`` bounds, eigenvalue by eigenvalue, how far its
+    form ``X* J X`` lies from the Gram pair's symmetrized gap (Weyl's
+    inequality), and the decider's verdict is the pair's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.tuples(st.integers(1, 3), st.sampled_from(SPANS)), min_size=1, max_size=4),
+        st.integers(1, 6),
+        st.integers(1, 6),
+        st.integers(2, 4),
+        st.integers(1, 2),
+        st.sampled_from(["cp", "indefinite"]),
+        st.floats(-6.0, 6.0),
+        st.floats(-2.0, 1.0),
+    )
+    def test_error_bounds_the_spectrum(self, seed, layout, p, d, m, k, kind, log_scale, log_factor):
+        blocks, spans = zip(*layout)
+        phi_map, phi = bound_problem(seed, blocks, spans, p, d, m, k, kind, log_scale, log_factor)
+        pair, built = gram_pair(phi_map, phi), ext._choi_carrier(phi_map, phi)
+        report = ext._decide_gap(lambda: built, lambda: pair, DEFAULT_TOL)
+        assert report.ok == ext._semi_verdict(pair, DEFAULT_TOL).ok
+        if built is None:
+            return
+        x_adj, signs, error = built
+        carried = np.linalg.eigvalsh((x_adj * signs) @ x_adj.conj().T)
+        gap = np.linalg.eigvalsh(ext._symmetrized_gap(pair))
+        assert np.max(np.abs(carried - gap)) <= error
 
 
 @pytest.mark.usefixtures("carrier_at_every_size")
@@ -400,6 +496,7 @@ class TestSizeDispatch:
         assert n_dim < ext._CARRIER_MIN_GAP
         calls = count_paths(monkeypatch)
         report = is_completely_semi_phi(phi_map, phi)
+        assert report._path == "table"
         # One Gram pair and one eigenvalue-only solve of the gap; no Choi eigh.
         assert (len(calls["apply_pairs"]), calls["eigh"], calls["eigvalsh"]) == (1, [], [n_dim])
         want = ext._semi_verdict(gram_pair(phi_map, phi), DEFAULT_TOL)
@@ -412,13 +509,15 @@ class TestSizeDispatch:
         assert n_dim == ext._CARRIER_MIN_GAP
         calls = count_paths(monkeypatch)
         report = is_completely_semi_phi(phi_map, phi)
-        assert report.ok
-        assert calls["apply_pairs"] == []
+        assert report.ok and report._path == "carrier"
+        assert calls["apply_pairs"] == [] and calls["svd"] == []
         assert max(calls["eigh"] + calls["eigvalsh"]) < n_dim
-        # One 8x8 Choi eigh per block; the rank-one map keeps one eigenvalue
-        # per block, and each block's basis columns span its own rows of
-        # C^p, so the carrier has p + k rows (p*T + k = 2p + k uncompressed).
-        assert calls["eigh"] == [8, 8]
+        # One 8x8 Choi eigh per block, then one 8x8 row Gram y y* per block
+        # (p = 8 rows against dim * width = 32 columns); the rank-one map
+        # keeps one eigenvalue per block, and each block's basis columns span
+        # its own rows of C^p, so the carrier has p + k rows (p*T + k = 2p + k
+        # uncompressed).
+        assert calls["eigh"] == [8, 8, 8, 8]
         assert calls["eigvalsh"] == [phi_map.domain.row_dim + phi_map.h2_dim]
         # The lazy fields build the pair on first access, once.
         calls["apply_pairs"].clear()
@@ -435,8 +534,10 @@ class TestSizeDispatch:
         assert ext._carrier_cutoff(3) == 96 and n_dim == (96 if carrier else 64)
         calls = count_paths(monkeypatch)
         report = is_completely_semi_phi(phi_map, phi)
+        assert report._path == ("carrier" if carrier else "table")
         if carrier:
-            assert calls["apply_pairs"] == [] and max(calls["eigh"] + calls["eigvalsh"]) < n_dim
+            assert calls["svd"] == []
+            assert max(calls["eigh"] + calls["eigvalsh"]) < n_dim
         else:
             # One Gram pair and one eigenvalue-only solve of the gap.
             assert (len(calls["apply_pairs"]), calls["eigh"], calls["eigvalsh"]) == (1, [], [n_dim])

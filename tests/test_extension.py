@@ -217,27 +217,29 @@ class TestWitnessReevaluation:
         assert checked >= 10
 
     @pytest.mark.parametrize(
-        "make, sides, verdict_solves, witness_solves",
+        "make, sides, path, verdict_solves, witness_solves",
         [
             # N = 1 = k: the carrier is no smaller than the gap, so the Gram
             # pair decides, by eigenvalues alone or by the witness's eigh.
-            (lambda: scalar_fixture(2.0), (4.0, 1.0), (1, [], [1]), (1, [1], [])),
+            (lambda: scalar_fixture(2.0), (4.0, 1.0), "table", (1, [], [1]), (1, [1], [])),
             # Example 2.1 at n = 2 with the map tripled and the carrier let
             # decide below its size cutoff: it does (2 rows * T = 1 + k = 2,
-            # below N = 8) after one eigh of the 4x4 Choi matrix, and the
-            # witness's eigh of the 4x4 carrier matrix gives its vector.  The
-            # gap is -8 g_phi, so every eigenvector for its smallest
-            # eigenvalue -16 has sides 18 and 2.
-            (tripled_example_2_1, (18.0, 2.0), (0, [4], [4]), (0, [4, 4], [])),
+            # below N = 8) after one eigh of the 4x4 Choi matrix and one of
+            # the 4x4 row Gram y y* of the basis (p = 4, 4 * 2 columns), with
+            # no SVD, and the witness's eigh of the 4x4 carrier matrix gives
+            # its vector.  The gap is -8 g_phi, so every eigenvector for its
+            # smallest eigenvalue -16 has sides 18 and 2.
+            (tripled_example_2_1, (18.0, 2.0), "carrier", (0, [4, 4], [4]), (0, [4, 4, 4], [])),
         ],
         ids=["table", "carrier"],
     )
-    def test_one_decision_and_no_pair_kernel(self, make, sides, verdict_solves, witness_solves, monkeypatch):
+    def test_one_decision_and_no_pair_kernel(self, make, sides, path, verdict_solves, witness_solves, monkeypatch):
         pm, phi = make()
         monkeypatch.setattr(ext, "_CARRIER_MIN_GAP", 0)
         grams = counted(monkeypatch, ext, "gram_pair")
         eigh = counted(monkeypatch, np.linalg, "eigh")
         eigvalsh = counted(monkeypatch, np.linalg, "eigvalsh")
+        svd = counted(monkeypatch, np.linalg, "svd")
 
         def solves():
             return len(grams), [a[0].shape[0] for a in eigh], [a[0].shape[0] for a in eigvalsh]
@@ -245,13 +247,13 @@ class TestWitnessReevaluation:
         # The verdict alone solves for eigenvalues only, apart from the Choi
         # matrix's eigenvectors on the carrier.
         report = is_completely_semi_phi(pm, phi)
-        assert not report.ok
-        assert solves() == verdict_solves
+        assert not report.ok and report._path == path
+        assert solves() == verdict_solves and svd == []
         # A witness is decided by one eigh, which also gives its vector.
         for calls in (grams, eigh, eigvalsh):
             calls.clear()
         assert semiphi_witness(pm, phi).gap == pytest.approx(sides[0] - sides[1])
-        assert solves() == witness_solves
+        assert solves() == witness_solves and svd == []
         report.witness  # built on first access, from the Gram pair on the carrier
 
         # Re-evaluation from the report shares no kernel with the Gram matrices.

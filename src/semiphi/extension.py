@@ -343,23 +343,14 @@ def _choi_semi(phi_map: ModuleMap, phi: CPMap, tol: ToleranceProfile, vectors: b
     return _decide_gap(partial(_choi_carrier, phi_map, phi), partial(gram_pair, phi_map, phi), tol, vectors)
 
 
-# The gap size N from which the carrier decides when the basis meets at most
-# two algebra blocks; each further block the basis meets raises the cutoff by
-# half of it (see _carrier_cutoff).  Below it the Gram pair's one N x N solve
-# costs less than the carrier's fixed work (per algebra block met two small
-# eighs, of the Choi block and of the row Gram, then a QR and the small
-# solve).  On bench/problems.py problems at m = 4 over blocks of size 2
+# The gap size N from which both carriers decide.  Below it the Gram pair's
+# one N x N solve costs less than the carrier's fixed work (per algebra block
+# two small eighs, of the Choi block and of the row Gram, then a QR and the
+# small solve).  On bench/problems.py problems at m = 4 over blocks of size 2
 # (2-vCPU x86-64 host, OpenBLAS at one thread, calls of both paths
 # interleaved) the two paths break even near N = 45-55 over one block, 60-65
-# over two, 70 over three and 80-85 over four.
+# over two, 70 over three and 80-85 over four; no workload has more than two.
 _CARRIER_MIN_GAP = 64
-
-
-def _carrier_cutoff(blocks_met: int) -> int:
-    """The smallest gap the carrier decides when the basis meets
-    ``blocks_met`` algebra blocks: ``_CARRIER_MIN_GAP`` up to two blocks and
-    half of it more per further block (64, 96, 128 at two, three, four)."""
-    return _CARRIER_MIN_GAP * max(blocks_met, 2) // 2
 
 
 # A signed carrier of a Gram gap: ``X*`` (``N x n``, ``n < N``), the diagonal
@@ -428,9 +419,9 @@ def _choi_carrier(phi_map: ModuleMap, phi: CPMap) -> _Carrier | None:
     ``y``, span few rows: the rows ``s`` of a block are taken in an
     orthonormal basis ``U`` of that span, which leaves the form unchanged, so
     ``n`` is the sum over blocks of (rank of the block's columns) * (kept
-    eigenvalues) plus ``k``, at most ``p * T + k``.  ``U`` holds the
-    eigenvectors of one ``eigh`` of the row Gram ``y y*`` (``p x p``), with
-    no SVD.
+    eigenvalues) plus ``k``, at most ``p * T + k``.  ``U`` and ``U* y`` are
+    the module's row form (``ConcreteModule._block_rows``, one ``eigh`` of
+    the row Gram ``y y*`` per block, shared with validation), with no SVD.
 
     Eigenvalues of ``H`` and of the row Gram below their rounding bands
     (``numerics._rounding_band``) are dropped.  With ``S = sum_i |x_i|_F^2``
@@ -443,8 +434,8 @@ def _choi_carrier(phi_map: ModuleMap, phi: CPMap) -> _Carrier | None:
     that of ``P y`` plus that of ``(I - P) y``, up to ``U``'s departure from
     orthonormality, which the rounding term covers); with the rounding of
     every solve of both paths this is the carrier's error.  None (the pair
-    decides) for a gap below :func:`_carrier_cutoff`, a carrier no smaller
-    than ``N`` and values whose products come near overflow.
+    decides) for a gap below ``_CARRIER_MIN_GAP``, a carrier no smaller than
+    ``N`` and values whose products come near overflow.
     """
     _check_compatible(phi_map, phi)
     basis, values = phi_map.domain._basis_stack, phi_map._value_stack
@@ -452,8 +443,7 @@ def _choi_carrier(phi_map: ModuleMap, phi: CPMap) -> _Carrier | None:
     k, m = phi_map.h2_dim, phi_map.h1_dim
     dim = d * m
     slices = phi.domain.block_slices()
-    met = [bool(basis[:, :, sl].any()) for sl in slices]
-    if dim < _carrier_cutoff(sum(met)) or k >= dim:
+    if dim < _CARRIER_MIN_GAP or k >= dim:
         return None
     choi = _choi_matrix(phi)
     module_mass = float(np.vdot(basis, basis).real)  # sum_i |x_i|_F^2
@@ -469,33 +459,16 @@ def _choi_carrier(phi_map: ModuleMap, phi: CPMap) -> _Carrier | None:
     spectra = [np.linalg.eigh(herm[sl.start * m : sl.stop * m, sl.start * m : sl.stop * m]) for sl in slices]
     top = max(float(np.abs(lam).max()) for lam, _ in spectra)
     cut = _rounding_band(q * m, top)
-    kept = [np.abs(lam) > cut for lam, _ in spectra]
-    # A block whose columns span r_b rows adds r_b * (kept eigenvalues) rows
-    # to the carrier, against r_b * width * m of N for a module (whose
-    # dimension is sum_b r_b * width): when k covers the largest shortfall
-    # the blocks the basis meets can leave, n >= N without an SVD.
-    shortfall = dim * max(
-        (1.0 - np.count_nonzero(keep) / len(keep) for hit, keep in zip(met, kept) if hit),
-        default=0.0,
-    )
-    if k >= shortfall:
-        return None
     dropped = row_mass = 0.0
     n, blocks = k, []
-    for sl, hit, (lam, w), keep in zip(slices, met, spectra, kept):
+    for (lam, w), rows in zip(spectra, phi_map.domain._block_rows):
+        keep = np.abs(lam) > cut
         dropped = max(dropped, float(np.abs(lam[~keep]).max(initial=0.0)))
-        if not (hit and keep.any()):
+        if not keep.any():
             continue
-        # The rows s spanned by the block's columns of every basis element,
-        # read off the row Gram y y*.
-        y = basis[:, :, sl].transpose(1, 0, 2).reshape(p, -1)
-        ev, vecs = np.linalg.eigh(y @ dagger(y))
-        u_kept = vecs[:, ev > _rounding_band(sum(y.shape), ev[-1])]
-        coords = dagger(u_kept) @ y
-        residual = y - u_kept @ coords
-        row_mass += float(np.vdot(residual, residual).real)
-        n += u_kept.shape[1] * int(np.count_nonzero(keep))
-        blocks.append((coords, lam[keep], w[:, keep]))
+        row_mass += rows.residual_mass
+        n += len(rows.coords) * int(np.count_nonzero(keep))
+        blocks.append((rows.coords, lam[keep], w[:, keep]))
     if n >= dim:
         return None
     columns, signs = [], []
@@ -846,8 +819,8 @@ def _ksgns_carrier(phi_prime: ModuleMap, kres: KsgnsResult, gram: GramPair) -> _
     eigenvalue of the gap is farther from those of ``X* J X`` than
     ``delta = |T - C* C|_F``; with the rounding of both paths added, that is
     the carrier's error.  None (the pair decides) for a gap below
-    ``_CARRIER_MIN_GAP`` (flat: this carrier takes no per-block solve), a
-    carrier no smaller than ``N`` and values near overflow.
+    ``_CARRIER_MIN_GAP``, a carrier no smaller than ``N`` and values near
+    overflow.
     """
     carrier, cols = kres._carrier, phi_prime.stacked_columns()
     dim, rows = gram.g_phi.shape[0], len(carrier) + len(cols)

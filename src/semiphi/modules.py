@@ -9,6 +9,7 @@ complements can return it.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,6 +24,7 @@ from .numerics import (
     ToleranceProfile,
     _matrix_stack,
     _rank_cut,
+    _rounding_band,
     adjoint_products,
     as_matrix,
     dagger,
@@ -115,6 +117,10 @@ class _BasisFactorization:
         return cls((dagger(vh) * inverse) @ dagger(u), s, 0.0)
 
 
+# One algebra block's rows of a module basis (see ConcreteModule._block_rows).
+_BlockRows = namedtuple("_BlockRows", "values onb coords residual_mass")
+
+
 @dataclass(eq=False)
 class ConcreteModule:
     """Subspace of ``p x q`` matrices acting as a right Hilbert module."""
@@ -157,6 +163,24 @@ class ConcreteModule:
     @cached_property
     def _factorization(self) -> _BasisFactorization:
         return _BasisFactorization.of(self._basis_columns, self._gram)
+
+    @cached_property
+    def _block_rows(self) -> tuple[_BlockRows, ...]:
+        """Per algebra block, from one ``eigh`` of the row Gram ``y y*`` of
+        its block columns ``y`` (``p x (dim * width)``): the eigenvalues above
+        ``_rounding_band(p + dim * width, lambda_max)`` (ascending), their
+        eigenvectors ``U``, the coordinates ``U* y`` and the residual mass
+        ``|y - U U* y|_F^2``, formed explicitly."""
+        forms = []
+        for sl in self.algebra.block_slices():
+            y = self._basis_stack[:, :, sl].transpose(1, 0, 2).reshape(self.row_dim, self.dim * (sl.stop - sl.start))
+            ev, vecs = np.linalg.eigh(y @ dagger(y))
+            keep = ev > _rounding_band(sum(y.shape), ev.max(initial=0.0))
+            onb = vecs[:, keep]
+            coords = dagger(onb) @ y
+            residual = y - onb @ coords
+            forms.append(_BlockRows(ev[keep], onb, coords, float(np.vdot(residual, residual).real)))
+        return tuple(forms)
 
     def coefficients(self, m, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
         """Coefficients over the basis of one ``p x q`` matrix (shape
@@ -242,11 +266,31 @@ def validate_module(module: ConcreteModule, tol: ToleranceProfile = DEFAULT_TOL)
     decides, and names each violation.  Both read the basis rank, and the
     full pass its projections, off the module's one factorization
     (:class:`_BasisFactorization`): the Gram product alone for an
-    orthogonal basis, one thin SVD for any other.
+    orthogonal basis, one thin SVD for any other; the rank count reads each
+    block off the module's row form (:class:`_BlockRows`).
+
+    Validity depends on the span alone, so a basis whose largest entry has a
+    binary exponent beyond ``+-np.finfo(float).maxexp // 8`` (``2^+-128``) is
+    validated times the power of two that brings that entry into ``[0.5,
+    1)``, an exact rescaling.  Within that range every product of four
+    entries lies within ``2^+-512``: sums of them stay finite, and products
+    clear the smallest normal number, with a factor ``2^500`` to spare.
     """
+    module = _in_range(module)
     if _rank_count(module, tol):
         return ModuleValidation(True, ())
     return _full_validation(module, tol)
+
+
+def _in_range(module: ConcreteModule) -> ConcreteModule:
+    """The module itself, or the same span with its basis rescaled by a
+    power of two as :func:`validate_module` describes."""
+    stack = module._basis_stack
+    exponent = int(np.frexp(np.abs(stack).max(initial=0.0))[1])
+    if abs(exponent) <= np.finfo(float).maxexp // 8:
+        return module
+    scaled = np.ldexp(stack.real, -exponent) + 1j * np.ldexp(stack.imag, -exponent)
+    return ConcreteModule(module.algebra, module.row_dim, tuple(scaled))
 
 
 def _rank_count(module: ConcreteModule, tol: ToleranceProfile) -> bool | None:
@@ -277,28 +321,28 @@ def _rank_count(module: ConcreteModule, tol: ToleranceProfile) -> bool | None:
         return None
     if rank < d:
         return False
-    stack, slices = module._basis_stack, module.algebra.block_slices()
-    onbs, first_dropped, tails = [], [], []
-    for sl, n in zip(slices, blocks):
-        columns = stack[:, :, sl].transpose(1, 0, 2).reshape(p, d * n)
-        u, s, _ = np.linalg.svd(columns, full_matrices=False)
-        r, clear = _rank_cut(s, tol, unit)
-        if not clear:
+    # W_k from the block's row form: y y* is formed within gamma_(d n) |y|_F^2
+    # in 2-norm (Higham 3.5) and eigh adds p EPS times its norm, so by Weyl
+    # each kept singular value is at least sqrt(value - allowance), and the
+    # residual bounds the dropped ones and their tail (Eckart-Young, any U).
+    forms = module._block_rows
+    for rows, n in zip(forms, blocks):
+        cut = tol.bounded_threshold(np.sqrt(rows.values.max(initial=0.0)), unit)
+        allowance = _rounding_band(p + d * n, rows.values.sum() + rows.residual_mass)  # |y|_F^2
+        kept = np.sqrt(max(rows.values.min(initial=np.inf) - allowance, 0.0))
+        if kept < NEAR_FACTOR * cut or NEAR_FACTOR * np.sqrt(rows.residual_mass) > cut:
             return None
-        onbs.append(u[:, :r])
-        first_dropped.append(s[r] if r < s.size else 0.0)
-        tails.append(np.linalg.norm(s[r:]))
-    ranks = [u.shape[1] for u in onbs]
+    ranks = [rows.values.size for rows in forms]
     if sum(n * r for n, r in zip(blocks, ranks)) != d:
         return False
-    first_dropped, tails = np.array(first_dropped), np.array(tails)
+    tails = np.sqrt([rows.residual_mass for rows in forms])
     # Off-block products x_i[:, k]* x_j[:, l], k != l, in units of the
     # Cauchy-Schwarz scale |x_i| |x_j| the full pass thresholds them at: with
     # Q_k an ONB of the kept W_k, each is at most |Q_k* Q_l|_F plus the terms
     # of the dropped tails over the smallest basis norm.
-    col_norms = np.linalg.norm(stack, axis=1)  # (d, q)
+    col_norms = np.linalg.norm(module._basis_stack, axis=1)  # (d, q)
     rel_tails = tails / np.linalg.norm(col_norms, axis=1).min()
-    onb = np.concatenate(onbs, axis=1)
+    onb = np.concatenate([rows.onb for rows in forms], axis=1)
     member = (np.repeat(np.arange(len(blocks)), ranks)[:, None] == np.arange(len(blocks))).astype(float)
     cosines = np.sqrt(member.T @ np.abs(dagger(onb) @ onb) ** 2 @ member)
     bound = cosines + rel_tails[:, None] + rel_tails[None, :] + np.outer(rel_tails, rel_tails)
@@ -308,14 +352,14 @@ def _rank_count(module: ConcreteModule, tol: ToleranceProfile) -> bool | None:
         return None
     # Right action: x_i E_rc is column r of x_i placed at column c.  Its
     # distance from the span is at most its distance from the blockwise
-    # space (the first dropped singular value of its block) plus its norm
+    # space (at most the residual of its block) plus its norm
     # times the sine between the two equal-dimensional spaces, itself at
     # most (dropped mass + projection rounding) / s_min, with s_max and s_min
     # moved outwards by the spread of the listed singular values.
     s_max = basis.singular_values[0] * (1.0 + basis.spread)
     s_min = basis.singular_values[-1] * (1.0 - basis.spread)
     sine = (np.linalg.norm(tails) + p * module.algebra.ambient_dim * EPS * s_max) / s_min
-    distance = first_dropped[np.repeat(np.arange(len(blocks)), blocks)] + col_norms * sine
+    distance = tails[np.repeat(np.arange(len(blocks)), blocks)] + col_norms * sine
     if np.any(distance * NEAR_FACTOR > tol.bounded_threshold(col_norms, unit)):
         return None
     return True

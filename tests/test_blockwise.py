@@ -41,9 +41,10 @@ from semiphi.fixtures import (
     random_semi_phi_fixture,
     random_vanishing_obstruction_fixture,
 )
-from semiphi.numerics import DEFAULT_TOL, adjoint_products, column_span_onb, nullspace_onb
+from semiphi.numerics import DEFAULT_TOL, EPS, _rank_cut, _rounding_band, adjoint_products, column_span_onb, nullspace_onb
 
 from conftest import full_rectangular_module
+from test_carrier import SPANS, bound_problem
 
 
 def assert_count_matches_full_pass(module):
@@ -165,12 +166,9 @@ class TestRankCountParity:
 
     @pytest.mark.parametrize("scale", 10.0 ** np.arange(-12, 7, 2))
     def test_escaping_products_are_rejected_at_every_scale(self, scale):
-        # All 1 x 2 rows over C (+) C: closed under the action, but
-        # [1, 0]* [0, 1] is off the diagonal.
-        rows = ConcreteModule(BlockAlgebra((1, 1)), 1, (np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])))
         tilted = tilted_column_spaces()
         cases = [
-            (rows, ("inner product of basis (0,1) escapes the algebra", "inner product of basis (1,0) escapes the algebra")),
+            (escaping_rows(), ("inner product of basis (0,1) escapes the algebra", "inner product of basis (1,0) escapes the algebra")),
             (tilted, validate_module(tilted).violations),
         ]
         assert cases[1][1][0] == "inner product of basis (0,1) escapes the algebra"
@@ -184,6 +182,77 @@ class TestRankCountParity:
         count, full = assert_count_matches_full_pass(e)
         assert count is False
         assert full.violations == ("right action of unit (0,1) on basis 0 leaves the span",)
+
+
+class TestValidationBeyondTheProductRange:
+    """A basis whose products of four entries leave the floating-point range
+    is validated rescaled by a power of two, so its report is the unit
+    basis's: validity depends on the span alone."""
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e-100, 1e80, 1e100, 1e155, 1e160])
+    def test_report_does_not_move(self, scale):
+        cases = [span_of_e11(), tilted_column_spaces(), escaping_rows(), *parity_modules()[:40]]
+        for module in cases:
+            assert validate_module(with_basis(module, scale * module._basis_stack)) == validate_module(module)
+
+    def test_bases_in_range_are_validated_as_given(self):
+        for module in parity_modules()[:40]:
+            for scale in (1e-30, 1e30):
+                scaled = with_basis(module, scale * module._basis_stack)
+                assert modules._in_range(scaled) is scaled
+
+
+class TestBlockRows:
+    """The module's row form per algebra block against an SVD of the block
+    columns, on the carrier tests' spans (full, deficient, nearly deficient,
+    zero and tall blocks over one to four blocks, at scales 1e-6...1e6), with
+    each block's columns scaled by up to 1e-4 against the others."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(
+            st.tuples(st.integers(1, 3), st.sampled_from(SPANS), st.floats(-4.0, 0.0)), min_size=1, max_size=4
+        ),
+        st.integers(1, 6),
+        st.integers(1, 6),
+        st.floats(-6.0, 6.0),
+    )
+    def test_bounds_hold_and_the_count_agrees(self, seed, layout, p, d, log_scale):
+        blocks, spans, tilts = zip(*layout)
+        module = bound_problem(seed, blocks, spans, p, d, 2, 1, "cp", log_scale, 0.0)[0].domain
+        stack = module._basis_stack.copy()
+        for sl, tilt in zip(module.algebra.block_slices(), tilts):
+            stack[:, :, sl] *= 10.0**tilt
+        module = with_basis(module, stack)
+        count = modules._rank_count(module, DEFAULT_TOL)
+        assert count is None or count == modules._full_validation(module, DEFAULT_TOL).ok
+        # A count that gets past the whole basis's rank decides only once every
+        # block has cleared its rank cut on the row form; the block's SVD must
+        # then cut at the same rank, and clear of the cut by the factor too.
+        unit = module._basis_unit
+        whole = _rank_cut(module._factorization.singular_values, DEFAULT_TOL, unit)
+        blocks_cleared = count is not None and whole == (module.dim, True)
+        for sl, rows in zip(module.algebra.block_slices(), module._block_rows):
+            y = module._basis_stack[:, :, sl].transpose(1, 0, 2).reshape(p, -1)
+            s = np.linalg.svd(y, compute_uv=False)
+            band = 8 * sum(y.shape) * EPS * np.linalg.norm(y)
+            r = rows.values.size
+            # The residual bounds the dropped tail from above, and the kept
+            # eigenvalues less the rounding allowance the rank count takes
+            # bound the kept singular values from below: the two bounds its
+            # clear-cut tests read.
+            allowance = _rounding_band(sum(y.shape), np.linalg.norm(y) ** 2)
+            assert np.sqrt(rows.residual_mass) >= np.linalg.norm(s[r:]) - band
+            assert np.all(np.sqrt(np.clip(rows.values[::-1] - allowance, 0.0, None)) <= s[:r] + band)
+            if blocks_cleared:
+                assert _rank_cut(s, DEFAULT_TOL, unit) == (r, True)
+
+
+def escaping_rows():
+    """All 1 x 2 rows over C (+) C: closed under the action, but [1, 0]*
+    [0, 1] is off the diagonal."""
+    return ConcreteModule(BlockAlgebra((1, 1)), 1, (np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])))
 
 
 def matrix_rows():

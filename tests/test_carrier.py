@@ -3,8 +3,8 @@ pair it replaces.
 
 ``is_completely_semi_phi`` and the witness path decide from the carrier
 eigenproblem, of size at most ``p*T + k``, from a gap of
-``_carrier_cutoff`` on (``_CARRIER_MIN_GAP`` over up to two algebra blocks);
-below it the Gram pair decides.  The problems here
+``_CARRIER_MIN_GAP`` on, over any number of algebra blocks; below it the
+Gram pair decides.  The problems here
 are built so that the carrier is smaller than the gap (``n < N``) but are
 kept small, so most classes lower that size cutoff to exercise the carrier;
 ``TestSizeDispatch`` keeps it.  Each report names the path that decided
@@ -167,15 +167,13 @@ def count_paths(monkeypatch):
     return calls
 
 
-def carrier_eighs(phi_map, phi):
+def carrier_eighs(phi_map, phi, cached=False):
     """The sizes of the carrier's ``eigh`` calls: one Choi block per algebra
-    block, then one ``p x p`` row Gram ``y y*`` (``y`` the block columns of
-    the basis) per block the basis meets.  Every block of the maps built here
-    keeps a Choi eigenvalue."""
-    basis = phi_map.domain._basis_stack
-    p = basis.shape[1]
+    block, then, unless the module's row form is ``cached`` by an earlier
+    call, one ``p x p`` row Gram ``y y*`` (``y`` the block columns of the
+    basis) per algebra block."""
     choi = [size * phi.target_dim for size in phi.domain.blocks]
-    return choi + [p for sl in phi.domain.block_slices() if basis[:, :, sl].any()]
+    return choi + ([] if cached else [phi_map.domain.row_dim] * len(choi))
 
 
 def count_tables(monkeypatch):
@@ -255,8 +253,9 @@ class TestCarrierParity:
             solves.clear()
         witness = semiphi_witness(phi_map, phi)
         assert calls["apply_pairs"] == [] and calls["svd"] == []
-        # The carrier's eighs, then the eigh of the carrier matrix.
-        assert calls["eigvalsh"] == [] and calls["eigh"][:-1] == carrier_eighs(phi_map, phi)
+        # The carrier's Choi eighs (the module keeps its row form from the
+        # first call), then the eigh of the carrier matrix.
+        assert calls["eigvalsh"] == [] and calls["eigh"][:-1] == carrier_eighs(phi_map, phi, cached=True)
         assert max(calls["eigh"]) < len(w)
         assert_gap_witness(witness, gap, w, v, pair_band)
 
@@ -525,26 +524,20 @@ class TestSizeDispatch:
         assert report.witness is report.witness
         assert len(calls["apply_pairs"]) == 1
 
-    @pytest.mark.parametrize("cols, carrier", [((4, 4, 4), False), ((6, 6, 6), True)], ids=["N64", "N96"])
-    def test_cutoff_grows_with_the_blocks_met(self, cols, carrier, monkeypatch):
-        # BlockAlgebra((1, 1, 2)) at m = 4: the basis meets three blocks, so
-        # the carrier's fixed work is larger and it decides from N = 96 on.
+    @pytest.mark.parametrize("cols", [(4, 4, 4), (6, 6, 6)], ids=["N64", "N96"])
+    def test_one_cutoff_over_three_blocks(self, cols, monkeypatch):
+        # BlockAlgebra((1, 1, 2)) at m = 4: the basis meets three blocks, and
+        # the carrier decides from the same N = 64 on as over two.
         phi_map, phi = carrier_problem(0, "cp", 1.0, 0.5, cols=cols, m=4, blocks=(1, 1, 2))
         n_dim = phi_map.domain.dim * 4
-        assert ext._carrier_cutoff(3) == 96 and n_dim == (96 if carrier else 64)
+        assert ext._CARRIER_MIN_GAP == 64 and n_dim == 16 * cols[0]
         calls = count_paths(monkeypatch)
         report = is_completely_semi_phi(phi_map, phi)
-        assert report._path == ("carrier" if carrier else "table")
-        if carrier:
-            assert calls["svd"] == []
-            assert max(calls["eigh"] + calls["eigvalsh"]) < n_dim
-        else:
-            # One Gram pair and one eigenvalue-only solve of the gap.
-            assert (len(calls["apply_pairs"]), calls["eigh"], calls["eigvalsh"]) == (1, [], [n_dim])
-        want = ext._semi_verdict(gram_pair(phi_map, phi), DEFAULT_TOL)
-        assert report.ok == want.ok
-        if not carrier:
-            assert report.margin == want.margin
+        assert report._path == "carrier"
+        assert calls["apply_pairs"] == [] and calls["svd"] == []
+        assert calls["eigh"] == carrier_eighs(phi_map, phi)
+        assert max(calls["eigh"] + calls["eigvalsh"]) < n_dim
+        assert report.ok == ext._semi_verdict(gram_pair(phi_map, phi), DEFAULT_TOL).ok
 
 
 # extend_wide's shapes over BlockAlgebra((6, 6)) at m = 4: (E column

@@ -226,10 +226,11 @@ class TestWitnessReevaluation:
             # decide below its size cutoff: it does (2 rows * T = 1 + k = 2,
             # below N = 8) after one eigh of the 4x4 Choi matrix and one of
             # the 4x4 row Gram y y* of the basis (p = 4, 4 * 2 columns), with
-            # no SVD, and the witness's eigh of the 4x4 carrier matrix gives
-            # its vector.  The gap is -8 g_phi, so every eigenvector for its
-            # smallest eigenvalue -16 has sides 18 and 2.
-            (tripled_example_2_1, (18.0, 2.0), "carrier", (0, [4, 4], [4]), (0, [4, 4, 4], [])),
+            # no SVD.  The witness reuses the row form the module keeps, and
+            # its eigh of the 4x4 carrier matrix gives its vector.  The gap is
+            # -8 g_phi, so every eigenvector for its smallest eigenvalue -16
+            # has sides 18 and 2.
+            (tripled_example_2_1, (18.0, 2.0), "carrier", (0, [4, 4], [4]), (0, [4, 4], [])),
         ],
         ids=["table", "carrier"],
     )
@@ -422,27 +423,32 @@ class TestStagesRunOnce:
         eigh = counted(monkeypatch, np.linalg, "eigh")
         eigvalsh = counted(monkeypatch, np.linalg, "eigvalsh")
         res = extend_semi_phi(fx.phi_map, fx.e, fx.phi)
-        # Kraus operators of the Choi matrix (ksgns) are the only vectors; the
-        # input semi check and the re-certification read eigenvalues.
+        # Validating f and then e reads one p x p row Gram per algebra block
+        # of each; the Kraus operators of the Choi matrix (ksgns) are the only
+        # other vectors; the input semi check and the re-certification read
+        # eigenvalues.
         assert res.report["extension_semi_ok"]
-        assert len(eigh) == 1 and eigh[0][0].shape[0] == fx.phi.domain.ambient_dim * fx.phi.target_dim
+        rows = [fx.e.row_dim] * len(fx.e.algebra.blocks)
+        choi = fx.phi.domain.ambient_dim * fx.phi.target_dim
+        assert [args[0].shape[0] for args in eigh] == rows + rows + [choi]
         assert len(eigvalsh) == 2
 
     @pytest.mark.parametrize(
         "make, svds",
         [
-            (lambda rng: example_2_1(2), 5),
-            (lambda rng: compacts_fixture(2), 7),
-            (random_vanishing_obstruction_fixture, 7),
+            (lambda rng: example_2_1(2), 3),
+            (lambda rng: compacts_fixture(2), 3),
+            (random_vanishing_obstruction_fixture, 3),
             # f = 0: the least-squares system is empty and takes no SVD.
-            (random_semi_phi_fixture, 3),
+            (random_semi_phi_fixture, 1),
         ],
         ids=["example_2_1", "compacts", "vanishing_obstruction", "semi"],
     )
     def test_svd_count(self, make, svds, monkeypatch, rng):
         # The least-squares SVD is the only one over the universal vectors on
         # f.  Every module basis here is orthogonal, so projection and the
-        # rank count read its Gram product and take no SVD or pseudo-inverse.
+        # rank count read its Gram product and take no SVD or pseudo-inverse;
+        # the rank count reads each block off the row Gram's eigh.
         fx = make(rng)
         calls = counted(monkeypatch, np.linalg, "svd")
         pinvs = counted(monkeypatch, np.linalg, "pinv")

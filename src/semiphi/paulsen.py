@@ -13,6 +13,7 @@ problem) is out of scope.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -45,8 +46,10 @@ from .numerics import (
     _matrix_stack,
     _not_hermitian,
     _psd_eigvalsh,
+    _rounding_band,
     _sampling_tol,
     as_matrix,
+    dagger,
 )
 
 __all__ = [
@@ -68,9 +71,42 @@ class SystemDecompositionError(ValueError):
     """A matrix does not lie in the operator system."""
 
 
+@dataclass(frozen=True)
+class _Compressions:
+    """The compressions of a system's basis to its algebra blocks, see
+    :attr:`PaulsenSystem._compressions`."""
+
+    stack: np.ndarray  # (B, sum of s*s): each element's s x s compressions, flattened, by size
+    groups: tuple[tuple[int, int], ...]  # (s, count) of each run of equal sizes s, in stack order
+    bound: float  # Weyl factor of the shift's deviation, in units of |sample|_F
+
+    def smallest_eigenvalues(self, parts: np.ndarray) -> np.ndarray:
+        """lambda_min over all compressions of each of S samples, from the
+        ``(S, n, n, sum of s*s)`` compressed blocks ``parts``: each group's
+        compressions are symmetrized and solved by one ``eigvalsh``."""
+        count, n = parts.shape[:2]
+        lam, start = np.full(count, np.inf), 0
+        for size, k in self.groups:
+            stop = start + k * size * size
+            z = parts[..., start:stop].reshape(count, n, n, k, size, size)
+            z = z.transpose(3, 0, 1, 2, 4, 5).reshape(k * count, n, n, size, size)
+            z = (z + _adjoint_blocks(z)) / 2.0
+            lam = np.minimum(lam, np.linalg.eigvalsh(_block_matrices(z))[:, 0].reshape(k, count).min(axis=0))
+            start = stop
+        return lam
+
+
 @dataclass(eq=False)
 class PaulsenSystem:
-    """The smallest operator system containing a module and its algebra."""
+    """The smallest operator system containing a module and its algebra.
+
+    Over ``A = (+)_k M_(n_k)`` a module's block column spaces ``W_k`` (``r_k
+    = dim W_k``) are pairwise orthogonal, so after one unitary change of
+    ``C^p`` every level-n element is the direct sum of ``Lambda (x) I`` on
+    ``((+)_k W_k)^perp`` and one compression of size ``n (r_k + n_k)`` per
+    algebra block.  The sampler takes its shift from these compressions
+    (:attr:`_compressions`) where the module's row form certifies the split.
+    """
 
     module: ConcreteModule
     algebra: BlockAlgebra
@@ -92,6 +128,75 @@ class PaulsenSystem:
 
     def identity(self) -> np.ndarray:
         return np.eye(self.ambient_dim, dtype=complex)
+
+    @cached_property
+    def _compressions(self) -> _Compressions:
+        """The basis of :func:`build_system` compressed to each algebra block
+        k, ``V_k* b V_k`` with ``V_k = U_k (+) I_(n_k)`` and ``U_k`` the row
+        basis of the module's block-k columns (:attr:`ConcreteModule._block_rows`),
+        by slice assignment: the scalar element maps to ``I_(r_k) (+) 0``, a
+        corner ``e_i`` to its coordinates ``U_k* e_i[:, block k]`` and its
+        adjoint corner to their adjoint, a unit of block k to itself in the
+        lower right and a unit of any other block to 0.  When every ``r_k``
+        is 0 but ``p`` is not, one more 1 x 1 compression keeps the scalar
+        alone.
+
+        With the ``W_k`` pairwise orthogonal and ``U = [U_1, ..., U_K]``
+        orthonormal, ``Lambda (x) I_(r_k)`` is a principal submatrix of
+        compression k, so by Cauchy interlacing (Horn & Johnson 4.3) the
+        smallest eigenvalue of a sample is the smallest over its
+        compressions.  The computed row form misses that by the dropped row
+        mass ``M`` (the sum of the blocks' ``residual_mass``) and by ``F = U*
+        U - I``.  To first order in ``F``, whose square is far below rounding,
+        the compressions differ from those of an orthonormal basis of the
+        same span by ``F/2`` times their corners, and the parts of the
+        sample they leave out hold the dropped rows of its corners and
+        ``F/2`` times their corners again.  A corner ``x`` with coefficients
+        ``c`` has dropped rows of norm at most ``sqrt(M) |c| <= sqrt(M) |x| /
+        s_min`` (``s_min`` the smallest singular value of the module basis),
+        and the corners of a sample ``X`` hold at most half of ``|X|_F^2``.
+        By Weyl's inequality the shift therefore moves by at most ``bound
+        * |X|_F`` with ``bound = sqrt(M / 2) / s_min + |F| / 2`` (``|F|_2``
+        bounded by its largest absolute row sum), which no rescaling of the
+        basis moves."""
+        e, dim, forms = self.module, self.dimension, self.module._block_rows
+        unit = 1 + 2 * e.dim  # the first unit of the current block, block-major as in build_system
+        parts = []
+        for w, form in zip(self.algebra.blocks, forms):
+            r = form.values.size
+            z = np.zeros((dim, r + w, r + w), dtype=complex)
+            z[0, :r, :r] = np.eye(r)
+            coords = form.coords.reshape(r, e.dim, w).transpose(1, 0, 2)
+            z[1 : 1 + e.dim, :r, r:] = coords
+            z[1 + e.dim : 1 + 2 * e.dim, r:, :r] = np.conj(coords).transpose(0, 2, 1)
+            z[unit : unit + w * w, r:, r:] = np.eye(w * w).reshape(w * w, w, w)
+            unit += w * w
+            parts.append(z)
+        if self.corner_layout[0] and not any(form.values.size for form in forms):
+            scalar = np.zeros((dim, 1, 1), dtype=complex)
+            scalar[0] = 1.0
+            parts.append(scalar)
+        parts.sort(key=lambda z: z.shape[1])
+        sizes = [z.shape[1] for z in parts]
+        groups = tuple((size, sizes.count(size)) for size in dict.fromkeys(sizes))
+        stack = np.concatenate([z.reshape(dim, -1) for z in parts], axis=1)
+        onb = np.concatenate([form.onb for form in forms], axis=1)
+        defect = np.abs(dagger(onb) @ onb - np.eye(onb.shape[1])).sum(axis=1).max(initial=0.0)
+        mass, dropped = sum(form.residual_mass for form in forms), 0.0
+        if mass:  # then the basis has an element
+            basis = e._factorization
+            s_min = basis.singular_values[-1] * (1.0 - basis.spread)
+            dropped = np.sqrt(mass / 2.0) / s_min if s_min > 0.0 else np.inf
+        return _Compressions(stack, groups, float(dropped + defect / 2.0))
+
+    def _splits(self, n: int) -> bool:
+        """Whether level n takes its sample shift from the compressions:
+        every compression is smaller than the system, and their Weyl factor
+        is within the full ``eigvalsh``'s own rounding band
+        ``_rounding_band(n * d, |X|_F)`` per unit of ``|X|_F``."""
+        d, form = self.ambient_dim, self._compressions
+        smaller = all(size < d for size, _ in form.groups)
+        return smaller and form.bound <= _rounding_band(n * d, 1.0)
 
 
 def build_system(e: ConcreteModule) -> PaulsenSystem:
@@ -352,7 +457,13 @@ def random_psd_system_element(
     have smallest eigenvalue exactly zero.
 
     The element is ``sum_b kron(C_b, basis[b])`` with complex coefficient
-    matrices ``C_b = R_b + i I_b``, symmetrized and shifted.  Draw order (a
+    matrices ``C_b = R_b + i I_b``, symmetrized and shifted by its smallest
+    eigenvalue.  That is the smallest over the element's compressions to
+    the algebra blocks, each of size ``n (r_k + n_k)``
+    (:attr:`PaulsenSystem._compressions`), where the module's row form
+    certifies the split; otherwise it comes from the whole ``n (p+q)``
+    matrix.  Either way the element is the same up to rounding, and the
+    draws are unchanged.  Draw order (a
     compatibility contract: ``semiphi paulsen --seed`` reproduces its
     samples through it): one ``rng.standard_normal((B, 2, n, n))`` call,
     ``B`` the system dimension, with ``[b, 0]`` the real part ``R_b`` and
@@ -402,10 +513,16 @@ def _psd_sample_stack(
 
     Each level n is one ``(count, B, 2, n, n)`` draw, as in
     :func:`random_psd_system_element`.  The blocks of all levels are then
-    built by one matmul against the system basis; each level is symmetrized
-    and shifted in place on its ``(count, n, n, d, d)`` view
-    (:func:`_level_views`), after one ``eigvalsh`` finds its samples'
-    shifts.  The samples equal the per-level ones up to rounding."""
+    built by one matmul against the system basis, and their compressions to
+    the algebra blocks (:attr:`PaulsenSystem._compressions`) by one more;
+    each level is symmetrized and shifted in place on its ``(count, n, n,
+    d, d)`` view (:func:`_level_views`).  Its samples' shift is the smallest
+    eigenvalue over their symmetrized compressions, one ``eigvalsh`` per
+    group of equal size ``n (r_k + n_k)``, where
+    :meth:`PaulsenSystem._splits` certifies that this is the full one within
+    the full solve's rounding band; otherwise one ``eigvalsh`` of the full
+    ``n d``-square samples.  The samples equal the per-level ones up to
+    rounding."""
     d, dim = system.ambient_dim, system.dimension
     coeffs = np.empty((count * sum(n * n for n in levels), dim), dtype=complex)
     states = []
@@ -413,11 +530,17 @@ def _psd_sample_stack(
         level.real, level.imag = rng.standard_normal((count, dim, 2, n, n)).transpose(2, 0, 3, 4, 1)
         states.append(rng.bit_generator.state)
     x = (coeffs @ system._basis_stack.reshape(dim, d * d)).reshape(-1, d, d)
+    form = system._compressions
+    compressed = coeffs @ form.stack
     del coeffs
-    for n, _, level in _level_views(x, count, levels):
+    views = zip(_level_views(x, count, levels), _level_views(compressed, count, levels))
+    for (n, _, level), (_, _, parts) in views:
         level += _adjoint_blocks(level)
         level /= 2.0
-        lam = np.linalg.eigvalsh(_block_matrices(level))[:, 0]
+        if system._splits(n):
+            lam = form.smallest_eigenvalues(parts)
+        else:
+            lam = np.linalg.eigvalsh(_block_matrices(level))[:, 0]
         diagonal = np.einsum("siiaa->sia", level)  # a writable view
         diagonal -= lam[:, None, None]
     return x, states
@@ -439,12 +562,15 @@ def is_cp_system_map(
     decision procedure); 0 for either draws nothing, and a negative value
     raises ``ValueError``.  Each level ``n`` is one ``(samples, B, 2, n, n)``
     draw (see :func:`random_psd_system_element`); the samples of all levels
-    are built as one block stack (:func:`_psd_sample_stack`) and mapped by
+    are built as one block stack (:func:`_psd_sample_stack`, which takes
+    each level's shifts from the samples' per-block compressions where the
+    module's row form certifies the split) and mapped by
     one :meth:`SystemMap._apply_stack`, whose rejections and non-finite
     images are flagged in one pass.  Then each level in turn is checked on
     its ``(samples, n, n, d, d)`` view of the images as
     :func:`~semiphi.numerics.is_psd` checks its input: hermitian defect,
-    symmetrization, one eigenvalue-only solve.  The first failing sample in
+    symmetrization, one eigenvalue-only solve of the whole images (the
+    compressions serve only the samples' shifts).  The first failing sample in
     draw order raises for its first failing test: :meth:`SystemMap.apply_n`'s,
     :func:`~semiphi.numerics.is_psd`'s, then :class:`SelfCheckError`.  The
     generator is then at the end of that level's draw, as if no later level

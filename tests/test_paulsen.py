@@ -32,14 +32,17 @@ from semiphi import (
     is_cp_system_map,
 )
 from semiphi.fixtures import (
+    _column_module,
+    _random_unitary,
     example_2_1,
     random_containment_fixture,
+    random_orthogonal_module_pair,
     random_semi_phi_fixture,
     scalar_fixture,
 )
 from semiphi.extension import SelfCheckError
 from semiphi.modules import BlockEmbedding, MembershipError
-from semiphi.numerics import DEFAULT_TOL, HermiticityError, ShapeError, ToleranceProfile, as_matrix, dagger
+from semiphi.numerics import DEFAULT_TOL, HermiticityError, ShapeError, ToleranceProfile, _rounding_band, as_matrix, dagger
 from semiphi.paulsen import _block_matrices, _psd_sample_stack, random_psd_system_element
 from conftest import full_rectangular_module
 
@@ -459,14 +462,18 @@ class TestInjectivityDemo:
 # element, and one decomposition and one module-map / CP-map call per block.
 
 
-def reference_psd_sample(system, n, rng):
+def reference_symmetrized_sample(system, n, rng):
     d = system.ambient_dim
     x = np.zeros((n * d, n * d), dtype=complex)
     for b in system.basis:
         coeff = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         x += np.kron(coeff, b)
-    herm = (x + x.conj().T) / 2.0
-    return herm - np.linalg.eigvalsh(herm)[0] * np.eye(n * d)
+    return (x + x.conj().T) / 2.0
+
+
+def reference_psd_sample(system, n, rng):
+    herm = reference_symmetrized_sample(system, n, rng)
+    return herm - np.linalg.eigvalsh(herm)[0] * np.eye(len(herm))
 
 
 def reference_apply_n(sm, n, x):
@@ -731,13 +738,142 @@ class TestLevelBatches:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
-        # The Gram verdict is one eigenvalue-only solve, and each level adds
-        # the sample shift and the image decision; no call builds vectors.
+        # The Gram verdict is one eigenvalue-only solve; its table path (N =
+        # 8 here) builds no row form.  The sampler's compressions read the
+        # module's row form, one eigh for its one algebra block, and each
+        # level adds the sample shift (one eigvalsh for its one group of
+        # equal-size compressions) and the image decision.
         is_cp_system_map(sm)
         assert calls == {"eigh": 0, "eigvalsh": 1}
         calls.update(eigh=0, eigvalsh=0)
         is_cp_system_map(sm, rng=np.random.default_rng(0), samples=samples, max_level=3)
-        assert calls == {"eigh": 0, "eigvalsh": 1 + 2 * 3}
+        assert calls == {"eigh": 1, "eigvalsh": 1 + 2 * 3}
+
+    def test_level_three_shift_solves_the_block_compressions(self, monkeypatch):
+        # decide_narrow's smallest shape: four columns of C^10 in each of
+        # two blocks of size 2, so the system is 14 x 14 and each block's
+        # compression 4 + 2 = 6.
+        algebra, p = BlockAlgebra((2, 2)), 10
+        u = _random_unitary(p, np.random.default_rng(5))
+        system = build_system(_column_module(algebra, p, [u[:, :4], u[:, 4:8]]))
+        assert system._splits(3)
+        shapes = record_eigvalsh_shapes(monkeypatch, system)
+        _psd_sample_stack(system, 2, (3,), np.random.default_rng(0))
+        assert shapes == [(2 * 2, 3 * 6, 3 * 6)]  # not (2, 3 * 14, 3 * 14)
+
+
+def record_eigvalsh_shapes(monkeypatch, system):
+    """The shapes of the arrays that ``np.linalg.eigvalsh`` receives from
+    now on, after the system's compressions are built."""
+    system._compressions
+    shapes = []
+    original = np.linalg.eigvalsh
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    return shapes
+
+
+def checked_shift_solves(system, n, samples, seed, scale=1.0):
+    """Level-n samples of the sampler against the kron loop on equal
+    generators: the block-form shift equals the full symmetrized sample's
+    lambda_min within the full solve's rounding band, the samples agree
+    within 1e-12 (times the basis scale ``scale`` when above 1), and the
+    generators end equal.  Returns the shapes the shift's eigvalsh got."""
+    d = system.ambient_dim
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        shapes = record_eigvalsh_shapes(mp, system)
+        stack, _ = _psd_sample_stack(system, samples, (n,), fast)
+    for x in _block_matrices(stack.reshape(samples, n, n, d, d)):
+        herm = reference_symmetrized_sample(system, n, slow)
+        full = np.linalg.eigvalsh(herm)[0]
+        shift = np.trace(herm - x).real / (n * d)
+        assert abs(shift - full) <= _rounding_band(n * d, np.linalg.norm(herm))
+        assert np.abs(x - (herm - full * np.eye(n * d))).max() <= 1e-12 * max(1.0, scale)
+    assert fast.bit_generator.state == slow.bit_generator.state
+    return shapes
+
+
+def planted_shift_module(kind, blocks, rng):
+    """A module over ``BlockAlgebra(blocks)`` of one planted kind, else one
+    drawn as ``random_semi_phi_fixture`` draws its modules."""
+    algebra = BlockAlgebra(blocks)
+    if kind == "zero":
+        return ConcreteModule(algebra, 3, ())
+    if kind == "rowless":
+        return ConcreteModule(algebra, 0, ())
+    if kind in ("empty_block", "tall"):
+        # One line of C^p per block; "empty_block" leaves one block's W_k
+        # zero, and "tall" takes p above dim * width for every block.
+        p = len(blocks) + 2 if kind == "empty_block" else sum(blocks) * max(blocks) + 2
+        u = _random_unitary(p, rng)
+        spans = [u[:, k : k + 1] for k in range(len(blocks))]
+        if kind == "empty_block":
+            spans[int(rng.integers(len(blocks)))] = u[:, :0]
+        return _column_module(algebra, p, spans)
+    e, f = random_orthogonal_module_pair(algebra, rng, max_dim=8)
+    if kind == "unitary_change":
+        w = _random_unitary(e.dim, rng)
+        return ConcreteModule(algebra, e.row_dim, tuple(np.tensordot(w, e._basis_stack, axes=1)))
+    return e if kind == "module" else f
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    blocks=st.lists(st.integers(1, 4), min_size=1, max_size=4, unique=True),
+    kind=st.sampled_from(["module", "submodule", "zero", "rowless", "empty_block", "tall", "unitary_change"]),
+    exponent=st.integers(-6, 6),
+    samples=st.sampled_from([1, 3]),
+)
+@settings(max_examples=60, deadline=None)
+def test_block_form_shift_matches_the_full_solve(seed, blocks, kind, exponent, samples):
+    # Over 1-4 algebra blocks of unequal sizes, with the basis scaled by
+    # 10^exponent: each level's shift solves the n(r_k + n_k)-square
+    # compressions where the row form certifies the split, else the full
+    # n(p+q)-square samples, and either way matches the full solve.
+    rng = np.random.default_rng(seed)
+    module = planted_shift_module(kind, tuple(blocks), rng)
+    scale = 10.0**exponent
+    module = ConcreteModule(module.algebra, module.row_dim, tuple(scale * module._basis_stack))
+    system = build_system(module)
+    d = system.ambient_dim
+    for n in (1, 2, 3):
+        shapes = checked_shift_solves(system, n, samples, [seed, n], scale)
+        if system._splits(n):
+            assert all(shape[1] < n * d and shape[1] % n == 0 for shape in shapes)
+        else:
+            assert shapes == [(samples, n * d, n * d)]
+
+
+class TestShiftDispatch:
+    def test_non_orthogonal_block_columns_take_the_full_solve(self):
+        # W_1 = span(e_0) and W_2 = span(e_0 + e_1) over BlockAlgebra((1, 1)):
+        # no module, but its system still samples.
+        first, second = np.zeros((2, 2), dtype=complex), np.zeros((2, 2), dtype=complex)
+        first[0, 0] = 1.0
+        second[:, 1] = np.array([1.0, 1.0]) / np.sqrt(2.0)
+        system = build_system(ConcreteModule(BlockAlgebra((1, 1)), 2, (first, second)))
+        for n in (1, 2, 3):
+            assert checked_shift_solves(system, n, 2, n) == [(2, 4 * n, 4 * n)]
+
+    def test_dropped_row_mass_above_the_bound_takes_the_full_solve(self):
+        # Over BlockAlgebra((1, 1)), the second element's block-1 column
+        # 1e-9 e_1 gives the block's row Gram an eigenvalue 1e-18 below its
+        # rounding band: the row form drops it, with residual mass 1e-18,
+        # though the basis itself is orthonormal.
+        first, second = np.zeros((4, 2), dtype=complex), np.zeros((4, 2), dtype=complex)
+        first[0, 0] = first[2, 1] = 1.0
+        second[1, 0], second[3, 1] = 1e-9, 1.0
+        second /= np.linalg.norm(second)
+        module = ConcreteModule(BlockAlgebra((1, 1)), 4, (first, second))
+        assert [form.values.size for form in module._block_rows] == [1, 2]
+        system = build_system(module)
+        for n in (1, 2, 3):
+            assert checked_shift_solves(system, n, 2, n) == [(2, 6 * n, 6 * n)]
 
 
 def level_start(count, level):

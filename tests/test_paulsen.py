@@ -800,8 +800,12 @@ def checked_shift_solves(system, n, samples, seed, scale=1.0):
 
 def planted_shift_module(kind, blocks, rng):
     """A module over ``BlockAlgebra(blocks)`` of one planted kind, else one
-    drawn as ``random_semi_phi_fixture`` draws its modules."""
+    drawn as ``random_semi_phi_fixture`` draws its modules; ``"fixture"``
+    is the domain of a ``random_semi_phi_fixture`` map, over its own
+    algebra."""
     algebra = BlockAlgebra(blocks)
+    if kind == "fixture":
+        return random_semi_phi_fixture(rng, max_q=8).phi_map.domain
     if kind == "zero":
         return ConcreteModule(algebra, 3, ())
     if kind == "rowless":
@@ -825,14 +829,15 @@ def planted_shift_module(kind, blocks, rng):
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     blocks=st.lists(st.integers(1, 4), min_size=1, max_size=4, unique=True),
-    kind=st.sampled_from(["module", "submodule", "zero", "rowless", "empty_block", "tall", "unitary_change"]),
+    kind=st.sampled_from(["fixture", "module", "submodule", "zero", "rowless", "empty_block", "tall", "unitary_change"]),
     exponent=st.integers(-6, 6),
     samples=st.sampled_from([1, 3]),
 )
 @settings(max_examples=60, deadline=None)
 def test_block_form_shift_matches_the_full_solve(seed, blocks, kind, exponent, samples):
-    # Over 1-4 algebra blocks of unequal sizes, with the basis scaled by
-    # 10^exponent: each level's shift solves the n(r_k + n_k)-square
+    # Over 1-4 algebra blocks of unequal sizes (or a fixture's own
+    # algebra), with the basis scaled by 10^exponent: each level's shift
+    # solves the n(r_k + n_k)-square
     # compressions where the row form certifies the split, else the full
     # n(p+q)-square samples, and either way matches the full solve.
     rng = np.random.default_rng(seed)

@@ -18,37 +18,17 @@ import time
 
 import numpy as np
 
+# Layers are read through their (lazily run) modules at call time, so that a
+# command runs only the layers it calls.
+from . import cpmaps, extension, modules, paulsen
 from . import serialization as ser
 from .algebra import BlockAlgebra
-from .cpmaps import is_completely_positive, stinespring
-from .extension import (
-    PreconditionError,
-    SelfCheckError,
-    _block_defect,
-    _canonical_compacts,
-    _choi_semi,
-    _largest_norm,
-    _witness_from_report,
-    compare_extensions,
-    extend_semi_phi,
-    is_completely_semi_phi,
-    is_phi_map,
-    phi_extension_obstruction,
-)
-from .modules import BlockEmbedding
 from .numerics import (
+    SelfCheckError,
     ToleranceProfile,
     _construction_threshold,
     _fixture_agrees,
     _fixture_identity_holds,
-)
-from .paulsen import (
-    _cp_restriction_defect,
-    block_map,
-    example_3_4_map,
-    injectivity_demo,
-    is_corner_preserving,
-    is_cp_system_map,
 )
 from .serialization import SchemaError
 
@@ -104,13 +84,13 @@ def _load(doc: dict, *keys: str) -> list:
 
 def cmd_check_cp(args, doc, tol):
     (phi,) = _load(doc, "phi")
-    psd = is_completely_positive(phi, tol)
+    psd = cpmaps.is_completely_positive(phi, tol)
     return psd.ok, {"completely_positive": psd.ok}, {"choi_lambda_min": psd.lambda_min}, {}
 
 
 def cmd_stinespring(args, doc, tol):
     (phi,) = _load(doc, "phi")
-    dil = stinespring(phi, tol)
+    dil = cpmaps.stinespring(phi, tol)
     defect = dil.reconstruction_defect(phi)
     # The dilation is a construction: it succeeds whatever the check says.
     return (
@@ -123,7 +103,7 @@ def cmd_stinespring(args, doc, tol):
 
 def cmd_check_phi(args, doc, tol):
     phi, phi_map = _load(doc, "phi", "Phi")
-    verdict = is_phi_map(phi_map, phi, tol)
+    verdict = extension.is_phi_map(phi_map, phi, tol)
     return (
         verdict.ok,
         {"phi_map": verdict.ok},
@@ -134,17 +114,17 @@ def cmd_check_phi(args, doc, tol):
 
 def cmd_check_semiphi(args, doc, tol):
     phi, phi_map = _load(doc, "phi", "Phi")
-    verdict = is_completely_semi_phi(phi_map, phi, tol)
+    verdict = extension.is_completely_semi_phi(phi_map, phi, tol)
     return verdict.ok, {"completely_semi_phi": verdict.ok}, {"gram_margin": verdict.margin}, {}
 
 
 def cmd_witness(args, doc, tol):
     phi, phi_map = _load(doc, "phi", "Phi")
-    verdict = _choi_semi(phi_map, phi, tol, vectors=True)
+    verdict = extension._choi_semi(phi_map, phi, tol, vectors=True)
     if verdict.ok:
         verdicts = {"completely_semi_phi": True, "witness_exists": False}
         return True, verdicts, {"gram_margin": verdict.margin}, {}
-    witness = _witness_from_report(phi_map, phi, verdict)
+    witness = extension._witness_from_report(phi_map, phi, verdict)
     return (
         False,
         {"completely_semi_phi": False, "witness_exists": True},
@@ -155,7 +135,7 @@ def cmd_witness(args, doc, tol):
 
 def cmd_obstruction(args, doc, tol):
     phi, e, f = _load(doc, "phi", "E", "F")
-    obs = phi_extension_obstruction(phi, f, e, tol)
+    obs = extension.phi_extension_obstruction(phi, f, e, tol)
     verdicts = {"obstruction_vanishes": obs.vanishes}
     if not obs.vanishes:
         verdicts["note"] = (
@@ -172,7 +152,7 @@ EXTEND_MARGINS = ("restriction_defect", "extension_semi_margin", "contraction_no
 
 def cmd_extend(args, doc, tol):
     phi, phi_map, e = _load(doc, "phi", "Phi", "E")
-    result = extend_semi_phi(phi_map, e, phi, tol)
+    result = extension.extend_semi_phi(phi_map, e, phi, tol)
     rep = result.report
     return (
         rep.extension_semi_ok,
@@ -184,15 +164,15 @@ def cmd_extend(args, doc, tol):
 
 def cmd_compare(args, doc, tol):
     phi, phi_map, e, gamma = _load(doc, "phi", "Phi", "E", "Gamma")
-    result = extend_semi_phi(phi_map, e, phi, tol)
-    same = compare_extensions(gamma, result, tol)
+    result = extension.extend_semi_phi(phi_map, e, phi, tol)
+    same = extension.compare_extensions(gamma, result, tol)
     return same, {"unique_extension_matches": same}, {}, {}
 
 
 def cmd_paulsen(args, doc, tol):
     phi, phi_map, codomain = _load(doc, "phi", "Phi", "codomain_module")
-    sm = block_map(phi_map, phi, codomain, tol)
-    verdict = is_cp_system_map(sm, tol, rng=np.random.default_rng(args.seed))
+    sm = paulsen.block_map(phi_map, phi, codomain, tol)
+    verdict = paulsen.is_cp_system_map(sm, tol, rng=np.random.default_rng(args.seed))
     verdicts = {
         "cp_system_map": verdict.ok,
         "unital": sm.unital,
@@ -207,37 +187,37 @@ def _demo_example_2_1(n: int, tol, rng) -> tuple[bool, dict, dict]:
 
     fx = example_2_1(n)
     verdicts, margins = {}, {}
-    result = extend_semi_phi(fx.phi_map, fx.e, fx.phi, tol)
+    result = extension.extend_semi_phi(fx.phi_map, fx.e, fx.phi, tol)
     verdicts["phi_map_on_submodule"] = result.report.input_is_phi_map
     verdicts["extension_semi_ok"] = result.report.extension_semi_ok
     margins["restriction_defect"] = result.report.restriction_defect
     # The extension must coincide with extension-by-zero on the whole module.
-    defect = _largest_norm(result.phi_prime._value_stack - fx.e._basis_stack[:, :n])
+    defect = extension._largest_norm(result.phi_prime._value_stack - fx.e._basis_stack[:, :n])
     verdicts["extension_is_zero_padding"] = _fixture_agrees(defect)
     margins["zero_padding_defect"] = defect
-    on_e = _block_defect(result.phi_prime, result.gram, tol)
+    on_e = extension._block_defect(result.phi_prime, result.gram, tol)
     verdicts["extension_not_phi_map_on_e"] = not on_e.ok
     margins["phi_map_defect_on_e"] = on_e.worst_defect
     verdicts["obstruction_nonzero"] = not result.report.obstruction_vanishes
     margins["obstruction_norm"] = result.report.obstruction_norm
     try:
-        compare_extensions(result.phi_prime, result, tol)
+        extension.compare_extensions(result.phi_prime, result, tol)
         verdicts["uniqueness_precondition_refused"] = False
-    except PreconditionError:
+    except extension.PreconditionError:
         verdicts["uniqueness_precondition_refused"] = True
     return all(verdicts.values()), verdicts, margins
 
 
 def _demo_example_3_4(n: int, tol, rng) -> tuple[bool, dict, dict]:
-    ex = example_3_4_map(n)
+    ex = paulsen.example_3_4_map(n)
     verdicts, margins = {}, {}
     eye = np.eye(2 * n, dtype=complex)
     unital_defect = float(np.linalg.norm(ex.apply_ambient(eye) - np.eye(4 * n)))
     verdicts["unital"] = _fixture_identity_holds(unital_defect)
-    psd = is_completely_positive(ex, tol)
+    psd = cpmaps.is_completely_positive(ex, tol)
     verdicts["completely_positive"] = psd.ok
     margins["choi_lambda_min"] = psd.lambda_min
-    corner = is_corner_preserving(ex.values, (n, n), (2 * n, 2 * n), tol)
+    corner = paulsen.is_corner_preserving(ex.values, (n, n), (2 * n, 2 * n), tol)
     verdicts["corner_preserving"] = corner.ok
     margins["violations"] = [
         {"part": part, "entry": list(entry), "magnitude": mag}
@@ -250,18 +230,17 @@ def _demo_example_3_4(n: int, tol, rng) -> tuple[bool, dict, dict]:
 
 def _demo_example_3_9(n: int, tol, rng) -> tuple[bool, dict, dict]:
     from .fixtures import random_cp_map, random_contraction, random_orthogonal_module_pair
-    from .extension import ModuleMap, ksgns
 
     algebra = BlockAlgebra((1, 1))
     f_mod, g_mod = random_orthogonal_module_pair(algebra, rng, max_dim=3)
     phi = random_cp_map(algebra, 1, 1, rng)
-    universal = ksgns(phi, g_mod, tol).map
+    universal = extension.ksgns(phi, g_mod, tol).map
     c = random_contraction(n, universal.h2_dim, rng)
-    phi_map = ModuleMap(g_mod, 1, n, tuple(c @ v for v in universal.values))
-    embedding = BlockEmbedding.identity(algebra)
-    psi_map, psi = injectivity_demo(g_mod, f_mod, embedding, phi_map, phi, tol)
-    restriction = _largest_norm(psi_map.apply(g_mod._basis_stack, tol) - phi_map._value_stack)
-    cp_restriction = _cp_restriction_defect(psi, phi, embedding)
+    phi_map = extension.ModuleMap(g_mod, 1, n, tuple(c @ v for v in universal.values))
+    embedding = modules.BlockEmbedding.identity(algebra)
+    psi_map, psi = paulsen.injectivity_demo(g_mod, f_mod, embedding, phi_map, phi, tol)
+    restriction = extension._largest_norm(psi_map.apply(g_mod._basis_stack, tol) - phi_map._value_stack)
+    cp_restriction = paulsen._cp_restriction_defect(psi, phi, embedding)
     agrees = _fixture_agrees(restriction)
     verdicts = {"extension_exists": _fixture_agrees(cp_restriction) and agrees, "restriction_agrees": agrees}
     margins = {"restriction_defect": restriction, "cp_restriction_defect": cp_restriction}
@@ -273,9 +252,9 @@ def _demo_compacts_2_6(n: int, tol, rng) -> tuple[bool, dict, dict]:
 
     fx = compacts_fixture(n)
     verdicts, margins = {}, {}
-    canonical, result, certificate = _canonical_compacts(fx.phi_map, fx.e, fx.phi, tol)
+    canonical, result, certificate = extension._canonical_compacts(fx.phi_map, fx.e, fx.phi, tol)
     verdicts["zero_padding_is_phi_map"] = certificate.ok
-    defect = _largest_norm(canonical._value_stack - result.phi_prime._value_stack)
+    defect = extension._largest_norm(canonical._value_stack - result.phi_prime._value_stack)
     verdicts["matches_engine_output"] = _fixture_agrees(defect)
     margins["engine_agreement_defect"] = defect
     return all(verdicts.values()), verdicts, margins

@@ -21,6 +21,7 @@ from .cpmaps import CPMap, StinespringDilation, _choi_matrix, stinespring
 from .modules import ConcreteModule, _complement, _invalid_module_message, _submodule_coefficients
 from .numerics import (
     DEFAULT_TOL,
+    SelfCheckError,
     ShapeError,
     ToleranceProfile,
     _construction_threshold,
@@ -81,14 +82,6 @@ class ExtensionInputError(ValueError):
 class _InvalidModuleError(PreconditionError):
     """The ambient module fails the module axioms; the message names the
     first violation."""
-
-
-class SelfCheckError(RuntimeError):
-    """A construction failed the re-check of its own certificate.
-
-    This signals a defect in the toolkit or a numerically hopeless input,
-    never a refutation of the property being decided.
-    """
 
 
 @dataclass(eq=False)

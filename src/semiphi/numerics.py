@@ -24,6 +24,7 @@ import numpy as np
 __all__ = [
     "ShapeError",
     "HermiticityError",
+    "SelfCheckError",
     "ToleranceProfile",
     "DEFAULT_TOL",
     "PsdReport",
@@ -48,6 +49,14 @@ class ShapeError(ValueError):
 
 class HermiticityError(ValueError):
     """A matrix required to be hermitian deviates beyond tolerance."""
+
+
+class SelfCheckError(RuntimeError):
+    """A construction failed the re-check of its own certificate.
+
+    This signals a defect in the toolkit or a numerically hopeless input,
+    never a refutation of the property being decided.
+    """
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ from .extension import (
     ExtensionInputError,
     ModuleMap,
     PreconditionError,
-    SelfCheckError,
     SemiPhiReport,
     _largest_norm,
     extend_semi_phi,
@@ -39,6 +38,7 @@ from .modules import (
 )
 from .numerics import (
     DEFAULT_TOL,
+    SelfCheckError,
     ShapeError,
     ToleranceProfile,
     _NOT_FINITE,

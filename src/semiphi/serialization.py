@@ -13,10 +13,9 @@ from typing import Any
 
 import numpy as np
 
+# Read at call time, so that a reader runs only the layer of its record kind.
+from . import cpmaps, extension, modules
 from .algebra import BlockAlgebra
-from .cpmaps import CPMap
-from .extension import ModuleMap
-from .modules import ConcreteModule
 from .numerics import ToleranceProfile
 
 __all__ = [
@@ -94,7 +93,7 @@ def algebra_from_json(data: Any, where: str = "algebra") -> BlockAlgebra:
         raise SchemaError(f"{where}: expected {{'blocks': [n1, ...]}}") from exc
 
 
-def module_to_json(e: ConcreteModule) -> dict:
+def module_to_json(e: modules.ConcreteModule) -> dict:
     return {
         "algebra": algebra_to_json(e.algebra),
         "row_dim": e.row_dim,
@@ -102,7 +101,7 @@ def module_to_json(e: ConcreteModule) -> dict:
     }
 
 
-def module_from_json(data: Any, where: str = "module") -> ConcreteModule:
+def module_from_json(data: Any, where: str = "module") -> modules.ConcreteModule:
     try:
         algebra = algebra_from_json(data["algebra"], f"{where}.algebra")
         row_dim = int(data["row_dim"])
@@ -110,10 +109,10 @@ def module_from_json(data: Any, where: str = "module") -> ConcreteModule:
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{where}: expected algebra/row_dim/basis") from exc
     basis = _matrices_from_json(raw, f"{where}.basis", (row_dim, algebra.ambient_dim))
-    return ConcreteModule(algebra, row_dim, basis)
+    return modules.ConcreteModule(algebra, row_dim, basis)
 
 
-def cp_map_to_json(phi: CPMap) -> dict:
+def cp_map_to_json(phi: cpmaps.CPMap) -> dict:
     return {
         "algebra": algebra_to_json(phi.domain),
         "target_dim": phi.target_dim,
@@ -121,17 +120,17 @@ def cp_map_to_json(phi: CPMap) -> dict:
     }
 
 
-def cp_map_from_json(data: Any, where: str = "phi") -> CPMap:
+def cp_map_from_json(data: Any, where: str = "phi") -> cpmaps.CPMap:
     try:
         algebra = algebra_from_json(data["algebra"], f"{where}.algebra")
         target_dim = int(data["target_dim"])
         raw = data["values_on_units"]
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{where}: expected algebra/target_dim/values_on_units") from exc
-    return CPMap(algebra, target_dim, _matrices_from_json(raw, f"{where}.values_on_units"))
+    return cpmaps.CPMap(algebra, target_dim, _matrices_from_json(raw, f"{where}.values_on_units"))
 
 
-def module_map_to_json(phi_map: ModuleMap) -> dict:
+def module_map_to_json(phi_map: extension.ModuleMap) -> dict:
     return {
         "domain": module_to_json(phi_map.domain),
         "h1_dim": phi_map.h1_dim,
@@ -140,7 +139,7 @@ def module_map_to_json(phi_map: ModuleMap) -> dict:
     }
 
 
-def module_map_from_json(data: Any, where: str = "Phi") -> ModuleMap:
+def module_map_from_json(data: Any, where: str = "Phi") -> extension.ModuleMap:
     try:
         domain = module_from_json(data["domain"], f"{where}.domain")
         h1 = int(data["h1_dim"])
@@ -148,7 +147,7 @@ def module_map_from_json(data: Any, where: str = "Phi") -> ModuleMap:
         raw = data["values"]
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{where}: expected domain/h1_dim/h2_dim/values") from exc
-    return ModuleMap(domain, h1, h2, _matrices_from_json(raw, f"{where}.values", (h2, h1)))
+    return extension.ModuleMap(domain, h1, h2, _matrices_from_json(raw, f"{where}.values", (h2, h1)))
 
 
 def tolerance_from_json(data: Any) -> ToleranceProfile:

@@ -5,12 +5,19 @@
 rename in the library would otherwise only surface mid-benchmark.
 """
 
+import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
 
+from semiphi import serialization as ser
+from semiphi.fixtures import example_2_1
+
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
+SRC = BENCH.parent / "src"
 
 
 @pytest.fixture
@@ -54,3 +61,80 @@ def test_extend_requests_run_traced(bench_modules, tmp_path):
     # obstruction's table.
     assert layers["extension.gram_pair.calls"] == 1.0
     assert layers["modules.ConcreteModule.coefficients.calls"] == 1.0
+
+
+def run_fresh(argv, **kwargs):
+    """Run ``argv`` in a fresh interpreter that imports this checkout's
+    package and writes no bytecode into bench/."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120, **kwargs)
+
+
+# The distinct span names a traced child records on example 2.1 (n = 1).
+CHILD_SPANS = {
+    "check-cp": [
+        "cli.main",
+        "cpmaps.choi",
+        "numerics.is_psd",
+        "serialization.cp_map_from_json",
+        "serialization.dump_report",
+        "serialization.load_problem",
+    ],
+    "extend": [
+        "cli.main",
+        "cpmaps.choi",
+        "cpmaps.kraus",
+        "cpmaps.stinespring",
+        "extension.extend_semi_phi",
+        "extension.gram_pair",
+        "extension.ksgns",
+        "extension.phi_extension_obstruction",
+        "modules.ConcreteModule.coefficients",
+        "modules.validate_module",
+        "numerics.column_span_onb",
+        "numerics.least_squares_operator",
+        "numerics.nullspace_onb",
+        "numerics.operator_norm",
+        "serialization.cp_map_from_json",
+        "serialization.dump_report",
+        "serialization.load_problem",
+        "serialization.module_from_json",
+        "serialization.module_map_from_json",
+    ],
+}
+
+
+@pytest.mark.parametrize("command", sorted(CHILD_SPANS))
+def test_traced_cli_child_records_every_span(command, tmp_path):
+    """The cli_files child builds the tracer after ``import semiphi.cli``
+    alone, so it reaches layers that the command has not run yet."""
+    fx = example_2_1(1)
+    payload = {
+        "phi": ser.cp_map_to_json(fx.phi),
+        "Phi": ser.module_map_to_json(fx.phi_map),
+        "E": ser.module_to_json(fx.e),
+    }
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({"schema_version": "1", "payload": payload}))
+    spans = tmp_path / "spans.json"
+    done = run_fresh([str(BENCH / "cli_child.py"), str(spans), command, str(problem), "--json"])
+    assert done.returncode == 0, done.stderr
+    recorded = json.loads(spans.read_text())["spans"]
+    assert sorted({span[0] for span in recorded}) == CHILD_SPANS[command]
+
+
+def test_tracer_patches_package_names_read_after_it():
+    """A package name first read after the tracer is built (as a benchmark
+    request does) reads the wrapper while the tracer is installed and the
+    original after it is removed."""
+    script = (
+        "import semiphi, tracing\n"
+        "tracer = tracing.Tracer()\n"
+        "tracer.install()\n"
+        "assert semiphi.is_cp_system_map.__wrapped__ is semiphi.paulsen.is_cp_system_map.__wrapped__\n"
+        "tracer.uninstall()\n"
+        "assert not hasattr(semiphi.is_cp_system_map, '__wrapped__')\n"
+    )
+    done = run_fresh(["-c", script], cwd=BENCH)
+    assert done.returncode == 0, done.stderr

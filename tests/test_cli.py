@@ -15,6 +15,7 @@ import semiphi.paulsen as paulsen
 import semiphi.serialization as ser
 from semiphi import (
     BlockAlgebra,
+    CPMap,
     ConcreteModule,
     ExtensionInputError,
     HermiticityError,
@@ -28,9 +29,10 @@ from semiphi import (
     block_map,
     canonical_compacts_extension,
     identity_cp_map,
+    injectivity_demo,
     transpose_map,
 )
-from semiphi.cli import EXIT_INTERNAL, main
+from semiphi.cli import EXIT_INTERNAL, EXIT_OK, EXIT_REFUTED, main
 from semiphi.fixtures import compacts_fixture, example_2_1, scalar_fixture
 
 from conftest import full_rectangular_module
@@ -253,6 +255,54 @@ def test_cli_import_leaves_the_fixtures_unloaded():
     assert done.returncode == 0, done.stderr
 
 
+LAYERS = ("numerics", "algebra", "cpmaps", "modules", "extension", "paulsen", "serialization")
+
+
+@pytest.mark.parametrize(
+    "command, unrun",
+    [
+        ("check-cp", ["modules", "extension", "paulsen"]),
+        ("stinespring", ["modules", "extension", "paulsen"]),
+        ("extend", ["paulsen"]),
+        ("obstruction", ["paulsen"]),
+        ("check-semiphi", ["paulsen"]),
+        ("witness", ["paulsen"]),
+        ("paulsen", []),
+    ],
+)
+def test_each_command_runs_only_the_layers_it_uses(command, unrun, tmp_path):
+    """In a fresh process, a command leaves the layers it does not call
+    unrun: still the lazy modules that ``import semiphi`` registered, whose
+    type is not ``ModuleType`` (reading any attribute would run them)."""
+    fx = example_2_1(1)
+    path = write_problem(
+        tmp_path / "problem.json",
+        {
+            "phi": ser.cp_map_to_json(fx.phi),
+            "Phi": ser.module_map_to_json(fx.phi_map),
+            "E": ser.module_to_json(fx.e),
+            "F": ser.module_to_json(fx.f),
+            "codomain_module": ser.module_to_json(full_rectangular_module(fx.phi_map.h2_dim, fx.phi_map.h1_dim)),
+        },
+    )
+    script = (
+        "import contextlib, io, json, sys, types\n"
+        "import semiphi.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(sys.argv[2:])\n"
+        "layers = sys.argv[1].split(',')\n"
+        "print(json.dumps([code, [l for l in layers if type(sys.modules['semiphi.' + l]) is not types.ModuleType]]))\n"
+    )
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-c", script, ",".join(LAYERS), command, path, "--json"]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    code, unrun_after = json.loads(done.stdout)
+    assert code in (EXIT_OK, EXIT_REFUTED)
+    assert unrun_after == unrun
+
+
 def test_demos_reuse_engine_stages(monkeypatch, capsys):
     counts = {"_extend": 0, "phi_extension_obstruction": 0}
     for name in counts:
@@ -278,12 +328,20 @@ def test_demo_example_3_9_reports_both_restrictions(monkeypatch, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["verdicts"] == {"extension_exists": True, "restriction_agrees": True}
     assert report["margins"]["cp_restriction_defect"] == 0.0
-    # extension_exists reads the CP part's restriction, not a constant.
-    monkeypatch.setattr(cli, "_cp_restriction_defect", lambda *args: 1.0)
+    # extension_exists reads the CP part's restriction, not a constant: a
+    # zero CP part misses phi by phi's largest value.
+    largest = []
+
+    def zero_cp_part(g, f, embedding, phi_map, phi, tol):
+        psi_map, psi = injectivity_demo(g, f, embedding, phi_map, phi, tol)
+        largest.append(ext._largest_norm(phi._value_stack))
+        return psi_map, CPMap(psi.domain, psi.target_dim, tuple(0 * psi._value_stack))
+
+    monkeypatch.setattr(paulsen, "injectivity_demo", zero_cp_part)
     assert main(["demo", "example-3-9", "--n", "2", "--seed", "4", "--json"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["verdicts"] == {"extension_exists": False, "restriction_agrees": True}
-    assert report["margins"]["cp_restriction_defect"] == 1.0
+    assert report["margins"]["cp_restriction_defect"] == largest[0] > 0.0
 
 
 def test_demo_size_bound(capsys):

@@ -26,9 +26,9 @@ from .algebra import BlockAlgebra
 from .numerics import (
     SelfCheckError,
     ToleranceProfile,
-    _construction_threshold,
     _fixture_agrees,
     _fixture_identity_holds,
+    _reconstruction_threshold,
 )
 from .serialization import SchemaError
 
@@ -95,7 +95,7 @@ def cmd_stinespring(args, doc, tol):
     # The dilation is a construction: it succeeds whatever the check says.
     return (
         True,
-        {"dilation_reconstructs": defect <= _construction_threshold(tol, 1.0)},
+        {"dilation_reconstructs": defect <= _reconstruction_threshold(tol, phi._value_stack)},
         {"reconstruction_defect": defect, "rank": dil.rank},
         {"V": ser.matrix_to_json(dil.V)},
     )

@@ -1,10 +1,11 @@
 """Module maps, the Gram criterion for completely semi-compatible maps, the
 KSGNS-style universal map, and the extension engine with its corollaries.
 
-The target Hilbert space of the universal map is realized concretely as a
-subspace of ``C^p (x) C^r`` (columns of an orthonormal basis ``Q``) instead
-of an abstract GNS quotient, so every intermediate operator is an explicit
-matrix.  The engine's output is certified from scratch: restriction,
+The engine factors through the carrier map ``x -> (x (x) I_r) V`` into
+``C^p (x) C^r`` (:func:`_carrier_map`), so every intermediate operator is an
+explicit matrix; :func:`ksgns` compresses it to its range (columns of an
+orthonormal basis ``Q``), the universal map in place of an abstract GNS
+quotient.  The engine's output is certified from scratch: restriction,
 contraction bound, and the semi-compatibility of the extension are all
 re-verified on the result rather than inherited from the construction.
 """
@@ -179,61 +180,50 @@ def is_nondegenerate(phi_map: ModuleMap, tol: ToleranceProfile = DEFAULT_TOL) ->
 class KsgnsResult:
     """Universal map through which semi-compatible maps factor by contraction.
     Its self-check reads ``gram``, the Gram pair of the map on ``e``, equal to
-    a fresh :func:`gram_pair` of ``map``.
-
-    The result also holds the ``(p r) x (dim e * m)`` matrix ``C`` of carrier
-    columns ``(e_i (x) I_r) V e_l`` (l fast) that ``map`` was built from (the
-    keyword-only ``_carrier``): ``C* C`` is ``phi~(<e_i, e_j>)`` up to the
-    dilation's rank cut and rounding, and the engine re-certifies its
-    extension on it (see :func:`_ksgns_carrier`).
-    """
+    a fresh :func:`gram_pair` of ``map``."""
 
     map: ModuleMap
     onb: np.ndarray
     dilation: StinespringDilation
     gram: GramPair
-    _carrier: np.ndarray = field(repr=False, kw_only=True)
 
 
-def ksgns(
-    phi: CPMap, e: ConcreteModule, tol: ToleranceProfile = DEFAULT_TOL, *, _table: np.ndarray | None = None
-) -> KsgnsResult:
-    """Kolmogorov-style factorization: the universal non-degenerate map.
+def ksgns(phi: CPMap, e: ConcreteModule, tol: ToleranceProfile = DEFAULT_TOL) -> KsgnsResult:
+    """Kolmogorov-style factorization: the universal non-degenerate map
+    ``x -> Q* (x (x) I_r) V``, the carrier map (:func:`_carrier_map`)
+    compressed to its range, ``Q`` an orthonormal basis of its columns (one
+    SVD).  It is self-checked on a fresh :func:`gram_pair`."""
+    carrier, dil = _carrier_map(phi, e, tol)
+    q_onb = column_span_onb(carrier.stacked_columns(), tol)
+    result = ModuleMap(e, carrier.h1_dim, q_onb.shape[1], tuple(dagger(q_onb) @ carrier._value_stack))
+    return KsgnsResult(result, q_onb, dil, _self_checked(result, gram_pair(result, phi), tol))
 
-    With ``V`` from the Stinespring dilation and ``r`` its rank, the carrier
-    space is ``span{(x (x) I_r) V h}`` inside ``C^p (x) C^r``; ``Q`` is an
-    orthonormal basis of it and the map sends ``x -> Q* (x (x) I_r) V``.
 
-    One call makes one Stinespring dilation (so one Choi check and one
-    eigendecomposition).  Since ``(x (x) I_r) V`` is ``x @ V`` with ``V``
-    read as a ``q x (r m)`` matrix, the carrier columns of every basis
-    element come from one matmul against the basis stack, and the values
-    from one batched product with ``Q*``.
-
-    The self-check compares the map's Gram matrix with the table
-    ``phi~(<e_i, e_j>)``.  The engine passes the table its obstruction has
-    already formed (the keyword-only ``_table``, a ``(dim e, dim e, m, m)``
-    array from ``phi.apply_pairs`` on e's basis); without it the table comes
-    from :func:`gram_pair`.  Either way ``gram`` is bit-equal to a fresh
-    :func:`gram_pair` of the map.
-    """
+def _carrier_map(phi: CPMap, e: ConcreteModule, tol: ToleranceProfile) -> tuple[ModuleMap, StinespringDilation]:
+    """The carrier map ``x -> (x (x) I_r) V`` of ``e`` into ``C^p (x) C^r``
+    and the Stinespring dilation (``V``, rank ``r``) it is built from.  Every
+    semi-compatible map on a submodule of ``e`` factors through it by a
+    contraction, and its carrier columns ``C`` (:meth:`~ModuleMap.stacked_columns`)
+    have ``C* C = phi~(<e_i, e_j>)`` up to the dilation's rank cut and
+    rounding.  ``(x (x) I_r) V`` is ``x @ V`` with ``V`` read as a
+    ``q x (r m)`` matrix: one matmul against the basis stack."""
     if e.algebra.blocks != phi.domain.blocks:
         raise ShapeError("module and CP map live over different algebras")
     dil = stinespring(phi, tol)
     r, m, p, q = dil.rank, phi.target_dim, e.row_dim, phi.domain.ambient_dim
-    # cols[i] = (x_i (x) I_r) V, a (p r) x m matrix.
-    cols = (e._basis_stack @ dil.V.reshape(q, r * m)).reshape(e.dim, p * r, m)
-    stacked = cols.transpose(1, 0, 2).reshape(p * r, e.dim * m)
-    q_onb = column_span_onb(stacked, tol, height=p * r)
-    values = tuple(dagger(q_onb) @ cols)
-    result = ModuleMap(e, m, q_onb.shape[1], values)
-    pair = gram_pair(result, phi) if _table is None else _paired(_table_matrix(_table), result)
-    report = _block_defect(result, pair, _construction_tol(tol))
+    values = (e._basis_stack @ dil.V.reshape(q, r * m)).reshape(e.dim, p * r, m)
+    return ModuleMap(e, m, p * r, tuple(values)), dil
+
+
+def _self_checked(phi_map: ModuleMap, pair: GramPair, tol: ToleranceProfile) -> GramPair:
+    """``pair``, once the constructed ``phi_map`` is exactly compatible on it
+    at the construction tolerance; :class:`SelfCheckError` otherwise."""
+    report = _block_defect(phi_map, pair, _construction_tol(tol))
     if not report.ok:
         raise SelfCheckError(
             f"universal map failed its compatibility self-check (defect {report.worst_defect:.3e})"
         )
-    return KsgnsResult(result, q_onb, dil, pair, _carrier=stacked)
+    return pair
 
 
 @dataclass(frozen=True)
@@ -665,25 +655,24 @@ class ExtensionReport:
 
 @dataclass(eq=False)
 class ExtensionResult:
-    """The extension ``phi_prime = S0 o universal`` with the input map, the
-    universal map, the contraction ``S0``, the dilation and its certificate.
-    Stages: obstruction (forms the one table ``phi~(<e_i, e_j>)`` and the
-    coefficients of f's basis over e's), input semi check and
-    ``input_is_phi_map`` (the input's own pair on ``f``), :func:`ksgns` (its
-    ``gram`` on ``e`` reads the obstruction's table), least squares (no
-    pair), the re-certification of ``phi_prime``, which reads ``gram``:
-    ksgns's ``g_phi`` against the Gram matrix of the columns of
-    ``phi_prime``, decided by :func:`_decide_gap` on ksgns's carrier
-    (:func:`_ksgns_carrier`) or on that pair, and on the exact branch the two
-    ``e x (f + f_perp)`` tables, contractions of the same table.  ``gram``
-    is bit-equal to a fresh :func:`gram_pair` of ``phi_prime``; the report's
-    ``extension_semi_margin`` is its gap's smallest eigenvalue up to the
-    rounding of the path that decided.
+    """The extension ``phi_prime = S0 o carrier`` with the input map, the
+    contraction ``S0`` (``k x p r``, on the carrier space ``C^p (x) C^r``),
+    the dilation and its certificate.  Stages: obstruction (forms the one
+    table ``phi~(<e_i, e_j>)`` and the coefficients of f's basis over e's),
+    input semi check and ``input_is_phi_map`` (the input's own pair on
+    ``f``), the carrier map (:func:`_carrier_map`, self-checked against the
+    obstruction's table), least squares (no pair), the re-certification of
+    ``phi_prime``, which reads ``gram``: the table against the Gram matrix of
+    the columns of ``phi_prime``, decided by :func:`_decide_gap` on the
+    carrier columns (:func:`_ksgns_carrier`) or on that pair, and on the
+    exact branch the two ``e x (f + f_perp)`` tables, contractions of the
+    same table.  ``gram`` is bit-equal to a fresh :func:`gram_pair` of
+    ``phi_prime``; the report's ``extension_semi_margin`` is its gap's
+    smallest eigenvalue up to the rounding of the path that decided.
     """
 
     phi_prime: ModuleMap
     original: ModuleMap
-    ksgns_map: ModuleMap
     contraction: np.ndarray
     dilation: StinespringDilation
     gram: GramPair
@@ -699,8 +688,9 @@ def extend_semi_phi(
     """Extend a completely semi-compatible map from a submodule to the whole
     module, with the extension again completely semi-compatible.
 
-    The contraction ``S0`` is produced by least squares over the spanning set
-    of universal-map vectors; well-definedness is certified by the residual.
+    The contraction ``S0`` is produced by least squares over the carrier
+    vectors of the submodule basis (:func:`_carrier_map`); well-definedness
+    is certified by the residual.
     When the input is an exactly compatible map and the obstruction vanishes,
     the extension kills the orthogonal complement and is exactly compatible
     against the complemented submodule (the report records both checks).
@@ -734,37 +724,36 @@ def _extend(
             f"input map is not completely semi-compatible (margin {semi.margin:.3e})"
         )
     k, m = phi_map.h2_dim, phi_map.h1_dim
-    kres = ksgns(phi, e, tol, _table=obstruction._table)
-    universal = kres.map
+    carrier, dil = _carrier_map(phi, e, tol)
+    pair = _self_checked(carrier, _paired(_table_matrix(obstruction._table), carrier), tol)
 
-    # Values of the universal map on the submodule basis, through the
-    # coefficients of f's basis over e's that the submodule check formed, as
-    # the columns U(f_i) e_l (l fast) next to the columns Phi(f_i) e_l.
+    # Carrier columns of the submodule basis, through the coefficients of f's
+    # basis over e's that the submodule check formed, as the columns
+    # C(f_i) e_l (l fast) next to the columns Phi(f_i) e_l.
     f_coeffs = obstruction._f_coefficients
-    univ_on_f = np.tensordot(f_coeffs, universal._value_stack, axes=1)
-    a_cols = univ_on_f.transpose(1, 0, 2).reshape(universal.h2_dim, f.dim * m)
+    carrier_on_f = np.tensordot(f_coeffs, carrier._value_stack, axes=1)
+    a_cols = carrier_on_f.transpose(1, 0, 2).reshape(carrier.h2_dim, f.dim * m)
     b_cols = phi_map.stacked_columns()
     # S0 vanishes off the column span of a_cols: it needs no projection onto it.
     s0, residual = least_squares_operator(a_cols, b_cols, tol)
-    b_scale = float(np.linalg.norm(b_cols)) if b_cols.size else 0.0
     # Loosened bound: the exact-arithmetic residual is 0 under the semi
-    # hypothesis; numerical rank cuts in the ONB can leave small remnants.
-    if residual > _construction_threshold(tol, max(b_scale, 1.0)):
+    # hypothesis; the numerical rank cuts of the dilation and of the solve
+    # can leave small remnants.
+    if residual > _construction_threshold(tol, max(float(np.linalg.norm(b_cols)), 1.0)):
         raise ExtensionInputError(
             f"least-squares system for the contraction is inconsistent (residual {residual:.3e})"
         )
-    norm_bound = _contraction_bound(tol)
     s0_norm = operator_norm(s0)
-    if s0_norm > norm_bound:
+    if s0_norm > _contraction_bound(tol):
         raise ExtensionInputError(
             f"factoring operator has norm {s0_norm:.6f} > 1; semi hypothesis violated"
         )
-    phi_prime = ModuleMap(e, m, k, tuple(s0 @ universal._value_stack))
+    phi_prime = ModuleMap(e, m, k, tuple(s0 @ carrier._value_stack))
 
     # Restriction certificate, re-derived through the same coefficients.
     prime_on_f = np.tensordot(f_coeffs, phi_prime._value_stack, axes=1)
-    gram = _paired(kres.gram.g_phi, phi_prime)  # the universal map is on e too
-    semi_prime = _decide_gap(partial(_ksgns_carrier, phi_prime, kres, gram), lambda: gram, tol)
+    gram = _paired(pair.g_phi, phi_prime)  # the carrier map is on e too
+    semi_prime = _decide_gap(partial(_ksgns_carrier, phi_prime, carrier, pair), lambda: gram, tol)
     # The exact check on the input reads the Gram pair of the semi check.
     input_is_phi_map = _block_defect(phi_map, semi.gram, tol).ok
     killed = exact_defect = None
@@ -786,7 +775,7 @@ def _extend(
 
     report = ExtensionReport(
         empty_submodule=f.dim == 0,
-        zero_cp_map=kres.dilation.rank == 0,
+        zero_cp_map=dil.rank == 0,
         contraction_norm=s0_norm,
         least_squares_residual=residual,
         restriction_defect=_largest_norm(prime_on_f - phi_map._value_stack),
@@ -798,13 +787,13 @@ def _extend(
         complement_killed_defect=killed,
         exact_on_complemented_defect=exact_defect,
     )
-    return ExtensionResult(phi_prime, phi_map, universal, s0, kres.dilation, gram, report)
+    return ExtensionResult(phi_prime, phi_map, s0, dil, gram, report)
 
 
-def _ksgns_carrier(phi_prime: ModuleMap, kres: KsgnsResult, gram: GramPair) -> _Carrier | None:
-    """The KSGNS carrier ``C`` (``kres._carrier``) of the extension
-    ``phi_prime = S0 o universal``'s gap against the independent table
-    ``T = gram.g_phi``, for :func:`_decide_gap`.
+def _ksgns_carrier(phi_prime: ModuleMap, carrier: ModuleMap, pair: GramPair) -> _Carrier | None:
+    """The KSGNS carrier ``C`` (the carrier map's columns, whose self-checked
+    ``pair`` is ``T`` against ``C* C``) of the gap of the extension
+    ``phi_prime = S0 o carrier`` against the table ``T``, for :func:`_decide_gap`.
 
     With ``B`` the extension's :meth:`~ModuleMap.stacked_columns`,
     ``X = [C; B]`` and ``J = diag(I, -I_k)``, the gap is
@@ -815,27 +804,27 @@ def _ksgns_carrier(phi_prime: ModuleMap, kres: KsgnsResult, gram: GramPair) -> _
     ``_CARRIER_MIN_GAP``, a carrier no smaller than ``N`` and values near
     overflow.
     """
-    carrier, cols = kres._carrier, phi_prime.stacked_columns()
-    dim, rows = gram.g_phi.shape[0], len(carrier) + len(cols)
+    columns, cols = carrier.stacked_columns(), phi_prime.stacked_columns()
+    dim, rows = pair.g_phi.shape[0], len(columns) + len(cols)
     if dim < _CARRIER_MIN_GAP or rows >= dim:
         return None
-    carrier_mass = float(np.vdot(carrier, carrier).real)  # |C|_F^2
+    carrier_mass = float(np.vdot(columns, columns).real)  # |C|_F^2
     map_mass = float(np.vdot(cols, cols).real)  # |B|_F^2
     # Every product either path forms is bounded by this.
-    scale = float(np.linalg.norm(gram.g_phi)) + carrier_mass + map_mass
+    scale = float(np.linalg.norm(pair.g_phi)) + carrier_mass + map_mass
     if not _far_from_overflow(scale):
         return None
-    delta = float(np.linalg.norm(gram.g_phi - dagger(carrier) @ carrier))
+    delta = float(np.linalg.norm(pair.g_phi - pair.g_map))
     # The rounding of the table path (B* B, the difference, the N x N solve),
     # of the carrier path (the QR and the small solve) and of delta (C* C).
     error = (
         delta
         + _rounding_band(dim + len(cols) + 1, scale)
         + _rounding_band(dim + rows, scale)
-        + _rounding_band(len(carrier) + 1, scale)
+        + _rounding_band(len(columns) + 1, scale)
     )
-    signs = np.concatenate([np.ones(len(carrier)), -np.ones(len(cols))])
-    return dagger(np.concatenate([carrier, cols])), signs, error
+    signs = np.concatenate([np.ones(len(columns)), -np.ones(len(cols))])
+    return dagger(np.concatenate([columns, cols])), signs, error
 
 
 def compare_extensions(

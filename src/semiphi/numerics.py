@@ -133,6 +133,15 @@ def _construction_threshold(tol: ToleranceProfile, scale: float) -> float:
     return _CONSTRUCTION_SLACK * tol.threshold(scale)
 
 
+def _reconstruction_threshold(tol: ToleranceProfile, values: np.ndarray) -> float:
+    """The threshold for the defect of a construction that reproduces the
+    stack ``values``: :func:`_construction_threshold` in units of its largest
+    spectral norm (:meth:`ToleranceProfile.bounded_threshold`), which a
+    rescaling moves alike with the defect."""
+    scale = _max_operator_norm(values, 0.0)
+    return _CONSTRUCTION_SLACK * tol.bounded_threshold(scale, scale)
+
+
 def _contraction_bound(tol: ToleranceProfile) -> float:
     """The largest operator norm accepted for a computed contraction: 1 plus
     ten times both parts of ``tol``, room for the rounding of the solve that

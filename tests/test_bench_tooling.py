@@ -57,9 +57,12 @@ def test_extend_requests_run_traced(bench_modules, tmp_path):
     layers = tracing.per_layer(tracer.spans, len(picked))
     assert layers["modules.validate_module.repeat_ratio"] == 1.0
     assert layers["extension.phi_extension_obstruction.calls"] == 1.0
-    # The input semi check on F; the universal map's pair on E reads the
+    # The input semi check on F; the carrier map's pair on E reads the
     # obstruction's table.
     assert layers["extension.gram_pair.calls"] == 1.0
+    # The engine factors through the carrier map, with no orthonormal basis.
+    assert layers["extension.ksgns.calls"] == 0.0
+    assert layers["numerics.column_span_onb.calls"] == 0.0
     assert layers["modules.ConcreteModule.coefficients.calls"] == 1.0
 
 
@@ -88,11 +91,9 @@ CHILD_SPANS = {
         "cpmaps.stinespring",
         "extension.extend_semi_phi",
         "extension.gram_pair",
-        "extension.ksgns",
         "extension.phi_extension_obstruction",
         "modules.ConcreteModule.coefficients",
         "modules.validate_module",
-        "numerics.column_span_onb",
         "numerics.least_squares_operator",
         "numerics.nullspace_onb",
         "numerics.operator_norm",

@@ -664,20 +664,24 @@ class TestRecertification:
     def test_wide_call_takes_no_gap_sized_solve(self, corrupt, monkeypatch):
         # extend_wide's largest semi shape: dim E 24, N = 96, at the default
         # cutoff.  The carrier decides with a solve of p r + k rows; a carrier
-        # corrupted far from the table hands the decision back to it, which
+        # corrupted away from the table hands the decision back to it, which
         # takes the one N x N solve.
         phi_map, e, phi = wide_problem(0, (2, 2), (1, 1), False)
         n_dim = e.dim * 4
         assert n_dim == 96 >= ext._CARRIER_MIN_GAP
         if corrupt:
-            build = ext.ksgns
+            build = ext._carrier_map
 
-            def corrupted(*args, **kwargs):
-                result = build(*args, **kwargs)
-                result._carrier = 1.5 * result._carrier
-                return result
+            def corrupted(*args):
+                # C scaled by 1 + 1e-7 stays inside the carrier map's
+                # construction self-check against the table, while
+                # delta = |T - C* C|_F, about 2e-7 |T|_F, is far above what
+                # lets the carrier's verdict clear its threshold.
+                carrier, dil = build(*args)
+                values = tuple((1.0 + 1e-7) * carrier._value_stack)
+                return ext.ModuleMap(carrier.domain, carrier.h1_dim, carrier.h2_dim, values), dil
 
-            monkeypatch.setattr(ext, "ksgns", corrupted)
+            monkeypatch.setattr(ext, "_carrier_map", corrupted)
         calls = count_paths(monkeypatch)
         result = extend_semi_phi(phi_map, e, phi)
         solves = list(calls["eigvalsh"])

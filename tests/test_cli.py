@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import semiphi.cli as cli
+import semiphi.cpmaps as cpmaps
 import semiphi.extension as ext
 import semiphi.paulsen as paulsen
 import semiphi.serialization as ser
@@ -28,6 +29,7 @@ from semiphi import (
     SystemDecompositionError,
     block_map,
     canonical_compacts_extension,
+    from_kraus,
     identity_cp_map,
     injectivity_demo,
     transpose_map,
@@ -230,6 +232,37 @@ def test_stinespring_command(tmp_path, capsys):
     assert main(["stinespring", path, "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["margins"]["rank"] == 1
+
+
+def rescaled_stinespring_verdicts(tmp_path, capsys, phi):
+    """``dilation_reconstructs`` of ``semiphi stinespring`` on ``c * phi``."""
+    verdicts = []
+    for c in (1e-8, 1.0, 1e10, 1e12):
+        scaled = CPMap(phi.domain, phi.target_dim, tuple(c * phi._value_stack))
+        path = write_problem(tmp_path / f"phi-{c}.json", {"phi": ser.cp_map_to_json(scaled)})
+        assert main(["stinespring", path, "--json"]) == 0
+        verdicts.append(json.loads(capsys.readouterr().out)["verdicts"]["dilation_reconstructs"])
+    return verdicts
+
+
+def test_stinespring_verdict_is_scale_free(tmp_path, capsys, monkeypatch):
+    # One Kraus operator: the Choi matrix has one nonzero eigenvalue, which
+    # the dilation keeps at every c here.  The defect of the dilation is
+    # decided at the map's own scale, so at 1e10 the correct dilation is not
+    # refused for its rounding (1.4e-5, about 1e-15 relative), and at 1e-8
+    # the zero dilation is not accepted for being small.
+    rng = np.random.default_rng(0)
+    kraus = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    phi = from_kraus(BlockAlgebra((3,)), [kraus], target_dim=2)
+    assert rescaled_stinespring_verdicts(tmp_path, capsys, phi) == [True] * 4
+    build = cpmaps.stinespring
+
+    def zero_dilation(*args):
+        dil = build(*args)
+        return dataclasses.replace(dil, V=0.0 * dil.V)
+
+    monkeypatch.setattr(cpmaps, "stinespring", zero_dilation)
+    assert rescaled_stinespring_verdicts(tmp_path, capsys, phi) == [False] * 4
 
 
 def test_demos_all_pass(capsys):

@@ -154,13 +154,24 @@ class CPMap:
 
         ``xs`` and ``ys`` are ``(d_x, p, q)`` and ``(d_y, p, q)`` stacks of
         module elements, such as a module basis; the result is the
-        ``(d_x, d_y, m, m)`` array of ``phi~(<x_i, y_j>)``.  The pinch keeps
-        only the diagonal blocks of each inner product, so only the block
-        slices ``xs[:, :, sl]* ys[:, :, sl]`` are formed: one batched
-        :func:`~semiphi.numerics.adjoint_products` per block size, with the
-        blocks as the batch, mapped by one matmul against those blocks'
-        ``(n^2, m^2)`` values, in place of ``d_x * d_y`` calls to
-        :meth:`apply_ambient`.
+        ``(d_x, d_y, m, m)`` array of ``phi~(<x_i, y_j>)``, in place of
+        ``d_x * d_y`` calls to :meth:`apply_ambient`.  The pinch keeps only
+        the diagonal blocks of each inner product, so each group of ``b``
+        equal-size blocks (size ``n``) contracts its block slices of ``xs``
+        and ``ys`` against its blocks' ``(n^2, m^2)`` values, in one of two
+        orders (see :func:`_pair_order`):
+
+        * products first (:func:`_products_first`) forms every block product
+          ``x_i[:, k]* y_j[:, k]`` and maps them with one matmul, which
+          costs ``d_x d_y b n^2 (p + m^2)`` multiply-adds and a
+          ``(b, d_x, d_y, n, n)`` temporary;
+        * values first (:func:`_values_first`) contracts each ``x_i``'s
+          conjugate slices with the values and then ``y_j``'s slices with
+          that, which costs ``d_x b p n m^2 (n + d_y)`` and one temporary
+          ``m^2`` times the size of ``xs``' slices, with no product array.
+
+        Each group takes the order with the smaller count, from its shapes
+        alone.
         """
         q, m = self.domain.ambient_dim, self.target_dim
         if xs.shape[1:] != ys.shape[1:] or xs.shape[2:] != (q,):
@@ -170,12 +181,8 @@ class CPMap:
         (dx, p, _), dy = xs.shape, len(ys)
         values = None
         for n, columns, group_values in self._size_groups:
-            b = len(group_values) // (n * n)
-            # (b, d, p, n): the slices of each block of the group, block-major.
-            x_blocks = xs[:, :, columns].reshape(dx, p, b, n).transpose(2, 0, 1, 3)
-            y_blocks = ys[:, :, columns].reshape(dy, p, b, n).transpose(2, 0, 1, 3)
-            products = adjoint_products(x_blocks, y_blocks).transpose(1, 2, 0, 3, 4)
-            mapped = products.reshape(dx * dy, b * n * n) @ group_values
+            order = _pair_order(dx, dy, len(group_values) // (n * n), n, p, m)
+            mapped = order(xs[:, :, columns], ys[:, :, columns], n, group_values)
             values = mapped if values is None else np.add(values, mapped, out=values)
         return values.reshape(dx, dy, m, m)
 
@@ -190,6 +197,48 @@ class CPMap:
         img = self.apply_ambient(self.domain.identity())
         eye = np.eye(self.target_dim, dtype=complex)
         return float(np.linalg.norm(img - eye)) <= tol.threshold(1.0)
+
+
+# The two contraction orders of one size group of :meth:`CPMap.apply_pairs`.
+# Each takes the group's ``(d_x, p, b n)`` and ``(d_y, p, b n)`` column slices
+# of the two stacks (block after block), the block size ``n`` and the group's
+# ``(b n^2, m^2)`` values, and returns the group's ``(d_x, d_y, m^2)`` share
+# of the table.
+
+
+def _products_first(x_cols: np.ndarray, y_cols: np.ndarray, n: int, group_values: np.ndarray) -> np.ndarray:
+    """Every block product ``x_i[:, k]* y_j[:, k]``, from one batched
+    :func:`~semiphi.numerics.adjoint_products` with the blocks as the batch,
+    mapped by one matmul against the values."""
+    (dx, p, bn), dy, mm = x_cols.shape, len(y_cols), group_values.shape[1]
+    b = bn // n
+    # (b, d, p, n): the slices of each block of the group, block-major.
+    x_blocks = x_cols.reshape(dx, p, b, n).transpose(2, 0, 1, 3)
+    y_blocks = y_cols.reshape(dy, p, b, n).transpose(2, 0, 1, 3)
+    products = adjoint_products(x_blocks, y_blocks).transpose(1, 2, 0, 3, 4)
+    return (products.reshape(dx * dy, b * n * n) @ group_values).reshape(dx, dy, mm)
+
+
+def _values_first(x_cols: np.ndarray, y_cols: np.ndarray, n: int, group_values: np.ndarray) -> np.ndarray:
+    """``W[i, k, s, c] = sum_a conj(x_i[s, (k, a)]) phi(E_ac)`` over the
+    units ``E_ac`` of block ``k``, by one matmul broadcast over the ``x_i``;
+    then each ``y_j``'s slices as one row ``(k, s, c)`` against ``W``, one
+    matmul per ``x_i`` writing its rows of the table.  No ``n^2``-sized
+    product array is formed."""
+    (dx, p, bn), dy, mm = x_cols.shape, len(y_cols), group_values.shape[1]
+    b = bn // n
+    x_blocks = np.conj(x_cols.reshape(dx, p, b, n).transpose(0, 2, 1, 3))
+    w = x_blocks @ group_values.reshape(b, n, n * mm)  # (d_x, b, p, n m^2)
+    y_rows = y_cols.reshape(dy, p, b, n).transpose(0, 2, 1, 3).reshape(dy, b * p * n)
+    return y_rows @ w.reshape(dx, b * p * n, mm)
+
+
+def _pair_order(dx: int, dy: int, b: int, n: int, p: int, m: int):
+    """The contraction order with fewer multiply-adds on a group of ``b``
+    blocks of size ``n``; products first on a tie."""
+    products = dx * dy * b * n * n * (p + m * m)
+    values = dx * b * p * n * m * m * (n + dy)
+    return _values_first if values < products else _products_first
 
 
 def from_kraus(algebra: BlockAlgebra, kraus_ops, target_dim: int | None = None) -> CPMap:
@@ -282,9 +331,10 @@ def kraus(phi: CPMap, tol: ToleranceProfile = DEFAULT_TOL) -> list[np.ndarray]:
     One call makes one :func:`choi` (so one hermiticity check) and one
     eigendecomposition of the symmetrized Choi matrix, from which both the
     CP verdict of :func:`is_completely_positive` and the operators are read.
-    Eigenvalue cutoff is relative to the largest eigenvalue; the returned
-    operators are canonical only up to unitary mixing, so compare Kraus sets
-    via the reconstruction identity, never entrywise.
+    The eigenvalue cutoff is taken in units of the largest eigenvalue, so a
+    rescaled map keeps every operator (and the zero map has none); the
+    returned operators are canonical only up to unitary mixing, so compare
+    Kraus sets via the reconstruction identity, never entrywise.
     """
     report, eigvals, eigvecs = _psd_eigh(_hermitian_part(choi(phi, tol), tol), tol)
     if not report.ok:
@@ -293,7 +343,7 @@ def kraus(phi: CPMap, tol: ToleranceProfile = DEFAULT_TOL) -> list[np.ndarray]:
         )
     q, m = phi.domain.ambient_dim, phi.target_dim
     # Eigenvalues ascend, so the kept ones are the top `rank`, taken largest first.
-    rank = _rank_cut(eigvals[::-1], tol)[0]
+    rank = _rank_cut(eigvals[::-1], tol, eigvals.max(initial=0.0))[0]
     lams, vecs = eigvals[::-1][:rank], eigvecs[:, ::-1][:, :rank]
     ops = np.sqrt(lams)[:, None, None] * vecs.T.reshape(rank, q, m).transpose(0, 2, 1)
     return list(ops)

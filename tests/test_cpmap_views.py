@@ -27,7 +27,7 @@ from semiphi.fixtures import (
     random_orthogonal_module_pair,
     random_semi_phi_fixture,
 )
-from semiphi.numerics import DEFAULT_TOL, HermiticityError
+from semiphi.numerics import DEFAULT_TOL, HermiticityError, _reconstruction_threshold
 
 
 BLOCKS = [(2, 2), (1, 3), (6, 6)]
@@ -195,6 +195,20 @@ class TestViewsMatchReference:
             dil = stinespring(empty)
             assert dil.rank == 0
             assert dil.reconstruction_defect(empty) == 0.0 == reference_reconstruction_defect(dil, empty)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_rescaled_map_keeps_every_kraus_operator(self, seed):
+        """The Choi eigenvalues are cut in units of the largest one, so a map
+        of Choi rank 6 keeps all six operators at every scale, and its
+        dilation reconstructs it at the threshold `semiphi stinespring`
+        decides with; at scale 1e-8 a cut with an absolute floor dropped one
+        to three of them."""
+        phi = random_cp_map(BlockAlgebra((2, 1)), 3, 3, np.random.default_rng(seed))
+        for c in (1e-8, 1.0, 1e10, 1e12):
+            scaled = CPMap(phi.domain, phi.target_dim, tuple(c * phi._value_stack))
+            dil = stinespring(scaled)
+            assert dil.rank == 6
+            assert dil.reconstruction_defect(scaled) <= _reconstruction_threshold(DEFAULT_TOL, scaled._value_stack)
 
 
 def reference_reconstruction_defect(dil, phi):

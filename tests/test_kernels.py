@@ -8,6 +8,7 @@ it was batched, so the comparisons never run the kernel on both sides.
 import itertools
 import pathlib
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from semiphi import (
     phi_extension_obstruction,
     zero_module_map,
 )
+from semiphi.cpmaps import _pair_order, _products_first, _values_first
 from semiphi.fixtures import (
     _random_unitary,
     compacts_fixture,
@@ -216,6 +218,135 @@ def test_per_block_pair_kernel_matches_the_ambient_loop(blocks, m):
     for i, j in itertools.product(range(4), range(5)):
         np.testing.assert_allclose(got[i, j], pair_value(phi, xs[i], ys[j]), rtol=0, atol=1e-13)
     assert phi.apply_pairs(xs[:0], ys).shape == (0, 5, m, m)
+
+
+# ---------------------------------------------------------------------------
+# The two contraction orders of the pair kernel.  Each size group of blocks
+# takes products first or values first, whichever needs fewer multiply-adds
+# at its shapes; both are checked here on their own against the per-pair
+# reference, whatever the rule would pick.
+
+ORDERS = [_products_first, _values_first]
+
+
+def table_by(order, phi, xs, ys):
+    """The pair table with every size group contracted in ``order``."""
+    m = phi.target_dim
+    table = np.zeros((len(xs), len(ys), m * m), dtype=complex)
+    for n, columns, values in phi._size_groups:
+        table += order(xs[:, :, columns], ys[:, :, columns], n, values)
+    return table.reshape(len(xs), len(ys), m, m)
+
+
+def assert_matches_ambient_loop(table, phi, xs, ys):
+    assert table.shape == (len(xs), len(ys), phi.target_dim, phi.target_dim)
+    for i, j in itertools.product(range(len(xs)), range(len(ys))):
+        np.testing.assert_allclose(table[i, j], pair_value(phi, xs[i], ys[j]), rtol=0, atol=1e-13)
+
+
+def random_stack(rng, d, p, q):
+    return rng.standard_normal((d, p, q)) + 1j * rng.standard_normal((d, p, q))
+
+
+def group_orders(phi, dx, dy, p):
+    """The order the rule picks for each size group, in group order."""
+    m = phi.target_dim
+    return [_pair_order(dx, dy, len(values) // (n * n), n, p, m) for n, _, values in phi._size_groups]
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=lambda order: order.__name__)
+@pytest.mark.parametrize("blocks", [(1,), (3,), (1, 2, 3), (2, 1, 2)])
+@pytest.mark.parametrize("m", [1, 3])
+def test_each_contraction_order_matches_the_ambient_loop(order, blocks, m):
+    """Both orders, called directly on every size group (the blocks of size
+    2 in ``(2, 1, 2)`` are not adjacent), against ``apply_ambient`` on each
+    full product ``x_i* y_j``."""
+    rng = np.random.default_rng(sum(blocks) + 10 * m)
+    algebra = BlockAlgebra(blocks)
+    phi = random_cp_map(algebra, m, 2, rng)
+    q, p = algebra.ambient_dim, 3
+    xs, ys = random_stack(rng, 4, p, q), random_stack(rng, 5, p, q)
+    assert_matches_ambient_loop(table_by(order, phi, xs, ys), phi, xs, ys)
+    assert table_by(order, phi, xs[:0], ys).shape == (0, 5, m, m)
+    assert table_by(order, phi, xs, ys[:0]).shape == (4, 0, m, m)
+
+
+@given(
+    blocks=st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=4),
+    m=st.integers(min_value=1, max_value=4),
+    p=st.integers(min_value=0, max_value=4),
+    dx=st.integers(min_value=0, max_value=5),
+    dy=st.integers(min_value=0, max_value=5),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(blocks=[1, 6], m=2, p=3, dx=4, dy=5, seed=0)  # products first on the 1, values first on the 6
+@example(blocks=[6, 1, 6], m=2, p=3, dx=5, dy=4, seed=1)
+@example(blocks=[2], m=1, p=0, dx=3, dy=2, seed=2)
+@settings(max_examples=40, deadline=None)
+def test_pair_kernel_matches_the_ambient_loop_in_either_order(blocks, m, p, dx, dy, seed):
+    """``apply_pairs``, and each order on its own, over mixed block sizes
+    (one call may run both orders), p = 0, unequal and empty stacks."""
+    rng = np.random.default_rng(seed)
+    algebra = BlockAlgebra(tuple(blocks))
+    phi = random_cp_map(algebra, m, 2, rng)
+    xs, ys = random_stack(rng, dx, p, algebra.ambient_dim), random_stack(rng, dy, p, algebra.ambient_dim)
+    assert_matches_ambient_loop(phi.apply_pairs(xs, ys), phi, xs, ys)
+    for order in ORDERS:
+        assert_matches_ambient_loop(table_by(order, phi, xs, ys), phi, xs, ys)
+
+
+def test_one_call_runs_both_orders():
+    """The property's first example takes one group of each order, so its
+    ``apply_pairs`` call sums a share from each."""
+    phi = random_cp_map(BlockAlgebra((1, 6)), 2, 2, np.random.default_rng(0))
+    assert group_orders(phi, 4, 5, 3) == [_products_first, _values_first]
+
+
+def test_flop_rule_at_the_benchmark_shapes(monkeypatch):
+    """Every table of decide_narrow and cli_files ((2, 2) blocks) keeps
+    products first, so their tables are those of the single-order kernel;
+    every extend_wide E table ((6, 6) blocks, dim E 12-24) takes values
+    first.  The shapes are read off the benchmark generator's problems."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as checked in
+    monkeypatch.syspath_prepend(str(BENCH))
+    import problems
+    import workloads
+
+    def orders(blocks, e_cols, f_cols, exact=False, tables=("e", "f")):
+        rng = np.random.default_rng(0)
+        args = (sum(e_cols) + 2, workloads.M, workloads.K, workloads.RANK, exact)
+        pr = problems.make_problem(rng, blocks, e_cols, f_cols, *args)
+        phi = problems.cp_map(pr)
+        stacks = {"e": np.array(pr.e_basis), "f": np.array(pr.f_basis)}
+        return {order for name in tables for order in group_orders(phi, len(stacks[name]), len(stacks[name]), pr.p)}
+
+    for c in workloads.NARROW_COLS:
+        assert orders((2, 2), (c, c), (c, c)) == {_products_first}
+    for c in workloads.CLI_COLS:
+        assert orders((2, 2), (c, c), (c // 2, c // 2)) == {_products_first}
+        assert orders((2, 2), (c, c), (c, 0), exact=True) == {_products_first}
+    for e_cols, f_cols, exact in workloads.WIDE_SHAPES:
+        assert orders((6, 6), e_cols, f_cols, exact, tables=("e",)) == {_values_first}
+
+
+def test_large_self_table_peak_memory_within_four_tables():
+    """A dim-196 self-table over (14, 14) at m = 4 takes values first, whose
+    one temporary is m^2 times the stack's slices: the peak stays below four
+    times the 9.8 MB table, where products first held a (2, 196, 196, 14, 14)
+    product array and its transposed copy (a 492 MB peak, 50 tables)."""
+    rng = np.random.default_rng(0)
+    phi = random_cp_map(BlockAlgebra((14, 14)), 4, 2, rng)
+    xs = random_stack(rng, 196, 16, 28)
+    assert group_orders(phi, 196, 196, 16) == [_values_first]
+    phi.apply_pairs(xs[:1], xs[:1])  # warm the cached size groups
+    tracemalloc.start()
+    try:
+        table = phi.apply_pairs(xs, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.nbytes == 196 * 196 * 16 * np.dtype(complex).itemsize
+    assert peak < 4 * table.nbytes
 
 
 # ---------------------------------------------------------------------------

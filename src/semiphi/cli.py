@@ -24,6 +24,7 @@ from . import cpmaps, extension, modules, paulsen
 from . import serialization as ser
 from .algebra import BlockAlgebra
 from .numerics import (
+    DEFAULT_TOL,
     SelfCheckError,
     ToleranceProfile,
     _fixture_agrees,
@@ -38,14 +39,16 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 
-def _default_tol() -> float:
+def _default_tol() -> ToleranceProfile:
+    """``SEMIPHI_TOL`` as both parts of the profile, else ``DEFAULT_TOL``."""
     env = os.environ.get("SEMIPHI_TOL")
     if env is None:
-        return 1e-9
+        return DEFAULT_TOL
     try:
-        return float(env)
+        base = float(env)
     except ValueError:
         raise SchemaError(f"SEMIPHI_TOL is not a number: {env!r}")
+    return ToleranceProfile(abs_tol=base, rel_tol=base)
 
 
 def _tolerance(args, doc: dict | None) -> ToleranceProfile:
@@ -53,8 +56,7 @@ def _tolerance(args, doc: dict | None) -> ToleranceProfile:
         return ToleranceProfile(abs_tol=args.tol, rel_tol=args.tol)
     if doc is not None and doc.get("tolerance") is not None:
         return ser.tolerance_from_json(doc["tolerance"])
-    base = _default_tol()
-    return ToleranceProfile(abs_tol=base, rel_tol=base)
+    return _default_tol()
 
 
 #: Payload key -> the ``serialization`` reader that parses it.  Readers are
@@ -172,7 +174,7 @@ def cmd_compare(args, doc, tol):
 def cmd_paulsen(args, doc, tol):
     phi, phi_map, codomain = _load(doc, "phi", "Phi", "codomain_module")
     sm = paulsen.block_map(phi_map, phi, codomain, tol)
-    verdict = paulsen.is_cp_system_map(sm, tol, rng=np.random.default_rng(args.seed))
+    verdict = paulsen.is_cp_system_map(sm, tol)
     verdicts = {
         "cp_system_map": verdict.ok,
         "unital": sm.unital,

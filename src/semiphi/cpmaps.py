@@ -29,11 +29,12 @@ from .numerics import (
     _hermitian_part,
     _matrix_stack,
     _psd_eigh,
+    _psd_report,
     _rank_cut,
+    _scale_free_psd_verdict,
     adjoint_products,
     as_matrix,
     dagger,
-    is_psd,
 )
 
 __all__ = [
@@ -321,8 +322,12 @@ def _choi_matrix(phi: CPMap) -> np.ndarray:
 
 def is_completely_positive(phi: CPMap, tol: ToleranceProfile = DEFAULT_TOL) -> PsdReport:
     """CP iff the Choi matrix is PSD; the report carries the margin (from an
-    eigenvalue-only solve, see :func:`~semiphi.numerics.is_psd`)."""
-    return is_psd(choi(phi, tol), tol)
+    eigenvalue-only solve).  The Choi matrix must be hermitian within
+    tolerance, as :func:`~semiphi.numerics.is_psd` asks, but the verdict is
+    decided at a threshold in units of its largest eigenvalue modulus
+    (:func:`~semiphi.numerics._scale_free_psd_verdict`), so a map that is not
+    CP is refuted at every scale and the zero map is CP."""
+    return _psd_report(_hermitian_part(choi(phi, tol), tol), tol, _scale_free_psd_verdict)
 
 
 def kraus(phi: CPMap, tol: ToleranceProfile = DEFAULT_TOL) -> list[np.ndarray]:
@@ -331,12 +336,14 @@ def kraus(phi: CPMap, tol: ToleranceProfile = DEFAULT_TOL) -> list[np.ndarray]:
     One call makes one :func:`choi` (so one hermiticity check) and one
     eigendecomposition of the symmetrized Choi matrix, from which both the
     CP verdict of :func:`is_completely_positive` and the operators are read.
-    The eigenvalue cutoff is taken in units of the largest eigenvalue, so a
-    rescaled map keeps every operator (and the zero map has none); the
-    returned operators are canonical only up to unitary mixing, so compare
-    Kraus sets via the reconstruction identity, never entrywise.
+    The verdict and the eigenvalue cutoff are taken in units of the largest
+    eigenvalue, so a rescaled map keeps every operator, a map that is not CP
+    raises at every scale, and the zero map has no operator; the returned
+    operators are canonical only up to unitary mixing, so compare Kraus sets
+    via the reconstruction identity, never entrywise.
     """
-    report, eigvals, eigvecs = _psd_eigh(_hermitian_part(choi(phi, tol), tol), tol)
+    herm = _hermitian_part(choi(phi, tol), tol)
+    report, eigvals, eigvecs = _psd_eigh(herm, tol, _scale_free_psd_verdict)
     if not report.ok:
         raise NotCompletelyPositiveError(
             f"map is not completely positive (Choi lambda_min = {report.lambda_min:.3e})"

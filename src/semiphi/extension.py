@@ -733,21 +733,8 @@ def _extend(
     f_coeffs = obstruction._f_coefficients
     carrier_on_f = np.tensordot(f_coeffs, carrier._value_stack, axes=1)
     a_cols = carrier_on_f.transpose(1, 0, 2).reshape(carrier.h2_dim, f.dim * m)
-    b_cols = phi_map.stacked_columns()
     # S0 vanishes off the column span of a_cols: it needs no projection onto it.
-    s0, residual = least_squares_operator(a_cols, b_cols, tol)
-    # Loosened bound: the exact-arithmetic residual is 0 under the semi
-    # hypothesis; the numerical rank cuts of the dilation and of the solve
-    # can leave small remnants.
-    if residual > _construction_threshold(tol, max(float(np.linalg.norm(b_cols)), 1.0)):
-        raise ExtensionInputError(
-            f"least-squares system for the contraction is inconsistent (residual {residual:.3e})"
-        )
-    s0_norm = operator_norm(s0)
-    if s0_norm > _contraction_bound(tol):
-        raise ExtensionInputError(
-            f"factoring operator has norm {s0_norm:.6f} > 1; semi hypothesis violated"
-        )
+    s0, residual, s0_norm = _contraction(a_cols, phi_map.stacked_columns(), tol, ExtensionInputError)
     phi_prime = ModuleMap(e, m, k, tuple(s0 @ carrier._value_stack))
 
     # Restriction certificate, re-derived through the same coefficients.
@@ -788,6 +775,26 @@ def _extend(
         exact_on_complemented_defect=exact_defect,
     )
     return ExtensionResult(phi_prime, phi_map, s0, dil, gram, report)
+
+
+def _contraction(
+    a_cols: np.ndarray, b_cols: np.ndarray, tol: ToleranceProfile, error: type[Exception]
+) -> tuple[np.ndarray, float, float]:
+    """The least-squares contraction ``S0`` with ``S0 a_cols = b_cols``, its
+    residual and its operator norm; ``error`` (the caller's exception) is
+    raised when the residual exceeds its construction threshold or the norm
+    the contraction bound.
+
+    The bounds are loosened: the exact-arithmetic residual is 0 under the
+    semi hypothesis, but the numerical rank cuts of the dilation and of the
+    solve can leave small remnants."""
+    s0, residual = least_squares_operator(a_cols, b_cols, tol)
+    if residual > _construction_threshold(tol, max(float(np.linalg.norm(b_cols)), 1.0)):
+        raise error(f"least-squares system for the contraction is inconsistent (residual {residual:.3e})")
+    s0_norm = operator_norm(s0)
+    if s0_norm > _contraction_bound(tol):
+        raise error(f"factoring operator has norm {s0_norm:.6f} > 1; semi hypothesis violated")
+    return s0, residual, s0_norm
 
 
 def _ksgns_carrier(phi_prime: ModuleMap, carrier: ModuleMap, pair: GramPair) -> _Carrier | None:

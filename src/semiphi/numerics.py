@@ -7,10 +7,13 @@ tolerance convention: a comparison at scale ``s`` uses the mixed threshold
 
 Positivity is decided by the smallest eigenvalue of the symmetrized matrix
 (not a Cholesky test) so the margin is reportable.  Verdicts come from an
-eigenvalue-only solve (``eigvalsh``, batched over stacks); eigenvectors are
-computed only where one is consumed: the Kraus operators of a Choi matrix
-(:func:`_psd_eigh`, one ``eigh`` for verdict and spectrum), and a refutation
-witness, which :class:`PsdReport` computes by ``eigh`` on first access.
+eigenvalue-only solve (``eigvalsh``); eigenvectors are computed only where
+one is consumed: the Kraus operators of a Choi matrix (:func:`_psd_eigh`,
+one ``eigh`` for verdict and spectrum), and a refutation witness, which
+:class:`PsdReport` computes by ``eigh`` on first access.  The Choi verdict
+of complete positivity takes its threshold in units of the matrix's own
+scale (:func:`_scale_free_psd_verdict`); :func:`is_psd` keeps the mixed
+threshold.
 """
 
 from __future__ import annotations
@@ -147,18 +150,6 @@ def _contraction_bound(tol: ToleranceProfile) -> float:
     ten times both parts of ``tol``, room for the rounding of the solve that
     produced it."""
     return 1.0 + 10.0 * (tol.abs_tol + tol.rel_tol)
-
-
-#: The floor under each part of the profile that the Paulsen falsification
-#: layer decides its sampled images with (see :func:`_sampling_tol`).
-_SAMPLING_FLOOR = 1e-8
-
-
-def _sampling_tol(tol: ToleranceProfile) -> ToleranceProfile:
-    """The profile a sampled image's PSD test decides with: each part of
-    ``tol`` with a floor of :data:`_SAMPLING_FLOOR`, so a zero tolerance
-    still admits the rounding of the random draw and the amplified apply."""
-    return ToleranceProfile(max(tol.abs_tol, _SAMPLING_FLOOR), max(tol.rel_tol, _SAMPLING_FLOOR))
 
 
 #: The absolute bounds of the CLI demos' own checks on their fixtures, whose
@@ -397,6 +388,19 @@ def _psd_verdict(eigvals: np.ndarray, tol: ToleranceProfile) -> tuple[np.ndarray
     return lam >= -tol.threshold(np.maximum(np.abs(lam), np.abs(eigvals[..., -1]))), lam
 
 
+def _scale_free_psd_verdict(eigvals: np.ndarray, tol: ToleranceProfile) -> tuple[np.ndarray, np.ndarray]:
+    """The Choi verdict of complete positivity and ``lambda_min``, read off
+    ascending eigenvalues along the last axis: ``lambda_min >=
+    -bounded_threshold(s, s)`` with ``s = max(|lambda_min|, |lambda_max|)``,
+    the threshold in units of the matrix's own largest eigenvalue modulus
+    (:meth:`ToleranceProfile.bounded_threshold`).  Rescaling the map by
+    ``c > 0`` rescales ``lambda_min`` and the threshold alike, so no scale
+    moves the verdict, and the zero map (``s = 0``) is CP."""
+    lam = eigvals[..., 0]
+    scale = np.maximum(np.abs(lam), np.abs(eigvals[..., -1]))
+    return lam >= -tol.bounded_threshold(scale, scale), lam
+
+
 def _psd_verdict_clear(extremes: np.ndarray, error: float, tol: ToleranceProfile) -> tuple[bool, float, bool]:
     """The verdict of :func:`_psd_verdict` and ``lambda_min`` from the
     smallest and largest eigenvalues ``extremes`` of a matrix known to
@@ -413,27 +417,24 @@ def _psd_verdict_clear(extremes: np.ndarray, error: float, tol: ToleranceProfile
     return bool(ok), float(lam), bool(clear)
 
 
-def _psd_eigvalsh(herm: np.ndarray, tol: ToleranceProfile) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenvalue-only PSD decision: verdicts and smallest eigenvalues of
-    a nonempty hermitian matrix, or of each matrix of an ``(N, k, k)`` stack
-    of them, from one (batched) ``eigvalsh`` and no eigenvectors."""
-    return _psd_verdict(np.linalg.eigvalsh(herm), tol)
-
-
-def _psd_report(herm: np.ndarray, tol: ToleranceProfile) -> PsdReport:
+def _psd_report(herm: np.ndarray, tol: ToleranceProfile, verdict=_psd_verdict) -> PsdReport:
     """The report of :func:`is_psd` on a symmetrized matrix (see
-    :func:`_hermitian_part`), from :func:`_psd_eigvalsh`; its ``witness``
-    is computed only if it is read."""
+    :func:`_hermitian_part`), decided by ``verdict`` from one
+    eigenvalue-only ``eigvalsh``; its ``witness`` is computed only if it is
+    read."""
     if herm.shape[0] == 0:
         return PsdReport(True, 0.0, _herm=herm)
-    ok, lam = _psd_eigvalsh(herm, tol)
+    ok, lam = verdict(np.linalg.eigvalsh(herm), tol)
     return PsdReport(bool(ok), float(lam), _herm=herm)
 
 
-def _psd_eigh(herm: np.ndarray, tol: ToleranceProfile) -> tuple[PsdReport, np.ndarray, np.ndarray]:
-    """The decision of :func:`is_psd` on a symmetrized matrix (see
-    :func:`_hermitian_part`), with the eigendecomposition it is read from:
-    ascending eigenvalues and the matching unit eigenvectors (columns).
+def _psd_eigh(
+    herm: np.ndarray, tol: ToleranceProfile, verdict=_psd_verdict
+) -> tuple[PsdReport, np.ndarray, np.ndarray]:
+    """The decision of :func:`is_psd` (or of another ``verdict`` rule) on a
+    symmetrized matrix (see :func:`_hermitian_part`), with the
+    eigendecomposition it is read from: ascending eigenvalues and the
+    matching unit eigenvectors (columns).
 
     For callers that consume eigenvectors (Kraus operators from a Choi
     matrix, a refutation witness): verdict, spectrum and the report's
@@ -442,7 +443,7 @@ def _psd_eigh(herm: np.ndarray, tol: ToleranceProfile) -> tuple[PsdReport, np.nd
     if herm.shape[0] == 0:
         return PsdReport(True, 0.0, _herm=herm), np.zeros(0), np.zeros((0, 0), dtype=complex)
     eigvals, eigvecs = np.linalg.eigh(herm)
-    ok, lam = _psd_verdict(eigvals, tol)
+    ok, lam = verdict(eigvals, tol)
     report = PsdReport(bool(ok), float(lam), _herm=herm)
     # Seed the lazy witness from this solve: a cached property reads the
     # instance dict first, and writing the dict bypasses the frozen setattr.

@@ -5,15 +5,15 @@ The system of a module ``E`` (subspace of ``p x q`` matrices over an algebra
 ``A``) lives inside ``M_(p+q)`` and is spanned by the scalar block, the
 module corner, its adjoint corner, and the diagonal algebra block.  CP-ness
 of a corner-structured map is decided through the Gram criterion for its
-module part, with randomized PSD sampling as a falsification layer; deciding
-CP for arbitrary maps defined only on an operator system (an SDP feasibility
+module part, and a positive verdict is certified by an explicit CP extension
+of the map to all of ``M_(p+q)`` (:func:`_certify_cp_extension`); deciding CP
+for arbitrary maps defined only on an operator system (an SDP feasibility
 problem) is out of scope.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -25,6 +25,8 @@ from .extension import (
     ModuleMap,
     PreconditionError,
     SemiPhiReport,
+    _carrier_map,
+    _contraction,
     _largest_norm,
     extend_semi_phi,
     is_completely_semi_phi,
@@ -41,15 +43,10 @@ from .numerics import (
     SelfCheckError,
     ShapeError,
     ToleranceProfile,
-    _NOT_FINITE,
     _construction_threshold,
     _matrix_stack,
-    _not_hermitian,
-    _psd_eigvalsh,
-    _rounding_band,
-    _sampling_tol,
+    _reconstruction_threshold,
     as_matrix,
-    dagger,
 )
 
 __all__ = [
@@ -71,42 +68,9 @@ class SystemDecompositionError(ValueError):
     """A matrix does not lie in the operator system."""
 
 
-@dataclass(frozen=True)
-class _Compressions:
-    """The compressions of a system's basis to its algebra blocks, see
-    :attr:`PaulsenSystem._compressions`."""
-
-    stack: np.ndarray  # (B, sum of s*s): each element's s x s compressions, flattened, by size
-    groups: tuple[tuple[int, int], ...]  # (s, count) of each run of equal sizes s, in stack order
-    bound: float  # Weyl factor of the shift's deviation, in units of |sample|_F
-
-    def smallest_eigenvalues(self, parts: np.ndarray) -> np.ndarray:
-        """lambda_min over all compressions of each of S samples, from the
-        ``(S, n, n, sum of s*s)`` compressed blocks ``parts``: each group's
-        compressions are symmetrized and solved by one ``eigvalsh``."""
-        count, n = parts.shape[:2]
-        lam, start = np.full(count, np.inf), 0
-        for size, k in self.groups:
-            stop = start + k * size * size
-            z = parts[..., start:stop].reshape(count, n, n, k, size, size)
-            z = z.transpose(3, 0, 1, 2, 4, 5).reshape(k * count, n, n, size, size)
-            z = (z + _adjoint_blocks(z)) / 2.0
-            lam = np.minimum(lam, np.linalg.eigvalsh(_block_matrices(z))[:, 0].reshape(k, count).min(axis=0))
-            start = stop
-        return lam
-
-
 @dataclass(eq=False)
 class PaulsenSystem:
-    """The smallest operator system containing a module and its algebra.
-
-    Over ``A = (+)_k M_(n_k)`` a module's block column spaces ``W_k`` (``r_k
-    = dim W_k``) are pairwise orthogonal, so after one unitary change of
-    ``C^p`` every level-n element is the direct sum of ``Lambda (x) I`` on
-    ``((+)_k W_k)^perp`` and one compression of size ``n (r_k + n_k)`` per
-    algebra block.  The sampler takes its shift from these compressions
-    (:attr:`_compressions`) where the module's row form certifies the split.
-    """
+    """The smallest operator system containing a module and its algebra."""
 
     module: ConcreteModule
     algebra: BlockAlgebra
@@ -114,9 +78,8 @@ class PaulsenSystem:
     corner_layout: tuple[int, int]
 
     def __post_init__(self) -> None:
-        # The basis as one (dimension, d, d) array; ``basis`` holds views of it.
-        self._basis_stack = _matrix_stack(self.basis, (self.ambient_dim,) * 2, "basis elements")
-        self.basis = tuple(self._basis_stack)
+        # The basis as views of one (dimension, d, d) array.
+        self.basis = tuple(_matrix_stack(self.basis, (self.ambient_dim,) * 2, "basis elements"))
 
     @property
     def ambient_dim(self) -> int:
@@ -128,75 +91,6 @@ class PaulsenSystem:
 
     def identity(self) -> np.ndarray:
         return np.eye(self.ambient_dim, dtype=complex)
-
-    @cached_property
-    def _compressions(self) -> _Compressions:
-        """The basis of :func:`build_system` compressed to each algebra block
-        k, ``V_k* b V_k`` with ``V_k = U_k (+) I_(n_k)`` and ``U_k`` the row
-        basis of the module's block-k columns (:attr:`ConcreteModule._block_rows`),
-        by slice assignment: the scalar element maps to ``I_(r_k) (+) 0``, a
-        corner ``e_i`` to its coordinates ``U_k* e_i[:, block k]`` and its
-        adjoint corner to their adjoint, a unit of block k to itself in the
-        lower right and a unit of any other block to 0.  When every ``r_k``
-        is 0 but ``p`` is not, one more 1 x 1 compression keeps the scalar
-        alone.
-
-        With the ``W_k`` pairwise orthogonal and ``U = [U_1, ..., U_K]``
-        orthonormal, ``Lambda (x) I_(r_k)`` is a principal submatrix of
-        compression k, so by Cauchy interlacing (Horn & Johnson 4.3) the
-        smallest eigenvalue of a sample is the smallest over its
-        compressions.  The computed row form misses that by the dropped row
-        mass ``M`` (the sum of the blocks' ``residual_mass``) and by ``F = U*
-        U - I``.  To first order in ``F``, whose square is far below rounding,
-        the compressions differ from those of an orthonormal basis of the
-        same span by ``F/2`` times their corners, and the parts of the
-        sample they leave out hold the dropped rows of its corners and
-        ``F/2`` times their corners again.  A corner ``x`` with coefficients
-        ``c`` has dropped rows of norm at most ``sqrt(M) |c| <= sqrt(M) |x| /
-        s_min`` (``s_min`` the smallest singular value of the module basis),
-        and the corners of a sample ``X`` hold at most half of ``|X|_F^2``.
-        By Weyl's inequality the shift therefore moves by at most ``bound
-        * |X|_F`` with ``bound = sqrt(M / 2) / s_min + |F| / 2`` (``|F|_2``
-        bounded by its largest absolute row sum), which no rescaling of the
-        basis moves."""
-        e, dim, forms = self.module, self.dimension, self.module._block_rows
-        unit = 1 + 2 * e.dim  # the first unit of the current block, block-major as in build_system
-        parts = []
-        for w, form in zip(self.algebra.blocks, forms):
-            r = form.values.size
-            z = np.zeros((dim, r + w, r + w), dtype=complex)
-            z[0, :r, :r] = np.eye(r)
-            coords = form.coords.reshape(r, e.dim, w).transpose(1, 0, 2)
-            z[1 : 1 + e.dim, :r, r:] = coords
-            z[1 + e.dim : 1 + 2 * e.dim, r:, :r] = np.conj(coords).transpose(0, 2, 1)
-            z[unit : unit + w * w, r:, r:] = np.eye(w * w).reshape(w * w, w, w)
-            unit += w * w
-            parts.append(z)
-        if self.corner_layout[0] and not any(form.values.size for form in forms):
-            scalar = np.zeros((dim, 1, 1), dtype=complex)
-            scalar[0] = 1.0
-            parts.append(scalar)
-        parts.sort(key=lambda z: z.shape[1])
-        sizes = [z.shape[1] for z in parts]
-        groups = tuple((size, sizes.count(size)) for size in dict.fromkeys(sizes))
-        stack = np.concatenate([z.reshape(dim, -1) for z in parts], axis=1)
-        onb = np.concatenate([form.onb for form in forms], axis=1)
-        defect = np.abs(dagger(onb) @ onb - np.eye(onb.shape[1])).sum(axis=1).max(initial=0.0)
-        mass, dropped = sum(form.residual_mass for form in forms), 0.0
-        if mass:  # then the basis has an element
-            basis = e._factorization
-            s_min = basis.singular_values[-1] * (1.0 - basis.spread)
-            dropped = np.sqrt(mass / 2.0) / s_min if s_min > 0.0 else np.inf
-        return _Compressions(stack, groups, float(dropped + defect / 2.0))
-
-    def _splits(self, n: int) -> bool:
-        """Whether level n takes its sample shift from the compressions:
-        every compression is smaller than the system, and their Weyl factor
-        is within the full ``eigvalsh``'s own rounding band
-        ``_rounding_band(n * d, |X|_F)`` per unit of ``|X|_F``."""
-        d, form = self.ambient_dim, self._compressions
-        smaller = all(size < d for size, _ in form.groups)
-        return smaller and form.bound <= _rounding_band(n * d, 1.0)
 
 
 def build_system(e: ConcreteModule) -> PaulsenSystem:
@@ -292,23 +186,14 @@ def _split_blocks(system: PaulsenSystem, blocks: np.ndarray, tol: ToleranceProfi
     return _Split(lam, corners, coeffs, residual, np.where(mask, diag, 0.0), failures)
 
 
-def _first_failure(
-    failures: list[_Check], start: int = 0, stop: int | None = None
-) -> tuple[int, Exception] | None:
-    """The first failing block in stack order with the exception of its
-    first failing check in list order; None if all pass.  Only blocks
-    ``start:stop`` are searched; the block is an index into the whole
-    stack."""
-    if not any(flags[start:stop].any() for flags, _ in failures):
-        return None
-    hits = np.argwhere(np.stack([flags[start:stop] for flags, _ in failures], axis=1))
-    block, check = start + int(hits[0, 0]), hits[0, 1]
-    return block, failures[check][1](block)
-
-
 def _raise_first(failures: list[_Check]) -> None:
-    if (hit := _first_failure(failures)) is not None:
-        raise hit[1]
+    """Raise, for the first failing block in stack order, the exception of
+    its first failing check in list order; return if all pass."""
+    if not any(flags.any() for flags, _ in failures):
+        return
+    hits = np.argwhere(np.stack([flags for flags, _ in failures], axis=1))
+    block, check = int(hits[0, 0]), hits[0, 1]
+    raise failures[check][1](block)
 
 
 @dataclass(eq=False)
@@ -335,28 +220,16 @@ class SystemMap:
         of the corner and of the adjoint corner at ``tol`` (stricter than the
         decomposition's).  If any block fails, the first failing one in
         row-major block order raises the exception of its first failing test.
+        All ``n^2`` blocks are decomposed by one projection onto the module
+        span and mapped by one matmul each against the module map's value
+        stack and the CP map's ambient tensor.
         """
         arr = as_matrix(x)
-        din = self.domain.ambient_dim
+        din, dout = self.domain.ambient_dim, self.codomain.ambient_dim
         if arr.shape != (n * din, n * din):
             raise ShapeError(f"expected a {n * din}x{n * din} matrix")
-        images, failures = self._apply_stack(arr.reshape(1, n, din, n, din).transpose(0, 1, 3, 2, 4), tol)
-        _raise_first(failures)
-        return images[0]
-
-    def _apply_stack(self, xs: np.ndarray, tol: ToleranceProfile) -> tuple[np.ndarray, list[_Check]]:
-        """:meth:`apply_n` on the ``(S, n, n, din, din)`` blocks of S matrices:
-        their images, and unraised the tests of all ``S*n^2`` blocks in stack
-        order.  All blocks are decomposed by one projection onto the module
-        span and mapped by one matmul each against the module map's value
-        stack and the CP map's ambient tensor.  Blocks are mapped one by one,
-        so :func:`is_cp_system_map` passes the blocks of all its samples as
-        ``(N, 1, 1, din, din)`` and reads each sample's images and tests off
-        its own range of the N."""
-        n_samples, n, _, din, _ = xs.shape
-        dout = self.codomain.ambient_dim
-        n_blocks = n_samples * n * n
-        blocks = xs.reshape(n_blocks, din, din)
+        n_blocks = n * n
+        blocks = arr.reshape(n, din, n, din).transpose(0, 2, 1, 3).reshape(n_blocks, din, din)
         split = _split_blocks(self.domain, blocks, tol)
         module = self.module_map.domain
         if module is self.domain.module:
@@ -374,10 +247,10 @@ class SystemMap:
                 f"matrix outside the module span (residual {residual[offset + i]:.3e})"
             )
 
-        failures = split.failures + [
+        _raise_first(split.failures + [
             (outside[:n_blocks], membership(0)),
             (outside[n_blocks:], membership(n_blocks)),
-        ]
+        ])
         k, m = self.module_map.h2_dim, self.module_map.h1_dim
         values = self.module_map._value_stack.reshape(module.dim, k * m)
         images = (coeffs @ values).reshape(2, n_blocks, k, m)
@@ -390,7 +263,7 @@ class SystemMap:
         out[:, :p_out, p_out:] = images[0]
         out[:, p_out:, :p_out] = np.conj(images[1]).transpose(0, 2, 1)
         out[:, p_out:, p_out:] = diag
-        return _block_matrices(out.reshape(n_samples, n, n, dout, dout)), failures
+        return out.reshape(n, n, dout, dout).transpose(0, 2, 1, 3).reshape(n * dout, n * dout)
 
     def compose(self, inner: "SystemMap", tol: ToleranceProfile = DEFAULT_TOL) -> "SystemMap":
         """Composite of two corner-structured maps, again corner-structured.
@@ -450,102 +323,6 @@ def block_map(
     )
 
 
-def random_psd_system_element(
-    system: PaulsenSystem, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Random PSD element of the n-th matrix level of the system, shifted to
-    have smallest eigenvalue exactly zero.
-
-    The element is ``sum_b kron(C_b, basis[b])`` with complex coefficient
-    matrices ``C_b = R_b + i I_b``, symmetrized and shifted by its smallest
-    eigenvalue.  That is the smallest over the element's compressions to
-    the algebra blocks, each of size ``n (r_k + n_k)``
-    (:attr:`PaulsenSystem._compressions`), where the module's row form
-    certifies the split; otherwise it comes from the whole ``n (p+q)``
-    matrix.  Either way the element is the same up to rounding, and the
-    draws are unchanged.  Draw order (a
-    compatibility contract: ``semiphi paulsen --seed`` reproduces its
-    samples through it): one ``rng.standard_normal((B, 2, n, n))`` call,
-    ``B`` the system dimension, with ``[b, 0]`` the real part ``R_b`` and
-    ``[b, 1]`` the imaginary part ``I_b`` of the b-th basis element's
-    coefficients.  This consumes the generator exactly as drawing
-    ``R_0, I_0, R_1, I_1, ...`` as separate ``(n, n)`` arrays would.  S
-    samples are one ``(S, B, 2, n, n)`` draw, the same stream as S calls;
-    :func:`_psd_sample_stack` builds and maps those of several levels in one
-    pass and shifts each level on its own view.
-    """
-    if n < 1:
-        raise ValueError(f"level n must be at least 1, got {n}")
-    blocks, _ = _psd_sample_stack(system, 1, (n,), rng)
-    d = system.ambient_dim
-    return _block_matrices(blocks.reshape(1, n, n, d, d))[0]
-
-
-def _block_matrices(blocks: np.ndarray) -> np.ndarray:
-    """The ``(S, n*a, n*a)`` matrices of an ``(S, n, n, a, a)`` block stack."""
-    count, n, _, a, _ = blocks.shape
-    return blocks.transpose(0, 1, 3, 2, 4).reshape(count, n * a, n * a)
-
-
-def _level_views(stack: np.ndarray, count: int, levels):
-    """Per level n of ``levels``: n, the index of its first block, and the
-    ``(count, n, n, a, b)`` view of its blocks in an ``(N, a, b)`` stack
-    holding the ``n*n`` blocks of ``count`` samples at each level in turn."""
-    start = 0
-    for n in levels:
-        stop = start + count * n * n
-        yield n, start, stack[start:stop].reshape(count, n, n, *stack.shape[1:])
-        start = stop
-
-
-def _adjoint_blocks(blocks: np.ndarray) -> np.ndarray:
-    """The ``(S, n, n, a, a)`` blocks of ``M*`` for the matrices ``M`` whose
-    blocks ``blocks`` holds, in one new array."""
-    return np.conj(blocks.transpose(0, 2, 1, 4, 3))
-
-
-def _psd_sample_stack(
-    system: PaulsenSystem, count: int, levels, rng: np.random.Generator
-) -> tuple[np.ndarray, list[dict]]:
-    """The samples of :func:`random_psd_system_element`, ``count`` at each
-    level of ``levels`` in turn, as one ``(N, d, d)`` block stack, and the
-    generator state after each level's draw.
-
-    Each level n is one ``(count, B, 2, n, n)`` draw, as in
-    :func:`random_psd_system_element`.  The blocks of all levels are then
-    built by one matmul against the system basis, and their compressions to
-    the algebra blocks (:attr:`PaulsenSystem._compressions`) by one more;
-    each level is symmetrized and shifted in place on its ``(count, n, n,
-    d, d)`` view (:func:`_level_views`).  Its samples' shift is the smallest
-    eigenvalue over their symmetrized compressions, one ``eigvalsh`` per
-    group of equal size ``n (r_k + n_k)``, where
-    :meth:`PaulsenSystem._splits` certifies that this is the full one within
-    the full solve's rounding band; otherwise one ``eigvalsh`` of the full
-    ``n d``-square samples.  The samples equal the per-level ones up to
-    rounding."""
-    d, dim = system.ambient_dim, system.dimension
-    coeffs = np.empty((count * sum(n * n for n in levels), dim), dtype=complex)
-    states = []
-    for n, _, level in _level_views(coeffs, count, levels):
-        level.real, level.imag = rng.standard_normal((count, dim, 2, n, n)).transpose(2, 0, 3, 4, 1)
-        states.append(rng.bit_generator.state)
-    x = (coeffs @ system._basis_stack.reshape(dim, d * d)).reshape(-1, d, d)
-    form = system._compressions
-    compressed = coeffs @ form.stack
-    del coeffs
-    views = zip(_level_views(x, count, levels), _level_views(compressed, count, levels))
-    for (n, _, level), (_, _, parts) in views:
-        level += _adjoint_blocks(level)
-        level /= 2.0
-        if system._splits(n):
-            lam = form.smallest_eigenvalues(parts)
-        else:
-            lam = np.linalg.eigvalsh(_block_matrices(level))[:, 0]
-        diagonal = np.einsum("siiaa->sia", level)  # a writable view
-        diagonal -= lam[:, None, None]
-    return x, states
-
-
 def is_cp_system_map(
     sm: SystemMap,
     tol: ToleranceProfile = DEFAULT_TOL,
@@ -556,65 +333,51 @@ def is_cp_system_map(
     """CP verdict for a corner-structured map, via the equivalence with the
     Gram criterion for its module part.
 
-    On a positive verdict, ``samples`` random PSD system elements at each
-    level up to ``max_level`` are pushed through the amplified map and
-    asserted PSD (a falsification layer for the equivalence, not the
-    decision procedure); 0 for either draws nothing, and a negative value
-    raises ``ValueError``.  Each level ``n`` is one ``(samples, B, 2, n, n)``
-    draw (see :func:`random_psd_system_element`); the samples of all levels
-    are built as one block stack (:func:`_psd_sample_stack`, which takes
-    each level's shifts from the samples' per-block compressions where the
-    module's row form certifies the split) and mapped by
-    one :meth:`SystemMap._apply_stack`, whose rejections and non-finite
-    images are flagged in one pass.  Then each level in turn is checked on
-    its ``(samples, n, n, d, d)`` view of the images as
-    :func:`~semiphi.numerics.is_psd` checks its input: hermitian defect,
-    symmetrization, one eigenvalue-only solve of the whole images (the
-    compressions serve only the samples' shifts).  The first failing sample in
-    draw order raises for its first failing test: :meth:`SystemMap.apply_n`'s,
-    :func:`~semiphi.numerics.is_psd`'s, then :class:`SelfCheckError`.  The
-    generator is then at the end of that level's draw, as if no later level
-    had been drawn.
+    A positive verdict is certified by an explicit CP extension of the map
+    to all of ``M_(p+q)`` (:func:`_certify_cp_extension`): a failed check
+    raises :class:`SelfCheckError`, and a CP part whose Choi matrix is not
+    PSD raises :class:`~semiphi.cpmaps.NotCompletelyPositiveError`.  ``rng``,
+    ``samples`` and ``max_level`` are not read; they remain for callers of
+    the randomized PSD sampling that the certificate replaced.
     """
-    for name, value in (("samples", samples), ("max_level", max_level)):
-        if value < 0:
-            raise ValueError(f"{name} must be non-negative, got {value}")
     report = is_completely_semi_phi(sm.module_map, sm.cp_map, tol)
-    if not (report.ok and rng is not None and samples > 0 and max_level > 0):
-        return report
-    levels = range(1, max_level + 1)
-    blocks, states = _psd_sample_stack(sm.domain, samples, levels, rng)
-    images, failures = sm._apply_stack(blocks[:, None, None], tol)
-    del blocks
-    rejected = np.stack([flags for flags, _ in failures], axis=1).any(axis=1)
-    # A non-finite block is zeroed before any eigen-solve, as is_psd would
-    # reject its matrix before solving.
-    finite = np.isfinite(images).all(axis=(-2, -1))
-    images[~finite] = 0.0
-    scale_tol, d = _sampling_tol(tol), sm.codomain.ambient_dim
-    for (n, start, level), state in zip(_level_views(images, samples, levels), states):
-        stop = start + samples * n * n
-        adjoints = _adjoint_blocks(level)
-        defect = _frobenius_norms((level - adjoints).reshape(samples, -1, d))
-        not_hermitian = defect > scale_tol.threshold(_frobenius_norms(level.reshape(samples, -1, d)))
-        level += adjoints
-        level /= 2.0
-        del adjoints
-        ok, lam = _psd_eigvalsh(_block_matrices(level), scale_tol)
-        checks = [
-            # A rejected sample raises for its first failing block.
-            (rejected[start:stop].reshape(samples, -1).any(axis=1),
-             lambda s: _first_failure(failures, start + s * n * n, start + (s + 1) * n * n)[1]),
-            (~finite[start:stop].reshape(samples, -1).all(axis=1), lambda s: ValueError(_NOT_FINITE)),
-            (not_hermitian, lambda s: _not_hermitian(defect[s])),
-            (~ok, lambda s: SelfCheckError(
-                f"positive verdict refuted by PSD sampling (level {n}, lambda_min {lam[s]:.3e})"
-            )),
-        ]
-        if (hit := _first_failure(checks)) is not None:
-            rng.bit_generator.state = state
-            raise hit[1]
+    if report.ok:
+        _certify_cp_extension(sm, tol)
     return report
+
+
+def _certify_cp_extension(sm: SystemMap, tol: ToleranceProfile) -> None:
+    """Certify that ``sm`` extends to a CP map on all of ``M_(p+q)``, from
+    the extension engine's own stages: Arveson's extension theorem made
+    explicit through the Stinespring and KSGNS factorizations (Paulsen,
+    *Completely Bounded Maps and Operator Algebras*, 2002, ch. 6-8; Lance,
+    *Hilbert C*-Modules*, 1995, ch. 5).
+
+    Let ``phi(a) = V* (a (x) I_r) V`` and ``C(x) = (x (x) I_r) V`` be the
+    dilation and the carrier map of the module map's domain
+    (:func:`~semiphi.extension._carrier_map`), ``S0`` the least-squares
+    contraction with ``S0 C(x_i) = Phi(x_i)`` on its basis, ``W = S0* (+)
+    V`` and ``D = (I_k - S0 S0*) (+) 0_m``.  Then::
+
+        rho(Y) = W* (Y (x) I_r) W + (tr Y_11 / p) D
+
+    (no trace term when ``p = 0``) is a compression of the *-homomorphism
+    ``Y -> Y (x) I_r`` plus a state times ``D``, which is PSD when ``|S0| <=
+    1``, so it is CP on all of ``M_(p+q)``; and on the system it is the map:
+    ``lam (S0 S0* + I_k - S0 S0*) = lam I_k`` on the scalar block, ``S0 C(x)
+    = Phi(x)`` on the corners and ``V* (a (x) I_r) V = phi(a)`` on the
+    algebra.  The checks
+    are ``|S0|`` against the contraction bound and the corners' residual at
+    its construction threshold (:func:`~semiphi.extension._contraction`),
+    and the dilation's reconstruction defect at its threshold; a failed one
+    raises :class:`SelfCheckError`.  ``rho`` itself is never formed.
+    """
+    phi_map, phi = sm.module_map, sm.cp_map
+    carrier, dilation = _carrier_map(phi, phi_map.domain, tol)
+    _contraction(carrier.stacked_columns(), phi_map.stacked_columns(), tol, SelfCheckError)
+    defect = dilation.reconstruction_defect(phi)
+    if defect > _reconstruction_threshold(tol, phi._value_stack):
+        raise SelfCheckError(f"Stinespring dilation does not reconstruct the CP map (defect {defect:.3e})")
 
 
 @dataclass(frozen=True)

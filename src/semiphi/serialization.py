@@ -16,7 +16,7 @@ import numpy as np
 # Read at call time, so that a reader runs only the layer of its record kind.
 from . import cpmaps, extension, modules
 from .algebra import BlockAlgebra
-from .numerics import ToleranceProfile
+from .numerics import DEFAULT_TOL, ToleranceProfile
 
 __all__ = [
     "SchemaError",
@@ -151,12 +151,14 @@ def module_map_from_json(data: Any, where: str = "Phi") -> extension.ModuleMap:
 
 
 def tolerance_from_json(data: Any) -> ToleranceProfile:
+    """A problem file's ``tolerance`` object; each missing part, or the whole
+    object when ``data`` is None, is that of ``DEFAULT_TOL``."""
     if data is None:
-        return ToleranceProfile()
+        return DEFAULT_TOL
     try:
         return ToleranceProfile(
-            abs_tol=float(data.get("abs_tol", 1e-9)),
-            rel_tol=float(data.get("rel_tol", 1e-9)),
+            abs_tol=float(data.get("abs_tol", DEFAULT_TOL.abs_tol)),
+            rel_tol=float(data.get("rel_tol", DEFAULT_TOL.rel_tol)),
         )
     except (AttributeError, TypeError, ValueError) as exc:
         raise SchemaError("tolerance: expected finite nonnegative {'abs_tol': ..., 'rel_tol': ...}") from exc

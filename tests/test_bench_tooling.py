@@ -79,7 +79,6 @@ CHILD_SPANS = {
     "check-cp": [
         "cli.main",
         "cpmaps.choi",
-        "numerics.is_psd",
         "serialization.cp_map_from_json",
         "serialization.dump_report",
         "serialization.load_problem",

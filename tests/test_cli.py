@@ -35,6 +35,7 @@ from semiphi import (
     transpose_map,
 )
 from semiphi.cli import EXIT_INTERNAL, EXIT_OK, EXIT_REFUTED, main
+from semiphi.numerics import DEFAULT_TOL, ToleranceProfile
 from semiphi.fixtures import compacts_fixture, example_2_1, scalar_fixture
 
 from conftest import full_rectangular_module
@@ -495,9 +496,10 @@ def test_paulsen_command(tmp_path, capsys):
     assert report["margins"]["gram_margin"] < 0.0
 
 
-def test_paulsen_sampling_refutation_is_internal_error(tmp_path, monkeypatch, capsys):
-    # A positive Gram verdict that PSD sampling refutes is a defect, not a
-    # verdict.  Every level-1 sample of the scalar map with c = 2 is refuted.
+def test_paulsen_uncertified_verdict_is_internal_error(tmp_path, monkeypatch, capsys):
+    # A positive Gram verdict that the explicit CP extension cannot certify
+    # is a defect, not a verdict: the scalar map with c = 2 factors through
+    # a contraction of norm 2.
     original = paulsen.is_completely_semi_phi
     monkeypatch.setattr(
         paulsen, "is_completely_semi_phi", lambda *a, **k: dataclasses.replace(original(*a, **k), ok=True)
@@ -505,4 +507,35 @@ def test_paulsen_sampling_refutation_is_internal_error(tmp_path, monkeypatch, ca
     assert main(["paulsen", scalar_paulsen_problem(tmp_path, 2.0), "--seed", "5", "--json"]) == EXIT_INTERNAL
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("internal error: positive verdict refuted by PSD sampling (level 1, lambda_min ")
+    assert captured.err.startswith("internal error: factoring operator has norm 2.000000 > 1")
+
+
+@pytest.mark.parametrize("make", [example_2_1, compacts_fixture], ids=["example_2_1", "compacts"])
+def test_paulsen_at_zero_tolerance_refuses_rounding_singular_choi(make, tmp_path, capsys):
+    # The Choi matrix of the n = 3 fixtures is singular up to rounding, so
+    # at a zero tolerance the certificate's dilation refuses it (exit 2), as
+    # extend does.
+    fx = make(3)
+    codomain = full_rectangular_module(fx.phi_map.h2_dim, fx.phi_map.h1_dim)
+    payload = {
+        "phi": ser.cp_map_to_json(fx.phi),
+        "Phi": ser.module_map_to_json(fx.phi_map),
+        "E": ser.module_to_json(fx.e),
+        "codomain_module": ser.module_to_json(codomain),
+    }
+    path = write_problem(tmp_path / "zero-tol.json", payload)
+    for command in ("paulsen", "extend"):
+        assert main([command, path, "--tol", "0"]) == 2
+        assert "error: map is not completely positive (Choi lambda_min = -" in capsys.readouterr().err
+
+
+def test_default_tolerance_is_the_numerics_default(monkeypatch):
+    # An unset SEMIPHI_TOL and a problem file whose tolerance is {} both
+    # give DEFAULT_TOL, the one default of the package.
+    monkeypatch.delenv("SEMIPHI_TOL", raising=False)
+    args = cli.build_parser().parse_args(["check-cp", "problem.json"])
+    assert cli._tolerance(args, None) == DEFAULT_TOL
+    assert cli._tolerance(args, {"tolerance": {}}) == DEFAULT_TOL
+    assert ser.tolerance_from_json({}) == ser.tolerance_from_json(None) == DEFAULT_TOL
+    monkeypatch.setenv("SEMIPHI_TOL", "1e-7")
+    assert cli._tolerance(args, None) == ToleranceProfile(1e-7, 1e-7)

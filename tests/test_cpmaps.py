@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semiphi import (
     BlockAlgebra,
@@ -64,6 +66,62 @@ class TestCpPredicate:
         tp = transpose_map(M2)
         values = tuple(v - 5.0 * t for v, t in zip(phi.values, tp.values))
         assert not is_completely_positive(CPMap(M2, 2, values)).ok
+
+
+def rank_one_difference(blocks, seed):
+    """The difference of two rank-one random CP maps into M_3 over
+    ``BlockAlgebra(blocks)``: not CP."""
+    algebra = BlockAlgebra(blocks)
+    rng = np.random.default_rng(seed)
+    first, second = random_cp_map(algebra, 3, 1, rng), random_cp_map(algebra, 3, 1, rng)
+    return CPMap(algebra, 3, tuple(first._value_stack - second._value_stack))
+
+
+def rescaled(phi, c):
+    return CPMap(phi.domain, phi.target_dim, tuple(c * phi._value_stack))
+
+
+RECIPE_BLOCKS = [(2, 2), (3, 1), (2,), (3, 2, 1)]
+
+
+class TestScaleFreeCpVerdict:
+    """The Choi verdict of is_completely_positive and kraus is decided in
+    units of the Choi matrix's own largest eigenvalue modulus."""
+
+    @pytest.mark.parametrize("blocks", RECIPE_BLOCKS)
+    @pytest.mark.parametrize("c", [1.0, 1e-4, 1e-8, 1e-10, 1e-12])
+    def test_non_cp_map_refuted_at_every_scale(self, blocks, c):
+        for seed in range(20):
+            phi = rescaled(rank_one_difference(blocks, seed), c)
+            report = is_completely_positive(phi)
+            assert not report.ok
+            with pytest.raises(NotCompletelyPositiveError):
+                kraus(phi)
+            with pytest.raises(NotCompletelyPositiveError):
+                stinespring(phi)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        blocks=st.sampled_from(RECIPE_BLOCKS),
+        exponent=st.floats(-12.0, 12.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_verdicts_do_not_move_under_scaling(self, seed, blocks, exponent):
+        c = 10.0**exponent
+        rng = np.random.default_rng(seed)
+        algebra = BlockAlgebra(blocks)
+        phi = rescaled(random_cp_map(algebra, int(rng.integers(1, 4)), int(rng.integers(1, 4)), rng), c)
+        assert is_completely_positive(phi).ok
+        ops = kraus(phi)
+        recon = np.array([sum(k @ u @ k.conj().T for k in ops) for u in algebra.matrix_units()])
+        assert np.abs(recon - phi._value_stack).max() <= 1e-12 * np.abs(phi._value_stack).max()
+        assert not is_completely_positive(rescaled(rank_one_difference(blocks, seed), c)).ok
+
+    def test_zero_map_is_cp_of_rank_zero(self):
+        zero = CPMap(BlockAlgebra((2, 1)), 3, tuple(np.zeros((5, 3, 3))))
+        report = is_completely_positive(zero)
+        assert report.ok and report.lambda_min == 0.0
+        assert kraus(zero) == [] and stinespring(zero).rank == 0
 
 
 class TestKraus:

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import semiphi.extension as extension
 import semiphi.modules as modules
 from semiphi import BlockAlgebra, ConcreteModule, block_map, is_cp_system_map, validate_module
 from semiphi.fixtures import compacts_fixture, example_2_1
-from semiphi.numerics import EPS
+from semiphi.numerics import DEFAULT_TOL, EPS
 from conftest import full_rectangular_module
 from test_extension import counted
 
@@ -142,8 +143,12 @@ def test_orthogonal_bases_take_no_svd_or_pinv(make, monkeypatch):
     svds, pinvs = counted(monkeypatch, np.linalg, "svd"), counted(monkeypatch, np.linalg, "pinv")
     fx.e.coefficients(fx.phi_map.domain._basis_stack)
     sm = block_map(fx.phi_map, fx.phi, full_rectangular_module(2, 2))
-    assert is_cp_system_map(sm, rng=np.random.default_rng(0), samples=4).ok
-    assert svds == [] and pinvs == []
+    assert is_cp_system_map(sm).ok
+    # The one SVD is the certificate's least squares on F's carrier columns
+    # (p r x dim F m), no module basis.
+    carrier, _ = extension._carrier_map(fx.phi, fx.phi_map.domain, DEFAULT_TOL)
+    assert [args[0].shape for args in svds] == [carrier.stacked_columns().shape]
+    assert pinvs == []
 
 
 def test_non_orthogonal_basis_takes_one_svd(monkeypatch):

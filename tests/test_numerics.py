@@ -18,7 +18,6 @@ from semiphi.numerics import (
     _fixture_identity_holds,
     _max_operator_norm,
     _rank_cut,
-    _sampling_tol,
     column_span_onb,
     is_psd,
     least_squares_operator,
@@ -436,7 +435,6 @@ class TestTolerancePolicy:
         for scale in (0.0, 1.0, 7.3, 2.5e11):
             assert _construction_threshold(tol, scale) == 1e3 * tol.threshold(scale)
         assert _contraction_bound(tol) == 1.0 + 10.0 * (abs_tol + rel_tol)
-        assert _sampling_tol(tol) == ToleranceProfile(max(abs_tol, 1e-8), max(rel_tol, 1e-8))
         for defect in (0.0, 1e-12, np.nextafter(1e-12, 1.0), 1e-8, np.nextafter(1e-8, 1.0)):
             assert _fixture_agrees(defect) == (defect <= 1e-8)
             assert _fixture_identity_holds(defect) == (defect <= 1e-12)

@@ -1,14 +1,13 @@
 import dataclasses
 import itertools
 import sys
-import tracemalloc
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import semiphi.cpmaps as cpmaps
 import semiphi.extension as extension
 import semiphi.modules as modules
 import semiphi.paulsen as paulsen
@@ -18,6 +17,7 @@ from semiphi import (
     ConcreteModule,
     CPMap,
     ModuleMap,
+    NotCompletelyPositiveError,
     PreconditionError,
     SystemDecompositionError,
     block_map,
@@ -31,20 +31,21 @@ from semiphi import (
     is_completely_semi_phi,
     is_corner_preserving,
     is_cp_system_map,
+    ksgns,
+    transpose_map,
 )
 from semiphi.fixtures import (
-    _column_module,
-    _random_unitary,
+    compacts_fixture,
     example_2_1,
     random_containment_fixture,
-    random_orthogonal_module_pair,
+    random_contraction,
     random_semi_phi_fixture,
+    random_violating_module_map,
     scalar_fixture,
 )
 from semiphi.extension import SelfCheckError
 from semiphi.modules import BlockEmbedding, MembershipError
-from semiphi.numerics import DEFAULT_TOL, HermiticityError, ShapeError, ToleranceProfile, _rounding_band, as_matrix, dagger
-from semiphi.paulsen import _block_matrices, _psd_sample_stack, random_psd_system_element
+from semiphi.numerics import DEFAULT_TOL, ShapeError, ToleranceProfile, as_matrix, dagger
 from conftest import full_rectangular_module
 
 
@@ -174,11 +175,11 @@ class TestBlockMap:
 
 
 class TestCpSystemMap:
-    def test_scalar_threshold(self, rng):
+    def test_scalar_threshold(self):
         for c, expect in ((1.0, True), (2.0, False)):
             pm, phi = scalar_fixture(c)
             sm = block_map(pm, phi, scalar_codomain())
-            assert is_cp_system_map(sm, rng=rng).ok is expect
+            assert is_cp_system_map(sm).ok is expect
 
     def test_scalar_c2_explicit_image(self):
         pm, phi = scalar_fixture(2.0)
@@ -187,11 +188,11 @@ class TestCpSystemMap:
         assert np.allclose(img, [[1.0, 2.0], [2.0, 1.0]])
         assert np.linalg.eigvalsh(img.real)[0] == pytest.approx(-1.0)
 
-    def test_phi_map_gives_cp(self, rng):
+    def test_phi_map_gives_cp(self):
         fx = example_2_1(2)
         codomain = full_rectangular_module(2, 2)
         sm = block_map(fx.phi_map, fx.phi, codomain)
-        report = is_cp_system_map(sm, rng=rng, samples=10)
+        report = is_cp_system_map(sm)
         assert report.ok
 
 
@@ -459,22 +460,8 @@ class TestInjectivityDemo:
         pytest.fail("no usable violating draw in 20 attempts")
 
 
-# Reference loops for the batched sampling layer: one np.kron per system basis
-# element, and one decomposition and one module-map / CP-map call per block.
-
-
-def reference_symmetrized_sample(system, n, rng):
-    d = system.ambient_dim
-    x = np.zeros((n * d, n * d), dtype=complex)
-    for b in system.basis:
-        coeff = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        x += np.kron(coeff, b)
-    return (x + x.conj().T) / 2.0
-
-
-def reference_psd_sample(system, n, rng):
-    herm = reference_symmetrized_sample(system, n, rng)
-    return herm - np.linalg.eigvalsh(herm)[0] * np.eye(len(herm))
+# Reference loop for the batched apply_n: one decomposition and one
+# module-map / CP-map call per block.
 
 
 def reference_apply_n(sm, n, x):
@@ -563,18 +550,7 @@ def assemble(blocks):
     return np.block([list(row) for row in blocks])
 
 
-class TestBatchedSampling:
-    @pytest.mark.parametrize("level", [1, 2, 3])
-    def test_psd_sample_matches_kron_loop(self, level):
-        rng = np.random.default_rng(2024)
-        systems = [two_block_system_map().domain] + [sm.domain for sm in random_system_maps(rng, 4)]
-        for k, system in enumerate(systems):
-            fast, slow = np.random.default_rng([level, k]), np.random.default_rng([level, k])
-            got = random_psd_system_element(system, level, fast)
-            want = reference_psd_sample(system, level, slow)
-            assert np.abs(got - want).max() <= 1e-12
-            assert fast.bit_generator.state == slow.bit_generator.state
-
+class TestBatchedApply:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_apply_n_matches_per_block_loop(self, n):
         rng = np.random.default_rng(99)
@@ -628,8 +604,7 @@ class TestBatchedSampling:
 
 def scaled_two_block_system_map(c):
     """The two-block map with its first corner value scaled by ``c``: not
-    CP for ``|c| > 1``, and (unlike the scalar map) some PSD samples still
-    map to PSD images."""
+    CP for ``|c| > 1``."""
     sm = two_block_system_map()
     module = sm.module_map.domain
     values = (c * module.basis[0], module.basis[1])
@@ -637,7 +612,7 @@ def scaled_two_block_system_map(c):
 
 
 def force_positive_gram_verdict(monkeypatch):
-    """Let a map that is not CP reach the sampling layer."""
+    """Let a map that is not CP reach the certificate."""
     original = paulsen.is_completely_semi_phi
 
     def positive(*args, **kwargs):
@@ -646,88 +621,211 @@ def force_positive_gram_verdict(monkeypatch):
     monkeypatch.setattr(paulsen, "is_completely_semi_phi", positive)
 
 
-SAMPLING_TOL = ToleranceProfile(1e-8, 1e-8)  # what is_cp_system_map uses at the default
 
 
-def first_refuted_sample(sm, seed, samples, max_level, planted=None):
-    """(level, sample, lambda_min) of the first sample whose image is not
-    PSD, from the kron and per-block reference loops, and the generator
-    state after that level's draw.  A sample ``planted = (level, sample)``
-    holds a block that the map rejects, so it fails before its PSD test:
-    its lambda_min reads None."""
-    rng = np.random.default_rng(seed)
-    for level in range(1, max_level + 1):
-        found = None
-        for s in range(samples):
-            x = reference_psd_sample(sm.domain, level, rng)
-            if found is None and planted == (level, s):
-                found = (level, s, None)
-                continue
-            image = reference_apply_n(sm, level, x)
-            eigvals = np.linalg.eigvalsh((image + image.conj().T) / 2.0)
-            scale = max(abs(eigvals[0]), abs(eigvals[-1]))
-            if found is None and eigvals[0] < -SAMPLING_TOL.threshold(scale):
-                found = (level, s, eigvals[0])
-        if found:
-            return found, rng.bit_generator.state
-    return None, rng.bit_generator.state
+# The explicit CP extension behind a positive verdict, rebuilt by an oracle
+# that shares no code with the certificate: Kraus vectors from eigh of the
+# Choi matrix assembled here, S0 from a pseudo-inverse, rho from np.kron.
 
 
-class TestLevelBatches:
-    @pytest.mark.parametrize("level", [1, 2, 3])
-    @pytest.mark.parametrize("samples", [1, 2, 5])
-    def test_batch_matches_per_sample_loops(self, level, samples):
-        rng = np.random.default_rng(31)
-        maps = [two_block_system_map()] + list(random_system_maps(rng, 4))
-        for k, sm in enumerate(maps):
-            batch_rng = np.random.default_rng([level, samples, k])
-            loop_rng = np.random.default_rng([level, samples, k])
-            kron_rng = np.random.default_rng([level, samples, k])
-            d = sm.domain.ambient_dim
-            stack, _ = _psd_sample_stack(sm.domain, samples, (level,), batch_rng)
-            blocks = stack.reshape(samples, level, level, d, d)
-            images, failures = sm._apply_stack(blocks, ToleranceProfile())
-            assert not any(flags.any() for flags, _ in failures)
-            for x, image in zip(_block_matrices(blocks), images):
-                assert np.abs(x - random_psd_system_element(sm.domain, level, loop_rng)).max() <= 1e-12
-                assert np.abs(x - reference_psd_sample(sm.domain, level, kron_rng)).max() <= 1e-12
-                want = reference_apply_n(sm, level, x)
-                assert np.abs(image - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
-            assert batch_rng.bit_generator.state == loop_rng.bit_generator.state
-            assert batch_rng.bit_generator.state == kron_rng.bit_generator.state
+def extension_oracle(sm):
+    """``rho(Y) = W* (Y (x) I_r) W + (tr Y_11 / p) D`` of
+    ``paulsen._certify_cp_extension`` with ``W = S0* (+) V`` and ``D = (I_k
+    - S0 S0*) (+) 0_m``, and ``|S0|``, built with plain numpy."""
+    phi, pm = sm.cp_map, sm.module_map
+    q, m = phi.domain.ambient_dim, phi.target_dim
+    p, k = pm.domain.row_dim, pm.h2_dim
+    choi = np.zeros((q * m, q * m), dtype=complex)
+    for (i, j), value in zip(phi.domain.unit_index_pairs(), phi.values):
+        choi[i * m : (i + 1) * m, j * m : (j + 1) * m] = value
+    lam, vecs = np.linalg.eigh((choi + choi.conj().T) / 2.0)
+    keep = lam > 1e-12 * np.abs(lam).max(initial=0.0)
+    kraus_vectors = vecs[:, keep] * np.sqrt(lam[keep])  # choi = sum_t w_t w_t*
+    r = kraus_vectors.shape[1]
+    # V[(i, t), :] = conj(w_t[(i, :)]), so V* (E_ij (x) I_r) V = phi(E_ij).
+    v = np.conj(kraus_vectors.reshape(q, m, r).transpose(0, 2, 1)).reshape(q * r, m)
+    columns = np.zeros((p * r, 0), dtype=complex)
+    targets = np.zeros((k, 0), dtype=complex)
+    for x, value in zip(pm.domain.basis, pm.values):
+        columns = np.hstack([columns, np.kron(x, np.eye(r)) @ v])
+        targets = np.hstack([targets, value])
+    s0 = np.zeros((k, p * r), dtype=complex)
+    if columns.size:
+        s0 = targets @ np.linalg.pinv(columns, rcond=1e-10)
+    w = np.zeros(((p + q) * r, k + m), dtype=complex)
+    w[: p * r, :k] = s0.conj().T
+    w[p * r :, k:] = v
+    d = np.zeros((k + m, k + m), dtype=complex)
+    d[:k, :k] = np.eye(k) - s0 @ s0.conj().T
 
-    @pytest.mark.parametrize("samples", [1, 2, 5])
-    def test_levels_match_single_level_calls(self, samples):
-        # One call over levels 1-3 holds the samples of three one-level calls
-        # drawn in turn, up to the rounding of its one (taller) basis matmul.
-        maps = [two_block_system_map()] + list(random_system_maps(np.random.default_rng(32), 4))
-        for k, sm in enumerate(maps):
-            joint_rng, single_rng = np.random.default_rng([samples, k]), np.random.default_rng([samples, k])
-            stack, states = _psd_sample_stack(sm.domain, samples, (1, 2, 3), joint_rng)
-            start = 0
-            for n, state in zip((1, 2, 3), states):
-                single, (single_state,) = _psd_sample_stack(sm.domain, samples, (n,), single_rng)
-                joint = stack[start : start + len(single)]
-                assert np.abs(joint - single).max() <= 1e-12 * np.abs(single).max()
-                assert state == single_state
-                start += len(single)
-            assert start == len(stack)
-            assert joint_rng.bit_generator.state == single_rng.bit_generator.state
+    def rho(y):
+        image = w.conj().T @ np.kron(y, np.eye(r)) @ w
+        return image + np.trace(y[:p, :p]) / p * d if p else image
 
-    @pytest.mark.parametrize("samples, max_level", [(0, 3), (5, 0)])
-    def test_no_samples_draw_nothing(self, samples, max_level, monkeypatch):
-        sm = scaled_two_block_system_map(1.5)
-        assert first_refuted_sample(sm, 4, 5, 3)[0] is not None  # sampling would refute it
+    return rho, (np.linalg.norm(s0, 2) if s0.size else 0.0)
+
+
+def check_extension(sm):
+    """rho is CP on all of M_(p+q) (its Choi matrix PSD up to rounding) and
+    equals the system map on every system basis element, within 1e-12 of
+    the largest image."""
+    rho, _ = extension_oracle(sm)
+    images = [sm.apply(b) for b in sm.domain.basis]
+    scale = max(np.abs(image).max(initial=0.0) for image in images)
+    for b, image in zip(sm.domain.basis, images):
+        assert np.abs(rho(b) - image).max(initial=0.0) <= 1e-12 * scale
+    d = sm.domain.ambient_dim
+    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+    choi = sum(np.kron(u, rho(u)) for u in units)
+    lam = np.linalg.eigvalsh((choi + choi.conj().T) / 2.0)
+    assert lam[0] >= -len(choi) * np.finfo(float).eps * max(1.0, lam[-1])
+
+
+def mixed(stack):
+    """Element j becomes element j plus half of each element before it."""
+    upper = np.eye(len(stack)) + 0.5 * np.triu(np.ones((len(stack), len(stack))), 1)
+    return tuple(np.tensordot(upper.T, stack, axes=1)) if len(stack) else ()
+
+
+def mixed_map(pm):
+    """``pm`` on a non-orthogonal basis of the same module: the basis and
+    the values mixed alike, so the map is the same."""
+    domain = ConcreteModule(pm.domain.algebra, pm.domain.row_dim, mixed(pm.domain._basis_stack))
+    return ModuleMap(domain, pm.h1_dim, pm.h2_dim, mixed(pm._value_stack))
+
+
+def full_codomain(pm, phi):
+    return full_rectangular_module(pm.h2_dim, phi.target_dim)
+
+
+def random_fixture_cases(mix):
+    """Random semi fixtures over one to five algebra blocks and their
+    violating maps; with ``mix``, every fifth one on a mixed basis."""
+    for seed in range(150):
+        rng = np.random.default_rng([31, seed])
+        fx = random_semi_phi_fixture(rng, max_q=6)
+        label = f"fixture {seed} over {len(fx.phi.domain.blocks)} blocks"
+        for pm in (fx.phi_map, random_violating_module_map(fx, rng)):
+            if not mix:
+                yield label, pm, fx.phi
+            elif seed % 5 == 0:
+                yield f"{label}, mixed", mixed_map(pm), fx.phi
+
+
+def example_cases():
+    """The paper's examples at n = 1-3, on their own and on mixed bases, and
+    the scalar map at the boundary of the contractions."""
+    for make in (example_2_1, compacts_fixture):
+        for n in (1, 2, 3):
+            fx = make(n)
+            yield f"{make.__name__}({n})", fx.phi_map, fx.phi
+            yield f"{make.__name__}({n}), mixed", mixed_map(fx.phi_map), fx.phi
+    yield "scalar_fixture(1.0)", *scalar_fixture(1.0)
+
+
+def edge_cases():
+    """A zero CP map, a zero module and a module of 0 x q matrices."""
+    algebra = BlockAlgebra((2, 1))
+    module = ConcreteModule(algebra, 2, tuple(full_rectangular_module(2, 3)._basis_stack))
+    zero_phi = CPMap(algebra, 2, tuple(np.zeros((algebra.dimension, 2, 2))))
+    yield "zero phi", ModuleMap(module, 2, 3, tuple(np.zeros((module.dim, 3, 2)))), zero_phi
+    phi = identity_cp_map(algebra)
+    yield "zero module", ModuleMap(ConcreteModule(algebra, 3, ()), 3, 2, ()), phi
+    yield "0 x q module", ModuleMap(ConcreteModule(algebra, 0, ()), 3, 1, ()), phi
+
+
+def non_module_cases():
+    """A span over BlockAlgebra((1, 1)) whose block column spaces, span(e_0)
+    and span(e_0 + e_1), are not orthogonal: no module, but a system."""
+    first, second = np.zeros((2, 2), dtype=complex), np.zeros((2, 2), dtype=complex)
+    first[0, 0] = 1.0
+    second[:, 1] = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    span = ConcreteModule(BlockAlgebra((1, 1)), 2, (first, second))
+    phi = identity_cp_map(span.algebra)
+    universal = ksgns(phi, span).map
+    contraction = random_contraction(2, universal.h2_dim, np.random.default_rng(3))
+    yield "non-module span", ModuleMap(span, 2, 2, tuple(contraction @ universal._value_stack)), phi
+
+
+# (label, module map, CP map) of each family the certificate is checked on.
+CERTIFICATE_FAMILIES = {
+    "random fixtures": lambda: random_fixture_cases(mix=False),
+    "random fixtures, mixed bases": lambda: random_fixture_cases(mix=True),
+    "examples": example_cases,
+    "edge inputs": edge_cases,
+    "non-module span": non_module_cases,
+}
+
+
+class TestCpExtensionCertificate:
+    @pytest.mark.parametrize("family", sorted(CERTIFICATE_FAMILIES))
+    def test_certificate_backs_every_positive_verdict(self, family):
+        # The oracle's rho is CP and is the map on the system for every
+        # positive verdict, and its S0 is no contraction for every negative
+        # one: no case disagrees with the Gram verdict.
+        for label, pm, phi in CERTIFICATE_FAMILIES[family]():
+            sm = block_map(pm, phi, full_codomain(pm, phi))
+            report = is_cp_system_map(sm)
+            assert report.ok is is_completely_semi_phi(pm, phi).ok, label
+            if report.ok:
+                check_extension(sm)
+            else:
+                assert extension_oracle(sm)[1] > 1.0 + 1e-9, label
+
+    def test_families_hold_200_positive_verdicts_over_one_to_four_blocks(self):
+        verdicts = [
+            (is_completely_semi_phi(pm, phi).ok, len(phi.domain.blocks))
+            for family in CERTIFICATE_FAMILIES.values()
+            for _, pm, phi in family()
+        ]
+        assert sum(ok for ok, _ in verdicts) >= 200 and sum(not ok for ok, _ in verdicts) >= 100
+        assert {1, 2, 3, 4} <= {blocks for ok, blocks in verdicts if ok}
+
+    @pytest.mark.parametrize("make", [example_2_1, compacts_fixture])
+    def test_examples_certify_at_a_unit_contraction(self, make):
+        fx = make(2)
+        carrier, _ = extension._carrier_map(fx.phi, fx.phi_map.domain, DEFAULT_TOL)
+        _, residual, norm = extension._contraction(
+            carrier.stacked_columns(), fx.phi_map.stacked_columns(), DEFAULT_TOL, SelfCheckError
+        )
+        assert norm == pytest.approx(1.0, abs=1e-15) and residual <= 1e-15
+
+    @pytest.mark.parametrize("sm", [scaled_two_block_system_map(1.5), block_map(*scalar_fixture(2.0), scalar_codomain())])
+    def test_forced_positive_verdict_on_a_refuted_map_raises(self, sm, monkeypatch):
         force_positive_gram_verdict(monkeypatch)
-        rng = np.random.default_rng(4)
-        state = rng.bit_generator.state
-        report = is_cp_system_map(sm, rng=rng, samples=samples, max_level=max_level)
-        assert rng.bit_generator.state == state
-        gram = is_completely_semi_phi(sm.module_map, sm.cp_map)
-        assert report.ok and report.margin == gram.margin < 0.0
+        with pytest.raises(SelfCheckError, match=r"^factoring operator has norm \d\.\d{6} > 1"):
+            is_cp_system_map(sm)
 
-    @pytest.mark.parametrize("samples", [1, 4, 20])
-    def test_one_sample_solve_and_one_image_solve_per_level(self, samples, monkeypatch):
+    def test_inconsistent_corners_raise(self, monkeypatch):
+        # A nonzero module map over a zero CP map: no carrier reaches it.
+        pm, _ = scalar_fixture(0.5)
+        zero_phi = CPMap(pm.domain.algebra, 1, (np.zeros((1, 1)),))
+        force_positive_gram_verdict(monkeypatch)
+        with pytest.raises(SelfCheckError, match=r"^least-squares system for the contraction is inconsistent"):
+            is_cp_system_map(block_map(pm, zero_phi, scalar_codomain()))
+
+    def test_dilation_that_does_not_reconstruct_raises(self, monkeypatch):
+        sm = block_map(*scalar_fixture(1.0), scalar_codomain())
+        monkeypatch.setattr(cpmaps.StinespringDilation, "reconstruction_defect", lambda self, phi: 1e-3)
+        with pytest.raises(SelfCheckError, match=r"^Stinespring dilation does not reconstruct the CP map \(defect 1\.000e-03\)$"):
+            is_cp_system_map(sm)
+
+    def test_cp_part_that_is_not_cp_is_an_input_error(self):
+        # The transpose on M_2 against the module spanned by the row (1, 0):
+        # its Gram pair is (E_00, 0), so the verdict is positive, and only
+        # the certificate's dilation sees that the CP part is not CP.
+        algebra = BlockAlgebra((2,))
+        module = ConcreteModule(algebra, 1, (np.array([[1.0, 0.0]], dtype=complex),))
+        pm = ModuleMap(module, 2, 1, (np.zeros((1, 2)),))
+        sm = block_map(pm, transpose_map(algebra), full_rectangular_module(1, 2))
+        assert is_completely_semi_phi(pm, sm.cp_map).ok
+        with pytest.raises(NotCompletelyPositiveError):
+            is_cp_system_map(sm)
+
+    def test_no_draw_and_one_eigen_solve_each(self, monkeypatch):
+        # The Gram verdict is one eigenvalue-only solve (N = 8: the table
+        # path) and the certificate one eigh, of the Choi matrix in kraus;
+        # the generator and the sample arguments are not read.
         fx = example_2_1(2)
         sm = block_map(fx.phi_map, fx.phi, full_rectangular_module(2, 2))
         calls = {"eigh": 0, "eigvalsh": 0}
@@ -739,371 +837,24 @@ class TestLevelBatches:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
-        # The Gram verdict is one eigenvalue-only solve; its table path (N =
-        # 8 here) builds no row form.  The sampler's compressions read the
-        # module's row form, one eigh for its one algebra block, and each
-        # level adds the sample shift (one eigvalsh for its one group of
-        # equal-size compressions) and the image decision.
-        is_cp_system_map(sm)
-        assert calls == {"eigh": 0, "eigvalsh": 1}
-        calls.update(eigh=0, eigvalsh=0)
-        is_cp_system_map(sm, rng=np.random.default_rng(0), samples=samples, max_level=3)
-        assert calls == {"eigh": 1, "eigvalsh": 1 + 2 * 3}
-
-    def test_level_three_shift_solves_the_block_compressions(self, monkeypatch):
-        # decide_narrow's smallest shape: four columns of C^10 in each of
-        # two blocks of size 2, so the system is 14 x 14 and each block's
-        # compression 4 + 2 = 6.
-        algebra, p = BlockAlgebra((2, 2)), 10
-        u = _random_unitary(p, np.random.default_rng(5))
-        system = build_system(_column_module(algebra, p, [u[:, :4], u[:, 4:8]]))
-        assert system._splits(3)
-        shapes = record_eigvalsh_shapes(monkeypatch, system)
-        _psd_sample_stack(system, 2, (3,), np.random.default_rng(0))
-        assert shapes == [(2 * 2, 3 * 6, 3 * 6)]  # not (2, 3 * 14, 3 * 14)
-
-
-def record_eigvalsh_shapes(monkeypatch, system):
-    """The shapes of the arrays that ``np.linalg.eigvalsh`` receives from
-    now on, after the system's compressions are built."""
-    system._compressions
-    shapes = []
-    original = np.linalg.eigvalsh
-
-    def recorded(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return original(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
-    return shapes
-
-
-def precise_lambda_min(herm, digits=30):
-    """The smallest eigenvalue of a hermitian matrix, solved in ``digits``
-    decimal digits (mpmath) and rounded to a float."""
-    with mpmath.workdps(digits):
-        return float(min(mpmath.eighe(mpmath.matrix(herm.tolist()), eigvals_only=True)))
-
-
-def checked_shift_solves(system, n, samples, seed, scale=1.0):
-    """Level-n samples of the sampler against the kron loop on equal
-    generators: the block-form shift equals the full symmetrized sample's
-    lambda_min within the full solve's rounding band, the samples agree
-    within 1e-12 (times the basis scale ``scale`` when above 1), and the
-    generators end equal.  Returns the shapes the shift's eigvalsh got.
-
-    Both the shift and ``eigvalsh``'s lambda_min are rounded, each within a
-    band of the exact value, so they may lie up to two bands apart.  Where
-    they lie more than one apart, each must lie within one band of a
-    high-precision lambda_min, which is taken only then (a 60 x 60 solve
-    in 30 digits takes about 2 s on one x86-64 core)."""
-    d = system.ambient_dim
-    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-    with pytest.MonkeyPatch.context() as mp:
-        shapes = record_eigvalsh_shapes(mp, system)
-        stack, _ = _psd_sample_stack(system, samples, (n,), fast)
-    for x in _block_matrices(stack.reshape(samples, n, n, d, d)):
-        herm = reference_symmetrized_sample(system, n, slow)
-        full = np.linalg.eigvalsh(herm)[0]
-        shift = np.trace(herm - x).real / (n * d)
-        band = _rounding_band(n * d, np.linalg.norm(herm))
-        if abs(shift - full) > band:
-            exact = precise_lambda_min(herm)
-            assert abs(shift - exact) <= band and abs(full - exact) <= band
-        assert np.abs(x - (herm - full * np.eye(n * d))).max() <= 1e-12 * max(1.0, scale)
-    assert fast.bit_generator.state == slow.bit_generator.state
-    return shapes
-
-
-def planted_shift_module(kind, blocks, rng):
-    """A module over ``BlockAlgebra(blocks)`` of one planted kind, else one
-    drawn as ``random_semi_phi_fixture`` draws its modules; ``"fixture"``
-    is the domain of a ``random_semi_phi_fixture`` map, over its own
-    algebra."""
-    algebra = BlockAlgebra(blocks)
-    if kind == "fixture":
-        return random_semi_phi_fixture(rng, max_q=8).phi_map.domain
-    if kind == "zero":
-        return ConcreteModule(algebra, 3, ())
-    if kind == "rowless":
-        return ConcreteModule(algebra, 0, ())
-    if kind in ("empty_block", "tall"):
-        # One line of C^p per block; "empty_block" leaves one block's W_k
-        # zero, and "tall" takes p above dim * width for every block.
-        p = len(blocks) + 2 if kind == "empty_block" else sum(blocks) * max(blocks) + 2
-        u = _random_unitary(p, rng)
-        spans = [u[:, k : k + 1] for k in range(len(blocks))]
-        if kind == "empty_block":
-            spans[int(rng.integers(len(blocks)))] = u[:, :0]
-        return _column_module(algebra, p, spans)
-    e, f = random_orthogonal_module_pair(algebra, rng, max_dim=8)
-    if kind == "unitary_change":
-        w = _random_unitary(e.dim, rng)
-        return ConcreteModule(algebra, e.row_dim, tuple(np.tensordot(w, e._basis_stack, axes=1)))
-    return e if kind == "module" else f
-
-
-@given(
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-    blocks=st.lists(st.integers(1, 4), min_size=1, max_size=4, unique=True),
-    kind=st.sampled_from(["fixture", "module", "submodule", "zero", "rowless", "empty_block", "tall", "unitary_change"]),
-    exponent=st.integers(-6, 6),
-    samples=st.sampled_from([1, 3]),
-)
-# Shift and eigvalsh 1.55e-15 apart, against a band of 1.17e-15.
-@example(seed=220543, blocks=[1], kind="module", exponent=-2, samples=1)
-@settings(max_examples=60, deadline=None)
-def test_block_form_shift_matches_the_full_solve(seed, blocks, kind, exponent, samples):
-    # Over 1-4 algebra blocks of unequal sizes (or a fixture's own
-    # algebra), with the basis scaled by 10^exponent: each level's shift
-    # solves the n(r_k + n_k)-square
-    # compressions where the row form certifies the split, else the full
-    # n(p+q)-square samples, and either way matches the full solve.
-    rng = np.random.default_rng(seed)
-    module = planted_shift_module(kind, tuple(blocks), rng)
-    scale = 10.0**exponent
-    module = ConcreteModule(module.algebra, module.row_dim, tuple(scale * module._basis_stack))
-    system = build_system(module)
-    d = system.ambient_dim
-    for n in (1, 2, 3):
-        shapes = checked_shift_solves(system, n, samples, [seed, n], scale)
-        if system._splits(n):
-            assert all(shape[1] < n * d and shape[1] % n == 0 for shape in shapes)
-        else:
-            assert shapes == [(samples, n * d, n * d)]
-
-
-class TestShiftDispatch:
-    def test_non_orthogonal_block_columns_take_the_full_solve(self):
-        # W_1 = span(e_0) and W_2 = span(e_0 + e_1) over BlockAlgebra((1, 1)):
-        # no module, but its system still samples.
-        first, second = np.zeros((2, 2), dtype=complex), np.zeros((2, 2), dtype=complex)
-        first[0, 0] = 1.0
-        second[:, 1] = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        system = build_system(ConcreteModule(BlockAlgebra((1, 1)), 2, (first, second)))
-        for n in (1, 2, 3):
-            assert checked_shift_solves(system, n, 2, n) == [(2, 4 * n, 4 * n)]
-
-    def test_dropped_row_mass_above_the_bound_takes_the_full_solve(self):
-        # Over BlockAlgebra((1, 1)), the second element's block-1 column
-        # 1e-9 e_1 gives the block's row Gram an eigenvalue 1e-18 below its
-        # rounding band: the row form drops it, with residual mass 1e-18,
-        # though the basis itself is orthonormal.
-        first, second = np.zeros((4, 2), dtype=complex), np.zeros((4, 2), dtype=complex)
-        first[0, 0] = first[2, 1] = 1.0
-        second[1, 0], second[3, 1] = 1e-9, 1.0
-        second /= np.linalg.norm(second)
-        module = ConcreteModule(BlockAlgebra((1, 1)), 4, (first, second))
-        assert [form.values.size for form in module._block_rows] == [1, 2]
-        system = build_system(module)
-        for n in (1, 2, 3):
-            assert checked_shift_solves(system, n, 2, n) == [(2, 6 * n, 6 * n)]
-
-
-def level_start(count, level):
-    """The first block of ``level`` in a sample stack of ``count`` samples at
-    each of the levels 1, 2, ... in turn."""
-    return count * sum(n * n for n in range(1, level))
-
-
-def plant_blocks(monkeypatch, where, blocks):
-    """Make the sampler put ``blocks`` in its block stack from the block
-    ``where(count)`` on, in place of the drawn ones; ``count`` is the
-    number of samples per level."""
-    draw = paulsen._psd_sample_stack
-
-    def planted(system, count, levels, rng):
-        stack, states = draw(system, count, levels, rng)
-        start = where(count)
-        stack[start : start + len(blocks)] = blocks
-        return stack, states
-
-    monkeypatch.setattr(paulsen, "_psd_sample_stack", planted)
-
-
-def plant_level_one(monkeypatch, samples):
-    """Make the sampler's level-1 samples the matrices ``samples``."""
-    plant_blocks(monkeypatch, lambda count: 0, np.stack(samples))
-
-
-class TestSamplingFailures:
-    @pytest.mark.parametrize("seed, expect", [(5, (1, 2)), (29, (2, 0))])
-    def test_first_refuted_sample_raises(self, seed, expect, monkeypatch):
-        sm = scaled_two_block_system_map(1.5)
-        (level, sample, lam), state = first_refuted_sample(sm, seed, 3, 3)
-        assert (level, sample) == expect  # a later sample, or a later level
-        force_positive_gram_verdict(monkeypatch)
-        rng = np.random.default_rng(seed)
-        with pytest.raises(SelfCheckError) as info:
-            is_cp_system_map(sm, rng=rng, samples=3, max_level=3)
-        assert str(info.value) == (
-            f"positive verdict refuted by PSD sampling (level {level}, lambda_min {lam:.3e})"
-        )
-        # The generator has moved to the end of the failing level's draw.
-        assert rng.bit_generator.state == state
-
-    @pytest.mark.parametrize("kind", sorted(FAILING_BLOCKS))
-    def test_earlier_refuted_sample_beats_later_rejected_sample(self, kind, monkeypatch):
-        sm = scaled_two_block_system_map(1.5)
-        # [[I, E_00], [E_00, I]] is PSD; its image [[I, 1.5 E_00], [1.5 E_00, I]]
-        # has lambda_min -0.5.
-        refuted = assemble([[np.eye(2), np.diag([1.0, 0.0])], [np.diag([1.0, 0.0]), np.eye(2)]])
-        blk, exc, message = FAILING_BLOCKS[kind]
-        force_positive_gram_verdict(monkeypatch)
-        for batch, error, text in (
-            ((refuted, blk), SelfCheckError, "positive verdict refuted by PSD sampling (level 1, lambda_min -5.000e-01)"),
-            ((blk, refuted), exc, message),
-        ):
-            plant_level_one(monkeypatch, batch)
-            with pytest.raises(error) as info:
-                is_cp_system_map(sm, rng=np.random.default_rng(0), samples=2, max_level=3)
-            assert str(info.value) == text
-
-    def test_image_checks_follow_is_psd_order(self, monkeypatch):
-        sm = two_block_system_map()
-        force_positive_gram_verdict(monkeypatch)
-        bad = np.eye(4, dtype=complex)
-        bad[0, 2] = 1.0  # a corner without its adjoint corner
-        for batch, error, text in (
-            ((np.eye(4), bad), HermiticityError, "matrix is not hermitian: defect 1.414e+00 exceeds tolerance"),
-            ((np.eye(4), np.full((4, 4), np.nan), bad), ValueError, "matrix entries must be finite"),
-        ):
-            plant_level_one(monkeypatch, batch)
-            with pytest.raises(error) as info:
-                is_cp_system_map(sm, rng=np.random.default_rng(0), samples=len(batch), max_level=1)
-            assert str(info.value) == text
-
-
-def scaled_system_map(sm, c):
-    """``sm`` with its module-map values scaled by ``c``."""
-    mm = sm.module_map
-    scaled = ModuleMap(mm.domain, mm.h1_dim, mm.h2_dim, tuple(c * v for v in mm.values))
-    return block_map(scaled, sm.cp_map, sm.codomain.module)
-
-
-@given(
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-    random_map=st.booleans(),
-    c=st.sampled_from([1.0, 1.2, 1.5, 3.0]),
-    samples=st.sampled_from([1, 2, 5]),
-    max_level=st.sampled_from([1, 2, 3]),
-    plant=st.none() | st.tuples(
-        st.sampled_from(sorted(FAILING_BLOCKS)),
-        st.integers(1, 3),  # level
-        st.integers(0, 4),  # sample, modulo the sample count
-        st.integers(0, 2),  # block row and column, modulo the level
-        st.integers(0, 2),
-    ),
-)
-@settings(max_examples=100, deadline=None)
-def test_sampling_layer_matches_reference_loops(seed, random_map, c, samples, max_level, plant):
-    # A (possibly scaled, so not CP) map with a forced positive Gram verdict,
-    # and on the two-block map possibly one rejected block planted in one
-    # sample: the layer raises what the kron and per-block loops find first,
-    # and leaves the generator where they leave it.
-    base = next(random_system_maps(np.random.default_rng(seed), 1)) if random_map else two_block_system_map()
-    sm = scaled_system_map(base, c)
-    if random_map or plant is None or plant[1] > max_level:
-        plant = None
-    else:
-        kind, level, sample, row, col = plant
-        plant = (kind, level, sample % samples, row % level, col % level)
-    found, state = first_refuted_sample(sm, seed, samples, max_level, plant and plant[1:3])
-    rng = np.random.default_rng(seed)
-    with pytest.MonkeyPatch.context() as mp:
-        force_positive_gram_verdict(mp)
-        if plant is not None:
-            kind, level, sample, row, col = plant
-            block = sample * level * level + row * level + col  # within the planted level
-            plant_blocks(mp, lambda count: level_start(count, level) + block, FAILING_BLOCKS[kind][0][None])
-        if found is None:
-            assert is_cp_system_map(sm, rng=rng, samples=samples, max_level=max_level).ok
-        else:
-            found_level, _, lam = found
-            if lam is None:
-                _, exc, message = FAILING_BLOCKS[plant[0]]
-            else:
-                exc = SelfCheckError
-                message = f"positive verdict refuted by PSD sampling (level {found_level}, lambda_min {lam:.3e})"
-            with pytest.raises(exc) as info:
-                is_cp_system_map(sm, rng=rng, samples=samples, max_level=max_level)
-            assert str(info.value) == message
-    assert rng.bit_generator.state == state
-
-
-class TestSamplingArguments:
-    @pytest.mark.parametrize("name, value", [("samples", -3), ("max_level", -1)])
-    def test_negative_count_raises(self, name, value):
-        sm = two_block_system_map()
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
-        for generator in (rng, None):
-            with pytest.raises(ValueError, match=f"^{name} must be non-negative, got {value}$"):
-                is_cp_system_map(sm, rng=generator, **{name: value})
+        assert is_cp_system_map(sm, rng=rng, samples=20, max_level=3).ok
+        assert calls == {"eigh": 1, "eigvalsh": 1}
         assert rng.bit_generator.state == state
+        assert is_cp_system_map(sm, rng=rng, samples=-1, max_level=-1).ok
 
-    @pytest.mark.parametrize("n", [0, -1])
-    def test_level_below_one_raises(self, n):
-        rng = np.random.default_rng(0)
-        state = rng.bit_generator.state
-        with pytest.raises(ValueError, match=f"^level n must be at least 1, got {n}$"):
-            random_psd_system_element(two_block_system_map().domain, n, rng)
-        assert rng.bit_generator.state == state
-
-
-def tall_row_system_map(rows):
-    """Identity block map on a module of ``rows x 2`` matrices spanned by the
-    units of its first row: a system of size ``rows + 2`` whose semi check
-    is a 4 x 4 Gram pair."""
-    row = full_rectangular_module(1, 2)
-    padded = tuple(np.vstack([b, np.zeros((rows - 1, 2))]) for b in row.basis)
-    module = ConcreteModule(BlockAlgebra((2,)), rows, padded)
-    return block_map(ModuleMap(module, 2, 1, row.basis), identity_cp_map(module.algebra), row)
-
-
-class TestOneDecompositionPass:
-    @pytest.mark.parametrize("samples, max_level, calls", [(0, 3, 0), (5, 0, 0), (1, 3, 1), (20, 3, 1)])
-    def test_one_split_per_call(self, samples, max_level, calls, monkeypatch):
-        fx = example_2_1(2)
-        sm = block_map(fx.phi_map, fx.phi, full_rectangular_module(2, 2))
-        count = [0]
-        original = paulsen._split_blocks
-
-        def counted(*args, **kwargs):
-            count[0] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(paulsen, "_split_blocks", counted)
-        assert is_cp_system_map(sm, rng=np.random.default_rng(0), samples=samples, max_level=max_level).ok
-        assert count[0] == calls
-
-    @pytest.mark.parametrize("max_level", [3, 4])
-    def test_planted_failure_at_level_three(self, max_level, monkeypatch):
-        # Levels 1 and 2 are clean random samples; the last block of the last
-        # level-3 sample is the module-map failure, whose residual (1e-7)
-        # stands apart from every other block's.
-        sm = two_block_system_map()
-        blk, exc, message = FAILING_BLOCKS["module_map"]
-        draw = paulsen._psd_sample_stack
-        plant_blocks(monkeypatch, lambda count: level_start(count, 4) - 1, blk[None])
-        rng = np.random.default_rng(8)
-        with pytest.raises(exc) as info:
-            is_cp_system_map(sm, rng=rng, samples=4, max_level=max_level)
-        assert str(info.value) == message
-        # The generator sits at the end of level 3, whether or not a later
-        # level was drawn.
-        end_of_level_3 = np.random.default_rng(8)
-        draw(sm.domain, 4, (1, 2, 3), end_of_level_3)
-        assert rng.bit_generator.state == end_of_level_3.bit_generator.state
-
-    def test_peak_memory_within_two_and_a_half_block_arrays(self):
-        sm = tall_row_system_map(16)
-        is_cp_system_map(sm, rng=np.random.default_rng(0), samples=1)  # warm the cached views
-        block_bytes = 20 * (1 + 4 + 9) * sm.domain.ambient_dim**2 * np.dtype(complex).itemsize
-        tracemalloc.start()
-        try:
-            assert is_cp_system_map(sm, rng=np.random.default_rng(1), samples=20, max_level=3).ok
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.5 * block_bytes
+    @pytest.mark.parametrize("make", [example_2_1, compacts_fixture])
+    def test_zero_tolerance(self, make):
+        # At n = 3 the Choi matrix is singular up to rounding (lambda_min
+        # about -3e-16), which kraus refuses at a zero threshold, as the
+        # engine does; at n = 2 the corners' least-squares residual (about
+        # 6e-16) fails its zero threshold, which the engine refuses too: no
+        # threshold admits rounding at a zero tolerance.
+        zero = ToleranceProfile(0.0, 0.0)
+        for n, error in ((2, SelfCheckError), (3, NotCompletelyPositiveError)):
+            fx = make(n)
+            sm = block_map(fx.phi_map, fx.phi, full_rectangular_module(fx.phi_map.h2_dim, fx.phi_map.h1_dim), zero)
+            assert is_completely_semi_phi(fx.phi_map, fx.phi, zero).ok
+            with pytest.raises(error):
+                is_cp_system_map(sm, zero)

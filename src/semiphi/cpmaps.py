@@ -9,7 +9,9 @@ views; restricting back to the algebra recovers the original map, and the
 pinch is CP and unital so positivity certificates transfer both ways.
 
 The dilation used downstream is ``a -> a (x) I_r`` with ``r`` the Choi rank;
-it is minimal whenever the domain is a full matrix algebra.
+it is minimal whenever the domain is a full matrix algebra.  The pinch makes
+the Choi matrix block diagonal, so each map solves it once per algebra block
+(:attr:`CPMap._choi_spectra`) and each Kraus operator lives on one block.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from .numerics import (
     PsdReport,
     ShapeError,
     ToleranceProfile,
+    _check_hermitian,
     _hermitian_part,
     _matrix_stack,
-    _psd_eigh,
     _psd_report,
     _rank_cut,
     _scale_free_psd_verdict,
@@ -83,6 +85,22 @@ class CPMap:
         """Row and column index arrays of the matrix units, in value order."""
         rows, cols = np.array(self.domain.unit_index_pairs()).T
         return rows, cols
+
+    @cached_property
+    def _choi_spectra(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The spectrum of the symmetrized Choi matrix ``(J + J*) / 2``, one
+        ``eigh`` per algebra block: the pinch makes ``J`` block diagonal, and
+        block ``k`` is the ``n_k m x n_k m`` matrix of the values on that
+        block's units (rows ``(b, l)``, ``b`` the block's own column).  Per
+        block, its ascending eigenvalues and unit eigenvectors; :func:`kraus`
+        and the signed Choi carrier of the semi criterion read them."""
+        m, values = self.target_dim, self._value_stack
+        spectra, start = [], 0
+        for n in self.domain.blocks:
+            block = values[start : start + n * n].reshape(n, n, m, m).transpose(0, 2, 1, 3).reshape(n * m, n * m)
+            spectra.append(tuple(np.linalg.eigh((block + dagger(block)) / 2.0)))
+            start += n * n
+        return tuple(spectra)
 
     @cached_property
     def _adjoint_index(self) -> np.ndarray:
@@ -333,38 +351,54 @@ def is_completely_positive(phi: CPMap, tol: ToleranceProfile = DEFAULT_TOL) -> P
 def kraus(phi: CPMap, tol: ToleranceProfile = DEFAULT_TOL) -> list[np.ndarray]:
     """Kraus operators of the pinch-extended map, from Choi eigenvectors.
 
-    One call makes one :func:`choi` (so one hermiticity check) and one
-    eigendecomposition of the symmetrized Choi matrix, from which both the
-    CP verdict of :func:`is_completely_positive` and the operators are read.
-    The verdict and the eigenvalue cutoff are taken in units of the largest
-    eigenvalue, so a rescaled map keeps every operator, a map that is not CP
-    raises at every scale, and the zero map has no operator; the returned
-    operators are canonical only up to unitary mixing, so compare Kraus sets
-    via the reconstruction identity, never entrywise.
+    One call makes one :func:`choi` (so one hermiticity check) and reads the
+    map's one spectrum of its symmetrized Choi matrix (one ``eigh`` per
+    algebra block, cached on the map), from which both the CP verdict of
+    :func:`is_completely_positive` and the operators are read.  The verdict
+    and the eigenvalue cutoff are taken over all blocks' eigenvalues at
+    once, in units of the largest, so a rescaled map keeps every operator, a
+    map that is not CP raises at every scale, and the zero map has no
+    operator.  Each operator is zero off one algebra block; they come block
+    after block, largest eigenvalue first within a block.  They are
+    canonical only up to unitary mixing, so compare Kraus sets via the
+    reconstruction identity, never entrywise.
     """
-    herm = _hermitian_part(choi(phi, tol), tol)
-    report, eigvals, eigvecs = _psd_eigh(herm, tol, _scale_free_psd_verdict)
-    if not report.ok:
-        raise NotCompletelyPositiveError(
-            f"map is not completely positive (Choi lambda_min = {report.lambda_min:.3e})"
-        )
-    q, m = phi.domain.ambient_dim, phi.target_dim
-    # Eigenvalues ascend, so the kept ones are the top `rank`, taken largest first.
+    _check_hermitian(choi(phi, tol), tol)
+    spectra = phi._choi_spectra
+    eigvals = np.sort(np.concatenate([lam for lam, _ in spectra]))
+    if eigvals.size:
+        ok, lam_min = _scale_free_psd_verdict(eigvals, tol)
+        if not ok:
+            raise NotCompletelyPositiveError(f"map is not completely positive (Choi lambda_min = {lam_min:.3e})")
+    # The rank cut of all eigenvalues at once: each block keeps its own that
+    # are at least the smallest kept one.
     rank = _rank_cut(eigvals[::-1], tol, eigvals.max(initial=0.0))[0]
-    lams, vecs = eigvals[::-1][:rank], eigvecs[:, ::-1][:, :rank]
-    ops = np.sqrt(lams)[:, None, None] * vecs.T.reshape(rank, q, m).transpose(0, 2, 1)
-    return list(ops)
+    floor = eigvals[-rank] if rank else np.inf
+    q, m = phi.domain.ambient_dim, phi.target_dim
+    ops = []
+    for (lam, vecs), sl in zip(spectra, phi.domain.block_slices()):
+        keep = lam >= floor
+        # Eigenvalues ascend, so the kept ones are taken largest first.
+        lams, kept = lam[keep][::-1], vecs[:, keep][:, ::-1]
+        block_ops = np.zeros((len(lams), m, q), dtype=complex)
+        block_ops[:, :, sl] = np.sqrt(lams)[:, None, None] * kept.T.reshape(len(lams), sl.stop - sl.start, m).transpose(0, 2, 1)
+        ops.extend(block_ops)
+    return ops
 
 
 @dataclass(eq=False)
 class StinespringDilation:
-    """Dilation ``phi(a) = V* (a (x) I_r) V`` on ``C^q (x) C^r``."""
+    """Dilation ``phi(a) = V* (a (x) I_r) V`` on ``C^q (x) C^r``, from the
+    block-local Kraus operators of :func:`kraus`: the first ``block_ranks[0]``
+    live on the first algebra block, and so on, so row ``(i, t)`` of ``V`` is
+    zero unless ``t`` belongs to the block of ``i``."""
 
     algebra: BlockAlgebra
     target_dim: int
     kraus: tuple[np.ndarray, ...]
     rank: int
     V: np.ndarray
+    block_ranks: tuple[int, ...]
 
     def reconstruction_defect(self, phi: CPMap) -> float:
         """Max over matrix units of ``|phi(u) - V*(u (x) I_r)V|``, all from
@@ -381,14 +415,14 @@ def stinespring(phi: CPMap, tol: ToleranceProfile = DEFAULT_TOL) -> StinespringD
     """Assemble the dilation from the Kraus operators.
 
     ``V h = sum_t (K_t* h) (x) e_t`` with the ``C^q (x) C^r`` ordering, so
-    ``V[(i*r + t), a] = conj(K_t[a, i])``.
+    ``V[(i*r + t), a] = conj(K_t[a, i])``.  Each operator is zero off one
+    block, so it is counted in the block of its largest column.
     """
+    q, m, blocks = phi.domain.ambient_dim, phi.target_dim, phi.domain.blocks
     ops = kraus(phi, tol)
-    q, m = phi.domain.ambient_dim, phi.target_dim
     r = len(ops)
-    if r == 0:
-        v = np.zeros((0, m), dtype=complex)
-        return StinespringDilation(phi.domain, m, (), 0, v)
-    stacked = np.stack(ops)  # (r, m, q)
-    v = stacked.conj().transpose(2, 0, 1).reshape(q * r, m)
-    return StinespringDilation(phi.domain, m, tuple(ops), r, v)
+    ops = np.stack(ops) if r else np.zeros((0, m, q), dtype=complex)
+    owner = np.repeat(np.arange(len(blocks)), blocks)[np.abs(ops).sum(axis=1).argmax(axis=1)]
+    counts = tuple(int(c) for c in np.bincount(owner, minlength=len(blocks)))
+    v = ops.conj().transpose(2, 0, 1).reshape(q * r, m)
+    return StinespringDilation(phi.domain, m, tuple(ops), r, v, counts)

@@ -1,13 +1,14 @@
 """Module maps, the Gram criterion for completely semi-compatible maps, the
 KSGNS-style universal map, and the extension engine with its corollaries.
 
-The engine factors through the carrier map ``x -> (x (x) I_r) V`` into
-``C^p (x) C^r`` (:func:`_carrier_map`), so every intermediate operator is an
-explicit matrix; :func:`ksgns` compresses it to its range (columns of an
-orthonormal basis ``Q``), the universal map in place of an abstract GNS
-quotient.  The engine's output is certified from scratch: restriction,
-contraction bound, and the semi-compatibility of the extension are all
-re-verified on the result rather than inherited from the construction.
+The engine factors through the carrier map ``x -> (x (x) I_r) V`` taken in
+block row coordinates, into ``(+)_k W_k (x) C^{rho_k}``
+(:func:`_carrier_map`), so every intermediate operator is an explicit
+matrix; :func:`ksgns` compresses it to its range (columns of an orthonormal
+basis ``Q``), the universal map in place of an abstract GNS quotient.  The
+engine's output is certified from scratch: restriction, contraction bound,
+and the semi-compatibility of the extension are all re-verified on the
+result rather than inherited from the construction.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .cpmaps import CPMap, StinespringDilation, _choi_matrix, stinespring
-from .modules import ConcreteModule, _complement, _invalid_module_message, _submodule_coefficients
+from .modules import ConcreteModule, _BlockRows, _complement, _invalid_module_message, _submodule_coefficients
 from .numerics import (
     DEFAULT_TOL,
     SelfCheckError,
@@ -190,9 +191,10 @@ class KsgnsResult:
 
 def ksgns(phi: CPMap, e: ConcreteModule, tol: ToleranceProfile = DEFAULT_TOL) -> KsgnsResult:
     """Kolmogorov-style factorization: the universal non-degenerate map
-    ``x -> Q* (x (x) I_r) V``, the carrier map (:func:`_carrier_map`)
-    compressed to its range, ``Q`` an orthonormal basis of its columns (one
-    SVD).  It is self-checked on a fresh :func:`gram_pair`."""
+    ``x -> Q* C(x)``, the carrier map ``C`` (:func:`_carrier_map`, in block
+    row coordinates) compressed to its range, ``Q`` an orthonormal basis of
+    its columns (one SVD), so ``onb`` acts on ``(+)_k W_k (x) C^{rho_k}``.
+    It is self-checked on a fresh :func:`gram_pair`."""
     carrier, dil = _carrier_map(phi, e, tol)
     q_onb = column_span_onb(carrier.stacked_columns(), tol)
     result = ModuleMap(e, carrier.h1_dim, q_onb.shape[1], tuple(dagger(q_onb) @ carrier._value_stack))
@@ -200,19 +202,52 @@ def ksgns(phi: CPMap, e: ConcreteModule, tol: ToleranceProfile = DEFAULT_TOL) ->
 
 
 def _carrier_map(phi: CPMap, e: ConcreteModule, tol: ToleranceProfile) -> tuple[ModuleMap, StinespringDilation]:
-    """The carrier map ``x -> (x (x) I_r) V`` of ``e`` into ``C^p (x) C^r``
-    and the Stinespring dilation (``V``, rank ``r``) it is built from.  Every
-    semi-compatible map on a submodule of ``e`` factors through it by a
-    contraction, and its carrier columns ``C`` (:meth:`~ModuleMap.stacked_columns`)
-    have ``C* C = phi~(<e_i, e_j>)`` up to the dilation's rank cut and
-    rounding.  ``(x (x) I_r) V`` is ``x @ V`` with ``V`` read as a
-    ``q x (r m)`` matrix: one matmul against the basis stack."""
+    """The carrier map of ``e`` in block row coordinates and the Stinespring
+    dilation (``V``, rank ``r``) it is built from:
+
+        x -> (+)_k (U_k* x[:, block k] (x) I_{rho_k}) V_k
+
+    into ``(+)_k W_k (x) C^{rho_k}``, block after block, rows ``(s, t)``
+    with ``t`` fast.  ``V_k`` is ``V``'s rows of block ``k``'s ambient
+    indices and ``rho_k`` Kraus operators (:func:`~semiphi.cpmaps.kraus` is
+    block-local, so ``V`` has no other nonzero rows there) and ``U_k`` the
+    module's row basis of block ``k`` (``ConcreteModule._block_rows``), an
+    orthonormal basis of ``W_k``, the span of the block's columns.  A block
+    whose columns the row basis leaves a residual above rounding
+    (:func:`_compresses`) takes ``U_k = I_p`` instead.
+
+    This is ``x -> (x (x) I_r) V`` of ``e`` into ``C^p (x) C^r`` compressed
+    by the isometry ``(+)_k U_k (x) I_{rho_k}``, whose range holds every
+    carrier column, so it keeps every inner product of the carrier columns
+    ``C`` (:meth:`~ModuleMap.stacked_columns`): ``C* C = phi~(<e_i, e_j>)`` up
+    to the dilation's rank cut and rounding, on ``sum_k dim W_k rho_k`` rows
+    in place of ``p r``.  Every semi-compatible map on a submodule of ``e``
+    factors through it by a contraction, of the same norm as through the
+    uncompressed map.  One matmul per block against the basis stack."""
     if e.algebra.blocks != phi.domain.blocks:
         raise ShapeError("module and CP map live over different algebras")
     dil = stinespring(phi, tol)
     r, m, p, q = dil.rank, phi.target_dim, e.row_dim, phi.domain.ambient_dim
-    values = (e._basis_stack @ dil.V.reshape(q, r * m)).reshape(e.dim, p * r, m)
-    return ModuleMap(e, m, p * r, tuple(values)), dil
+    v, basis, d = dil.V.reshape(q, r, m), e._basis_stack, e.dim
+    parts, t = [], 0
+    for sl, rows, rho in zip(phi.domain.block_slices(), e._block_rows, dil.block_ranks):
+        n = sl.stop - sl.start
+        u = rows.onb if _compresses(rows, p + d * n) else np.eye(p)
+        # U_k* x[:, block k] for every x, (d, dim W_k, n_k), against V_k read
+        # as an n_k x (rho_k m) matrix.
+        v_k = v[sl, t : t + rho].reshape(n, rho * m)
+        parts.append((dagger(u) @ basis[:, :, sl] @ v_k).reshape(d, u.shape[1] * rho, m))
+        t += rho
+    values = np.concatenate(parts, axis=1)
+    return ModuleMap(e, m, values.shape[1], tuple(values)), dil
+
+
+def _compresses(rows: _BlockRows, dim: int) -> bool:
+    """Whether a block's row basis ``U`` holds its columns ``y`` up to
+    rounding: the residual ``|y - U U* y|_F`` at most
+    ``_rounding_band(dim, |y|_F)``, ``dim = p + dim(e) * n_k`` as in the
+    row Gram's own cut."""
+    return np.sqrt(rows.residual_mass) <= _rounding_band(dim, np.sqrt(rows.values.sum() + rows.residual_mass))
 
 
 def _self_checked(phi_map: ModuleMap, pair: GramPair, tol: ToleranceProfile) -> GramPair:
@@ -396,10 +431,11 @@ def _choi_carrier(phi_map: ModuleMap, phi: CPMap) -> _Carrier | None:
     gap is then ``X* J' X`` with ``X = [C; B]``, ``B`` the map's
     :meth:`~ModuleMap.stacked_columns` and ``J' = diag(J, -I_k)``.
 
-    ``H`` is block diagonal, one block per algebra block, so each block has
-    its own ``eigh`` and its eigenvectors meet only that block's columns of
-    the basis.  Those columns, stacked as the ``p x (d * width)`` matrix
-    ``y``, span few rows: the rows ``s`` of a block are taken in an
+    ``H`` is block diagonal, one block per algebra block, so its spectrum is
+    the map's one ``eigh`` per block (``CPMap._choi_spectra``, which the
+    Kraus operators read too) and each eigenvector meets only its block's
+    columns of the basis.  Those columns, stacked as the ``p x (d *
+    width)`` matrix ``y``, span few rows: the rows ``s`` of a block are taken in an
     orthonormal basis ``U`` of that span, which leaves the form unchanged, so
     ``n`` is the sum over blocks of (rank of the block's columns) * (kept
     eigenvalues) plus ``k``, at most ``p * T + k``.  ``U`` and ``U* y`` are
@@ -425,7 +461,6 @@ def _choi_carrier(phi_map: ModuleMap, phi: CPMap) -> _Carrier | None:
     d, p, q = basis.shape
     k, m = phi_map.h2_dim, phi_map.h1_dim
     dim = d * m
-    slices = phi.domain.block_slices()
     if dim < _CARRIER_MIN_GAP or k >= dim:
         return None
     choi = _choi_matrix(phi)
@@ -438,8 +473,7 @@ def _choi_carrier(phi_map: ModuleMap, phi: CPMap) -> _Carrier | None:
     product_bound = (module_mass + 1.0) * choi_l1 * q * m + map_mass
     if not _far_from_overflow(product_bound):
         return None
-    herm = (choi + dagger(choi)) / 2.0
-    spectra = [np.linalg.eigh(herm[sl.start * m : sl.stop * m, sl.start * m : sl.stop * m]) for sl in slices]
+    spectra = phi._choi_spectra
     top = max(float(np.abs(lam).max()) for lam, _ in spectra)
     cut = _rounding_band(q * m, top)
     dropped = row_mass = 0.0
@@ -656,17 +690,19 @@ class ExtensionReport:
 @dataclass(eq=False)
 class ExtensionResult:
     """The extension ``phi_prime = S0 o carrier`` with the input map, the
-    contraction ``S0`` (``k x p r``, on the carrier space ``C^p (x) C^r``),
-    the dilation and its certificate.  Stages: obstruction (forms the one
-    table ``phi~(<e_i, e_j>)`` and the coefficients of f's basis over e's),
-    input semi check and ``input_is_phi_map`` (the input's own pair on
-    ``f``), the carrier map (:func:`_carrier_map`, self-checked against the
-    obstruction's table), least squares (no pair), the re-certification of
-    ``phi_prime``, which reads ``gram``: the table against the Gram matrix of
-    the columns of ``phi_prime``, decided by :func:`_decide_gap` on the
-    carrier columns (:func:`_ksgns_carrier`) or on that pair, and on the
-    exact branch the two ``e x (f + f_perp)`` tables, contractions of the
-    same table.  ``gram`` is bit-equal to a fresh :func:`gram_pair` of
+    contraction ``S0`` (``k x sum_k dim W_k rho_k``, on the carrier space
+    ``(+)_k W_k (x) C^{rho_k}`` of :func:`_carrier_map`: ``W_k`` the span of
+    the block-``k`` columns of ``e``, ``rho_k`` the Kraus operators of block
+    ``k``), the dilation and its certificate.  Stages: obstruction (forms
+    the one table ``phi~(<e_i, e_j>)`` and the coefficients of f's basis
+    over e's), input semi check and ``input_is_phi_map`` (the input's own
+    pair on ``f``), the carrier map (:func:`_carrier_map`, self-checked
+    against the obstruction's table), least squares (no pair), the
+    re-certification of ``phi_prime``, which reads ``gram``: the table
+    against the Gram matrix of the columns of ``phi_prime``, decided by
+    :func:`_decide_gap` on the carrier columns (:func:`_ksgns_carrier`) or
+    on that pair, and on the exact branch the two ``e x (f + f_perp)``
+    tables, contractions of the same table.  ``gram`` is bit-equal to a fresh :func:`gram_pair` of
     ``phi_prime``; the report's ``extension_semi_margin`` is its gap's
     smallest eigenvalue up to the rounding of the path that decided.
     """
@@ -804,10 +840,10 @@ def _ksgns_carrier(phi_prime: ModuleMap, carrier: ModuleMap, pair: GramPair) -> 
 
     With ``B`` the extension's :meth:`~ModuleMap.stacked_columns`,
     ``X = [C; B]`` and ``J = diag(I, -I_k)``, the gap is
-    ``T - B* B = X* J X + (T - C* C)`` on ``n = p r + k`` rows.  By Weyl no
-    eigenvalue of the gap is farther from those of ``X* J X`` than
-    ``delta = |T - C* C|_F``; with the rounding of both paths added, that is
-    the carrier's error.  None (the pair decides) for a gap below
+    ``T - B* B = X* J X + (T - C* C)`` on ``n = sum_k dim W_k rho_k + k``
+    rows.  By Weyl no eigenvalue of the gap is farther from those of
+    ``X* J X`` than ``delta = |T - C* C|_F``; with the rounding of both
+    paths added, that is the carrier's error.  None (the pair decides) for a gap below
     ``_CARRIER_MIN_GAP``, a carrier no smaller than ``N`` and values near
     overflow.
     """

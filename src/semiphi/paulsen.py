@@ -353,20 +353,24 @@ def _certify_cp_extension(sm: SystemMap, tol: ToleranceProfile) -> None:
     *Completely Bounded Maps and Operator Algebras*, 2002, ch. 6-8; Lance,
     *Hilbert C*-Modules*, 1995, ch. 5).
 
-    Let ``phi(a) = V* (a (x) I_r) V`` and ``C(x) = (x (x) I_r) V`` be the
-    dilation and the carrier map of the module map's domain
-    (:func:`~semiphi.extension._carrier_map`), ``S0`` the least-squares
-    contraction with ``S0 C(x_i) = Phi(x_i)`` on its basis, ``W = S0* (+)
-    V`` and ``D = (I_k - S0 S0*) (+) 0_m``.  Then::
+    Let ``phi(a) = V* (a (x) I_r) V`` be the dilation and ``C`` the carrier
+    map of the module map's domain (:func:`~semiphi.extension._carrier_map`):
+    ``C(x) = J* (x (x) I_r) V`` on ``sum_k dim W_k rho_k`` rows, with ``J =
+    (+)_k U_k (x) I_{rho_k}`` the isometry from its block row coordinates
+    into ``C^p (x) C^r``, whose range holds every ``(x (x) I_r) V``.  Let
+    ``S0`` be the least-squares contraction with ``S0 C(x_i) = Phi(x_i)`` on
+    the basis, ``W = (J S0*) (+) V`` and ``D = (I_k - S0 S0*) (+) 0_m``.
+    Then::
 
         rho(Y) = W* (Y (x) I_r) W + (tr Y_11 / p) D
 
     (no trace term when ``p = 0``) is a compression of the *-homomorphism
     ``Y -> Y (x) I_r`` plus a state times ``D``, which is PSD when ``|S0| <=
     1``, so it is CP on all of ``M_(p+q)``; and on the system it is the map:
-    ``lam (S0 S0* + I_k - S0 S0*) = lam I_k`` on the scalar block, ``S0 C(x)
-    = Phi(x)`` on the corners and ``V* (a (x) I_r) V = phi(a)`` on the
-    algebra.  The checks
+    ``lam (S0 S0* + I_k - S0 S0*) = lam I_k`` on the scalar block, ``S0 J*
+    (x (x) I_r) V = S0 C(x) = Phi(x)`` on the corners and ``V* (a (x) I_r) V
+    = phi(a)`` on the algebra.  The least squares has ``sum_k dim W_k
+    rho_k`` rows, not ``p r``; ``J`` keeps the norm of ``S0``.  The checks
     are ``|S0|`` against the contraction bound and the corners' residual at
     its construction threshold (:func:`~semiphi.extension._contraction`),
     and the dilation's reconstruction defect at its threshold; a failed one

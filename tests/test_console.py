@@ -1,7 +1,8 @@
-"""Two console checks of the CI workflow, run in Tier-1 as child processes of
-``python -m semiphi.cli`` on problem files written under ``tmp_path``: the
-seeded ``paulsen`` reports and the malformed-input exit code.  In-process
-tests call ``cli.main()`` and never see the exit status or the stderr of the
+"""Four console checks of the CI workflow, run in Tier-1 as child processes
+of ``python -m semiphi.cli`` on problem files written under ``tmp_path``:
+the seeded ``paulsen`` reports, the malformed-input exit code, non-orthogonal
+bases and the rescaled ``stinespring``.  In-process tests call
+``cli.main()`` and never see the exit status or the stderr of the
 interpreter itself."""
 
 import json
@@ -13,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from semiphi import serialization as ser
+from semiphi import BlockAlgebra, ConcreteModule, CPMap, ModuleMap, from_kraus, serialization as ser
 from semiphi.fixtures import compacts_fixture, example_2_1, random_semi_phi_fixture
 
 from conftest import full_rectangular_module
@@ -82,3 +83,59 @@ def test_malformed_input_exits_2_without_traceback(tmp_path):
     assert done.returncode == 2, done.stderr
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith("error: ")
+
+
+def write_problem(path, payload):
+    path.write_text(json.dumps({"schema_version": "1", "payload": payload}))
+    return str(path)
+
+
+def mixed(stack):
+    """Element j becomes element j plus half of each element before it."""
+    d = len(stack)
+    upper = np.eye(d) + 0.5 * np.triu(np.ones((d, d)), 1)
+    return tuple(np.tensordot(upper.T, stack, axes=1))
+
+
+@pytest.mark.parametrize("command", [["extend"], ["paulsen", "--seed", "7"]], ids=["extend", "paulsen"])
+def test_non_orthogonal_bases_agree(command, tmp_path):
+    # Every generated basis is orthogonal, so projection and the rank count
+    # read its Gram product; mixing each basis (and Phi's values on F) by one
+    # invertible upper-triangular matrix sends them through the SVD path
+    # instead.  The span, the map and so every verdict and exit code stay
+    # the same.
+    fx = compacts_fixture(2)
+    f, e = fx.phi_map.domain, fx.e
+    units = np.eye(4, dtype=complex).reshape(4, 2, 2)  # all of M_2 over M_2
+    runs = []
+    for name, mix in (("orthonormal", tuple), ("mixed", mixed)):
+        f_mix = ConcreteModule(f.algebra, f.row_dim, mix(f._basis_stack))
+        payload = {
+            "phi": ser.cp_map_to_json(fx.phi),
+            "Phi": ser.module_map_to_json(ModuleMap(f_mix, fx.phi_map.h1_dim, fx.phi_map.h2_dim, mix(fx.phi_map._value_stack))),
+            "E": ser.module_to_json(ConcreteModule(e.algebra, e.row_dim, mix(e._basis_stack))),
+            "codomain_module": ser.module_to_json(ConcreteModule(BlockAlgebra((2,)), 2, mix(units))),
+        }
+        done = run_cli(command[0], write_problem(tmp_path / f"{name}.json", payload), *command[1:], "--json")
+        assert "Traceback" not in done.stderr
+        runs.append((done.returncode, json.loads(done.stdout)["verdicts"]))
+    assert runs[0] == runs[1]
+
+
+def test_rescaled_stinespring_agrees(tmp_path):
+    # The dilation's reconstruction defect is decided at the map's own
+    # scale.  One CP map with one Kraus operator (its dilation keeps the one
+    # Choi eigenvalue at every c) is written at c = 1e-8, 1 and 1e10;
+    # `stinespring` exits 0 on each file with equal verdicts, and the
+    # dilation reconstructs.
+    rng = np.random.default_rng(0)
+    kraus = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    phi = from_kraus(BlockAlgebra((3,)), [kraus], target_dim=2)
+    verdicts = {}
+    for c in ("1e-8", "1", "1e10"):
+        scaled = CPMap(phi.domain, phi.target_dim, tuple(float(c) * phi._value_stack))
+        done = run_cli("stinespring", write_problem(tmp_path / f"stinespring-{c}.json", {"phi": ser.cp_map_to_json(scaled)}), "--json")
+        assert done.returncode == 0, done.stderr
+        verdicts[c] = json.loads(done.stdout)["verdicts"]
+    assert verdicts["1"]["dilation_reconstructs"] is True
+    assert verdicts["1e-8"] == verdicts["1"] == verdicts["1e10"]

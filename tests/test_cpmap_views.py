@@ -4,6 +4,8 @@ eigendecompositions each call makes."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import semiphi.cpmaps as cpmaps
 import semiphi.extension as ext
@@ -11,10 +13,12 @@ import semiphi.modules as modules
 from semiphi import (
     BlockAlgebra,
     ConcreteModule,
+    NotCompletelyPositiveError,
     canonical_compacts_extension,
     choi,
     extend_semi_phi,
     from_kraus,
+    identity_cp_map,
     kraus,
     ksgns,
     stinespring,
@@ -62,18 +66,26 @@ def reference_ambient_tensor(phi):
 
 
 def reference_kraus(phi, tol=DEFAULT_TOL):
-    """Kraus operators one eigenpair at a time from a second ``eigh``."""
+    """Kraus operators one eigenpair at a time from a second ``eigh`` of
+    each algebra block of the symmetrized Choi matrix, block after block and
+    largest first within a block, cut in units of the largest eigenvalue of
+    all blocks."""
     j = reference_choi(phi)
     q, m = phi.domain.ambient_dim, phi.target_dim
-    eigvals, eigvecs = np.linalg.eigh((j + j.conj().T) / 2.0)
-    if eigvals.size == 0 or eigvals[-1] <= 0.0:
+    herm = (j + j.conj().T) / 2.0
+    spectra = [np.linalg.eigh(herm[sl.start * m : sl.stop * m, sl.start * m : sl.stop * m]) for sl in phi.domain.block_slices()]
+    top = max([lam[-1] for lam, _ in spectra if lam.size], default=0.0)
+    if top <= 0.0:
         return []
-    cutoff = tol.threshold(float(eigvals[-1]))
+    cutoff = tol.bounded_threshold(top, top)
     ops = []
-    for lam, vec in zip(eigvals[::-1], eigvecs.T[::-1]):
-        if lam <= cutoff:
-            break
-        ops.append(np.sqrt(lam) * vec.reshape(q, m).T)
+    for (eigvals, eigvecs), sl in zip(spectra, phi.domain.block_slices()):
+        for lam, vec in zip(eigvals[::-1], eigvecs.T[::-1]):
+            if lam <= cutoff:
+                break
+            op = np.zeros((m, q), dtype=complex)
+            op[:, sl] = np.sqrt(lam) * vec.reshape(sl.stop - sl.start, m).T
+            ops.append(op)
     return ops
 
 
@@ -211,6 +223,72 @@ class TestViewsMatchReference:
             assert dil.reconstruction_defect(scaled) <= _reconstruction_threshold(DEFAULT_TOL, scaled._value_stack)
 
 
+def dilation_case(seed, blocks, m, kind, zero_block, scale):
+    """A map over ``BlockAlgebra(blocks)`` into ``M_m``, times ``scale``:
+    "random" is CP of a random Kraus rank (0 to 4), "identity" the
+    inclusion (whose blocks share their Choi eigenvalues) and "indefinite"
+    the difference of two random CP maps.  With ``zero_block`` the map
+    vanishes on the units of the first block."""
+    rng = np.random.default_rng(seed)
+    algebra = BlockAlgebra(blocks)
+    if kind == "identity":
+        phi = identity_cp_map(algebra)
+    else:
+        phi = random_cp_map(algebra, m, int(rng.integers(0, 5)), rng)
+        if kind == "indefinite":
+            other = random_cp_map(algebra, m, 1, rng)
+            phi = CPMap(algebra, m, tuple(phi._value_stack - 2.0 * other._value_stack))
+    values = scale * phi._value_stack
+    if zero_block:
+        values[: blocks[0] ** 2] = 0.0
+    return CPMap(algebra, phi.target_dim, tuple(values))
+
+
+def whole_choi_spectrum(phi):
+    """Eigenvalues of the whole symmetrized Choi matrix, from one ``eigh``."""
+    j = reference_choi(phi)
+    return np.linalg.eigh((j + j.conj().T) / 2.0)[0]
+
+
+class TestBlockLocalDilation:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple),
+        st.integers(1, 3),
+        st.sampled_from(["random", "identity", "indefinite"]),
+        st.booleans(),
+        st.sampled_from([1e-8, 1.0, 1e10]),
+    )
+    @example(0, (2, 2), 2, "identity", False, 1.0)
+    @example(0, (2, 2), 2, "identity", False, 1e-8)
+    @example(0, (2, 2), 2, "identity", True, 1e10)
+    @example(1, (2, 1, 3), 3, "random", True, 1.0)
+    def test_matches_one_eigh_of_the_whole_choi_matrix(self, seed, blocks, m, kind, zero_block, scale):
+        phi = dilation_case(seed, blocks, m, kind, zero_block, scale)
+        lam = whole_choi_spectrum(phi)
+        top = max(abs(lam[0]), abs(lam[-1])) if lam.size else 0.0
+        cp = not lam.size or lam[0] >= -DEFAULT_TOL.bounded_threshold(top, top)
+        if not cp:
+            with pytest.raises(NotCompletelyPositiveError):
+                kraus(phi)
+            return
+        ops = kraus(phi)
+        assert len(ops) == np.count_nonzero(lam > DEFAULT_TOL.bounded_threshold(lam.max(initial=0.0), lam.max(initial=0.0)))
+        # Each operator is zero off one block, and they come block after block.
+        owners = []
+        for op in ops:
+            live = [k for k, sl in enumerate(phi.domain.block_slices()) if np.any(op[:, sl])]
+            assert len(live) == 1
+            owners.append(live[0])
+        assert owners == sorted(owners)
+        if zero_block:
+            assert 0 not in owners
+        dil = stinespring(phi)
+        assert dil.block_ranks == tuple(owners.count(k) for k in range(len(blocks)))
+        assert dil.reconstruction_defect(phi) <= _reconstruction_threshold(DEFAULT_TOL, phi._value_stack)
+
+
 def reference_reconstruction_defect(dil, phi):
     """Max over matrix units of ``|phi(u) - V*(u (x) I_r)V|``, one
     ``np.kron`` per unit."""
@@ -249,13 +327,17 @@ class Counter:
 class TestOnePassCounts:
     @pytest.mark.parametrize("view", [kraus, stinespring])
     @pytest.mark.parametrize("blocks", BLOCKS)
-    def test_one_check_one_choi_one_eigh(self, view, blocks, monkeypatch):
+    def test_one_check_one_choi_one_eigh_per_block(self, view, blocks, monkeypatch):
         phi = random_cp_map(BlockAlgebra(blocks), 3, 2, np.random.default_rng(3))
         counter = Counter(monkeypatch)
         view(phi)
-        side = phi.domain.ambient_dim * phi.target_dim
+        sides = [n * phi.target_dim for n in blocks]
         assert (counter.checks, counter.chois) == (1, 1)
-        assert counter.eigh_shapes == [(side, side)]
+        assert counter.eigh_shapes == [(side, side) for side in sides]
+        # The map keeps its spectrum: a second view checks again, solves nothing.
+        view(phi)
+        assert (counter.checks, counter.chois) == (2, 2)
+        assert len(counter.eigh_shapes) == len(sides)
 
     @pytest.mark.parametrize("fixture", [example_2_1, compacts_fixture])
     def test_one_choi_per_extension(self, fixture, monkeypatch):
@@ -318,17 +400,23 @@ class TestOnePassCounts:
 
 
 def assert_ksgns_matches_kron_loop(phi, e):
-    """Carrier columns ``(x_i (x) I_r) V`` and values ``Q* (x_i (x) I_r) V``
-    of :func:`ksgns` against one ``np.kron`` per basis element."""
+    """The values ``Q* C(x_i)`` of :func:`ksgns` against the carrier columns
+    ``(x_i (x) I_r) V`` of one ``np.kron`` per basis element: a unitary of
+    the range basis apart, so with the same rank and the same Gram matrix,
+    and ``Q`` has orthonormal columns."""
     result = ksgns(phi, e)
     dil, q_onb = result.dilation, result.onb
-    r = dil.rank
+    r, m = dil.rank, phi.target_dim
     assert len(result.map.values) == e.dim
-    for b, value in zip(e.basis, result.map.values):
-        column = np.kron(b, np.eye(r, dtype=complex)) @ dil.V
-        assert np.abs(value - q_onb.conj().T @ column).max(initial=0.0) <= 1e-12
-        # The carrier column lies in span Q, so Q recovers it from the value.
-        assert np.abs(q_onb @ value - column).max(initial=0.0) <= 1e-12
+    columns = np.zeros((e.row_dim * r, 0), dtype=complex)
+    for b in e.basis:
+        columns = np.hstack([columns, np.kron(b, np.eye(r, dtype=complex)) @ dil.V])
+    values = result.map.stacked_columns()
+    rank = np.linalg.matrix_rank(columns, tol=1e-10) if columns.size else 0
+    assert result.map.h2_dim == rank
+    assert np.abs(values.conj().T @ values - columns.conj().T @ columns).max(initial=0.0) <= 1e-12
+    assert np.abs(q_onb.conj().T @ q_onb - np.eye(q_onb.shape[1])).max(initial=0.0) <= 1e-12
+    assert values.shape == (q_onb.shape[1], e.dim * m)
     return result
 
 
@@ -362,4 +450,5 @@ class TestKsgnsParity:
         phi = random_cp_map(algebra, 2, 2, np.random.default_rng(2))
         result = assert_ksgns_matches_kron_loop(phi, empty)
         assert result.map.values == ()
-        assert result.onb.shape == (3 * result.dilation.rank, 0)
+        # No block has a column, so the carrier has no row.
+        assert result.onb.shape == (0, 0)

@@ -226,11 +226,11 @@ class TestWitnessReevaluation:
             # decide below its size cutoff: it does (2 rows * T = 1 + k = 2,
             # below N = 8) after one eigh of the 4x4 Choi matrix and one of
             # the 4x4 row Gram y y* of the basis (p = 4, 4 * 2 columns), with
-            # no SVD.  The witness reuses the row form the module keeps, and
-            # its eigh of the 4x4 carrier matrix gives its vector.  The gap is
-            # -8 g_phi, so every eigenvector for its smallest eigenvalue -16
-            # has sides 18 and 2.
-            (tripled_example_2_1, (18.0, 2.0), "carrier", (0, [4, 4], [4]), (0, [4, 4], [])),
+            # no SVD.  The witness reuses the Choi spectrum the map keeps and
+            # the row form the module keeps, and its eigh of the 4x4 carrier
+            # matrix gives its vector.  The gap is -8 g_phi, so every
+            # eigenvector for its smallest eigenvalue -16 has sides 18 and 2.
+            (tripled_example_2_1, (18.0, 2.0), "carrier", (0, [4, 4], [4]), (0, [4], [])),
         ],
         ids=["table", "carrier"],
     )
@@ -416,21 +416,26 @@ class TestStagesRunOnce:
         [lambda rng: example_2_1(2), random_vanishing_obstruction_fixture, random_semi_phi_fixture],
         ids=["example_2_1", "vanishing_obstruction", "semi"],
     )
-    def test_one_choi_eigh_and_two_eigenvalue_only_decisions(self, make, monkeypatch, rng):
+    def test_one_choi_eigh_per_block_and_two_eigenvalue_only_decisions(self, make, monkeypatch, rng):
         fx = make(rng)
         while not fx.phi_map.domain.dim:  # a 0x0 input gap needs no solve
             fx = make(rng)
+        # Fresh objects: building a fixture caches the map's Choi spectrum
+        # and its modules' row forms.
+        f, e = (ConcreteModule(x.algebra, x.row_dim, x.basis) for x in (fx.phi_map.domain, fx.e))
+        phi = CPMap(fx.phi.domain, fx.phi.target_dim, fx.phi.values)
+        phi_map = ModuleMap(f, fx.phi_map.h1_dim, fx.phi_map.h2_dim, fx.phi_map.values)
         eigh = counted(monkeypatch, np.linalg, "eigh")
         eigvalsh = counted(monkeypatch, np.linalg, "eigvalsh")
-        res = extend_semi_phi(fx.phi_map, fx.e, fx.phi)
+        res = extend_semi_phi(phi_map, e, phi)
         # Validating f and then e reads one p x p row Gram per algebra block
-        # of each; the Kraus operators of the Choi matrix (ksgns) are the only
-        # other vectors; the input semi check and the re-certification read
-        # eigenvalues.
+        # of each, which the carrier map reads again; the Kraus operators
+        # (one eigh per block of the Choi matrix) are the only other vectors;
+        # the input semi check and the re-certification read eigenvalues.
         assert res.report["extension_semi_ok"]
-        rows = [fx.e.row_dim] * len(fx.e.algebra.blocks)
-        choi = fx.phi.domain.ambient_dim * fx.phi.target_dim
-        assert [args[0].shape[0] for args in eigh] == rows + rows + [choi]
+        rows = [e.row_dim] * len(e.algebra.blocks)
+        choi = [n * phi.target_dim for n in phi.domain.blocks]
+        assert [args[0].shape[0] for args in eigh] == rows + rows + choi
         assert len(eigvalsh) == 2
 
     @pytest.mark.parametrize(

@@ -10,12 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import semiphi.extension as extension
 import semiphi.modules as modules
 from semiphi import BlockAlgebra, ConcreteModule, block_map, is_cp_system_map, validate_module
 from semiphi.fixtures import compacts_fixture, example_2_1
-from semiphi.numerics import DEFAULT_TOL, EPS
-from conftest import full_rectangular_module
+from semiphi.numerics import EPS
+from conftest import block_rows, full_dilation, full_rectangular_module
 from test_extension import counted
 
 
@@ -145,9 +144,12 @@ def test_orthogonal_bases_take_no_svd_or_pinv(make, monkeypatch):
     sm = block_map(fx.phi_map, fx.phi, full_rectangular_module(2, 2))
     assert is_cp_system_map(sm).ok
     # The one SVD is the certificate's least squares on F's carrier columns
-    # (p r x dim F m), no module basis.
-    carrier, _ = extension._carrier_map(fx.phi, fx.phi_map.domain, DEFAULT_TOL)
-    assert [args[0].shape for args in svds] == [carrier.stacked_columns().shape]
+    # in block row coordinates (sum_k dim W_k rho_k x dim F m, fewer rows
+    # than p r), no module basis.
+    f, m = fx.phi_map.domain, fx.phi.target_dim
+    rows = block_rows(f, fx.phi)
+    assert rows < f.row_dim * full_dilation(fx.phi)[1]
+    assert [args[0].shape for args in svds] == [(rows, f.dim * m)]
     assert pinvs == []
 
 

@@ -35,18 +35,29 @@ from semiphi import (
     transpose_map,
 )
 from semiphi.fixtures import (
+    _column_module,
+    _random_unitary,
     compacts_fixture,
     example_2_1,
     random_containment_fixture,
     random_contraction,
+    random_cp_map,
     random_semi_phi_fixture,
     random_violating_module_map,
     scalar_fixture,
 )
 from semiphi.extension import SelfCheckError
 from semiphi.modules import BlockEmbedding, MembershipError
-from semiphi.numerics import DEFAULT_TOL, ShapeError, ToleranceProfile, as_matrix, dagger
-from conftest import full_rectangular_module
+from semiphi.numerics import (
+    DEFAULT_TOL,
+    ShapeError,
+    ToleranceProfile,
+    _construction_threshold,
+    _contraction_bound,
+    as_matrix,
+    dagger,
+)
+from conftest import block_case, block_rows, fallback_modules, full_carrier, full_dilation, full_rectangular_module, universal_contraction
 
 
 def scalar_codomain():
@@ -628,6 +639,34 @@ def force_positive_gram_verdict(monkeypatch):
 # Choi matrix assembled here, S0 from a pseudo-inverse, rho from np.kron.
 
 
+def full_carrier_columns(sm, tol=DEFAULT_TOL):
+    """``V``, ``r`` and the carrier columns ``(x (x) I_r) V`` of the module
+    basis on all ``p r`` rows (``l`` fast) of ``conftest.full_dilation`` and
+    ``conftest.full_carrier``; the module map's columns; and the eigenvalues
+    of the whole Choi matrix, from a second ``eigvalsh``."""
+    phi, pm = sm.cp_map, sm.module_map
+    v, r = full_dilation(phi, tol)
+    carrier = full_carrier(pm.domain._basis_stack, v, r)
+    q, m = phi.domain.ambient_dim, phi.target_dim
+    columns = carrier.transpose(1, 0, 2).reshape(carrier.shape[1], pm.domain.dim * m)
+    choi = np.zeros((q * m, q * m), dtype=complex)
+    for (i, j), value in zip(phi.domain.unit_index_pairs(), phi.values):
+        choi[i * m : (i + 1) * m, j * m : (j + 1) * m] = value
+    lam = np.linalg.eigvalsh((choi + choi.conj().T) / 2.0)
+    return v, columns, pm.stacked_columns(), r, lam
+
+
+def oracle_contraction(columns, targets, tol=DEFAULT_TOL):
+    """``S0 = targets columns^+`` from the singular triplets of the carrier
+    columns above the package's one rank threshold, with plain numpy."""
+    s0 = np.zeros((targets.shape[0], columns.shape[0]), dtype=complex)
+    if columns.size:
+        u, s, vh = np.linalg.svd(columns, full_matrices=False)
+        keep = s > tol.threshold(s.max(initial=0.0))
+        s0 = (targets @ vh[keep].conj().T) @ (u[:, keep] / s[keep]).conj().T
+    return s0
+
+
 def extension_oracle(sm):
     """``rho(Y) = W* (Y (x) I_r) W + (tr Y_11 / p) D`` of
     ``paulsen._certify_cp_extension`` with ``W = S0* (+) V`` and ``D = (I_k
@@ -635,23 +674,8 @@ def extension_oracle(sm):
     phi, pm = sm.cp_map, sm.module_map
     q, m = phi.domain.ambient_dim, phi.target_dim
     p, k = pm.domain.row_dim, pm.h2_dim
-    choi = np.zeros((q * m, q * m), dtype=complex)
-    for (i, j), value in zip(phi.domain.unit_index_pairs(), phi.values):
-        choi[i * m : (i + 1) * m, j * m : (j + 1) * m] = value
-    lam, vecs = np.linalg.eigh((choi + choi.conj().T) / 2.0)
-    keep = lam > 1e-12 * np.abs(lam).max(initial=0.0)
-    kraus_vectors = vecs[:, keep] * np.sqrt(lam[keep])  # choi = sum_t w_t w_t*
-    r = kraus_vectors.shape[1]
-    # V[(i, t), :] = conj(w_t[(i, :)]), so V* (E_ij (x) I_r) V = phi(E_ij).
-    v = np.conj(kraus_vectors.reshape(q, m, r).transpose(0, 2, 1)).reshape(q * r, m)
-    columns = np.zeros((p * r, 0), dtype=complex)
-    targets = np.zeros((k, 0), dtype=complex)
-    for x, value in zip(pm.domain.basis, pm.values):
-        columns = np.hstack([columns, np.kron(x, np.eye(r)) @ v])
-        targets = np.hstack([targets, value])
-    s0 = np.zeros((k, p * r), dtype=complex)
-    if columns.size:
-        s0 = targets @ np.linalg.pinv(columns, rcond=1e-10)
+    v, columns, targets, r, _ = full_carrier_columns(sm)
+    s0 = oracle_contraction(columns, targets)
     w = np.zeros(((p + q) * r, k + m), dtype=complex)
     w[: p * r, :k] = s0.conj().T
     w[p * r :, k:] = v
@@ -679,6 +703,25 @@ def check_extension(sm):
     choi = sum(np.kron(u, rho(u)) for u in units)
     lam = np.linalg.eigvalsh((choi + choi.conj().T) / 2.0)
     assert lam[0] >= -len(choi) * np.finfo(float).eps * max(1.0, lam[-1])
+
+
+def certificate_oracle(sm, tol=DEFAULT_TOL):
+    """The checks of ``paulsen._certify_cp_extension`` on the whole carrier
+    space: ``(|S0|, residual)`` of the least squares on the ``p r`` carrier
+    columns of :func:`full_carrier_columns`, cut at the package's one rank
+    threshold, or the ``(type, text)`` of the error the checks raise."""
+    _, columns, targets, _, lam = full_carrier_columns(sm, tol)
+    scale = max(abs(lam[0]), abs(lam[-1])) if lam.size else 0.0
+    if lam.size and lam[0] < -tol.bounded_threshold(scale, scale):
+        return NotCompletelyPositiveError, f"map is not completely positive (Choi lambda_min = {lam[0]:.3e})"
+    s0 = oracle_contraction(columns, targets, tol)
+    residual = float(np.linalg.norm(s0 @ columns - targets))
+    if residual > _construction_threshold(tol, max(float(np.linalg.norm(targets)), 1.0)):
+        return SelfCheckError, f"least-squares system for the contraction is inconsistent (residual {residual:.3e})"
+    norm = float(np.linalg.norm(s0, 2)) if s0.size else 0.0
+    if norm > _contraction_bound(tol):
+        return SelfCheckError, f"factoring operator has norm {norm:.6f} > 1; semi hypothesis violated"
+    return norm, residual
 
 
 def mixed(stack):
@@ -747,6 +790,30 @@ def non_module_cases():
     yield "non-module span", ModuleMap(span, 2, 2, tuple(contraction @ universal._value_stack)), phi
 
 
+def block_shape_cases():
+    """Systems on the submodules of ``conftest.block_case``, whose carrier
+    maps leave a block without columns, compress a tall block or meet equal
+    Choi eigenvalues in two blocks, and one whose carrier map keeps all
+    ``p`` rows of its block (``U = I_p``): the module of
+    ``conftest.fallback_modules``, at a tolerance whose rank cut drops the
+    direction its row basis cannot resolve, so the least squares stays well
+    conditioned.  Each with its violating map, as ``(label, module map, CP
+    map[, tolerance])``."""
+    rng = np.random.default_rng(32)
+    for name in ("block_without_columns", "tall_block", "ties_across_blocks"):
+        pm, _, phi = block_case(name)
+        yield name, pm, phi
+        yield f"{name}, scaled", ModuleMap(pm.domain, pm.h1_dim, pm.h2_dim, tuple(3.0 * pm._value_stack)), phi
+    module, _ = fallback_modules()
+    phi = random_cp_map(module.algebra, 2, 2, rng)
+    carrier, dil = extension._carrier_map(phi, module, DEFAULT_TOL)
+    assert carrier.h2_dim == module.row_dim * dil.rank
+    loose = ToleranceProfile(1e-7, 1e-7)
+    pm = universal_contraction(phi, module, 2, rng)
+    yield "fallback", pm, phi, loose
+    yield "fallback, scaled", ModuleMap(module, 2, 2, tuple(3.0 * pm._value_stack)), phi, loose
+
+
 # (label, module map, CP map) of each family the certificate is checked on.
 CERTIFICATE_FAMILIES = {
     "random fixtures": lambda: random_fixture_cases(mix=False),
@@ -755,6 +822,31 @@ CERTIFICATE_FAMILIES = {
     "edge inputs": edge_cases,
     "non-module span": non_module_cases,
 }
+
+
+def fresh(pm, phi):
+    """``pm`` and ``phi`` rebuilt, with no Choi spectrum or row form cached."""
+    domain = ConcreteModule(pm.domain.algebra, pm.domain.row_dim, pm.domain.basis)
+    return ModuleMap(domain, pm.h1_dim, pm.h2_dim, pm.values), CPMap(phi.domain, phi.target_dim, phi.values)
+
+
+def example_2_1_case():
+    fx = example_2_1(2)
+    return fx.phi_map, fx.phi
+
+
+def narrow_system_case(seed=0):
+    """A contraction of the universal map over BlockAlgebra((2, 2)) with four
+    columns per block in C^10 and m = k = 4: N = 64, as in the benchmark's
+    smallest Paulsen systems."""
+    rng = np.random.default_rng(seed)
+    algebra = BlockAlgebra((2, 2))
+    u = _random_unitary(10, rng)
+    module = _column_module(algebra, 10, [u[:, :4], u[:, 4:8]])
+    phi = random_cp_map(algebra, 4, 2, rng)
+    universal = ksgns(phi, module).map
+    contraction = random_contraction(4, universal.h2_dim, rng)
+    return ModuleMap(module, 4, 4, tuple(contraction @ universal._value_stack)), phi
 
 
 class TestCpExtensionCertificate:
@@ -771,6 +863,40 @@ class TestCpExtensionCertificate:
                 check_extension(sm)
             else:
                 assert extension_oracle(sm)[1] > 1.0 + 1e-9, label
+
+    @pytest.mark.parametrize("family", sorted(CERTIFICATE_FAMILIES) + ["block shapes"])
+    def test_certificate_matches_the_whole_carrier_oracle(self, family, monkeypatch):
+        # Every case reaches the certificate, a refuted one by a forced
+        # positive Gram verdict: it raises what the oracle's checks on the
+        # whole p r carrier raise, with the same text, or its |S0| and
+        # residual lie within 1e-14 of the oracle's.
+        force_positive_gram_verdict(monkeypatch)
+        contractions = []
+        contraction = paulsen._contraction
+
+        def recorded(*args):
+            out = contraction(*args)
+            contractions.append(out)
+            return out
+
+        monkeypatch.setattr(paulsen, "_contraction", recorded)
+        cases = CERTIFICATE_FAMILIES[family]() if family in CERTIFICATE_FAMILIES else block_shape_cases()
+        positive = 0
+        for case in cases:
+            label, pm, phi, tol = case if len(case) == 4 else (*case, DEFAULT_TOL)
+            sm = block_map(pm, phi, full_codomain(pm, phi), tol)
+            want = certificate_oracle(sm, tol)
+            contractions.clear()
+            try:
+                is_cp_system_map(sm, tol)
+            except Exception as err:
+                assert (type(err), str(err)) == want, label
+                continue
+            assert not isinstance(want[0], type), (label, want)
+            _, residual, norm = contractions[0]
+            assert abs(norm - want[0]) <= 1e-14 and abs(residual - want[1]) <= 1e-14, label
+            positive += 1
+        assert positive
 
     def test_families_hold_200_positive_verdicts_over_one_to_four_blocks(self):
         verdicts = [
@@ -822,27 +948,44 @@ class TestCpExtensionCertificate:
         with pytest.raises(NotCompletelyPositiveError):
             is_cp_system_map(sm)
 
-    def test_no_draw_and_one_eigen_solve_each(self, monkeypatch):
-        # The Gram verdict is one eigenvalue-only solve (N = 8: the table
-        # path) and the certificate one eigh, of the Choi matrix in kraus;
-        # the generator and the sample arguments are not read.
-        fx = example_2_1(2)
-        sm = block_map(fx.phi_map, fx.phi, full_rectangular_module(2, 2))
-        calls = {"eigh": 0, "eigvalsh": 0}
+    @pytest.mark.parametrize("path", ["table", "carrier"])
+    def test_no_draw_and_one_eigen_solve_each(self, path, monkeypatch):
+        # The Gram verdict is one eigenvalue-only solve: of the gap (N = 8,
+        # the table path) or of the signed Choi carrier (N = 64), which
+        # solves the map's Choi spectrum and the module's row form first.
+        # The certificate's Kraus operators read that spectrum (one eigh per
+        # algebra block of the Choi matrix for the map's whole life) and its
+        # carrier map that row form (one p x p eigh per block); its one SVD
+        # is the least squares on sum_k dim W_k rho_k rows, not p r.  The
+        # generator and the sample arguments are not read.
+        pm, phi = fresh(*(narrow_system_case() if path == "carrier" else example_2_1_case()))
+        n_dim = pm.domain.dim * phi.target_dim
+        assert (n_dim >= extension._CARRIER_MIN_GAP) is (path == "carrier")
+        sm = block_map(pm, phi, full_rectangular_module(pm.h2_dim, pm.h1_dim))
+        rows = block_rows(pm.domain, phi)
+        assert rows < pm.domain.row_dim * full_dilation(phi)[1]
+        calls = {"eigh": [], "eigvalsh": [], "svd": []}
         for name in calls:
             original = getattr(np.linalg, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
+                calls[_name].append(args[0].shape)
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         assert is_cp_system_map(sm, rng=rng, samples=20, max_level=3).ok
-        assert calls == {"eigh": 1, "eigvalsh": 1}
+        blocks, m, p = phi.domain.blocks, phi.target_dim, pm.domain.row_dim
+        assert calls["eigh"] == [(n * m, n * m) for n in blocks] + [(p, p)] * len(blocks)
+        assert len(calls["eigvalsh"]) == 1
+        assert (calls["eigvalsh"][0][0] < n_dim) is (path == "carrier")
+        assert calls["svd"][0] == (rows, n_dim)
         assert rng.bit_generator.state == state
+        for solves in calls.values():
+            solves.clear()
         assert is_cp_system_map(sm, rng=rng, samples=-1, max_level=-1).ok
+        assert calls["eigh"] == []
 
     @pytest.mark.parametrize("make", [example_2_1, compacts_fixture])
     def test_zero_tolerance(self, make):

@@ -10,14 +10,19 @@ pinch is CP and unital so positivity certificates transfer both ways.
 
 The dilation used downstream is ``a -> a (x) I_r`` with ``r`` the Choi rank;
 it is minimal whenever the domain is a full matrix algebra.  The pinch makes
-the Choi matrix block diagonal, so each map solves it once per algebra block
-(:attr:`CPMap._choi_spectra`) and each Kraus operator lives on one block.
+the Choi matrix block diagonal, so every decision reads it block by block
+(:meth:`CPMap._choi_blocks`): the CP verdict from one eigenvalue-only solve
+per block, the Kraus operators from the map's one ``eigh`` per block
+(:attr:`CPMap._choi_spectra`), each operator living on one block.  Only
+:func:`choi` assembles the whole matrix.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -28,10 +33,9 @@ from .numerics import (
     PsdReport,
     ShapeError,
     ToleranceProfile,
-    _check_hermitian,
-    _hermitian_part,
+    _lowest_eigenvector,
     _matrix_stack,
-    _psd_report,
+    _not_hermitian,
     _rank_cut,
     _scale_free_psd_verdict,
     adjoint_products,
@@ -86,21 +90,26 @@ class CPMap:
         rows, cols = np.array(self.domain.unit_index_pairs()).T
         return rows, cols
 
+    def _choi_blocks(self) -> list[np.ndarray]:
+        """The algebra blocks of the symmetrized Choi matrix ``(J + J*) / 2``:
+        the pinch makes ``J`` block diagonal, and block ``k`` is the ``n_k m
+        x n_k m`` matrix of the values on that block's units (rows ``(b,
+        l)``, ``b`` the block's own column), rows ``n_0 + ... + n_{k-1}``
+        blocks of ``m`` down in ``J``.  ``J*`` holds :attr:`_adjoints` where
+        ``J`` holds the values, so all blocks are symmetrized at once."""
+        m, values = self.target_dim, (self._value_stack + self._adjoints) / 2.0
+        blocks, start = [], 0
+        for n in self.domain.blocks:
+            blocks.append(values[start : start + n * n].reshape(n, n, m, m).transpose(0, 2, 1, 3).reshape(n * m, n * m))
+            start += n * n
+        return blocks
+
     @cached_property
     def _choi_spectra(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """The spectrum of the symmetrized Choi matrix ``(J + J*) / 2``, one
-        ``eigh`` per algebra block: the pinch makes ``J`` block diagonal, and
-        block ``k`` is the ``n_k m x n_k m`` matrix of the values on that
-        block's units (rows ``(b, l)``, ``b`` the block's own column).  Per
-        block, its ascending eigenvalues and unit eigenvectors; :func:`kraus`
-        and the signed Choi carrier of the semi criterion read them."""
-        m, values = self.target_dim, self._value_stack
-        spectra, start = [], 0
-        for n in self.domain.blocks:
-            block = values[start : start + n * n].reshape(n, n, m, m).transpose(0, 2, 1, 3).reshape(n * m, n * m)
-            spectra.append(tuple(np.linalg.eigh((block + dagger(block)) / 2.0)))
-            start += n * n
-        return tuple(spectra)
+        """One ``eigh`` per block of :meth:`_choi_blocks`: per block, its
+        ascending eigenvalues and unit eigenvectors.  :func:`kraus` and the
+        signed Choi carrier of the semi criterion read them."""
+        return tuple(tuple(np.linalg.eigh(block)) for block in self._choi_blocks())
 
     @cached_property
     def _adjoint_index(self) -> np.ndarray:
@@ -112,6 +121,12 @@ class CPMap:
         return index_at[cols * q + rows]
 
     @cached_property
+    def _adjoints(self) -> np.ndarray:
+        """For each unit ``E_ij`` the adjoint of the value on ``E_ji``, in
+        value order."""
+        return self._value_stack[self._adjoint_index].conj().transpose(0, 2, 1)
+
+    @cached_property
     def _ambient_tensor(self) -> np.ndarray:
         """(m, m, q, q) tensor of the pinch-extended map on the matrix units."""
         q, m = self.domain.ambient_dim, self.target_dim
@@ -121,22 +136,33 @@ class CPMap:
         return w
 
     def check_hermiticity(self, tol: ToleranceProfile = DEFAULT_TOL) -> None:
-        """Verify the value on ``E_ji`` is the adjoint of the value on ``E_ij``.
+        """Verify the value on ``E_ji`` is the adjoint of the value on
+        ``E_ij``, and that the Choi matrix ``J`` is hermitian.
 
-        All unit pairs are compared in one pass over the value stack, each at
-        the threshold of the larger of its two norms; the error names the
-        first offending unit in value order.
+        Both tests read one pass over the value stack, at thresholds in units
+        of the values (:meth:`~semiphi.numerics.ToleranceProfile.bounded_threshold`),
+        so no rescaling of the map moves them:
+
+        * each unit pair at the larger of its two norms, bounded by the
+          largest value norm; the error names the first offending unit in
+          value order;
+        * the whole matrix at ``|J|_F``: ``|J - J*|_F`` is the root-sum-square
+          of the units' defects and ``|J|_F`` that of their norms.
+
+        Neither test implies the other: many small pair defects can add up
+        past the whole threshold, and one pair can fail among many large
+        values.
         """
         values, adjoint = self._value_stack, self._adjoint_index
-        adjoints = values[adjoint].conj().transpose(0, 2, 1)
-        defect = np.linalg.norm(values - adjoints, axis=(-2, -1))
+        defect = np.linalg.norm(values - self._adjoints, axis=(-2, -1))
         norms = np.linalg.norm(values, axis=(-2, -1))
-        bad = np.flatnonzero(defect > tol.threshold(np.maximum(norms, norms[adjoint])))
+        bad = np.flatnonzero(defect > tol.bounded_threshold(np.maximum(norms, norms[adjoint]), norms.max(initial=0.0)))
         if bad.size:
             i, j = self.domain.unit_index_pairs()[bad[0]]
-            raise HermiticityError(
-                f"values on units ({i},{j}) and ({j},{i}) are not adjoint-consistent"
-            )
+            raise HermiticityError(f"values on units ({i},{j}) and ({j},{i}) are not adjoint-consistent")
+        whole, scale = math.sqrt(defect @ defect), math.sqrt(norms @ norms)
+        if whole > tol.bounded_threshold(scale, scale):
+            raise _not_hermitian(whole)
 
     def apply_ambient(self, m) -> np.ndarray:
         """Apply the pinch-extended map to any ``q x q`` matrix."""
@@ -321,8 +347,9 @@ def compose(outer: CPMap, inner: CPMap) -> CPMap:
 def choi(phi: CPMap, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     """Choi matrix ``sum_ij E_ij (x) phi~(E_ij)`` of the pinch-extended map.
 
-    Runs the map's hermiticity check once (one pass over all unit pairs) and
-    assembles the matrix with one scatter of the value stack.
+    Runs the map's hermiticity check (:meth:`CPMap.check_hermiticity`, both
+    tests in one pass) and assembles the matrix with one scatter of the value
+    stack.  No decision of this package reads it.
     """
     phi.check_hermiticity(tol)
     return _choi_matrix(phi)
@@ -338,45 +365,72 @@ def _choi_matrix(phi: CPMap) -> np.ndarray:
     return blocks.transpose(0, 2, 1, 3).reshape(q * m, q * m)
 
 
+def _cp_verdict(
+    phi: CPMap, tol: ToleranceProfile, spectra: Callable[[], list[np.ndarray]]
+) -> tuple[bool, float, list[np.ndarray], np.ndarray]:
+    """The CP verdict of ``phi`` and its Choi ``lambda_min``, with each
+    block's ascending eigenvalues and all of them ascending.
+
+    The map's hermiticity check (:meth:`CPMap.check_hermiticity`) runs
+    first; then ``spectra()`` gives each symmetrized Choi block's ascending
+    eigenvalues, and the verdict is
+    :func:`~semiphi.numerics._scale_free_psd_verdict` over all of them.
+    """
+    phi.check_hermiticity(tol)
+    lams = spectra()
+    eigvals = np.sort(np.concatenate(lams))
+    ok, lam_min = _scale_free_psd_verdict(eigvals, tol) if eigvals.size else (True, 0.0)
+    return bool(ok), float(lam_min), lams, eigvals
+
+
 def is_completely_positive(phi: CPMap, tol: ToleranceProfile = DEFAULT_TOL) -> PsdReport:
-    """CP iff the Choi matrix is PSD; the report carries the margin (from an
-    eigenvalue-only solve).  The Choi matrix must be hermitian within
-    tolerance, as :func:`~semiphi.numerics.is_psd` asks, but the verdict is
-    decided at a threshold in units of its largest eigenvalue modulus
+    """CP iff the Choi matrix is PSD; the report carries the margin.
+
+    The map must pass its hermiticity check; the verdict then reads one
+    eigenvalue-only ``eigvalsh`` per algebra block of the symmetrized Choi
+    matrix, at a threshold in units of its largest eigenvalue modulus
     (:func:`~semiphi.numerics._scale_free_psd_verdict`), so a map that is not
-    CP is refuted at every scale and the zero map is CP."""
-    return _psd_report(_hermitian_part(choi(phi, tol), tol), tol, _scale_free_psd_verdict)
+    CP is refuted at every scale and the zero map is CP.  The report's
+    ``witness`` is computed on first access: the lowest eigenvector of the
+    block attaining ``lambda_min`` (one ``eigh``), padded with zeros to the
+    whole matrix's ``q m`` rows.
+    """
+    blocks = phi._choi_blocks()
+    ok, lam_min, lams, _ = _cp_verdict(phi, tol, lambda: [np.linalg.eigvalsh(b) for b in blocks])
+
+    def witness() -> np.ndarray:
+        low = min(range(len(lams)), key=lambda k: lams[k][0] if lams[k].size else np.inf)
+        sl, m, q = phi.domain.block_slices()[low], phi.target_dim, phi.domain.ambient_dim
+        return np.pad(_lowest_eigenvector(blocks[low]), (sl.start * m, (q - sl.stop) * m))
+
+    return PsdReport(ok, lam_min, _witness=witness)
 
 
 def kraus(phi: CPMap, tol: ToleranceProfile = DEFAULT_TOL) -> list[np.ndarray]:
     """Kraus operators of the pinch-extended map, from Choi eigenvectors.
 
-    One call makes one :func:`choi` (so one hermiticity check) and reads the
-    map's one spectrum of its symmetrized Choi matrix (one ``eigh`` per
-    algebra block, cached on the map), from which both the CP verdict of
-    :func:`is_completely_positive` and the operators are read.  The verdict
-    and the eigenvalue cutoff are taken over all blocks' eigenvalues at
-    once, in units of the largest, so a rescaled map keeps every operator, a
-    map that is not CP raises at every scale, and the zero map has no
-    operator.  Each operator is zero off one algebra block; they come block
-    after block, largest eigenvalue first within a block.  They are
-    canonical only up to unitary mixing, so compare Kraus sets via the
-    reconstruction identity, never entrywise.
+    The map's hermiticity check and CP verdict are those of
+    :func:`is_completely_positive`, read off the map's one spectrum of its
+    symmetrized Choi blocks (one ``eigh`` per algebra block, cached on the
+    map), from which the operators are read too.  The verdict and the
+    eigenvalue cutoff are taken over all blocks' eigenvalues at once, in
+    units of the largest, so a rescaled map keeps every operator, a map that
+    is not CP raises at every scale, and the zero map has no operator.  Each
+    operator is zero off one algebra block; they come block after block,
+    largest eigenvalue first within a block.  They are canonical only up to
+    unitary mixing, so compare Kraus sets via the reconstruction identity,
+    never entrywise.
     """
-    _check_hermitian(choi(phi, tol), tol)
-    spectra = phi._choi_spectra
-    eigvals = np.sort(np.concatenate([lam for lam, _ in spectra]))
-    if eigvals.size:
-        ok, lam_min = _scale_free_psd_verdict(eigvals, tol)
-        if not ok:
-            raise NotCompletelyPositiveError(f"map is not completely positive (Choi lambda_min = {lam_min:.3e})")
+    ok, lam_min, _, eigvals = _cp_verdict(phi, tol, lambda: [lam for lam, _ in phi._choi_spectra])
+    if not ok:
+        raise NotCompletelyPositiveError(f"map is not completely positive (Choi lambda_min = {lam_min:.3e})")
     # The rank cut of all eigenvalues at once: each block keeps its own that
     # are at least the smallest kept one.
     rank = _rank_cut(eigvals[::-1], tol, eigvals.max(initial=0.0))[0]
     floor = eigvals[-rank] if rank else np.inf
     q, m = phi.domain.ambient_dim, phi.target_dim
     ops = []
-    for (lam, vecs), sl in zip(spectra, phi.domain.block_slices()):
+    for (lam, vecs), sl in zip(phi._choi_spectra, phi.domain.block_slices()):
         keep = lam >= floor
         # Eigenvalues ascend, so the kept ones are taken largest first.
         lams, kept = lam[keep][::-1], vecs[:, keep][:, ::-1]
@@ -415,14 +469,16 @@ def stinespring(phi: CPMap, tol: ToleranceProfile = DEFAULT_TOL) -> StinespringD
     """Assemble the dilation from the Kraus operators.
 
     ``V h = sum_t (K_t* h) (x) e_t`` with the ``C^q (x) C^r`` ordering, so
-    ``V[(i*r + t), a] = conj(K_t[a, i])``.  Each operator is zero off one
-    block, so it is counted in the block of its largest column.
+    ``V[(i*r + t), a] = conj(K_t[a, i])``.  ``block_ranks`` counts the
+    eigenvalues of each Choi block at which :func:`kraus` cuts: its ``r``
+    operators are those of the ``r`` largest Choi eigenvalues.
     """
-    q, m, blocks = phi.domain.ambient_dim, phi.target_dim, phi.domain.blocks
+    q, m = phi.domain.ambient_dim, phi.target_dim
     ops = kraus(phi, tol)
     r = len(ops)
     ops = np.stack(ops) if r else np.zeros((0, m, q), dtype=complex)
-    owner = np.repeat(np.arange(len(blocks)), blocks)[np.abs(ops).sum(axis=1).argmax(axis=1)]
-    counts = tuple(int(c) for c in np.bincount(owner, minlength=len(blocks)))
+    # The smallest kept eigenvalue; every block keeps those at least it.
+    floor = np.sort(np.concatenate([lam for lam, _ in phi._choi_spectra]))[-r] if r else np.inf
+    counts = tuple(int(np.count_nonzero(lam >= floor)) for lam, _ in phi._choi_spectra)
     v = ops.conj().transpose(2, 0, 1).reshape(q * r, m)
     return StinespringDilation(phi.domain, m, tuple(ops), r, v, counts)

@@ -463,10 +463,11 @@ def _choi_carrier(phi_map: ModuleMap, phi: CPMap) -> _Carrier | None:
     dim = d * m
     if dim < _CARRIER_MIN_GAP or k >= dim:
         return None
-    choi = _choi_matrix(phi)
     module_mass = float(np.vdot(basis, basis).real)  # sum_i |x_i|_F^2
     map_mass = float(np.vdot(values, values).real)  # |B|_F^2
-    choi_l1 = float(np.abs(choi).sum())
+    # The Choi matrix holds phi's values and zeros, so its entrywise l1 and
+    # Frobenius norms are those of the value stack.
+    choi_l1 = float(np.abs(phi._value_stack).sum())
     # Every product either path forms is bounded by this (the table's
     # phi~(x_i* x_j) by module_mass * choi_l1, the carrier's rows by its
     # eigenvalues, each at most choi_l1).
@@ -500,7 +501,7 @@ def _choi_carrier(phi_map: ModuleMap, phi: CPMap) -> _Carrier | None:
         signs.append(np.tile(np.sign(lam), rank))
     columns.append(np.conj(values).transpose(0, 2, 1).reshape(dim, k))
     signs.append(-np.ones(k))
-    scale = float(np.linalg.norm(choi)) * module_mass + map_mass
+    scale = float(np.linalg.norm(phi._value_stack)) * module_mass + map_mass
     error = (
         dropped * module_mass
         + top * row_mass
@@ -521,12 +522,8 @@ def _semi_verdict(pair: GramPair, tol: ToleranceProfile, vectors: bool = False) 
     symmetrized gap, from eigenvalues alone, or with ``vectors`` from one
     ``eigh`` that also gives the report's witness."""
     gap = _symmetrized_gap(pair)
-    if vectors:
-        psd = _psd_eigh(gap, tol)[0]
-        vector = psd.witness
-    else:
-        psd, vector = _psd_report(gap, tol), None
-    return SemiPhiReport(psd.ok, psd.lambda_min, _table=lambda: pair, _vector=vector)
+    psd = _psd_eigh(gap, tol) if vectors else _psd_report(gap, tol)
+    return SemiPhiReport(psd.ok, psd.lambda_min, _table=lambda: pair, _vector=psd.witness if vectors else None)
 
 
 @dataclass(frozen=True)

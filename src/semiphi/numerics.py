@@ -8,19 +8,22 @@ tolerance convention: a comparison at scale ``s`` uses the mixed threshold
 Positivity is decided by the smallest eigenvalue of the symmetrized matrix
 (not a Cholesky test) so the margin is reportable.  Verdicts come from an
 eigenvalue-only solve (``eigvalsh``); eigenvectors are computed only where
-one is consumed: the Kraus operators of a Choi matrix (:func:`_psd_eigh`,
-one ``eigh`` for verdict and spectrum), and a refutation witness, which
-:class:`PsdReport` computes by ``eigh`` on first access.  The Choi verdict
-of complete positivity takes its threshold in units of the matrix's own
-scale (:func:`_scale_free_psd_verdict`); :func:`is_psd` keeps the mixed
+one is consumed: a witness that the verdict's own solve gives
+(:func:`_psd_eigh`, one ``eigh`` for verdict and vector), a refutation
+witness, which :class:`PsdReport` computes by ``eigh`` on first access, and
+the Kraus operators, whose verdict reads the map's one ``eigh`` per Choi
+block (:mod:`semiphi.cpmaps`).  The
+Choi verdict of complete positivity takes its threshold in units of the
+matrix's own scale (:func:`_scale_free_psd_verdict`, over the eigenvalues
+of the Choi matrix's algebra blocks); :func:`is_psd` keeps the mixed
 threshold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Sequence, Union
+from functools import cached_property, partial
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -316,21 +319,21 @@ class PsdReport:
     The verdict and ``lambda_min`` come from the eigenvalues alone.
     ``witness`` is a unit eigenvector for ``lambda_min`` (empty for 0x0
     input), from which downstream refutation certificates are built; it is
-    computed on first access by ``eigh`` of the symmetrized matrix the
-    verdict was read from, and then cached.  The report holds that matrix
-    (the keyword-only ``_herm``) for as long as it lives.
+    computed on first access by the keyword-only ``_witness`` (for
+    :func:`is_psd`, ``eigh`` of the symmetrized matrix the verdict was read
+    from, which the report holds for as long as it lives), and then cached.
     """
 
     ok: bool
     lambda_min: float
-    _herm: np.ndarray = field(repr=False, compare=False, kw_only=True)
+    _witness: Callable[[], np.ndarray] = field(repr=False, compare=False, kw_only=True)
 
     def __bool__(self) -> bool:
         return self.ok
 
     @cached_property
     def witness(self) -> np.ndarray:
-        return _lowest_eigenvector(self._herm)
+        return self._witness()
 
 
 def _lowest_eigenvector(herm: np.ndarray) -> np.ndarray:
@@ -345,25 +348,13 @@ def _not_hermitian(defect: float) -> HermiticityError:
     return HermiticityError(f"matrix is not hermitian: defect {defect:.3e} exceeds tolerance")
 
 
-def _check_hermitian(m: np.ndarray, tol: ToleranceProfile) -> None:
-    scale = float(np.linalg.norm(m)) if m.size else 0.0
-    defect = float(np.linalg.norm(m - dagger(m))) if m.size else 0.0
-    if defect > tol.threshold(scale):
-        raise _not_hermitian(defect)
-
-
-def _hermitian_part(arr: np.ndarray, tol: ToleranceProfile) -> np.ndarray:
-    """``(M + M*) / 2`` of a square complex array, which must be hermitian
-    within tolerance (:class:`HermiticityError` otherwise)."""
-    _check_hermitian(arr, tol)
-    return (arr + dagger(arr)) / 2.0
-
-
 def is_psd(m: MatrixLike, tol: ToleranceProfile = DEFAULT_TOL) -> PsdReport:
     """Decide positive semidefiniteness of a (nearly) hermitian matrix.
 
-    The input must be hermitian within tolerance; it is symmetrized before
-    the eigenvalue test.  True iff ``lambda_min >= -(abs_tol + rel_tol*|M|)``.
+    The input must be hermitian within tolerance (``|M - M*|_F`` at most
+    ``threshold(|M|_F)``, :class:`HermiticityError` otherwise); it is
+    symmetrized before the eigenvalue test.  True iff ``lambda_min >=
+    -(abs_tol + rel_tol*|M|)``.
     The decision solves for eigenvalues only (one ``eigvalsh``); the
     report's ``witness`` eigenvector is computed only if it is read.
 
@@ -377,7 +368,10 @@ def is_psd(m: MatrixLike, tol: ToleranceProfile = DEFAULT_TOL) -> PsdReport:
     arr = as_matrix(m)
     if arr.shape[0] != arr.shape[1]:
         raise ShapeError(f"is_psd needs a square matrix, got {arr.shape}")
-    return _psd_report(_hermitian_part(arr, tol), tol)
+    defect = float(np.linalg.norm(arr - dagger(arr)))
+    if defect > tol.threshold(float(np.linalg.norm(arr))):
+        raise _not_hermitian(defect)
+    return _psd_report((arr + dagger(arr)) / 2.0, tol)
 
 
 def _psd_verdict(eigvals: np.ndarray, tol: ToleranceProfile) -> tuple[np.ndarray, np.ndarray]:
@@ -417,38 +411,23 @@ def _psd_verdict_clear(extremes: np.ndarray, error: float, tol: ToleranceProfile
     return bool(ok), float(lam), bool(clear)
 
 
-def _psd_report(herm: np.ndarray, tol: ToleranceProfile, verdict=_psd_verdict) -> PsdReport:
-    """The report of :func:`is_psd` on a symmetrized matrix (see
-    :func:`_hermitian_part`), decided by ``verdict`` from one
+def _psd_report(herm: np.ndarray, tol: ToleranceProfile) -> PsdReport:
+    """The report of :func:`is_psd` on a hermitian matrix, decided from one
     eigenvalue-only ``eigvalsh``; its ``witness`` is computed only if it is
     read."""
+    ok, lam = _psd_verdict(np.linalg.eigvalsh(herm), tol) if herm.shape[0] else (True, 0.0)
+    return PsdReport(bool(ok), float(lam), _witness=partial(_lowest_eigenvector, herm))
+
+
+def _psd_eigh(herm: np.ndarray, tol: ToleranceProfile) -> PsdReport:
+    """The decision of :func:`is_psd` on a hermitian matrix from one
+    ``eigh``, for a caller that reads the refutation witness: the report's
+    ``witness`` comes from the same solve."""
     if herm.shape[0] == 0:
-        return PsdReport(True, 0.0, _herm=herm)
-    ok, lam = verdict(np.linalg.eigvalsh(herm), tol)
-    return PsdReport(bool(ok), float(lam), _herm=herm)
-
-
-def _psd_eigh(
-    herm: np.ndarray, tol: ToleranceProfile, verdict=_psd_verdict
-) -> tuple[PsdReport, np.ndarray, np.ndarray]:
-    """The decision of :func:`is_psd` (or of another ``verdict`` rule) on a
-    symmetrized matrix (see :func:`_hermitian_part`), with the
-    eigendecomposition it is read from: ascending eigenvalues and the
-    matching unit eigenvectors (columns).
-
-    For callers that consume eigenvectors (Kraus operators from a Choi
-    matrix, a refutation witness): verdict, spectrum and the report's
-    ``witness`` all come from this one ``eigh``.
-    """
-    if herm.shape[0] == 0:
-        return PsdReport(True, 0.0, _herm=herm), np.zeros(0), np.zeros((0, 0), dtype=complex)
+        return _psd_report(herm, tol)
     eigvals, eigvecs = np.linalg.eigh(herm)
-    ok, lam = verdict(eigvals, tol)
-    report = PsdReport(bool(ok), float(lam), _herm=herm)
-    # Seed the lazy witness from this solve: a cached property reads the
-    # instance dict first, and writing the dict bypasses the frozen setattr.
-    report.__dict__["witness"] = eigvecs[:, 0]
-    return report, eigvals, eigvecs
+    ok, lam = _psd_verdict(eigvals, tol)
+    return PsdReport(bool(ok), float(lam), _witness=lambda: eigvecs[:, 0])
 
 
 def _stack_columns(vectors, height: int | None) -> np.ndarray:

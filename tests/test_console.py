@@ -1,9 +1,9 @@
-"""Four console checks of the CI workflow, run in Tier-1 as child processes
+"""Five console checks of the CI workflow, run in Tier-1 as child processes
 of ``python -m semiphi.cli`` on problem files written under ``tmp_path``:
 the seeded ``paulsen`` reports, the malformed-input exit code, non-orthogonal
-bases and the rescaled ``stinespring``.  In-process tests call
-``cli.main()`` and never see the exit status or the stderr of the
-interpreter itself."""
+bases, the rescaled carrier inputs and the rescaled ``stinespring``.
+In-process tests call ``cli.main()`` and never see the exit status or the
+stderr of the interpreter itself."""
 
 import json
 import os
@@ -14,8 +14,16 @@ import sys
 import numpy as np
 import pytest
 
-from semiphi import BlockAlgebra, ConcreteModule, CPMap, ModuleMap, from_kraus, serialization as ser
-from semiphi.fixtures import compacts_fixture, example_2_1, random_semi_phi_fixture
+from semiphi import BlockAlgebra, ConcreteModule, CPMap, ModuleMap, from_kraus, ksgns, serialization as ser
+from semiphi.fixtures import (
+    _column_module,
+    _random_unitary,
+    compacts_fixture,
+    example_2_1,
+    random_contraction,
+    random_cp_map,
+    random_semi_phi_fixture,
+)
 
 from conftest import full_rectangular_module
 
@@ -120,6 +128,42 @@ def test_non_orthogonal_bases_agree(command, tmp_path):
         assert "Traceback" not in done.stderr
         runs.append((done.returncode, json.loads(done.stdout)["verdicts"]))
     assert runs[0] == runs[1]
+
+
+def carrier_systems():
+    """The CI step's two algebras, in its order from one generator: over
+    BlockAlgebra((2, 2)) in C^10, one block's columns spanning a single row
+    (dim F = 16, N = 64), and over BlockAlgebra((2, 2, 2)) in C^12, three
+    columns per block (dim F = 18, N = 72)."""
+    rng = np.random.default_rng(7)
+    u = _random_unitary(10, rng)
+    yield "two", BlockAlgebra((2, 2)), 10, [u[:, :1], u[:, 1:8]], rng
+    u = _random_unitary(12, rng)
+    yield "three", BlockAlgebra((2, 2, 2)), 12, [u[:, 3 * b : 3 * b + 3] for b in range(3)], rng
+
+
+def test_rescaled_carrier_inputs_agree(tmp_path):
+    # From N = 64 on, over any number of algebra blocks, check-semiphi and
+    # witness decide on the signed Choi carrier.  A semi map (norm 0.5) and
+    # a refuted one (norm 2) times the universal map are written with F's
+    # basis and Phi's values scaled by c; both commands exit 0 on the semi
+    # map and 1 on the refuted one, at every c, with equal verdicts.
+    for name, algebra, p, spans, rng in carrier_systems():
+        phi = random_cp_map(algebra, 4, 2, rng)
+        universal = np.array(ksgns(phi, _column_module(algebra, p, spans)).map.values)
+        for label, norm in (("semi", 0.5), ("refuted", 2.0)):
+            k = random_contraction(4, universal.shape[1], rng)
+            values = norm / np.linalg.norm(k, 2) * np.matmul(k, universal)
+            for command in ("check-semiphi", "witness"):
+                runs = set()
+                for c in (1e-3, 1.0, 1e3):
+                    f = _column_module(algebra, p, [c * v for v in spans])
+                    payload = {"phi": ser.cp_map_to_json(phi), "Phi": ser.module_map_to_json(ModuleMap(f, 4, 4, tuple(c * values)))}
+                    done = run_cli(command, write_problem(tmp_path / f"{name}-{label}-{c}.json", payload), "--json")
+                    assert "Traceback" not in done.stderr
+                    runs.add((done.returncode, json.dumps(json.loads(done.stdout)["verdicts"], sort_keys=True)))
+                assert len(runs) == 1, (name, label, command, runs)
+                assert runs.pop()[0] == (0 if label == "semi" else 1)
 
 
 def test_rescaled_stinespring_agrees(tmp_path):

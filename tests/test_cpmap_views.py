@@ -13,25 +13,36 @@ import semiphi.modules as modules
 from semiphi import (
     BlockAlgebra,
     ConcreteModule,
+    ModuleMap,
     NotCompletelyPositiveError,
+    block_map,
     canonical_compacts_extension,
     choi,
     extend_semi_phi,
     from_kraus,
     identity_cp_map,
+    is_completely_positive,
+    is_completely_semi_phi,
+    is_cp_system_map,
     kraus,
     ksgns,
+    semiphi_witness,
     stinespring,
 )
 from semiphi.cpmaps import CPMap
 from semiphi.fixtures import (
+    _column_module,
+    _random_unitary,
     compacts_fixture,
     example_2_1,
+    random_contraction,
     random_cp_map,
     random_orthogonal_module_pair,
     random_semi_phi_fixture,
 )
 from semiphi.numerics import DEFAULT_TOL, HermiticityError, _reconstruction_threshold
+
+from conftest import full_rectangular_module
 
 
 BLOCKS = [(2, 2), (1, 3), (6, 6)]
@@ -39,12 +50,14 @@ BLOCKS = [(2, 2), (1, 3), (6, 6)]
 
 def reference_first_offender(phi, tol=DEFAULT_TOL):
     """First unit ``(i, j)`` in value order whose value is not the adjoint of
-    the value on ``(j, i)``, one unit at a time; None when all agree."""
+    the value on ``(j, i)``, one unit at a time, at the larger of the two
+    norms bounded by the largest value norm; None when all agree."""
     pairs = phi.domain.unit_index_pairs()
     index = {pair: t for t, pair in enumerate(pairs)}
+    largest = max(np.linalg.norm(v) for v in phi.values)
     for t, (i, j) in enumerate(pairs):
         a, b = phi.values[t], phi.values[index[(j, i)]].conj().T
-        if np.linalg.norm(a - b) > tol.threshold(max(np.linalg.norm(a), np.linalg.norm(b))):
+        if np.linalg.norm(a - b) > tol.bounded_threshold(max(np.linalg.norm(a), np.linalg.norm(b)), largest):
             return i, j
     return None
 
@@ -135,8 +148,10 @@ class TestAdjointCheck:
     @pytest.mark.parametrize("blocks", BLOCKS)
     @pytest.mark.parametrize("factor, raises", [(1.001, True), (0.999, False)])
     def test_defect_at_the_threshold(self, blocks, factor, raises):
-        """A defect just above ``tol.threshold(scale)`` is refused and one
-        just below accepted, by both the batched check and the reference."""
+        """A defect just above ``tol.bounded_threshold(scale, largest)`` (the
+        pair's larger norm, bounded by the largest value norm) is refused
+        and one just below accepted, by both the batched check and the
+        reference."""
         rng = np.random.default_rng(11)
         algebra = BlockAlgebra(blocks)
         phi = random_cp_map(algebra, 2, 2, rng)
@@ -149,8 +164,9 @@ class TestAdjointCheck:
         direction /= np.linalg.norm(direction)
         base = phi.values[s].conj().T
         scale = max(np.linalg.norm(base), np.linalg.norm(phi.values[s]))
+        largest = max(np.linalg.norm(v) for v in phi.values)
         values = list(phi.values)
-        values[t] = base + factor * DEFAULT_TOL.threshold(scale) * direction
+        values[t] = base + factor * DEFAULT_TOL.bounded_threshold(scale, largest) * direction
         bad = with_values(phi, values)
         expected = (i, j) if raises else None
         assert reference_first_offender(bad) == expected
@@ -170,6 +186,116 @@ class TestAdjointCheck:
         empty.check_hermiticity()
         assert choi(empty).shape == (0, 0)
         assert kraus(empty) == []
+
+
+def whole_choi_defect(phi):
+    """``|J - J*|_F`` and ``|J|_F`` of the whole Choi matrix."""
+    j = reference_choi(phi)
+    return np.linalg.norm(j - j.conj().T), np.linalg.norm(j)
+
+
+def pair_only_case(c):
+    """A map over BlockAlgebra((4,)) into M_2, times ``c``, whose value on
+    E_01 misses the adjoint of the value on E_10 by 1.5 times the pair
+    threshold: the pair test fires, the whole test alone would pass."""
+    phi = random_cp_map(BlockAlgebra((4,)), 2, 2, np.random.default_rng(4))
+    values = c * phi._value_stack
+    norms = np.linalg.norm(values, axis=(-2, -1))
+    t = phi.domain.unit_index_pairs().index((0, 1))
+    values[t] += 1.5 * DEFAULT_TOL.bounded_threshold(norms[t], norms.max()) * np.eye(2) / np.sqrt(2.0)
+    return CPMap(phi.domain, 2, tuple(values))
+
+
+def whole_only_case(c):
+    """A map over BlockAlgebra((3,)) into M_2, times ``c``: the identity on
+    E_00, values of size 1e-3 elsewhere, and each off-diagonal pair missing
+    adjointness by 0.9 of its pair threshold.  Every pair passes; the six
+    defects add up past the whole matrix's threshold."""
+    algebra = BlockAlgebra((3,))
+    rng = np.random.default_rng(5)
+    pairs = algebra.unit_index_pairs()
+    values = np.zeros((len(pairs), 2, 2), dtype=complex)
+    for t, (i, j) in enumerate(pairs):
+        if i <= j:
+            a = 1e-3 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+            values[t] = a if i < j else (a + a.conj().T) / 2.0
+            values[pairs.index((j, i))] = values[t].conj().T
+    values[pairs.index((0, 0))] = np.eye(2)
+    largest = np.sqrt(2.0)
+    for t, (i, j) in enumerate(pairs):
+        if i < j:
+            norm = np.linalg.norm(values[t])
+            values[t] += 0.9 * DEFAULT_TOL.bounded_threshold(norm, largest) * np.eye(2) / np.sqrt(2.0)
+    return CPMap(algebra, 2, tuple(c * values))
+
+
+VIEWS = {
+    "is_completely_positive": is_completely_positive,
+    "kraus": kraus,
+    "stinespring": stinespring,
+}
+
+
+class TestHermiticityPrecondition:
+    """Each of the two hermiticity tests of the CP views fires on its own,
+    with its own error text, at every scale: each unit pair at its larger
+    norm bounded by the largest value norm, and the whole Choi matrix at
+    its Frobenius norm."""
+
+    @pytest.mark.parametrize("view", sorted(VIEWS))
+    @pytest.mark.parametrize("c", [1e-12, 1e-4, 1.0, 1e10])
+    def test_pair_test_fires(self, view, c):
+        phi = pair_only_case(c)
+        defect, scale = whole_choi_defect(phi)
+        assert defect <= DEFAULT_TOL.bounded_threshold(scale, scale)
+        assert reference_first_offender(phi) == (0, 1)
+        with pytest.raises(HermiticityError) as info:
+            VIEWS[view](phi)
+        assert str(info.value) == "values on units (0,1) and (1,0) are not adjoint-consistent"
+
+    @pytest.mark.parametrize("view", sorted(VIEWS))
+    @pytest.mark.parametrize("c", [1e-12, 1e-4, 1.0, 1e10])
+    def test_whole_test_fires(self, view, c):
+        phi = whole_only_case(c)
+        defect, scale = whole_choi_defect(phi)
+        assert defect > DEFAULT_TOL.bounded_threshold(scale, scale)
+        assert reference_first_offender(phi) is None
+        with pytest.raises(HermiticityError) as info:
+            VIEWS[view](phi)
+        assert str(info.value) == f"matrix is not hermitian: defect {defect:.3e} exceeds tolerance"
+
+
+class TestCpWitness:
+    """The witness of :func:`is_completely_positive`: a unit eigenvector of
+    the whole symmetrized Choi matrix for ``lambda_min``, lifted from one
+    block."""
+
+    @pytest.mark.parametrize("blocks", BLOCKS + [(1,), (3, 1, 2)])
+    @pytest.mark.parametrize("kind", ["random", "identity", "indefinite"])
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e10])
+    def test_lowest_eigenvector_of_the_whole_matrix(self, blocks, kind, scale):
+        for seed in range(4):
+            phi = dilation_case(seed, blocks, 3, kind, seed == 3, scale)
+            report = is_completely_positive(phi)
+            j = reference_choi(phi)
+            herm = (j + j.conj().T) / 2.0
+            v = report.witness
+            assert v.shape == (phi.domain.ambient_dim * phi.target_dim,)
+            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+            top = np.abs(np.linalg.eigvalsh(herm)).max()
+            assert np.vdot(v, herm @ v).real == pytest.approx(report.lambda_min, abs=1e-12 * top)
+            assert np.linalg.norm(herm @ v - report.lambda_min * v) <= 1e-12 * top
+            assert report.lambda_min == pytest.approx(np.linalg.eigvalsh(herm)[0], abs=1e-12 * top)
+
+    def test_zero_map(self):
+        zero = from_kraus(BlockAlgebra((2, 1)), [], target_dim=2)
+        report = is_completely_positive(zero)
+        assert (report.ok, report.lambda_min) == (True, 0.0)
+        assert report.witness.shape == (6,) and np.linalg.norm(report.witness) == pytest.approx(1.0)
+        assert np.vdot(report.witness, reference_choi(zero) @ report.witness) == 0.0
+        empty = from_kraus(BlockAlgebra((2, 1)), [], target_dim=0)
+        report = is_completely_positive(empty)
+        assert (report.ok, report.lambda_min, report.witness.shape) == (True, 0.0, (0,))
 
 
 class TestViewsMatchReference:
@@ -300,12 +426,15 @@ def reference_reconstruction_defect(dil, phi):
 
 
 class Counter:
-    """Counts hermiticity checks, Choi matrices and ``eigh`` calls."""
+    """Counts hermiticity checks, calls of :func:`~semiphi.cpmaps.choi`,
+    whole Choi matrices assembled (``_choi_matrix``, in either module that
+    calls it) and ``eigh`` and ``eigvalsh`` calls."""
 
     def __init__(self, monkeypatch):
-        self.checks = self.chois = 0
-        self.eigh_shapes = []
-        check, make_choi, eigh = CPMap.check_hermiticity, cpmaps.choi, np.linalg.eigh
+        self.checks = self.chois = self.matrices = 0
+        self.eigh_shapes, self.eigvalsh_shapes = [], []
+        check, make_choi, matrix = CPMap.check_hermiticity, cpmaps.choi, cpmaps._choi_matrix
+        eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
 
         def counted_check(*args, **kwargs):
             self.checks += 1
@@ -315,36 +444,100 @@ class Counter:
             self.chois += 1
             return make_choi(*args, **kwargs)
 
+        def counted_matrix(*args, **kwargs):
+            self.matrices += 1
+            return matrix(*args, **kwargs)
+
         def counted_eigh(a, *args, **kwargs):
             self.eigh_shapes.append(np.shape(a))
             return eigh(a, *args, **kwargs)
 
+        def counted_eigvalsh(a, *args, **kwargs):
+            self.eigvalsh_shapes.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
         monkeypatch.setattr(CPMap, "check_hermiticity", counted_check)
         monkeypatch.setattr(cpmaps, "choi", counted_choi)
+        monkeypatch.setattr(cpmaps, "_choi_matrix", counted_matrix)
+        monkeypatch.setattr(ext, "_choi_matrix", counted_matrix)
         monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+
+
+def carrier_system(norm, seed=0):
+    """``norm`` times a unit-norm contraction of the universal map over
+    BlockAlgebra((2, 2)), with four columns per block in C^10 and m = k =
+    4: N = 64, so the semi criterion decides on the signed Choi carrier.
+    Semi-compatible at norm 0.5, refuted at norm 2."""
+    rng = np.random.default_rng(seed)
+    algebra = BlockAlgebra((2, 2))
+    u = _random_unitary(10, rng)
+    module = _column_module(algebra, 10, [u[:, :4], u[:, 4:8]])
+    phi = random_cp_map(algebra, 4, 2, rng)
+    universal = ksgns(phi, module).map
+    contraction = random_contraction(4, universal.h2_dim, rng)
+    contraction *= norm / np.linalg.norm(contraction, 2)
+    phi_map = ModuleMap(module, 4, 4, tuple(contraction @ universal._value_stack))
+    assert phi_map.domain.dim * phi.target_dim >= ext._CARRIER_MIN_GAP
+    return phi_map, phi
 
 
 class TestOnePassCounts:
     @pytest.mark.parametrize("view", [kraus, stinespring])
     @pytest.mark.parametrize("blocks", BLOCKS)
-    def test_one_check_one_choi_one_eigh_per_block(self, view, blocks, monkeypatch):
+    def test_one_check_one_eigh_per_block_and_no_choi_matrix(self, view, blocks, monkeypatch):
         phi = random_cp_map(BlockAlgebra(blocks), 3, 2, np.random.default_rng(3))
         counter = Counter(monkeypatch)
         view(phi)
         sides = [n * phi.target_dim for n in blocks]
-        assert (counter.checks, counter.chois) == (1, 1)
+        assert (counter.checks, counter.chois, counter.matrices) == (1, 0, 0)
         assert counter.eigh_shapes == [(side, side) for side in sides]
         # The map keeps its spectrum: a second view checks again, solves nothing.
         view(phi)
-        assert (counter.checks, counter.chois) == (2, 2)
+        assert (counter.checks, counter.chois, counter.matrices) == (2, 0, 0)
         assert len(counter.eigh_shapes) == len(sides)
 
+    @pytest.mark.parametrize("blocks", BLOCKS)
+    @pytest.mark.parametrize("kind", ["cp", "indefinite"])
+    def test_cp_verdict_one_eigvalsh_per_block(self, blocks, kind, monkeypatch):
+        # The verdict is one eigenvalue-only solve per algebra block, of side
+        # n_k m, and forms no whole Choi matrix; the witness is one eigh of
+        # the block attaining lambda_min, on first access.
+        phi = dilation_case(5, blocks, 3, "random" if kind == "cp" else "indefinite", False, 1.0)
+        counter = Counter(monkeypatch)
+        report = is_completely_positive(phi)
+        sides = [n * phi.target_dim for n in blocks]
+        assert (counter.checks, counter.chois, counter.matrices) == (1, 0, 0)
+        assert counter.eigvalsh_shapes == [(side, side) for side in sides]
+        assert counter.eigh_shapes == []
+        low = min(range(len(blocks)), key=lambda k: np.linalg.eigvalsh(phi._choi_blocks()[k])[0])
+        counter.eigvalsh_shapes.clear()
+        assert report.witness is report.witness
+        assert counter.eigh_shapes == [(sides[low], sides[low])]
+        assert counter.matrices == 0
+
     @pytest.mark.parametrize("fixture", [example_2_1, compacts_fixture])
-    def test_one_choi_per_extension(self, fixture, monkeypatch):
+    def test_one_check_and_no_choi_matrix_per_extension(self, fixture, monkeypatch):
         fx = fixture(2)
         counter = Counter(monkeypatch)
         extend_semi_phi(fx.phi_map, fx.e, fx.phi)
-        assert (counter.checks, counter.chois) == (1, 1)
+        assert (counter.checks, counter.chois, counter.matrices) == (1, 0, 0)
+
+    def test_carrier_decisions_form_no_choi_matrix(self, monkeypatch):
+        # At N >= 64 the semi criterion reads the Choi blocks' spectra and the
+        # value stack's norms; only the witness's independent re-evaluation
+        # (extension._witness_rhs) assembles the whole Choi matrix.
+        semi, phi = carrier_system(0.5)
+        refuted, _ = carrier_system(2.0)
+        counter = Counter(monkeypatch)
+        assert is_completely_semi_phi(semi, phi).ok
+        assert not is_completely_semi_phi(refuted, phi).ok
+        assert is_cp_system_map(block_map(semi, phi, full_rectangular_module(4, 4))).ok
+        assert counter.matrices == 0
+        witness = semiphi_witness(refuted, phi)
+        assert witness.gap > 0.0
+        assert counter.matrices == 1
+        assert counter.chois == 0
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_one_obstruction_and_validation_per_canonical_extension(self, n, monkeypatch):

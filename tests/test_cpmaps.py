@@ -117,6 +117,28 @@ class TestScaleFreeCpVerdict:
         assert np.abs(recon - phi._value_stack).max() <= 1e-12 * np.abs(phi._value_stack).max()
         assert not is_completely_positive(rescaled(rank_one_difference(blocks, seed), c)).ok
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        blocks=st.sampled_from(RECIPE_BLOCKS),
+        exponent=st.floats(-12.0, 10.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_hermiticity_precondition_does_not_move_under_scaling(self, seed, blocks, exponent):
+        # The values on E_01 and E_10 of a CP map miss adjointness by half
+        # their size; choi, kraus and is_completely_positive refuse it at
+        # every scale, with the same error.  A threshold with an absolute
+        # part passed it below about 1e-9.
+        rng = np.random.default_rng(seed)
+        algebra = BlockAlgebra(blocks)
+        values = random_cp_map(algebra, 2, int(rng.integers(1, 4)), rng)._value_stack.copy()
+        values[algebra.unit_index_pairs().index((0, 1))] *= 1.5
+        phi = rescaled(CPMap(algebra, 2, tuple(values)), 10.0**exponent)
+        message = "values on units (0,1) and (1,0) are not adjoint-consistent"
+        for view in (choi, kraus, is_completely_positive):
+            with pytest.raises(HermiticityError) as info:
+                view(phi)
+            assert str(info.value) == message
+
     def test_zero_map_is_cp_of_rank_zero(self):
         zero = CPMap(BlockAlgebra((2, 1)), 3, tuple(np.zeros((5, 3, 3))))
         report = is_completely_positive(zero)

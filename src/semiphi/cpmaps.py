@@ -455,14 +455,17 @@ class StinespringDilation:
     block_ranks: tuple[int, ...]
 
     def reconstruction_defect(self, phi: CPMap) -> float:
-        """Max over matrix units of ``|phi(u) - V*(u (x) I_r)V|``, all from
-        one product of the ``r x m`` row blocks: ``V*(E_ij (x) I_r)V = V_i* V_j``."""
-        q, m = phi.domain.ambient_dim, self.target_dim
-        blocks = self.V.reshape(q, self.rank, m)
+        """Max over matrix units ``u`` of the spectral norm of
+        :meth:`_reconstruction_errors`."""
+        return float(np.linalg.norm(self._reconstruction_errors(phi), 2, axis=(-2, -1)).max(initial=0.0))
+
+    def _reconstruction_errors(self, phi: CPMap) -> np.ndarray:
+        """``V*(u (x) I_r)V - phi(u)`` for every matrix unit ``u``, in value
+        order, all from one product of the ``r x m`` row blocks:
+        ``V*(E_ij (x) I_r)V = V_i* V_j``."""
+        blocks = self.V.reshape(phi.domain.ambient_dim, self.rank, self.target_dim)
         rows, cols = phi._unit_positions
-        recon = adjoint_products(blocks, blocks)[rows, cols]
-        defects = np.linalg.norm(recon - phi._value_stack, 2, axis=(-2, -1))
-        return float(defects.max(initial=0.0))
+        return adjoint_products(blocks, blocks)[rows, cols] - phi._value_stack
 
 
 def stinespring(phi: CPMap, tol: ToleranceProfile = DEFAULT_TOL) -> StinespringDilation:

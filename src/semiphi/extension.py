@@ -30,12 +30,14 @@ from .numerics import (
     _construction_tol,
     _contraction_bound,
     _far_from_overflow,
+    _largest_norm,
     _lowest_eigenvector,
     _matrix_stack,
     _max_operator_norm,
     _psd_eigh,
     _psd_report,
     _psd_verdict_clear,
+    _qr_least_squares,
     _rounding_band,
     adjoint_products,
     as_matrix,
@@ -316,6 +318,10 @@ class SemiPhiReport:
     the threshold, a refuting :func:`is_completely_semi_phi` can still meet
     a :func:`semiphi_witness` that raises "witness requested for a
     satisfying pair", and the reverse.
+
+    A carrier-decided report also keeps the ``R`` of the carrier's QR
+    ``X* = Q R`` (the keyword-only ``_r``), from which
+    :func:`~semiphi.paulsen.is_cp_system_map` takes its contraction.
     """
 
     ok: bool
@@ -323,6 +329,7 @@ class SemiPhiReport:
     _table: Callable[[], GramPair] = field(repr=False, compare=False, kw_only=True)
     _vector: np.ndarray | None = field(default=None, repr=False, compare=False, kw_only=True)
     _path: str = field(default="table", repr=False, compare=False, kw_only=True)
+    _r: np.ndarray | None = field(default=None, repr=False, compare=False, kw_only=True)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -387,7 +394,10 @@ def _decide_gap(
     settles the Gram pair's verdict, with no ``N x N`` solve, and on the pair
     (:func:`_semi_verdict` of ``table()``) otherwise.
 
-    ``carrier()`` returns ``(X*, J, error)``, or None where it cannot decide.
+    ``carrier()`` returns ``(X*, J, error)``, or None where it cannot decide:
+    the signed Choi carrier (:func:`_choi_carrier`), the carrier map's
+    columns against a map's (:func:`_dilation_carrier` for the Paulsen
+    verdict, :func:`_ksgns_carrier` for the engine's re-certification).
     With ``X* = Q R`` (one QR) the spectrum of ``X* J X`` is that of the
     ``n x n`` matrix ``R J R*`` (one ``eigvalsh``) and ``N - n`` zeros; the
     verdict and ``margin`` are read off ``min(0, mu_min)`` and
@@ -398,7 +408,8 @@ def _decide_gap(
     ``vectors`` (one ``eigh`` in place of the ``eigvalsh``) a refuting
     carrier report's witness is the lift ``Q w`` of the small unit
     eigenvector ``w``.  The report's ``gram`` is ``table()``, called on
-    first access when the carrier decides.
+    first access when the carrier decides, and its ``_r`` the ``R``, from
+    which the Paulsen certificate reads its contraction.
     """
     built = carrier()
     if built is not None:
@@ -416,7 +427,7 @@ def _decide_gap(
         ok, lam_min, clear = _psd_verdict_clear(extremes, error, tol)
         if clear:
             lifted = q_onb @ small_vecs[:, 0] if vectors and not ok else None
-            return SemiPhiReport(ok, lam_min, _table=table, _vector=lifted, _path="carrier")
+            return SemiPhiReport(ok, lam_min, _table=table, _vector=lifted, _path="carrier", _r=r)
     return _semi_verdict(table(), tol, vectors)
 
 
@@ -443,40 +454,23 @@ def _choi_carrier(phi_map: ModuleMap, phi: CPMap) -> _Carrier | None:
     the row Gram ``y y*`` per block, shared with validation), with no SVD.
 
     Eigenvalues of ``H`` and of the row Gram below their rounding bands
-    (``numerics._rounding_band``) are dropped.  With ``S = sum_i |x_i|_F^2``
-    and ``e^2`` the dropped row mass, the sum over blocks of the squared
-    residuals ``|y - U U* y|_F^2`` formed explicitly (it takes in the rows
-    whose singular values, up to about ``sqrt((p + d * width) * EPS)`` of the
-    largest, the Gram cannot resolve, and any error of ``U``), that moves the
-    gap by at most ``|lambda|_drop * S`` and ``|H| * e^2`` (Weyl; ``H`` acts
-    on the columns of ``y`` alone, so with ``P = U U*`` the form of ``y`` is
-    that of ``P y`` plus that of ``(I - P) y``, up to ``U``'s departure from
-    orthonormality, which the rounding term covers); with the rounding of
-    every solve of both paths this is the carrier's error.  None (the pair
-    decides) for a gap below ``_CARRIER_MIN_GAP``, a carrier no smaller than
-    ``N`` and values whose products come near overflow.
+    (``numerics._rounding_band``) are dropped, and the error is
+    :func:`_carrier_error` of the largest dropped eigenvalue modulus and of
+    the squared residuals ``|y - U U* y|_F^2`` of the blocks that keep an
+    eigenvalue, formed explicitly (they take in the rows whose singular
+    values, up to about ``sqrt((p + d * width) * EPS)`` of the largest, the
+    Gram cannot resolve, and any error of ``U``).  None (the pair decides)
+    for a gap below ``_CARRIER_MIN_GAP``, a carrier no smaller than ``N``
+    and values whose products come near overflow.
     """
     _check_compatible(phi_map, phi)
-    basis, values = phi_map.domain._basis_stack, phi_map._value_stack
-    d, p, q = basis.shape
-    k, m = phi_map.h2_dim, phi_map.h1_dim
+    d, m, k = phi_map.domain.dim, phi_map.h1_dim, phi_map.h2_dim
     dim = d * m
     if dim < _CARRIER_MIN_GAP or k >= dim:
         return None
-    module_mass = float(np.vdot(basis, basis).real)  # sum_i |x_i|_F^2
-    map_mass = float(np.vdot(values, values).real)  # |B|_F^2
-    # The Choi matrix holds phi's values and zeros, so its entrywise l1 and
-    # Frobenius norms are those of the value stack.
-    choi_l1 = float(np.abs(phi._value_stack).sum())
-    # Every product either path forms is bounded by this (the table's
-    # phi~(x_i* x_j) by module_mass * choi_l1, the carrier's rows by its
-    # eigenvalues, each at most choi_l1).
-    product_bound = (module_mass + 1.0) * choi_l1 * q * m + map_mass
-    if not _far_from_overflow(product_bound):
-        return None
     spectra = phi._choi_spectra
     top = max(float(np.abs(lam).max()) for lam, _ in spectra)
-    cut = _rounding_band(q * m, top)
+    cut = _rounding_band(phi.domain.ambient_dim * m, top)
     dropped = row_mass = 0.0
     n, blocks = k, []
     for (lam, w), rows in zip(spectra, phi_map.domain._block_rows):
@@ -487,7 +481,7 @@ def _choi_carrier(phi_map: ModuleMap, phi: CPMap) -> _Carrier | None:
         row_mass += rows.residual_mass
         n += len(rows.coords) * int(np.count_nonzero(keep))
         blocks.append((rows.coords, lam[keep], w[:, keep]))
-    if n >= dim:
+    if n >= dim or (error := _carrier_error(phi_map, phi, dropped, row_mass, n)) is None:
         return None
     columns, signs = [], []
     for coords, lam, w in blocks:
@@ -499,15 +493,67 @@ def _choi_carrier(phi_map: ModuleMap, phi: CPMap) -> _Carrier | None:
         c_adj = (conj_rows @ w_kept).reshape(d, rank, m, t)
         columns.append(c_adj.transpose(0, 2, 1, 3).reshape(dim, rank * t))
         signs.append(np.tile(np.sign(lam), rank))
-    columns.append(np.conj(values).transpose(0, 2, 1).reshape(dim, k))
+    columns.append(np.conj(phi_map._value_stack).transpose(0, 2, 1).reshape(dim, k))
     signs.append(-np.ones(k))
-    scale = float(np.linalg.norm(phi._value_stack)) * module_mass + map_mass
-    error = (
-        dropped * module_mass
-        + top * row_mass
-        + _rounding_band(dim + n + (m + d + p) * q, scale)
-    )
     return np.concatenate(columns, axis=1), np.concatenate(signs), error
+
+
+def _dilation_carrier(phi_map: ModuleMap, phi: CPMap, carrier: ModuleMap, dil: StinespringDilation) -> _Carrier | None:
+    """The signed carrier of the Gram gap of ``phi_map`` on the carrier map
+    ``C`` of its domain (:func:`_carrier_map`, from the dilation ``dil`` of
+    a CP ``phi``) for :func:`_decide_gap`, with no Gram pair and no solve of
+    its own.
+
+    With ``B`` the map's :meth:`~ModuleMap.stacked_columns`, ``X = [C; B]``
+    and ``J = diag(I, -I_k)``, ``X* J X = C* C - B* B`` on ``n = sum_k dim
+    W_k rho_k + k`` rows.  ``C* C`` is the pinch-extended table but for the
+    Choi eigenvalues the Kraus cut drops (negative ones included) and the
+    row mass of the blocks whose rows are taken in a basis, so the error is
+    :func:`_carrier_error` of those, as for :func:`_choi_carrier`.  None (the
+    pair decides) for a gap below ``_CARRIER_MIN_GAP``, a carrier no smaller
+    than ``N`` and values whose products come near overflow.
+    """
+    columns, cols = carrier.stacked_columns(), phi_map.stacked_columns()
+    (d, p, _), ranks = phi_map.domain._basis_stack.shape, dil.block_ranks
+    # The Kraus cut keeps each block's rho largest eigenvalues.
+    dropped = max(float(np.abs(lam[: len(lam) - rho]).max(initial=0.0)) for (lam, _), rho in zip(phi._choi_spectra, ranks))
+    blocks = zip(phi_map.domain._block_rows, ranks, phi.domain.blocks)
+    row_mass = sum(rows.residual_mass for rows, rho, n in blocks if rho and _compresses(rows, p + d * n))
+    dim, n = columns.shape[1], len(columns) + len(cols)
+    if dim < _CARRIER_MIN_GAP or n >= dim or (error := _carrier_error(phi_map, phi, dropped, row_mass, n)) is None:
+        return None
+    signs = np.concatenate([np.ones(len(columns)), -np.ones(len(cols))])
+    return dagger(np.concatenate([columns, cols])), signs, error
+
+
+def _carrier_error(phi_map: ModuleMap, phi: CPMap, dropped: float, row_mass: float, n: int) -> float | None:
+    """The most an eigenvalue of a signed carrier ``X* J X`` on ``n`` rows
+    can lie from the Gram pair's gap of ``phi_map``, where ``X* J X`` is
+    that gap but for Choi eigenvalues of modulus at most ``dropped`` left
+    out and a row mass ``e^2`` (``row_mass``) left out of the blocks whose
+    rows are taken in an orthonormal basis ``U``; None where the products
+    either path forms come near overflow.
+
+    With ``S = sum_i |x_i|_F^2``, these move the gap by at most ``dropped *
+    S`` and ``|H| * e^2`` (Weyl; the symmetrized Choi matrix ``H`` acts on
+    the columns of a block's ``y`` alone, so with ``P = U U*`` the form of
+    ``y`` is that of ``P y`` plus that of ``(I - P) y``, up to ``U``'s
+    departure from orthonormality, which the rounding term covers); with
+    the rounding of every solve of both paths this is the error.  Every
+    product either path forms is bounded by ``(S + 1) |J|_1 q m + |B|_F^2``:
+    the table's ``phi~(x_i* x_j)`` by ``S`` times the Choi matrix's
+    entrywise l1 norm ``|J|_1``, which is the value stack's, a carrier's
+    rows by its eigenvalues, each at most ``|J|_1``.
+    """
+    basis, values = phi_map.domain._basis_stack, phi_map._value_stack
+    (d, p, q), m = basis.shape, phi_map.h1_dim
+    module_mass = float(np.vdot(basis, basis).real)  # S
+    map_mass = float(np.vdot(values, values).real)  # |B|_F^2
+    if not _far_from_overflow((module_mass + 1.0) * float(np.abs(phi._value_stack).sum()) * q * m + map_mass):
+        return None
+    top = max(float(np.abs(lam).max(initial=0.0)) for lam, _ in phi._choi_spectra)
+    scale = float(np.linalg.norm(phi._value_stack)) * module_mass + map_mass
+    return dropped * module_mass + top * row_mass + _rounding_band(d * m + n + (m + d + p) * q, scale)
 
 
 def _symmetrized_gap(pair: GramPair) -> np.ndarray:
@@ -611,11 +657,6 @@ class ObstructionReport:
 
     def __bool__(self) -> bool:
         return self.vanishes
-
-
-def _largest_norm(stack: np.ndarray) -> float:
-    """Largest Frobenius norm in a stack of matrices, 0 for an empty stack."""
-    return float(np.linalg.norm(stack, axis=(-2, -1)).max(initial=0.0))
 
 
 def phi_extension_obstruction(
@@ -811,18 +852,32 @@ def _extend(
 
 
 def _contraction(
-    a_cols: np.ndarray, b_cols: np.ndarray, tol: ToleranceProfile, error: type[Exception]
+    a_cols: np.ndarray, b_cols: np.ndarray, tol: ToleranceProfile, error: type[Exception], r: np.ndarray | None = None
 ) -> tuple[np.ndarray, float, float]:
     """The least-squares contraction ``S0`` with ``S0 a_cols = b_cols``, its
     residual and its operator norm; ``error`` (the caller's exception) is
-    raised when the residual exceeds its construction threshold or the norm
-    the contraction bound.
+    raised when the residual exceeds its construction threshold (with the
+    rounding band of a solve of ``a_cols``' shape) or the norm the
+    contraction bound.
+
+    Given ``r``, the ``R`` of a QR of ``[a_cols; b_cols]*`` (square on
+    ``a_cols``' rows), the least squares is read off it
+    (:func:`~semiphi.numerics._qr_least_squares`, no SVD) and returned, with
+    its residual and norm as computed, when it passes both checks: any such
+    ``S0`` factors ``b_cols`` through ``a_cols`` by a contraction.
+    Otherwise (no ``r``, a singular ``R11``, a failed check) the least
+    squares is solved by one thin SVD and checked.
 
     The bounds are loosened: the exact-arithmetic residual is 0 under the
     semi hypothesis, but the numerical rank cuts of the dilation and of the
     solve can leave small remnants."""
+    limit = _construction_threshold(tol, max(float(np.linalg.norm(b_cols)), 1.0), sum(a_cols.shape))
+    s0 = None if r is None else _qr_least_squares(r, len(a_cols))
+    if s0 is not None and (s0_norm := operator_norm(s0)) <= _contraction_bound(tol):
+        if (residual := float(np.linalg.norm(s0 @ a_cols - b_cols))) <= limit:
+            return s0, residual, s0_norm
     s0, residual = least_squares_operator(a_cols, b_cols, tol)
-    if residual > _construction_threshold(tol, max(float(np.linalg.norm(b_cols)), 1.0)):
+    if residual > limit:
         raise error(f"least-squares system for the contraction is inconsistent (residual {residual:.3e})")
     s0_norm = operator_norm(s0)
     if s0_norm > _contraction_bound(tol):

@@ -132,19 +132,25 @@ def _construction_tol(tol: ToleranceProfile) -> ToleranceProfile:
     return ToleranceProfile(tol.abs_tol * _CONSTRUCTION_SLACK + 1e-8, tol.rel_tol * _CONSTRUCTION_SLACK + 1e-8)
 
 
-def _construction_threshold(tol: ToleranceProfile, scale: float) -> float:
+def _construction_threshold(tol: ToleranceProfile, scale: float, dim: int = 0) -> float:
     """The threshold at ``scale`` for a construction's residual or for the
     distance between two constructions: :meth:`ToleranceProfile.threshold`
-    loosened by :data:`_CONSTRUCTION_SLACK`."""
-    return _CONSTRUCTION_SLACK * tol.threshold(scale)
+    loosened by :data:`_CONSTRUCTION_SLACK`.  For the residual of a solve,
+    ``dim`` (the sum of the solve's dimensions) adds its rounding band
+    (:func:`_rounding_band` at ``scale``), so a zero tolerance still admits
+    the rounding of the solve."""
+    return _CONSTRUCTION_SLACK * tol.threshold(scale) + _rounding_band(dim, scale)
 
 
-def _reconstruction_threshold(tol: ToleranceProfile, values: np.ndarray) -> float:
+def _reconstruction_threshold(tol: ToleranceProfile, values: np.ndarray, exact: bool = True) -> float:
     """The threshold for the defect of a construction that reproduces the
     stack ``values``: :func:`_construction_threshold` in units of its largest
     spectral norm (:meth:`ToleranceProfile.bounded_threshold`), which a
-    rescaling moves alike with the defect."""
-    scale = _max_operator_norm(values, 0.0)
+    rescaling moves alike with the defect.  With ``exact`` False the scale
+    is the lower bound ``max |v|_F / sqrt(m)`` of that norm, from no SVD,
+    which gives a threshold no larger: a defect within it is within the
+    exact one."""
+    scale = _max_operator_norm(values, 0.0) if exact else _largest_norm(values) / np.sqrt(max(values.shape[-1], 1))
     return _CONSTRUCTION_SLACK * tol.bounded_threshold(scale, scale)
 
 
@@ -256,6 +262,11 @@ def operator_norm(m: MatrixLike) -> float:
     if arr.size == 0:
         return 0.0
     return float(np.linalg.norm(arr, 2))
+
+
+def _largest_norm(stack: np.ndarray) -> float:
+    """Largest Frobenius norm in a stack of matrices, 0 for an empty stack."""
+    return float(np.linalg.norm(stack, axis=(-2, -1)).max(initial=0.0))
 
 
 def _max_operator_norm(blocks: np.ndarray, floor: float) -> float:
@@ -484,6 +495,22 @@ def least_squares_operator(
     s0 = (b @ dagger(vh[:rank])) @ dagger(u[:, :rank] / s[:rank])
     residual = float(np.linalg.norm(s0 @ a - b))
     return s0, residual
+
+
+def _qr_least_squares(r: np.ndarray, c: int) -> np.ndarray | None:
+    """The least-squares ``S0`` with ``S0 A ~= B`` from the ``R = [[R11,
+    R12], [0, R22]]`` of a QR of ``[A; B]*``, ``A`` of ``c`` rows and
+    ``R11`` square: ``S0* = R11^-1 R12``, with residual ``|R22|_F`` (Golub
+    & Van Loan, *Matrix Computations*, 4th ed., 2013, sec. 5.3), by back
+    substitution one row at a time from the last, with no LAPACK solver.
+    None where it is not finite (a zero or underflowing pivot of ``R11``);
+    a nearly singular ``R11`` gives a large ``S0``, which the caller's norm
+    check refuses."""
+    x = np.zeros((c, r.shape[1] - c), dtype=complex)
+    with np.errstate(all="ignore"):
+        for i in reversed(range(c)):
+            x[i] = (r[i, c:] - r[i, i + 1 : c] @ x[i + 1 :]) / r[i, i]
+    return dagger(x) if np.isfinite(x).all() else None
 
 
 def nullspace_onb(m: MatrixLike, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:

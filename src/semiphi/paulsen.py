@@ -6,7 +6,7 @@ The system of a module ``E`` (subspace of ``p x q`` matrices over an algebra
 module corner, its adjoint corner, and the diagonal algebra block.  CP-ness
 of a corner-structured map is decided through the Gram criterion for its
 module part, and a positive verdict is certified by an explicit CP extension
-of the map to all of ``M_(p+q)`` (:func:`_certify_cp_extension`); deciding CP
+of the map to all of ``M_(p+q)`` (:func:`is_cp_system_map`); deciding CP
 for arbitrary maps defined only on an operator system (an SDP feasibility
 problem) is out of scope.
 """
@@ -27,8 +27,11 @@ from .extension import (
     SemiPhiReport,
     _carrier_map,
     _contraction,
+    _decide_gap,
+    _dilation_carrier,
     _largest_norm,
     extend_semi_phi,
+    gram_pair,
     is_completely_semi_phi,
 )
 from .modules import (
@@ -331,36 +334,26 @@ def is_cp_system_map(
     max_level: int = 3,
 ) -> SemiPhiReport:
     """CP verdict for a corner-structured map, via the equivalence with the
-    Gram criterion for its module part.
-
-    A positive verdict is certified by an explicit CP extension of the map
-    to all of ``M_(p+q)`` (:func:`_certify_cp_extension`): a failed check
-    raises :class:`SelfCheckError`, and a CP part whose Choi matrix is not
-    PSD raises :class:`~semiphi.cpmaps.NotCompletelyPositiveError`.  ``rng``,
-    ``samples`` and ``max_level`` are not read; they remain for callers of
-    the randomized PSD sampling that the certificate replaced.
-    """
-    report = is_completely_semi_phi(sm.module_map, sm.cp_map, tol)
-    if report.ok:
-        _certify_cp_extension(sm, tol)
-    return report
-
-
-def _certify_cp_extension(sm: SystemMap, tol: ToleranceProfile) -> None:
-    """Certify that ``sm`` extends to a CP map on all of ``M_(p+q)``, from
-    the extension engine's own stages: Arveson's extension theorem made
-    explicit through the Stinespring and KSGNS factorizations (Paulsen,
-    *Completely Bounded Maps and Operator Algebras*, 2002, ch. 6-8; Lance,
-    *Hilbert C*-Modules*, 1995, ch. 5).
+    Gram criterion for its module part, with a positive verdict certified
+    by an explicit CP extension of the map to all of ``M_(p+q)``: Arveson's
+    extension theorem made explicit through the Stinespring and KSGNS
+    factorizations (Paulsen, *Completely Bounded Maps and Operator
+    Algebras*, 2002, ch. 6-8; Lance, *Hilbert C*-Modules*, 1995, ch. 5).
+    Verdict and certificate read one carrier and one QR.
 
     Let ``phi(a) = V* (a (x) I_r) V`` be the dilation and ``C`` the carrier
-    map of the module map's domain (:func:`~semiphi.extension._carrier_map`):
-    ``C(x) = J* (x (x) I_r) V`` on ``sum_k dim W_k rho_k`` rows, with ``J =
-    (+)_k U_k (x) I_{rho_k}`` the isometry from its block row coordinates
-    into ``C^p (x) C^r``, whose range holds every ``(x (x) I_r) V``.  Let
-    ``S0`` be the least-squares contraction with ``S0 C(x_i) = Phi(x_i)`` on
-    the basis, ``W = (J S0*) (+) V`` and ``D = (I_k - S0 S0*) (+) 0_m``.
-    Then::
+    map of the module map's domain (:func:`~semiphi.extension._carrier_map`,
+    built first): ``C(x) = J* (x (x) I_r) V`` on ``c = sum_k dim W_k
+    rho_k`` rows, with ``J = (+)_k U_k (x) I_{rho_k}`` the isometry from its
+    block row coordinates into ``C^p (x) C^r``, whose range holds every ``(x
+    (x) I_r) V``.  :func:`~semiphi.extension._decide_gap` decides the Gram
+    gap on ``X = [C; B]`` (``B`` the module map's columns; from ``N = 64``
+    on, :func:`~semiphi.extension._dilation_carrier`) or on the Gram pair
+    (below that, or where the carrier's verdict is not clear).
+
+    For a positive verdict, let ``S0`` be a contraction with ``S0 C(x_i) =
+    Phi(x_i)`` on the basis, ``W = (J S0*) (+) V`` and ``D = (I_k - S0 S0*)
+    (+) 0_m``.  Then::
 
         rho(Y) = W* (Y (x) I_r) W + (tr Y_11 / p) D
 
@@ -369,19 +362,47 @@ def _certify_cp_extension(sm: SystemMap, tol: ToleranceProfile) -> None:
     1``, so it is CP on all of ``M_(p+q)``; and on the system it is the map:
     ``lam (S0 S0* + I_k - S0 S0*) = lam I_k`` on the scalar block, ``S0 J*
     (x (x) I_r) V = S0 C(x) = Phi(x)`` on the corners and ``V* (a (x) I_r) V
-    = phi(a)`` on the algebra.  The least squares has ``sum_k dim W_k
-    rho_k`` rows, not ``p r``; ``J`` keeps the norm of ``S0``.  The checks
-    are ``|S0|`` against the contraction bound and the corners' residual at
-    its construction threshold (:func:`~semiphi.extension._contraction`),
-    and the dilation's reconstruction defect at its threshold; a failed one
-    raises :class:`SelfCheckError`.  ``rho`` itself is never formed.
+    = phi(a)`` on the algebra.  ``J`` keeps the norm of ``S0``.  ``rho``
+    itself is never formed.  ``S0`` is the least squares read off the ``R``
+    of the QR of ``X*`` (the verdict's, or one taken here when the pair
+    decided and ``c + k < N``), checked against the contraction bound and
+    the corners' construction threshold; a failed check, or no usable
+    ``R``, hands it to the one-SVD least squares of
+    :func:`~semiphi.extension._contraction`, whose failed checks raise
+    :class:`SelfCheckError`.  Then the dilation's reconstruction defect is
+    checked at its threshold, the largest Frobenius defect against the
+    threshold at the lower bound of its scale first and the exact spectral
+    check only where that does not pass; a failure raises
+    :class:`SelfCheckError`.
+
+    A CP part that is not CP or fails its hermiticity check has no carrier
+    map: the verdict is then :func:`is_completely_semi_phi`'s, a negative
+    one is returned, and a positive one raises the dilation's
+    :class:`~semiphi.cpmaps.NotCompletelyPositiveError` or
+    :class:`~semiphi.numerics.HermiticityError`.  ``rng``, ``samples`` and
+    ``max_level`` are not read; they remain for callers of the randomized
+    PSD sampling that the certificate replaced.
     """
     phi_map, phi = sm.module_map, sm.cp_map
-    carrier, dilation = _carrier_map(phi, phi_map.domain, tol)
-    _contraction(carrier.stacked_columns(), phi_map.stacked_columns(), tol, SelfCheckError)
-    defect = dilation.reconstruction_defect(phi)
-    if defect > _reconstruction_threshold(tol, phi._value_stack):
+    try:
+        carrier, dil = _carrier_map(phi, phi_map.domain, tol)
+    except ValueError:
+        # As when the verdict came first: an error of the carrier map (a CP
+        # part that is not CP or not hermitian) stands only under a positive one.
+        if (report := is_completely_semi_phi(phi_map, phi, tol)).ok:
+            raise
+        return report
+    report = _decide_gap(lambda: _dilation_carrier(phi_map, phi, carrier, dil), lambda: gram_pair(phi_map, phi), tol)
+    if not report.ok:
+        return report
+    columns, cols = carrier.stacked_columns(), phi_map.stacked_columns()
+    if (r := report._r) is None and len(columns) + len(cols) < columns.shape[1]:
+        r = np.linalg.qr(np.concatenate([columns, cols]).conj().T, mode="r")
+    _contraction(columns, cols, tol, SelfCheckError, r)
+    cheap = _largest_norm(dil._reconstruction_errors(phi)) <= _reconstruction_threshold(tol, phi._value_stack, exact=False)
+    if not cheap and (defect := dil.reconstruction_defect(phi)) > _reconstruction_threshold(tol, phi._value_stack):
         raise SelfCheckError(f"Stinespring dilation does not reconstruct the CP map (defect {defect:.3e})")
+    return report
 
 
 @dataclass(frozen=True)

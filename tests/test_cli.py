@@ -499,11 +499,9 @@ def test_paulsen_command(tmp_path, capsys):
 def test_paulsen_uncertified_verdict_is_internal_error(tmp_path, monkeypatch, capsys):
     # A positive Gram verdict that the explicit CP extension cannot certify
     # is a defect, not a verdict: the scalar map with c = 2 factors through
-    # a contraction of norm 2.
-    original = paulsen.is_completely_semi_phi
-    monkeypatch.setattr(
-        paulsen, "is_completely_semi_phi", lambda *a, **k: dataclasses.replace(original(*a, **k), ok=True)
-    )
+    # a contraction of norm 2.  The verdict of a CP part is _decide_gap's.
+    original = paulsen._decide_gap
+    monkeypatch.setattr(paulsen, "_decide_gap", lambda *a, **k: dataclasses.replace(original(*a, **k), ok=True))
     assert main(["paulsen", scalar_paulsen_problem(tmp_path, 2.0), "--seed", "5", "--json"]) == EXIT_INTERNAL
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -527,6 +525,29 @@ def test_paulsen_at_zero_tolerance_refuses_rounding_singular_choi(make, tmp_path
     for command in ("paulsen", "extend"):
         assert main([command, path, "--tol", "0"]) == 2
         assert "error: map is not completely positive (Choi lambda_min = -" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("make", [example_2_1, compacts_fixture], ids=["example_2_1", "compacts"])
+def test_zero_tolerance_admits_the_rounding_of_the_contraction(make, tmp_path, capsys):
+    # At n = 2 the contraction's least-squares residual (about 6e-16) lies
+    # within the rounding band of its solve, which a zero tolerance admits:
+    # paulsen certifies and extend extends, each at margin 0.
+    fx = make(2)
+    codomain = full_rectangular_module(fx.phi_map.h2_dim, fx.phi_map.h1_dim)
+    payload = {
+        "phi": ser.cp_map_to_json(fx.phi),
+        "Phi": ser.module_map_to_json(fx.phi_map),
+        "E": ser.module_to_json(fx.e),
+        "codomain_module": ser.module_to_json(codomain),
+    }
+    path = write_problem(tmp_path / "zero-tol.json", payload)
+    assert main(["paulsen", path, "--tol", "0", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdicts"]["cp_system_map"] is True and report["margins"]["gram_margin"] == 0.0
+    assert main(["extend", path, "--tol", "0", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdicts"]["extension_semi_ok"] is True and report["margins"]["extension_semi_margin"] == 0.0
+    assert report["margins"]["contraction_norm"] <= 1.0
 
 
 def test_default_tolerance_is_the_numerics_default(monkeypatch):

@@ -1,13 +1,15 @@
-"""Five console checks of the CI workflow, run in Tier-1 as child processes
-of ``python -m semiphi.cli`` on problem files written under ``tmp_path``:
-the seeded ``paulsen`` reports, the malformed-input exit code, non-orthogonal
-bases, the rescaled carrier inputs and the rescaled ``stinespring``.
-In-process tests call ``cli.main()`` and never see the exit status or the
-stderr of the interpreter itself."""
+"""Six checks of the CI workflow, run in Tier-1 as child processes: five of
+``python -m semiphi.cli`` on problem files written under ``tmp_path`` (the
+seeded ``paulsen`` reports, the malformed-input exit code, non-orthogonal
+bases, the rescaled carrier inputs and the rescaled ``stinespring``) and one
+large extension under a memory ceiling.  In-process tests call
+``cli.main()`` and never see the exit status or the stderr of the
+interpreter itself."""
 
 import json
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 
@@ -28,6 +30,7 @@ from semiphi.fixtures import (
 from conftest import full_rectangular_module
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+BENCH = SRC.parent / "bench"
 
 
 def run_cli(*args):
@@ -183,3 +186,41 @@ def test_rescaled_stinespring_agrees(tmp_path):
         verdicts[c] = json.loads(done.stdout)["verdicts"]
     assert verdicts["1"]["dilation_reconstructs"] is True
     assert verdicts["1e-8"] == verdicts["1"] == verdicts["1e10"]
+
+
+# One extension at dim E 392 over BlockAlgebra((14, 14)) (dim F 196, m = k =
+# 4), built as bench/problems.py builds its problems.
+LARGE_EXTENSION = """
+import sys
+
+import numpy as np
+
+sys.path.insert(0, sys.argv[1])
+import problems as P
+import semiphi
+
+pr = P.make_problem(np.random.default_rng([1, 392]), (14, 14), (14, 14), (7, 7), 30, 4, 4, 2, False)
+assert len(pr.e_basis) == 392 and len(pr.f_basis) == 196
+res = semiphi.extend_semi_phi(P.module_map(pr, pr.semi), P.module(pr, pr.e_basis), P.cp_map(pr))
+assert res.report["extension_semi_ok"]
+"""
+
+
+def test_large_extension_under_a_memory_ceiling():
+    # The CI step "One large extension under a memory ceiling" runs this
+    # test.  At that size the pair kernel's tables take values first, whose
+    # one temporary is m^2 times the basis slices; products first held a
+    # 1.9 GB product array and its transposed copy, and the process peaked
+    # near 2.1 GB.  The child, on one BLAS thread, must finish under 800 MB
+    # of peak RSS (the largest of this process's waited-for children).
+    env = {
+        **os.environ,
+        "OPENBLAS_NUM_THREADS": "1",
+        "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])),
+    }
+    done = subprocess.run(
+        [sys.executable, "-c", LARGE_EXTENSION, str(BENCH)], env=env, capture_output=True, text=True, timeout=600
+    )
+    assert done.returncode == 0, done.stderr
+    peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024  # KiB on Linux
+    assert peak_mb < 800, f"peak RSS {peak_mb:.0f} MB"

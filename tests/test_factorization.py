@@ -143,14 +143,13 @@ def test_orthogonal_bases_take_no_svd_or_pinv(make, monkeypatch):
     fx.e.coefficients(fx.phi_map.domain._basis_stack)
     sm = block_map(fx.phi_map, fx.phi, full_rectangular_module(2, 2))
     assert is_cp_system_map(sm).ok
-    # The one SVD is the certificate's least squares on F's carrier columns
-    # in block row coordinates (sum_k dim W_k rho_k x dim F m, fewer rows
-    # than p r), no module basis.
+    # No SVD: the certificate's least squares on F's carrier columns in
+    # block row coordinates (sum_k dim W_k rho_k x dim F m, fewer rows than
+    # p r) is read off one QR of them and the map's columns.
     f, m = fx.phi_map.domain, fx.phi.target_dim
     rows = block_rows(f, fx.phi)
     assert rows < f.row_dim * full_dilation(fx.phi)[1]
-    assert [args[0].shape for args in svds] == [(rows, f.dim * m)]
-    assert pinvs == []
+    assert svds == [] and pinvs == []
 
 
 def test_non_orthogonal_basis_takes_one_svd(monkeypatch):

@@ -31,6 +31,7 @@ from semiphi import (
     is_completely_semi_phi,
     is_corner_preserving,
     is_cp_system_map,
+    from_kraus,
     ksgns,
     transpose_map,
 )
@@ -54,6 +55,7 @@ from semiphi.numerics import (
     ToleranceProfile,
     _construction_threshold,
     _contraction_bound,
+    _reconstruction_threshold,
     as_matrix,
     dagger,
 )
@@ -623,13 +625,15 @@ def scaled_two_block_system_map(c):
 
 
 def force_positive_gram_verdict(monkeypatch):
-    """Let a map that is not CP reach the certificate."""
-    original = paulsen.is_completely_semi_phi
+    """Let a map that is not CP reach the certificate: both verdicts that
+    ``is_cp_system_map`` reads, the carrier's gap decision for a CP part and
+    the Gram verdict for one that is not, turn positive."""
+    for name in ("_decide_gap", "is_completely_semi_phi"):
 
-    def positive(*args, **kwargs):
-        return dataclasses.replace(original(*args, **kwargs), ok=True)
+        def positive(*args, _original=getattr(paulsen, name), **kwargs):
+            return dataclasses.replace(_original(*args, **kwargs), ok=True)
 
-    monkeypatch.setattr(paulsen, "is_completely_semi_phi", positive)
+        monkeypatch.setattr(paulsen, name, positive)
 
 
 
@@ -669,7 +673,7 @@ def oracle_contraction(columns, targets, tol=DEFAULT_TOL):
 
 def extension_oracle(sm):
     """``rho(Y) = W* (Y (x) I_r) W + (tr Y_11 / p) D`` of
-    ``paulsen._certify_cp_extension`` with ``W = S0* (+) V`` and ``D = (I_k
+    ``paulsen.is_cp_system_map`` with ``W = S0* (+) V`` and ``D = (I_k
     - S0 S0*) (+) 0_m``, and ``|S0|``, built with plain numpy."""
     phi, pm = sm.cp_map, sm.module_map
     q, m = phi.domain.ambient_dim, phi.target_dim
@@ -706,7 +710,7 @@ def check_extension(sm):
 
 
 def certificate_oracle(sm, tol=DEFAULT_TOL):
-    """The checks of ``paulsen._certify_cp_extension`` on the whole carrier
+    """The certificate checks of ``paulsen.is_cp_system_map`` on the whole carrier
     space: ``(|S0|, residual)`` of the least squares on the ``p r`` carrier
     columns of :func:`full_carrier_columns`, cut at the package's one rank
     threshold, or the ``(type, text)`` of the error the checks raise."""
@@ -724,17 +728,20 @@ def certificate_oracle(sm, tol=DEFAULT_TOL):
     return norm, residual
 
 
-def mixed(stack):
-    """Element j becomes element j plus half of each element before it."""
-    upper = np.eye(len(stack)) + 0.5 * np.triu(np.ones((len(stack), len(stack))), 1)
-    return tuple(np.tensordot(upper.T, stack, axes=1)) if len(stack) else ()
+def mixed(stack, each_before=True):
+    """Element j becomes element j plus half of each element before it, or
+    without ``each_before`` plus half of element j - 1 alone (a basis change
+    of condition number below 3 at every size)."""
+    n = len(stack)
+    upper = np.eye(n) + 0.5 * (np.triu(np.ones((n, n)), 1) if each_before else np.eye(n, k=1))
+    return tuple(np.tensordot(upper.T, stack, axes=1)) if n else ()
 
 
-def mixed_map(pm):
-    """``pm`` on a non-orthogonal basis of the same module: the basis and
-    the values mixed alike, so the map is the same."""
-    domain = ConcreteModule(pm.domain.algebra, pm.domain.row_dim, mixed(pm.domain._basis_stack))
-    return ModuleMap(domain, pm.h1_dim, pm.h2_dim, mixed(pm._value_stack))
+def mixed_map(pm, each_before=True):
+    """``pm`` on a non-orthogonal basis of the same module (:func:`mixed`):
+    the basis and the values mixed alike, so the map is the same."""
+    domain = ConcreteModule(pm.domain.algebra, pm.domain.row_dim, mixed(pm.domain._basis_stack, each_before))
+    return ModuleMap(domain, pm.h1_dim, pm.h2_dim, mixed(pm._value_stack, each_before))
 
 
 def full_codomain(pm, phi):
@@ -814,8 +821,25 @@ def block_shape_cases():
     yield "fallback, scaled", ModuleMap(module, 2, 2, tuple(3.0 * pm._value_stack)), phi, loose
 
 
+def narrow_system_cases():
+    """Systems of :func:`narrow_system_case` at N = 64 and 80, where the
+    carrier map's signed carrier decides: a contraction, one of norm 1.25
+    (refuted), and each on a mixed basis.  The basis mixes element j with
+    element j - 1 alone: mixed with each element before it, the 16-20
+    elements grow to several times their norm, and the oracle's own
+    least-squares residual reaches 1.3e-14 (N = 80, seed 2) where the
+    certificate's, read off the QR, is 1.3e-15."""
+    for seed, cols in itertools.product(range(3), (4, 5)):
+        for label, norm in (("semi", None), ("refuted", 1.25)):
+            pm, phi = narrow_system_case(seed, cols, norm)
+            name = f"narrow {label} {seed}, N = {16 * cols}"
+            yield name, pm, phi
+            yield f"{name}, mixed", mixed_map(pm, each_before=False), phi
+
+
 # (label, module map, CP map) of each family the certificate is checked on.
 CERTIFICATE_FAMILIES = {
+    "narrow systems": narrow_system_cases,
     "random fixtures": lambda: random_fixture_cases(mix=False),
     "random fixtures, mixed bases": lambda: random_fixture_cases(mix=True),
     "examples": example_cases,
@@ -835,17 +859,21 @@ def example_2_1_case():
     return fx.phi_map, fx.phi
 
 
-def narrow_system_case(seed=0):
-    """A contraction of the universal map over BlockAlgebra((2, 2)) with four
-    columns per block in C^10 and m = k = 4: N = 64, as in the benchmark's
-    smallest Paulsen systems."""
+def narrow_system_case(seed=0, cols=4, norm=None):
+    """A contraction of the universal map over BlockAlgebra((2, 2)) with
+    ``cols`` columns per block in C^10 and m = k = 4: N = 16 cols, 64 at
+    four columns as in the benchmark's smallest Paulsen systems.  With
+    ``norm`` the contraction is rescaled to that operator norm, which
+    refutes the semi criterion when it exceeds 1."""
     rng = np.random.default_rng(seed)
     algebra = BlockAlgebra((2, 2))
     u = _random_unitary(10, rng)
-    module = _column_module(algebra, 10, [u[:, :4], u[:, 4:8]])
+    module = _column_module(algebra, 10, [u[:, :cols], u[:, cols : 2 * cols]])
     phi = random_cp_map(algebra, 4, 2, rng)
     universal = ksgns(phi, module).map
     contraction = random_contraction(4, universal.h2_dim, rng)
+    if norm is not None:
+        contraction *= norm / np.linalg.norm(contraction, 2)
     return ModuleMap(module, 4, 4, tuple(contraction @ universal._value_stack)), phi
 
 
@@ -922,19 +950,62 @@ class TestCpExtensionCertificate:
         with pytest.raises(SelfCheckError, match=r"^factoring operator has norm \d\.\d{6} > 1"):
             is_cp_system_map(sm)
 
-    def test_inconsistent_corners_raise(self, monkeypatch):
+    @pytest.mark.parametrize("shape", ["scalar", "wide"])
+    def test_inconsistent_corners_raise(self, shape, monkeypatch):
         # A nonzero module map over a zero CP map: no carrier reaches it.
-        pm, _ = scalar_fixture(0.5)
-        zero_phi = CPMap(pm.domain.algebra, 1, (np.zeros((1, 1)),))
+        # On the scalar module c + k >= N, so the least squares decides; on
+        # the 2 x 3 matrices over BlockAlgebra((2, 1)) (N = 12, k = 3) the
+        # contraction read off the QR is k x 0, a contraction whose residual
+        # |B|_F fails its check, and the least squares raises.
+        if shape == "scalar":
+            pm, _ = scalar_fixture(0.5)
+            zero_phi, codomain = CPMap(pm.domain.algebra, 1, (np.zeros((1, 1)),)), scalar_codomain()
+        else:
+            module = full_rectangular_module(2, 3)
+            module = ConcreteModule(BlockAlgebra((2, 1)), 2, tuple(module._basis_stack))
+            values = np.random.default_rng(36).standard_normal((module.dim, 3, 2))
+            pm = ModuleMap(module, 2, 3, tuple(values))
+            zero_phi = CPMap(module.algebra, 2, tuple(np.zeros((module.algebra.dimension, 2, 2))))
+            codomain = full_rectangular_module(3, 2)
         force_positive_gram_verdict(monkeypatch)
         with pytest.raises(SelfCheckError, match=r"^least-squares system for the contraction is inconsistent"):
-            is_cp_system_map(block_map(pm, zero_phi, scalar_codomain()))
+            is_cp_system_map(block_map(pm, zero_phi, codomain))
 
     def test_dilation_that_does_not_reconstruct_raises(self, monkeypatch):
+        # Both the Frobenius bound and the exact check see the defect, and
+        # the error reports the exact one.
         sm = block_map(*scalar_fixture(1.0), scalar_codomain())
-        monkeypatch.setattr(cpmaps.StinespringDilation, "reconstruction_defect", lambda self, phi: 1e-3)
+        monkeypatch.setattr(cpmaps.StinespringDilation, "_reconstruction_errors", lambda self, phi: np.full((1, 1, 1), 1e-3))
         with pytest.raises(SelfCheckError, match=r"^Stinespring dilation does not reconstruct the CP map \(defect 1\.000e-03\)$"):
             is_cp_system_map(sm)
+
+    @pytest.mark.parametrize("case", ["scalar", "example_2_1"])
+    @pytest.mark.parametrize("rank_one", [True, False])
+    @pytest.mark.parametrize("factor", [0.999, 1.001])
+    def test_frobenius_bound_agrees_with_the_exact_reconstruction_check(self, case, rank_one, factor, monkeypatch):
+        # A defect of spectral norm factor * the exact threshold on one unit,
+        # rank one (Frobenius norm equal to it) or a multiple of I_m (sqrt(m)
+        # times it): accepted below the threshold and refused above it, with
+        # the exact check run only where the Frobenius bound does not pass.
+        # At m = 1 the two thresholds coincide, so the bound decides both
+        # ways; at m = 2 over matrix-unit values it is sqrt(2) smaller.
+        pm, phi = scalar_fixture(1.0) if case == "scalar" else example_2_1_case()
+        sm = block_map(pm, phi, full_rectangular_module(pm.h2_dim, pm.h1_dim))
+        m, values = phi.target_dim, phi._value_stack
+        threshold, bound = _reconstruction_threshold(DEFAULT_TOL, values), _reconstruction_threshold(DEFAULT_TOL, values, exact=False)
+        assert bound == pytest.approx(threshold / np.sqrt(m), rel=1e-12)
+        errors = np.zeros_like(values)
+        errors[-1] = factor * threshold * (np.diag(np.eye(m)[0]) if rank_one else np.eye(m))
+        monkeypatch.setattr(cpmaps.StinespringDilation, "_reconstruction_errors", lambda self, phi: errors)
+        exact = []
+        defect = cpmaps.StinespringDilation.reconstruction_defect
+        monkeypatch.setattr(cpmaps.StinespringDilation, "reconstruction_defect", lambda self, phi: exact.append(1) or defect(self, phi))
+        if factor < 1.0:
+            assert is_cp_system_map(sm).ok
+        else:
+            with pytest.raises(SelfCheckError, match=r"^Stinespring dilation does not reconstruct the CP map"):
+                is_cp_system_map(sm)
+        assert len(exact) == int(np.linalg.norm(errors[-1]) > bound)
 
     def test_cp_part_that_is_not_cp_is_an_input_error(self):
         # The transpose on M_2 against the module spanned by the row (1, 0):
@@ -948,23 +1019,81 @@ class TestCpExtensionCertificate:
         with pytest.raises(NotCompletelyPositiveError):
             is_cp_system_map(sm)
 
-    @pytest.mark.parametrize("path", ["table", "carrier"])
-    def test_no_draw_and_one_eigen_solve_each(self, path, monkeypatch):
-        # The Gram verdict is one eigenvalue-only solve: of the gap (N = 8,
-        # the table path) or of the signed Choi carrier (N = 64), which
-        # solves the map's Choi spectrum and the module's row form first.
-        # The certificate's Kraus operators read that spectrum (one eigh per
-        # algebra block of the Choi matrix for the map's whole life) and its
-        # carrier map that row form (one p x p eigh per block); its one SVD
-        # is the least squares on sum_k dim W_k rho_k rows, not p r.  The
-        # generator and the sample arguments are not read.
-        pm, phi = fresh(*(narrow_system_case() if path == "carrier" else example_2_1_case()))
-        n_dim = pm.domain.dim * phi.target_dim
-        assert (n_dim >= extension._CARRIER_MIN_GAP) is (path == "carrier")
-        sm = block_map(pm, phi, full_rectangular_module(pm.h2_dim, pm.h1_dim))
-        rows = block_rows(pm.domain, phi)
-        assert rows < pm.domain.row_dim * full_dilation(phi)[1]
-        calls = {"eigh": [], "eigvalsh": [], "svd": []}
+    def test_narrow_positive_verdicts_take_no_svd_and_no_choi_carrier(self, monkeypatch):
+        # Every positive verdict of the N >= 64 family is decided on the
+        # carrier map's signed carrier, and its contraction is read off the
+        # same QR: no signed Choi carrier, SVD, LAPACK solver or inverse.
+        calls = {name: 0 for name in ("svd", "solve", "inv", "lstsq", "pinv")}
+        for name in calls:
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        choi_carriers = []
+        monkeypatch.setattr(extension, "_choi_carrier", lambda *args: choi_carriers.append(args))
+        positive = 0
+        for label, pm, phi in narrow_system_cases():
+            sm = block_map(pm, phi, full_codomain(pm, phi))
+            for name in calls:
+                calls[name] = 0
+            report = is_cp_system_map(sm)
+            assert report._path == "carrier", label
+            if report.ok:
+                positive += 1
+                assert calls == dict.fromkeys(calls, 0) and choi_carriers == [], label
+        assert positive == 12
+
+    @pytest.mark.parametrize("dropped", [0.0, 1e-10])
+    def test_dilation_carrier_error_bounds_every_eigenvalue(self, dropped):
+        # Every eigenvalue of X* J X on the carrier map's columns lies within
+        # the carrier's error of the symmetrized Gram gap's, matched in
+        # order (Weyl).  With ``dropped`` a rank-one CP term of that
+        # relative size is added to phi: the Kraus cut drops its Choi
+        # eigenvalue, which moves the gap far beyond rounding, and the error
+        # bound must take it in.
+        for seed in range(3):
+            pm, phi = narrow_system_case(seed)
+            if dropped:
+                rng = np.random.default_rng([37, seed])
+                extra = from_kraus(phi.domain, [rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))])
+                scale = dropped * np.linalg.norm(phi._value_stack) / np.linalg.norm(extra._value_stack)
+                phi = CPMap(phi.domain, 4, tuple(phi._value_stack + scale * extra._value_stack))
+            carrier, dil = extension._carrier_map(phi, pm.domain, DEFAULT_TOL)
+            x_adj, signs, error = extension._dilation_carrier(pm, phi, carrier, dil)
+            mu = np.linalg.eigvalsh((x_adj * signs) @ x_adj.conj().T)
+            pair = extension.gram_pair(pm, phi)
+            gap = pair.g_phi - pair.g_map
+            lam = np.linalg.eigvalsh((gap + gap.conj().T) / 2.0)
+            assert np.abs(mu - lam).max() <= error
+            if dropped:
+                assert np.abs(mu - lam).max() > 1e3 * np.finfo(float).eps * np.abs(lam).max()
+
+    @pytest.mark.parametrize("shape", ["wide carrier", "singular R11"])
+    def test_contraction_falls_back_to_the_least_squares(self, shape, monkeypatch):
+        # The contraction is read off a QR only where R11 is square and
+        # nonsingular.  A carrier with c + k >= N (example_2_1(1): c = k = N
+        # = 1) takes no QR; the carrier map of fallback_modules' E keeps all
+        # p = 3 rows (U = I_p), and E's columns miss e_2, so C has zero rows
+        # and the QR's R11 a zero pivot.  Both take _contraction's one SVD,
+        # of the c x N carrier columns, and agree with the oracle.
+        if shape == "wide carrier":
+            fx = example_2_1(1)
+            pm, phi = fx.phi_map, fx.phi
+            tol = DEFAULT_TOL
+        else:
+            module, _ = fallback_modules()
+            phi = random_cp_map(module.algebra, 8, 2, np.random.default_rng(34))
+            pm, tol = universal_contraction(phi, module, 2, np.random.default_rng(35)), ToleranceProfile(1e-7, 1e-7)
+        sm = block_map(pm, phi, full_codomain(pm, phi), tol)
+        carrier, dil = extension._carrier_map(phi, pm.domain, tol)
+        c, k, n_dim = carrier.h2_dim, pm.h2_dim, pm.domain.dim * phi.target_dim
+        assert (c + k >= n_dim) is (shape == "wide carrier")
+        # Rows (s, t), t fast: those of s = 2 vanish.
+        assert shape == "wide carrier" or (c == 3 * dil.rank and not np.any(carrier.stacked_columns()[2 * dil.rank :]))
+        calls = {"qr": [], "svd": []}
         for name in calls:
             original = getattr(np.linalg, name)
 
@@ -973,15 +1102,91 @@ class TestCpExtensionCertificate:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
+        contractions = []
+        contraction = paulsen._contraction
+        monkeypatch.setattr(paulsen, "_contraction", lambda *args: contractions.append(contraction(*args)) or contractions[-1])
+        assert is_cp_system_map(sm, tol).ok
+        assert calls == {"qr": [] if shape == "wide carrier" else [(n_dim, c + k)], "svd": [(c, n_dim)]}
+        norm, residual = certificate_oracle(sm, tol)
+        assert abs(contractions[0][2] - norm) <= 1e-14 and abs(contractions[0][1] - residual) <= 1e-14
+
+    @pytest.mark.parametrize("verdict", ["positive", "negative"])
+    @pytest.mark.parametrize("fault", ["not CP", "not hermitian"])
+    def test_cp_part_without_a_dilation_keeps_the_gram_verdict(self, fault, verdict, monkeypatch):
+        # A CP part with no Stinespring dilation, over M_2 against the module
+        # spanned by the row (1, 0): its Gram pair is (phi(E_00), B* B).  A
+        # zero module map gives a positive verdict, and the dilation's error
+        # is raised with kraus's own text; a value of norm 2 a negative one,
+        # which is returned as is_completely_semi_phi gives it.  One
+        # hermiticity check per call.
+        algebra = BlockAlgebra((2,))
+        module = ConcreteModule(algebra, 1, (np.array([[1.0, 0.0]], dtype=complex),))
+        if fault == "not CP":
+            phi = transpose_map(algebra)
+        else:
+            values = [u.copy() for u in algebra.matrix_units()]
+            values[1] = values[1] + 0.5 * np.eye(2)  # the value on E_01 is no longer E_10's adjoint
+            phi = CPMap(algebra, 2, tuple(values))
+        value = np.zeros((1, 2)) if verdict == "positive" else np.array([[2.0, 0.0]])
+        pm = ModuleMap(module, 2, 1, (value,))
+        sm = block_map(pm, phi, full_rectangular_module(1, 2))
+        with pytest.raises((NotCompletelyPositiveError, cpmaps.HermiticityError)) as raised:
+            cpmaps.kraus(phi)
+        checks = []
+        check = CPMap.check_hermiticity
+        monkeypatch.setattr(CPMap, "check_hermiticity", lambda self, tol=DEFAULT_TOL: checks.append(1) or check(self, tol))
+        gram = is_completely_semi_phi(pm, phi)
+        assert gram.ok is (verdict == "positive")
+        checks.clear()
+        if verdict == "positive":
+            with pytest.raises(raised.type) as got:
+                is_cp_system_map(sm)
+            assert str(got.value) == str(raised.value)
+        else:
+            report = is_cp_system_map(sm)
+            assert (report.ok, report.margin) == (False, gram.margin)
+        assert checks == [1]
+
+    @pytest.mark.parametrize("path", ["table", "carrier"])
+    def test_no_draw_and_one_eigen_solve_each(self, path, monkeypatch):
+        # The carrier map comes first: the map's Choi spectrum (one eigh per
+        # algebra block, for the map's whole life, which the Kraus operators
+        # read) and the module's row form (one p x p eigh per block).  The
+        # Gram verdict is then one eigenvalue-only solve: of the gap (N = 8,
+        # the table path) or of the carrier map's signed carrier (N = 64),
+        # after its QR.  The certificate's contraction is read off one QR of
+        # [C; B]*, the verdict's on the carrier path and its own on the
+        # table path: no SVD, no LAPACK solver and no signed Choi carrier.
+        # The generator and the sample arguments are not read.
+        pm, phi = fresh(*(narrow_system_case() if path == "carrier" else example_2_1_case()))
+        n_dim = pm.domain.dim * phi.target_dim
+        assert (n_dim >= extension._CARRIER_MIN_GAP) is (path == "carrier")
+        sm = block_map(pm, phi, full_rectangular_module(pm.h2_dim, pm.h1_dim))
+        rows = block_rows(pm.domain, phi)
+        assert rows < pm.domain.row_dim * full_dilation(phi)[1]
+        calls = {name: [] for name in ("eigh", "eigvalsh", "qr", "svd", "solve", "inv", "lstsq", "pinv")}
+        for name in calls:
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name].append(args[0].shape)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        choi_carriers = []
+        monkeypatch.setattr(extension, "_choi_carrier", lambda *args: choi_carriers.append(args))
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         assert is_cp_system_map(sm, rng=rng, samples=20, max_level=3).ok
-        blocks, m, p = phi.domain.blocks, phi.target_dim, pm.domain.row_dim
-        assert calls["eigh"] == [(n * m, n * m) for n in blocks] + [(p, p)] * len(blocks)
-        assert len(calls["eigvalsh"]) == 1
-        assert (calls["eigvalsh"][0][0] < n_dim) is (path == "carrier")
-        assert calls["svd"][0] == (rows, n_dim)
-        assert rng.bit_generator.state == state
+        blocks, m, p, k = phi.domain.blocks, phi.target_dim, pm.domain.row_dim, pm.h2_dim
+        eigvalsh = (rows + k,) * 2 if path == "carrier" else (n_dim, n_dim)
+        assert calls == {
+            "eigh": [(n * m, n * m) for n in blocks] + [(p, p)] * len(blocks),
+            "eigvalsh": [eigvalsh],
+            "qr": [(n_dim, rows + k)],
+            **{name: [] for name in ("svd", "solve", "inv", "lstsq", "pinv")},
+        }
+        assert choi_carriers == [] and rng.bit_generator.state == state
         for solves in calls.values():
             solves.clear()
         assert is_cp_system_map(sm, rng=rng, samples=-1, max_level=-1).ok
@@ -989,15 +1194,19 @@ class TestCpExtensionCertificate:
 
     @pytest.mark.parametrize("make", [example_2_1, compacts_fixture])
     def test_zero_tolerance(self, make):
-        # At n = 3 the Choi matrix is singular up to rounding (lambda_min
-        # about -3e-16), which kraus refuses at a zero threshold, as the
-        # engine does; at n = 2 the corners' least-squares residual (about
-        # 6e-16) fails its zero threshold, which the engine refuses too: no
-        # threshold admits rounding at a zero tolerance.
+        # At n = 2 the corners' least-squares residual (about 6e-16) lies
+        # within the rounding band of its solve, which a zero tolerance still
+        # admits, so the verdict is certified at margin 0; at n = 3 the Choi
+        # matrix is singular up to rounding (lambda_min about -3e-16), which
+        # kraus refuses at a zero threshold, as the engine does.
         zero = ToleranceProfile(0.0, 0.0)
-        for n, error in ((2, SelfCheckError), (3, NotCompletelyPositiveError)):
+        for n in (2, 3):
             fx = make(n)
             sm = block_map(fx.phi_map, fx.phi, full_rectangular_module(fx.phi_map.h2_dim, fx.phi_map.h1_dim), zero)
             assert is_completely_semi_phi(fx.phi_map, fx.phi, zero).ok
-            with pytest.raises(error):
-                is_cp_system_map(sm, zero)
+            if n == 2:
+                report = is_cp_system_map(sm, zero)
+                assert (report.ok, report.margin) == (True, 0.0)
+            else:
+                with pytest.raises(NotCompletelyPositiveError, match=r"^map is not completely positive \(Choi lambda_min = -"):
+                    is_cp_system_map(sm, zero)
